@@ -22,7 +22,7 @@ from rede import (
     build_dense_index,
     build_sparse_index,
     generate_hypothetical_docs,
-    hyde_update,
+    mean_update,
     render_hyde_prompt,
 )
 
@@ -52,7 +52,7 @@ print(f"sampled {len(docs)} hypothetical documents, {gateway.counter.text_calls}
 
 # refined query = mean of the query vector and the 8 hypothetical vectors
 qvec = encoder.encode(["how do glaciers form"])[0]
-refined = hyde_update(qvec, list(encoder.encode(docs)))
+refined = mean_update(qvec, list(encoder.encode(docs)))
 print("refined == (f(q) + 8 f(t)) / 9:",
       np.allclose(refined, (qvec + 8 * encoder.encode([hypo_text])[0]) / 9, atol=1e-6))
 
@@ -60,5 +60,5 @@ engine = SearchEngine(corpus, build_sparse_index(corpus), dense, encoder, gatewa
                       config=PipelineConfig(initial_retriever="hybrid", k_initial=4,
                                             output_depth=4),
                       hyde_config=config)
-run, _ = engine.hyde_search(Query("q1", "how do glaciers form"))
+run, _ = engine.search("hyde", Query("q1", "how do glaciers form"))
 print("ranking:", run.doc_ids())

@@ -28,7 +28,6 @@ from .dense import (
     HttpEncoder,
     build_dense_index,
     dense_search,
-    encode,
     fetch_embedding,
     ingest_embeddings,
     load_bundle,
@@ -66,9 +65,7 @@ from .pipeline import (
     PipelineConfig,
     SearchEngine,
     SearchTrace,
-    avg_prf_update,
-    hyde_update,
-    rede_update,
+    mean_update,
     rerank_by_judge,
     select_feedback_docs,
 )

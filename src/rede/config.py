@@ -49,7 +49,7 @@ from .fusion import FusionConfig
 from .gateway import HttpGateway, MockGateway
 from .hyde import HydeConfig
 from .judge import LexicalJudge, LlmJudge, OracleJudge
-from .pipeline import PipelineConfig, SearchEngine
+from .pipeline import PipelineConfig, SearchEngine, required_components
 from .sparse import build_sparse_index, load_sparse_index
 
 GATEWAY_URL_ENV = "REDE_GATEWAY_URL"
@@ -210,18 +210,22 @@ def build_judge(cfg: dict, gateway, qrels):
     raise ConfigError(f"unknown judge.backend {j['backend']!r}")
 
 
+def _components(cfg: dict, method: str) -> list[str]:
+    """What the method needs; ``judge`` (the judge subcommand) needs only a judge."""
+    if method == "judge":
+        return ["judge"]
+    p = cfg["pipeline"]
+    return required_components(method, p["initial_retriever"], p["default_policy"])
+
+
 def needs_gateway(cfg: dict, method: str) -> bool:
-    if method in ("hyde", "hyde-prf", "rede-hyde-default"):
-        return True
-    if method in ("rede", "rerank", "judge") and cfg["judge"]["backend"] == "llm":
-        return True
-    if method == "rede" and cfg["pipeline"]["default_policy"] == "hyde_prf":
-        return True
-    return False
+    needs = _components(cfg, method)
+    return "gateway" in needs or ("judge" in needs and cfg["judge"]["backend"] == "llm")
 
 
 def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
     """Load data and assemble a SearchEngine for the given method."""
+    pipeline_cfg = PipelineConfig(**cfg["pipeline"])  # validated before anything reads it
     corpus = load_corpus(_require_path(cfg, "corpus"), cfg["paths"]["corpus_format"])
 
     sparse_index = None
@@ -238,11 +242,8 @@ def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
 
     qrels = load_qrels(_require_path(cfg, "qrels")) if cfg["paths"]["qrels"] else None
     gateway = build_gateway(cfg) if needs_gateway(cfg, method) else None
-    judge = None
-    if method in ("rede", "rede-hyde-default", "rerank", "judge"):
-        judge = build_judge(cfg, gateway, qrels)
+    judge = build_judge(cfg, gateway, qrels) if "judge" in _components(cfg, method) else None
 
-    pipeline_cfg = PipelineConfig(**cfg["pipeline"])
     fusion_cfg = FusionConfig(**cfg["fusion"])
     hyde_cfg = HydeConfig(**cfg["hyde"], templates_dir=cfg["paths"]["hyde_templates_dir"])
     return SearchEngine(

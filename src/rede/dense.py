@@ -201,14 +201,6 @@ class HttpEncoder:
         return arr
 
 
-def encode(backend, texts: list[str]) -> np.ndarray:
-    """One vector per text, constant dim, via any encoder backend."""
-    vectors = backend.encode(texts)
-    if vectors.shape[0] != len(texts):
-        raise DimMismatch(f"backend returned {vectors.shape[0]} vectors for {len(texts)} texts")
-    return vectors
-
-
 def build_dense_index(corpus_ids: list[str], vectors: np.ndarray) -> DenseIndex:
     """In-memory index from already-encoded vectors (ingest path skipped)."""
     arr = np.ascontiguousarray(vectors, dtype=np.float32)

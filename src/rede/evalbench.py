@@ -148,7 +148,7 @@ def export_distill_dataset(engine, queries: Sequence[Query], out_path: str) -> i
     written = 0
     with open(out_path, "w", encoding="utf-8") as f:
         for query in queries:
-            _, trace = engine.rede_rf_search(query, default_policy="none")
+            _, trace = engine.search("rede", query, default_policy="none")
             if trace.path_taken != "rede" or trace.refined_vector is None:
                 continue
             record = DistillRecord(

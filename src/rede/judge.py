@@ -132,7 +132,7 @@ class LlmJudge:
         self.top_logprobs = top_logprobs
         self.templates_dir = templates_dir
 
-    def p_relevant(self, query: Query, doc_text: str) -> float:
+    def p_relevant(self, query: Query, doc_id: str, doc_text: str) -> float:
         prompt = render_judge_prompt(
             self.template_id, query.text, doc_text, self.max_doc_tokens, self.templates_dir
         )
@@ -165,7 +165,7 @@ class OracleJudge:
     def __init__(self, qrels: Qrels):
         self.qrels = qrels
 
-    def p_relevant(self, query: Query, doc_id: str) -> float:
+    def p_relevant(self, query: Query, doc_id: str, doc_text: str) -> float:
         return 1.0 if self.qrels.get(query.query_id, {}).get(doc_id, 0) > 0 else 0.0
 
 
@@ -173,7 +173,7 @@ class LexicalJudge:
     def __init__(self, threshold: float = 0.15):
         self.threshold = threshold
 
-    def p_relevant(self, query: Query, doc_text: str) -> float:
+    def p_relevant(self, query: Query, doc_id: str, doc_text: str) -> float:
         q_tokens, d_tokens = set(tokenize(query.text)), set(tokenize(doc_text))
         union = q_tokens | d_tokens
         jaccard = len(q_tokens & d_tokens) / len(union) if union else 0.0
@@ -182,10 +182,7 @@ class LexicalJudge:
 
 def score_relevance(backend, query: Query, doc_id: str, doc_text: str) -> RelevanceJudgment:
     """Judge one document; label is strict (p > 0.5)."""
-    if isinstance(backend, OracleJudge):
-        p = backend.p_relevant(query, doc_id)
-    else:
-        p = backend.p_relevant(query, doc_text)
+    p = backend.p_relevant(query, doc_id, doc_text)
     return RelevanceJudgment(query.query_id, doc_id, p, p > 0.5)
 
 

@@ -1,28 +1,23 @@
-"""Query-vector refinement and end-to-end search orchestration.
+"""One staged retrieval pipeline: every method is a row of ``METHOD_TABLE``.
 
-The refinement rules all take the arithmetic mean of the live query
-vector and a bag of document vectors:
-
-  * feedback update   - vectors are stored embeddings of the documents a
-    judge marked relevant (fetched from the dense index, never re-encoded)
-  * hypothetical update - vectors are encodings of sampled hypothetical
-    documents
-  * average-PRF update - vectors are embeddings of all initial candidates
-    (identical to the feedback update when everything is judged relevant)
-
-``SearchEngine`` wires indices, encoder, judge and gateway together and
-exposes one entry point per retrieval method. When the judge returns an
-empty relevant set, the engine follows the configured default policy:
-keep the plain encoder vector, fall back to hypothetical-document
-generation over the same candidates, or return no results (ablation
-mode). Every search returns a trace carrying candidates, judgments,
-per-stage wall times and LLM call counts.
+A row names a first stage (the configured retriever at ``k_initial``, a
+fixed retriever at ``output_depth``, or none), a feedback source (none, the
+documents a judge marks relevant, all candidates, or hypothetical documents
+with or without the candidates as prompt context) and a final stage (dense
+search with the refined vector, a reorder by judge probability, or the
+first-stage list as it is). Every refinement is ``mean_update``: the mean
+of the query vector and a bag of stored or generated document vectors.
+When judge feedback is empty, the row's policy decides: keep the encoder
+vector, refine with hypothetical documents over the same candidates, or
+return no results (ablation mode). Every search returns a trace carrying
+candidates, judgments, per-stage wall times and LLM call counts.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -38,10 +33,58 @@ from .sparse import SparseIndex, sparse_search
 
 INITIAL_RETRIEVERS = ("sparse", "dense", "hybrid")
 DEFAULT_POLICIES = ("encoder_only", "hyde_prf", "none")
-METHODS = (
-    "bm25", "dense", "hybrid", "avgprf", "hyde", "hyde-prf",
-    "rede", "rede-hyde-default", "rerank",
-)
+
+
+@dataclass(frozen=True)
+class Method:
+    first: str | None  # "initial", a retriever in INITIAL_RETRIEVERS, or None
+    feedback: str | None  # None, "judge", "all", "hyde" or "hyde_context"
+    final: str  # "dense", "reorder" or "as_is"
+    path: str  # trace.path_taken when the row's own feedback is used
+    policy: str | None = None  # empty-feedback policy: None (no fallback), "config" or pinned
+
+    def retriever(self, configured: str) -> str | None:
+        return configured if self.first == "initial" else self.first
+
+    def empty_policy(self, configured: str) -> str | None:
+        return configured if self.policy == "config" else self.policy
+
+
+METHOD_TABLE = {
+    "bm25": Method("sparse", None, "as_is", "bm25"),
+    "dense": Method("dense", None, "as_is", "dense"),
+    "hybrid": Method("hybrid", None, "as_is", "hybrid"),
+    "avgprf": Method("initial", "all", "dense", "avg_prf", policy="encoder_only"),
+    "hyde": Method(None, "hyde", "dense", "hyde"),
+    "hyde-prf": Method("initial", "hyde_context", "dense", "hyde_prf"),
+    "rede": Method("initial", "judge", "dense", "rede", policy="config"),
+    "rede-hyde-default": Method("initial", "judge", "dense", "rede", policy="hyde_prf"),
+    "rerank": Method("initial", "judge", "reorder", "rerank"),
+}
+METHODS = tuple(METHOD_TABLE)
+
+
+def _row(method: str) -> Method:
+    if method not in METHOD_TABLE:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    return METHOD_TABLE[method]
+
+
+_INDEXES = {None: [], "sparse": ["sparse_index"], "dense": ["dense_index"],
+            "hybrid": ["sparse_index", "dense_index"]}
+
+
+def required_components(method: str, initial_retriever: str, default_policy: str) -> list[str]:
+    """SearchEngine attributes the method needs; a gateway only where it can generate text."""
+    row = _row(method)
+    needs = list(_INDEXES[row.retriever(initial_retriever)])
+    if row.final == "dense" and "dense_index" not in needs:
+        needs.append("dense_index")
+    if row.feedback == "judge":
+        needs.append("judge")
+    if row.feedback in ("hyde", "hyde_context") or row.empty_policy(default_policy) == "hyde_prf":
+        needs.append("gateway")
+    return needs
 
 
 @dataclass
@@ -98,13 +141,12 @@ class SearchTrace:
             "generation_calls": self.generation_calls,
             "llm_calls": self.llm_calls,
             "wall_times": self.wall_times,
-            "refined_vector": None
-            if self.refined_vector is None
+            "refined_vector": None if self.refined_vector is None
             else [float(x) for x in self.refined_vector],
         }
 
 
-def _mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray], what: str) -> np.ndarray:
+def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Mean of the query vector and all given vectors, permutation-exact.
 
     Per-dimension exact summation (math.fsum) makes the result independent
@@ -113,29 +155,14 @@ def _mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray], what: str
     """
     vectors = list(vectors)
     if not vectors:
-        raise EmptyRelevantSet(f"{what} requires at least one vector")
+        raise EmptyRelevantSet("mean update requires at least one vector")
     q = np.asarray(query_vec, dtype=np.float32)
     for v in vectors:
         if np.asarray(v).shape != q.shape:
-            raise DimMismatch(f"{what}: vector shape {np.asarray(v).shape} != query shape {q.shape}")
+            raise DimMismatch(f"mean update: vector shape {np.asarray(v).shape} != query shape {q.shape}")
     stacked = np.vstack([q] + [np.asarray(v, dtype=np.float32) for v in vectors]).astype(np.float64)
     totals = np.array([math.fsum(stacked[:, d]) for d in range(stacked.shape[1])])
     return (totals / stacked.shape[0]).astype(np.float32)
-
-
-def rede_update(query_vec: np.ndarray, relevant_embeddings: Sequence[np.ndarray]) -> np.ndarray:
-    """Refined query: mean of the query vector and the relevant-document embeddings."""
-    return _mean_update(query_vec, relevant_embeddings, "feedback update")
-
-
-def hyde_update(query_vec: np.ndarray, hypo_vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Refined query: mean of the query vector and the hypothetical-document vectors."""
-    return _mean_update(query_vec, hypo_vectors, "hypothetical update")
-
-
-def avg_prf_update(query_vec: np.ndarray, topk_embeddings: Sequence[np.ndarray]) -> np.ndarray:
-    """Refined query: mean of the query vector and all top-k candidate embeddings."""
-    return _mean_update(query_vec, topk_embeddings, "average-PRF update")
 
 
 def select_feedback_docs(relevant_set: RelevantSet, max_kstar: int) -> list[str]:
@@ -156,31 +183,36 @@ def rerank_by_judge(candidates: RankedList, judgments: list[RelevanceJudgment]) 
     return RankedList(candidates.query_id, reordered)
 
 
-class _Timer:
-    def __init__(self) -> None:
-        self.times: dict[str, float] = {}
-        self._start = time.perf_counter()
+class _QueryRun:
+    """Per-query context: times stages into the trace and fills its LLM call counts.
 
+    Calls are the gateway's global counter diffed over the query, taken only
+    for rows that can call the LLM; other rows report 0.
+    """
+
+    def __init__(self, trace: SearchTrace, counter):
+        self.trace, self.counter = trace, counter
+
+    def _calls(self) -> tuple[int, int]:
+        c = self.counter
+        return (0, 0) if c is None else (c.logprob_calls, c.text_calls)
+
+    def __enter__(self) -> "_QueryRun":
+        self._t0, self._calls0 = time.perf_counter(), self._calls()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.trace.wall_times["total"] = time.perf_counter() - self._t0
+        (judge1, gen1), (judge0, gen0) = self._calls(), self._calls0
+        self.trace.judge_calls, self.trace.generation_calls = judge1 - judge0, gen1 - gen0
+
+    @contextmanager
     def stage(self, name: str):
-        return _Stage(self, name)
-
-    def finish(self) -> dict[str, float]:
-        self.times["total"] = time.perf_counter() - self._start
-        return self.times
-
-
-class _Stage:
-    def __init__(self, timer: _Timer, name: str):
-        self.timer, self.name = timer, name
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.timer.times[self.name] = self.timer.times.get(self.name, 0.0) + (
-            time.perf_counter() - self._t0
-        )
-        return False
+        t0, times = time.perf_counter(), self.trace.wall_times
+        try:
+            yield
+        finally:
+            times[name] = times.get(name, 0.0) + (time.perf_counter() - t0)
 
 
 class SearchEngine:
@@ -209,249 +241,113 @@ class SearchEngine:
         self.hyde_config = hyde_config or HydeConfig()
         self.doc_texts = {doc_id: doc.search_text for doc_id, doc in corpus.items()}
 
-    # -- shared stages -----------------------------------------------------
-
     def encode_query(self, text: str) -> np.ndarray:
         return self.encoder.encode([text])[0]
 
+    def _require(self, what: str, needs: list[str]) -> None:
+        missing = [name.replace("_", " ") for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"{what} requires a {' and a '.join(missing)}")
+
     def initial_retrieval(self, query: Query, query_vec: np.ndarray | None = None) -> RankedList:
-        cfg = self.config
-        if cfg.initial_retriever in ("sparse", "hybrid") and self.sparse_index is None:
-            raise ConfigError(f"{cfg.initial_retriever} retrieval requires a sparse index")
-        if cfg.initial_retriever in ("dense", "hybrid") and self.dense_index is None:
-            raise ConfigError(f"{cfg.initial_retriever} retrieval requires a dense index")
-        if cfg.initial_retriever == "sparse":
-            result = sparse_search(self.sparse_index, query.text, cfg.k_initial)
-        elif cfg.initial_retriever == "dense":
-            result = dense_search(self.dense_index, self._require_vec(query, query_vec), cfg.k_initial)
+        """The configured first stage at k_initial."""
+        retriever = self.config.initial_retriever
+        self._require(f"{retriever} retrieval", _INDEXES[retriever])
+        if query_vec is None and retriever != "sparse":
+            query_vec = self.encode_query(query.text)
+        return self._retrieve(retriever, self.config.k_initial, query, query_vec)
+
+    def _retrieve(self, retriever: str, depth: int, query: Query, qvec: np.ndarray | None) -> RankedList:
+        if retriever == "sparse":
+            result = sparse_search(self.sparse_index, query.text, depth)
+        elif retriever == "dense":
+            result = dense_search(self.dense_index, qvec, depth)
         else:
             result = hybrid_search(
-                self.sparse_index,
-                self.dense_index,
-                query.text,
-                self._require_vec(query, query_vec),
-                cfg.k_initial,
-                self.fusion_config,
+                self.sparse_index, self.dense_index, query.text, qvec, depth, self.fusion_config
             )
         result.query_id = query.query_id
         return result
-
-    def _require_vec(self, query: Query, query_vec: np.ndarray | None) -> np.ndarray:
-        return query_vec if query_vec is not None else self.encode_query(query.text)
-
-    def _counter_snapshot(self) -> tuple[int, int]:
-        if self.gateway is None:
-            return (0, 0)
-        return (self.gateway.counter.logprob_calls, self.gateway.counter.text_calls)
 
     def _llm_workers(self) -> int:
         workers = self.config.llm_max_workers
-        if self.gateway is not None:
-            workers = min(workers, getattr(self.gateway, "parallelism", workers))
-        return max(workers, 1)
-
-    def _context_hyde_config(self) -> HydeConfig:
-        docs = self.hyde_config.context_docs or self.config.k_initial
-        return replace(self.hyde_config, context_docs=docs)
-
-    def _finalize(self, query: Query, refined: np.ndarray, depth: int) -> RankedList:
-        result = dense_search(self.dense_index, refined, depth)
-        result.query_id = query.query_id
-        return result
-
-    # -- feedback search -----------------------------------------------------
-
-    def rede_rf_search(self, query: Query, default_policy: str | None = None
-                       ) -> tuple[RankedList, SearchTrace]:
-        """Initial retrieval, pointwise judging, feedback update, final search."""
-        cfg = self.config
-        policy = default_policy if default_policy is not None else cfg.default_policy
-        if policy not in DEFAULT_POLICIES:
-            raise ConfigError(f"default_policy must be one of {DEFAULT_POLICIES}")
-        if self.judge is None:
-            raise ConfigError("feedback search requires a judge backend")
-        timer = _Timer()
-        judge0, gen0 = self._counter_snapshot()
-
-        with timer.stage("encode"):
-            qvec = self.encode_query(query.text)
-        with timer.stage("initial_retrieval"):
-            candidates = self.initial_retrieval(query, qvec)
-
-        judgments: list[RelevanceJudgment] = []
-        feedback_ids: list[str] = []
-        with timer.stage("judge"):
-            if candidates.entries:
-                try:
-                    relevant = judge_candidates(
-                        self.judge, query, candidates, self.doc_texts, self._llm_workers()
-                    )
-                    judgments = relevant.judgments
-                    feedback_ids = select_feedback_docs(relevant, cfg.max_kstar)
-                except JudgeUnavailable:
-                    feedback_ids = []  # fall through to the default policy
-
-        trace = SearchTrace(query.query_id, candidates, judgments, kstar=len(feedback_ids))
-
-        if feedback_ids:
-            with timer.stage("update"):
-                embeddings = [fetch_embedding(self.dense_index, d) for d in feedback_ids]
-                refined = rede_update(qvec, embeddings)
-            trace.path_taken = "rede"
-        elif policy == "encoder_only":
-            refined = qvec
-            trace.path_taken = "default_encoder"
-        elif policy == "hyde_prf":
-            with timer.stage("generation"):
-                refined = self._hyde_refine(query, qvec, candidates)
-            trace.path_taken = "default_hyde_prf"
-        else:  # "none": ablation mode, no results for this query
-            trace.path_taken = "none"
-            trace.wall_times = timer.finish()
-            trace.judge_calls, trace.generation_calls = self._counter_delta(judge0, gen0)
-            return RankedList(query.query_id, []), trace
-
-        with timer.stage("final_search"):
-            result = self._finalize(query, refined, cfg.output_depth)
-        trace.refined_vector = refined
-        trace.wall_times = timer.finish()
-        trace.judge_calls, trace.generation_calls = self._counter_delta(judge0, gen0)
-        return result, trace
-
-    def _counter_delta(self, judge0: int, gen0: int) -> tuple[int, int]:
-        judge1, gen1 = self._counter_snapshot()
-        return judge1 - judge0, gen1 - gen0
+        return max(min(workers, getattr(self.gateway, "parallelism", workers)), 1)
 
     def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList | None) -> np.ndarray:
-        context = None
-        hyde_cfg = self.hyde_config
+        context, hyde_cfg = None, self.hyde_config
         if candidates is not None:
             context = [self.doc_texts.get(d, "") for d in candidates.doc_ids()]
-            hyde_cfg = self._context_hyde_config()
-        docs = generate_hypothetical_docs(
-            self.gateway, hyde_cfg, query.text, context, self._llm_workers()
-        )
-        vectors = self.encoder.encode(docs)
-        return hyde_update(qvec, list(vectors))
+            hyde_cfg = replace(hyde_cfg, context_docs=hyde_cfg.context_docs or self.config.k_initial)
+        docs = generate_hypothetical_docs(self.gateway, hyde_cfg, query.text, context, self._llm_workers())
+        return mean_update(qvec, list(self.encoder.encode(docs)))
 
-    # -- generation-based search ----------------------------------------------
+    def search(self, method: str, query: Query, default_policy: str | None = None
+               ) -> tuple[RankedList, SearchTrace]:
+        """Run the stages of the method's row; default_policy overrides the configured one."""
+        cfg, row = self.config, _row(method)
+        if default_policy not in (None, *DEFAULT_POLICIES):
+            raise ConfigError(f"default_policy must be one of {DEFAULT_POLICIES}")
+        default_policy = default_policy or cfg.default_policy
+        self._require(f"method {method!r}",
+                      required_components(method, cfg.initial_retriever, default_policy))
+        policy, retriever = row.empty_policy(default_policy), row.retriever(cfg.initial_retriever)
+        depth = cfg.k_initial if row.first == "initial" else cfg.output_depth
+        calls_llm = row.feedback not in (None, "all") and self.gateway is not None
+        trace = SearchTrace(query.query_id, RankedList(query.query_id, []), path_taken=row.path)
+        with _QueryRun(trace, self.gateway.counter if calls_llm else None) as run:
+            qvec = None
+            if not (retriever == "sparse" and row.final == "as_is"):  # a bare BM25 list needs none
+                with run.stage("encode"):
+                    qvec = self.encode_query(query.text)
+            if retriever is not None:
+                with run.stage("initial_retrieval"):
+                    trace.candidates = self._retrieve(retriever, depth, query, qvec)
+            candidates = trace.candidates
+            if row.final == "as_is":
+                return candidates, trace
 
-    def hyde_search(self, query: Query, with_context: bool = False
-                    ) -> tuple[RankedList, SearchTrace]:
-        """Hypothetical-document search; with_context feeds initial candidates in."""
-        timer = _Timer()
-        judge0, gen0 = self._counter_snapshot()
-        with timer.stage("encode"):
-            qvec = self.encode_query(query.text)
-        candidates = RankedList(query.query_id, [])
-        if with_context:
-            with timer.stage("initial_retrieval"):
-                candidates = self.initial_retrieval(query, qvec)
-        with timer.stage("generation"):
-            refined = self._hyde_refine(query, qvec, candidates if with_context else None)
-        with timer.stage("final_search"):
-            result = self._finalize(query, refined, self.config.output_depth)
-        trace = SearchTrace(
-            query.query_id,
-            candidates,
-            path_taken="hyde_prf" if with_context else "hyde",
-            refined_vector=refined,
-        )
-        trace.wall_times = timer.finish()
-        trace.judge_calls, trace.generation_calls = self._counter_delta(judge0, gen0)
-        return result, trace
+            feedback: list[str] = []
+            if row.feedback == "judge":
+                with run.stage("judge"):
+                    try:
+                        relevant = judge_candidates(
+                            self.judge, query, candidates, self.doc_texts, self._llm_workers()
+                        )
+                        trace.judgments = relevant.judgments
+                        feedback = select_feedback_docs(relevant, cfg.max_kstar)
+                    except JudgeUnavailable:
+                        if policy is None:
+                            raise  # no empty-feedback fallback to fall through to
+            elif row.feedback == "all":
+                with run.stage("update"):
+                    feedback = candidates.doc_ids()
+            if row.final == "reorder":
+                with run.stage("update"):
+                    result = rerank_by_judge(candidates, trace.judgments)
+                trace.kstar = sum(j.label for j in trace.judgments)
+                return result, trace
 
-    # -- baselines ------------------------------------------------------------
-
-    def avg_prf_search(self, query: Query) -> tuple[RankedList, SearchTrace]:
-        """Treat every initial candidate as relevant and refine over all of them."""
-        timer = _Timer()
-        with timer.stage("encode"):
-            qvec = self.encode_query(query.text)
-        with timer.stage("initial_retrieval"):
-            candidates = self.initial_retrieval(query, qvec)
-        with timer.stage("update"):
-            if candidates.entries:
-                embeddings = [fetch_embedding(self.dense_index, d) for d in candidates.doc_ids()]
-                refined = avg_prf_update(qvec, embeddings)
-                path = "avg_prf"
-            else:
+            trace.kstar = len(feedback)
+            if row.feedback in ("hyde", "hyde_context"):
+                with run.stage("generation"):
+                    refined = self._hyde_refine(
+                        query, qvec, candidates if row.feedback == "hyde_context" else None
+                    )
+            elif feedback:
+                with run.stage("update"):
+                    refined = mean_update(qvec, [fetch_embedding(self.dense_index, d) for d in feedback])
+            elif policy == "encoder_only":
                 refined = qvec
-                path = "default_encoder"
-        with timer.stage("final_search"):
-            result = self._finalize(query, refined, self.config.output_depth)
-        trace = SearchTrace(
-            query.query_id, candidates, kstar=len(candidates.entries),
-            path_taken=path, refined_vector=refined,
-        )
-        trace.wall_times = timer.finish()
-        return result, trace
+                trace.path_taken = "default_encoder"
+            elif policy == "hyde_prf":
+                with run.stage("generation"):
+                    refined = self._hyde_refine(query, qvec, candidates)
+                trace.path_taken = "default_hyde_prf"
+            else:  # "none": ablation mode, no results for this query
+                trace.path_taken = "none"
+                return RankedList(query.query_id, []), trace
 
-    def rerank_search(self, query: Query) -> tuple[RankedList, SearchTrace]:
-        """Judge the initial candidates and reorder them by p_relevant."""
-        if self.judge is None:
-            raise ConfigError("reranking requires a judge backend")
-        timer = _Timer()
-        judge0, gen0 = self._counter_snapshot()
-        with timer.stage("encode"):
-            qvec = self.encode_query(query.text)
-        with timer.stage("initial_retrieval"):
-            candidates = self.initial_retrieval(query, qvec)
-        with timer.stage("judge"):
-            relevant = judge_candidates(
-                self.judge, query, candidates, self.doc_texts, self._llm_workers()
-            )
-        with timer.stage("update"):
-            result = rerank_by_judge(candidates, relevant.judgments)
-        trace = SearchTrace(
-            query.query_id, candidates, relevant.judgments,
-            kstar=relevant.kstar, path_taken="rerank",
-        )
-        trace.wall_times = timer.finish()
-        trace.judge_calls, trace.generation_calls = self._counter_delta(judge0, gen0)
-        return result, trace
-
-    def first_stage_search(self, query: Query, retriever: str) -> tuple[RankedList, SearchTrace]:
-        """Plain sparse, dense, or hybrid retrieval at output depth."""
-        timer = _Timer()
-        depth = self.config.output_depth
-        if retriever == "bm25":
-            with timer.stage("initial_retrieval"):
-                result = sparse_search(self.sparse_index, query.text, depth)
-        elif retriever == "dense":
-            with timer.stage("encode"):
-                qvec = self.encode_query(query.text)
-            with timer.stage("initial_retrieval"):
-                result = dense_search(self.dense_index, qvec, depth)
-        elif retriever == "hybrid":
-            with timer.stage("encode"):
-                qvec = self.encode_query(query.text)
-            with timer.stage("initial_retrieval"):
-                result = hybrid_search(
-                    self.sparse_index, self.dense_index, query.text, qvec, depth, self.fusion_config
-                )
-        else:
-            raise ConfigError(f"unknown first-stage retriever {retriever!r}")
-        result.query_id = query.query_id
-        trace = SearchTrace(query.query_id, result, path_taken=retriever)
-        trace.wall_times = timer.finish()
-        return result, trace
-
-    # -- method dispatch ---------------------------------------------------
-
-    def search(self, method: str, query: Query) -> tuple[RankedList, SearchTrace]:
-        if method in ("bm25", "dense", "hybrid"):
-            return self.first_stage_search(query, method)
-        if method == "avgprf":
-            return self.avg_prf_search(query)
-        if method == "hyde":
-            return self.hyde_search(query, with_context=False)
-        if method == "hyde-prf":
-            return self.hyde_search(query, with_context=True)
-        if method == "rede":
-            return self.rede_rf_search(query)
-        if method == "rede-hyde-default":
-            return self.rede_rf_search(query, default_policy="hyde_prf")
-        if method == "rerank":
-            return self.rerank_search(query)
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+            with run.stage("final_search"):
+                result = self._retrieve("dense", cfg.output_depth, query, refined)
+            trace.refined_vector = refined
+            return result, trace

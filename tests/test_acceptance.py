@@ -19,7 +19,7 @@ from rede.fusion import FusionConfig, hybrid_search
 from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
 from rede.judge import LexicalJudge, LlmJudge, OracleJudge
-from rede.pipeline import PipelineConfig, SearchEngine, rede_update
+from rede.pipeline import PipelineConfig, SearchEngine, mean_update
 from rede.sparse import bm25_score, build_sparse_index, sparse_search
 from rede.synthetic import TableEncoder, generate_benchmark
 
@@ -61,7 +61,7 @@ def test_c01_feedback_search_matches_brute_force():
         judge=OracleJudge(qrels),
         config=PipelineConfig(initial_retriever="dense", k_initial=6, output_depth=6),
     )
-    result, trace = engine.rede_rf_search(query)
+    result, trace = engine.search("rede", query)
     assert trace.path_taken == "rede" and trace.kstar == 2
 
     # brute force: mean of vectors, exhaustive inner products, plain Python
@@ -105,7 +105,7 @@ def test_c02_hypothetical_search_matches_brute_force():
         config=PipelineConfig(initial_retriever="dense", k_initial=6, output_depth=6),
         hyde_config=HydeConfig(n_samples=n_samples),
     )
-    result, trace = engine.hyde_search(query, with_context=False)
+    result, trace = engine.search("hyde", query)
     assert trace.generation_calls == n_samples
 
     f_q = [float(x) for x in encoder.encode([query.text])[0]]
@@ -219,8 +219,8 @@ def test_c05_always_relevant_equals_avg_prf():
         config=PipelineConfig(k_initial=20, max_kstar=20, output_depth=100),
     )
     for query in bench.queries:
-        rede_out, trace = engine.rede_rf_search(query)
-        avg_out, _ = engine.avg_prf_search(query)
+        rede_out, trace = engine.search("rede", query)
+        avg_out, _ = engine.search("avgprf", query)
         assert trace.kstar == len(trace.candidates.entries)
         assert rede_out.entries == avg_out.entries  # identical floats, identical order
     ok("5 always-relevant feedback == average-PRF bit-for-bit on 50 queries")
@@ -248,7 +248,7 @@ def test_c06_default_path_identities():
     engine_enc = SearchEngine(corpus, sparse, dense, encoder, judge=OracleJudge({}),
                               config=PipelineConfig(**cfg))
     for query in queries:
-        out, trace = engine_enc.rede_rf_search(query, default_policy="encoder_only")
+        out, trace = engine_enc.search("rede", query, default_policy="encoder_only")
         assert trace.path_taken == "default_encoder"
         plain = dense_search(dense, encoder.encode([query.text])[0], 30)
         assert out.entries == plain.entries
@@ -257,9 +257,9 @@ def test_c06_default_path_identities():
                               gateway=gateway, config=PipelineConfig(**cfg),
                               hyde_config=HydeConfig(n_samples=8))
     for query in queries:
-        via_default, trace = engine_gen.rede_rf_search(query, default_policy="hyde_prf")
+        via_default, trace = engine_gen.search("rede", query, default_policy="hyde_prf")
         assert trace.path_taken == "default_hyde_prf"
-        direct, _ = engine_gen.hyde_search(query, with_context=True)
+        direct, _ = engine_gen.search("hyde-prf", query)
         assert via_default.entries == direct.entries
     ok("6 empty-feedback defaults: encoder fallback and generation fallback exact")
 
@@ -289,14 +289,14 @@ def test_c07_latency_mechanism():
     engine = SearchEngine(corpus, sparse, dense, encoder, judge=LlmJudge(gateway),
                           gateway=gateway, config=cfg, hyde_config=HydeConfig(n_samples=8))
 
-    rede_report = measure_latency(lambda q: engine.rede_rf_search(q), queries)
+    rede_report = measure_latency(lambda q: engine.search("rede", q), queries)
     assert rede_report.judge_calls == 20 * len(queries)
     assert rede_report.generation_calls == 0
     expected_ms = 20 * d_judge * 1000
     assert abs(rede_report.mean_ms - expected_ms) <= 0.10 * expected_ms
 
     gateway.counter.reset()
-    prf_report = measure_latency(lambda q: engine.hyde_search(q, with_context=True), queries)
+    prf_report = measure_latency(lambda q: engine.search("hyde-prf", q), queries)
     assert prf_report.judge_calls == 0
     assert prf_report.generation_calls == 8 * len(queries)
     expected_ms = 8 * d_generate * 1000
@@ -388,7 +388,7 @@ def test_c10_distill_export(tmp_path):
     assert not any(q.query_id in records for q in extra)
 
     for query in queries:
-        _, trace = engine.rede_rf_search(query, default_policy="none")
+        _, trace = engine.search("rede", query, default_policy="none")
         if trace.path_taken != "rede":
             assert query.query_id not in records
             continue
@@ -401,6 +401,6 @@ def test_c10_distill_export(tmp_path):
         )[: engine.config.max_kstar]
         embeddings = [dense.vectors[dense.id_to_row[j.doc_id]] for j in relevant]
         qvec = bench.encoder.encode([query.text])[0]
-        expected = rede_update(qvec, embeddings)
+        expected = mean_update(qvec, embeddings)
         np.testing.assert_allclose(records[query.query_id]["target"], expected, atol=1e-6)
     ok("10 distill targets recompute to 1e-6; empty-feedback queries absent")

@@ -8,7 +8,6 @@ from rede.dense import (
     HttpEncoder,
     build_dense_index,
     dense_search,
-    encode,
     fetch_embedding,
     ingest_embeddings,
     load_bundle,
@@ -177,7 +176,7 @@ class TestHttpEncoder:
         url, state = http_server
         state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0]] * len(body["texts"])})
         enc = HttpEncoder(url)
-        out = encode(enc, ["x", "y"])
+        out = enc.encode(["x", "y"])
         assert out.shape == (2, 2)
         assert enc.dim == 2
 

@@ -14,7 +14,7 @@ from rede.evalbench import (
     ndcg_at_k,
 )
 from rede.judge import OracleJudge
-from rede.pipeline import SearchTrace, rede_update
+from rede.pipeline import SearchTrace, mean_update
 
 from test_pipeline import DOC_VECTORS, QUERY, QUERY_VEC, toy_engine
 
@@ -159,7 +159,7 @@ class TestMeasureLatency:
 
         gateway = MockGateway(JUDGE_ALL_RELEVANT)
         engine = toy_engine(LlmJudge(gateway), gateway=gateway)
-        report = measure_latency(lambda q: engine.rede_rf_search(q), [QUERY, QUERY])
+        report = measure_latency(lambda q: engine.search("rede", q), [QUERY, QUERY])
         assert report.judge_calls == gateway.counter.logprob_calls == 12
         assert report.generation_calls == gateway.counter.text_calls == 0
 
@@ -176,7 +176,7 @@ class TestDistillExport:
         assert count == 1
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["query_id"] for r in records] == ["q1"]
-        expected = rede_update(QUERY_VEC, [DOC_VECTORS["d2"], DOC_VECTORS["d3"]])
+        expected = mean_update(QUERY_VEC, [DOC_VECTORS["d2"], DOC_VECTORS["d3"]])
         np.testing.assert_allclose(records[0]["target"], expected, atol=1e-6)
         assert records[0]["text"] == QUERY.text
 

@@ -151,7 +151,7 @@ class ScriptedJudge:
     def __init__(self, probs):
         self.probs = probs
 
-    def p_relevant(self, query, doc_text):
+    def p_relevant(self, query, doc_id, doc_text):
         return self.probs[doc_text]
 
 
@@ -159,7 +159,7 @@ class FailingJudge:
     def __init__(self, fail_for=()):
         self.fail_for = set(fail_for)
 
-    def p_relevant(self, query, doc_text):
+    def p_relevant(self, query, doc_id, doc_text):
         if not self.fail_for or doc_text in self.fail_for:
             raise JudgeUnavailable("scripted failure")
         return 1.0

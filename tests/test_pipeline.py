@@ -16,9 +16,7 @@ from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment, R
 from rede.pipeline import (
     PipelineConfig,
     SearchEngine,
-    avg_prf_update,
-    hyde_update,
-    rede_update,
+    mean_update,
     rerank_by_judge,
     select_feedback_docs,
 )
@@ -32,61 +30,53 @@ def vec(*xs):
 
 class TestUpdates:
     def test_feedback_mean(self):
-        out = rede_update(vec(1, 0), [vec(0, 1), vec(1, 1)])
+        out = mean_update(vec(1, 0), [vec(0, 1), vec(1, 1)])
         np.testing.assert_allclose(out, [2 / 3, 2 / 3], atol=1e-7)
 
     def test_fixed_point(self):
         q = vec(0.3, -0.7)
-        np.testing.assert_array_equal(rede_update(q, [q]), q)
+        np.testing.assert_array_equal(mean_update(q, [q]), q)
 
     def test_permutation_exact(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             q = rng.normal(size=6).astype(np.float32)
             vectors = [rng.normal(size=6).astype(np.float32) for _ in range(12)]
-            base = rede_update(q, vectors)
+            base = mean_update(q, vectors)
             shuffled = list(vectors)
             rng.shuffle(shuffled)
-            assert rede_update(q, shuffled).tobytes() == base.tobytes()
+            assert mean_update(q, shuffled).tobytes() == base.tobytes()
 
     def test_empty_raises(self):
         with pytest.raises(EmptyRelevantSet):
-            rede_update(vec(1, 0), [])
-        with pytest.raises(EmptyRelevantSet):
-            hyde_update(vec(1, 0), [])
+            mean_update(vec(1, 0), [])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            rede_update(vec(1, 0), [vec(1, 0, 0)])
+            mean_update(vec(1, 0), [vec(1, 0, 0)])
 
     def test_hypothetical_mean(self):
-        np.testing.assert_allclose(hyde_update(vec(0, 2), [vec(2, 0)]), [1, 1], atol=1e-7)
+        np.testing.assert_allclose(mean_update(vec(0, 2), [vec(2, 0)]), [1, 1], atol=1e-7)
 
     def test_eight_identical_hypotheticals(self):
         q, v = vec(1, 0, 0), vec(0, 1, 0)
-        out = hyde_update(q, [v] * 8)
+        out = mean_update(q, [v] * 8)
         np.testing.assert_allclose(out, (q + 8 * v) / 9, atol=1e-7)
 
-    def test_avg_prf_equals_feedback_on_same_list(self):
-        rng = np.random.default_rng(4)
-        q = rng.normal(size=5).astype(np.float32)
-        vectors = [rng.normal(size=5).astype(np.float32) for _ in range(7)]
-        assert avg_prf_update(q, vectors).tobytes() == rede_update(q, vectors).tobytes()
-
     def test_avg_prf_midpoint(self):
-        out = avg_prf_update(vec(0, 0), [vec(2, 4)])
+        out = mean_update(vec(0, 0), [vec(2, 4)])
         np.testing.assert_allclose(out, [1, 2], atol=1e-7)
 
     def test_avg_prf_fixed_point(self):
         q = vec(0.5, 0.5)
-        np.testing.assert_array_equal(avg_prf_update(q, [q, q, q]), q)
+        np.testing.assert_array_equal(mean_update(q, [q, q, q]), q)
 
     def test_norm_bounded_by_max_input(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
             q = rng.normal(size=4).astype(np.float32)
             vectors = [rng.normal(size=4).astype(np.float32) for _ in range(rng.integers(1, 9))]
-            out = rede_update(q, vectors)
+            out = mean_update(q, vectors)
             max_norm = max(np.linalg.norm(v) for v in [q] + vectors)
             assert np.linalg.norm(out) <= max_norm + 1e-6
 
@@ -183,39 +173,39 @@ class TestFeedbackSearch:
     def test_oracle_feedback_matches_brute_force(self):
         qrels = {"q1": {"d2": 1, "d3": 2}}
         engine = toy_engine(OracleJudge(qrels))
-        result, trace = engine.rede_rf_search(QUERY)
+        result, trace = engine.search("rede", QUERY)
         assert trace.path_taken == "rede"
         assert trace.kstar == 2
         assert result.doc_ids() == brute_force_ranking(QUERY_VEC, [DOC_VECTORS["d2"], DOC_VECTORS["d3"]])
 
     def test_empty_feedback_encoder_default(self):
         engine = toy_engine(OracleJudge({"q1": {}}))
-        result, trace = engine.rede_rf_search(QUERY)
+        result, trace = engine.search("rede", QUERY)
         assert trace.path_taken == "default_encoder"
         plain = dense_search(engine.dense_index, QUERY_VEC, 6)
         assert result.entries == plain.entries
 
     def test_empty_feedback_none_policy(self):
         engine = toy_engine(OracleJudge({}), default_policy="none")
-        result, trace = engine.rede_rf_search(QUERY)
+        result, trace = engine.search("rede", QUERY)
         assert result.entries == []
         assert trace.path_taken == "none"
         assert trace.refined_vector is None
 
     def test_judge_failure_falls_through_to_default(self):
         class BrokenJudge:
-            def p_relevant(self, query, doc_text):
+            def p_relevant(self, query, doc_id, doc_text):
                 raise JudgeUnavailable("down")
 
         engine = toy_engine(BrokenJudge())
-        result, trace = engine.rede_rf_search(QUERY)
+        result, trace = engine.search("rede", QUERY)
         assert trace.path_taken == "default_encoder"
         assert result.doc_ids() == dense_search(engine.dense_index, QUERY_VEC, 6).doc_ids()
 
     def test_max_kstar_cap(self):
         qrels = {"q1": {d: 1 for d in DOC_VECTORS}}
         engine = toy_engine(OracleJudge(qrels), max_kstar=2)
-        _, trace = engine.rede_rf_search(QUERY)
+        _, trace = engine.search("rede", QUERY)
         assert trace.kstar == 2
 
     def test_path_iff_kstar(self):
@@ -223,14 +213,14 @@ class TestFeedbackSearch:
             ({"q1": {"d2": 1}}, "rede"),
             ({"q1": {}}, "default_encoder"),
         ):
-            _, trace = toy_engine(OracleJudge(qrels)).rede_rf_search(QUERY)
+            _, trace = toy_engine(OracleJudge(qrels)).search("rede", QUERY)
             assert (trace.path_taken == "rede") == (trace.kstar >= 1)
             assert trace.path_taken == expected_path
 
     def test_requires_judge(self):
         engine = toy_engine(None)
         with pytest.raises(ConfigError):
-            engine.rede_rf_search(QUERY)
+            engine.search("rede", QUERY)
 
 
 # judge prompts are recognized by the default template's instruction text,
@@ -250,7 +240,7 @@ class TestCallAccounting:
     def test_rede_path_counts(self):
         gateway = MockGateway(JUDGE_ALL_RELEVANT)
         engine = toy_engine(LlmJudge(gateway), gateway=gateway)
-        _, trace = engine.rede_rf_search(QUERY)
+        _, trace = engine.search("rede", QUERY)
         assert trace.path_taken == "rede"
         assert (trace.judge_calls, trace.generation_calls) == (6, 0)
         assert gateway.counter.total == 6
@@ -260,7 +250,7 @@ class TestCallAccounting:
         gateway = MockGateway(script)
         engine = toy_engine(LlmJudge(gateway), gateway=gateway)
         engine.encoder.table["a hypothetical passage"] = vec(0.4, 0.4)
-        _, trace = engine.rede_rf_search(QUERY, default_policy="hyde_prf")
+        _, trace = engine.search("rede", QUERY, default_policy="hyde_prf")
         assert trace.path_taken == "default_hyde_prf"
         assert (trace.judge_calls, trace.generation_calls) == (6, 4)
         assert gateway.counter.logprob_calls == 6
@@ -270,15 +260,15 @@ class TestCallAccounting:
         gateway = MockGateway([{"match_substring": "", "text": "a hypothetical passage"}])
         engine = toy_engine(None, gateway=gateway)
         engine.encoder.table["a hypothetical passage"] = vec(0.4, 0.4)
-        _, trace = engine.hyde_search(QUERY, with_context=True)
+        _, trace = engine.search("hyde-prf", QUERY)
         assert (trace.judge_calls, trace.generation_calls) == (0, 4)
 
 
 class TestBaselineIdentities:
     def test_always_relevant_equals_avg_prf_bitwise(self):
         engine = toy_engine(LexicalJudge(threshold=0.0))
-        rede_out, rede_trace = engine.rede_rf_search(QUERY)
-        avg_out, avg_trace = engine.avg_prf_search(QUERY)
+        rede_out, rede_trace = engine.search("rede", QUERY)
+        avg_out, avg_trace = engine.search("avgprf", QUERY)
         assert rede_trace.kstar == 6
         assert rede_out.entries == avg_out.entries
         assert rede_trace.refined_vector.tobytes() == avg_trace.refined_vector.tobytes()
@@ -289,9 +279,9 @@ class TestBaselineIdentities:
         gateway = MockGateway(script)
         engine = toy_engine(LlmJudge(gateway), gateway=gateway)
         engine.encoder.table[hypo] = vec(0.7, 0.2)
-        via_default, trace = engine.rede_rf_search(QUERY, default_policy="hyde_prf")
+        via_default, trace = engine.search("rede", QUERY, default_policy="hyde_prf")
         assert trace.path_taken == "default_hyde_prf"
-        direct, _ = engine.hyde_search(QUERY, with_context=True)
+        direct, _ = engine.search("hyde-prf", QUERY)
         assert via_default.entries == direct.entries
 
     def test_hyde_search_matches_brute_force(self):
@@ -300,7 +290,7 @@ class TestBaselineIdentities:
         engine = toy_engine(None, gateway=gateway)
         hypo_vec = vec(0.7, 0.2)
         engine.encoder.table[hypo] = hypo_vec
-        result, trace = engine.hyde_search(QUERY, with_context=False)
+        result, trace = engine.search("hyde", QUERY)
         assert trace.path_taken == "hyde"
         assert result.doc_ids() == brute_force_ranking(QUERY_VEC, [hypo_vec] * 4)
 
@@ -312,8 +302,8 @@ class TestConcurrency:
         serial = toy_engine(LlmJudge(gateway_serial), gateway=gateway_serial)
         parallel = toy_engine(LlmJudge(gateway_parallel), gateway=gateway_parallel,
                               llm_max_workers=8)
-        out_s, trace_s = serial.rede_rf_search(QUERY)
-        out_p, trace_p = parallel.rede_rf_search(QUERY)
+        out_s, trace_s = serial.search("rede", QUERY)
+        out_p, trace_p = parallel.search("rede", QUERY)
         assert out_s.entries == out_p.entries
         assert trace_s.kstar == trace_p.kstar
 
@@ -327,7 +317,7 @@ class TestRerankSearch:
     def test_rerank_orders_by_p(self):
         qrels = {"q1": {"d4": 1, "d5": 1}}
         engine = toy_engine(OracleJudge(qrels))
-        result, trace = engine.rerank_search(QUERY)
+        result, trace = engine.search("rerank", QUERY)
         assert trace.path_taken == "rerank"
         # relevant docs (p=1) first in original candidate order, then the rest
         candidate_order = trace.candidates.doc_ids()
@@ -339,7 +329,7 @@ class TestRerankSearch:
 class TestTraces:
     def test_wall_times_present(self):
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}))
-        _, trace = engine.rede_rf_search(QUERY)
+        _, trace = engine.search("rede", QUERY)
         for stage in ("encode", "initial_retrieval", "judge", "update", "final_search", "total"):
             assert stage in trace.wall_times
             assert trace.wall_times[stage] >= 0
@@ -348,7 +338,7 @@ class TestTraces:
         import json
 
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}))
-        _, trace = engine.rede_rf_search(QUERY)
+        _, trace = engine.search("rede", QUERY)
         obj = json.loads(json.dumps(trace.to_dict()))
         assert obj["path_taken"] == "rede"
         assert obj["kstar"] == 1
