@@ -93,12 +93,6 @@ class EmptyRelevantSet(RedeError):
     pass
 
 
-class MissingJudgment(RedeError):
-    def __init__(self, doc_id: str):
-        super().__init__(f"no judgment for candidate {doc_id!r}")
-        self.doc_id = doc_id
-
-
 class EmptyRun(RedeError):
     pass
 

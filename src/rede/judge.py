@@ -1,7 +1,7 @@
 """Pointwise relevance judging of retrieval candidates.
 
 Three interchangeable backends score p(relevant) for a (query, document)
-pair:
+pair through one method, ``p_relevant(query, doc_id, doc_text)``:
 
   * ``LlmJudge``    - renders a prompt template, asks the gateway for
     first-token logprobs, and softmaxes the positive/negative tokens
@@ -153,12 +153,19 @@ class LlmJudge:
             raise JudgeUnavailable(
                 f"neither {self.positive_token!r} nor {self.negative_token!r} in returned logprobs"
             )
+        for lp in (lp_pos, lp_neg):
+            if lp is not None and not lp <= 0.0:  # NaN or a positive log-probability
+                raise JudgeUnavailable(f"malformed logprob {lp!r} for a designated token")
         floor = min(logprobs.values()) - _MISSING_TOKEN_MARGIN
         if lp_pos is None:
             lp_pos = floor
         if lp_neg is None:
             lp_neg = floor
-        return math.exp(lp_pos) / (math.exp(lp_pos) + math.exp(lp_neg))
+        # two-branch logistic of the logprob gap: neither exp can overflow or divide 0/0
+        if lp_pos >= lp_neg:
+            return 1.0 / (1.0 + math.exp(lp_neg - lp_pos))
+        e = math.exp(lp_pos - lp_neg)
+        return e / (1.0 + e)
 
 
 class OracleJudge:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Corpus, Query, RankedList
 from .dense import DenseIndex, dense_search, fetch_embedding
-from .errors import ConfigError, DimMismatch, EmptyRelevantSet, JudgeUnavailable, MissingJudgment
+from .errors import ConfigError, DimMismatch, EmptyRelevantSet, JudgeUnavailable
 from .fusion import FusionConfig, hybrid_search
 from .hyde import HydeConfig, generate_hypothetical_docs
 from .judge import RelevanceJudgment, RelevantSet, judge_candidates
@@ -149,9 +149,8 @@ class SearchTrace:
 def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Mean of the query vector and all given vectors, permutation-exact.
 
-    Per-dimension exact summation (math.fsum) makes the result independent
-    of vector order, so feedback and average-PRF paths agree bit-for-bit
-    whenever they see the same vectors.
+    Per-dimension math.fsum makes the result independent of vector order, so
+    every method that sees the same vectors gets the same bits.
     """
     vectors = list(vectors)
     if not vectors:
@@ -171,16 +170,13 @@ def select_feedback_docs(relevant_set: RelevantSet, max_kstar: int) -> list[str]
 
 
 def rerank_by_judge(candidates: RankedList, judgments: list[RelevanceJudgment]) -> RankedList:
-    """Reorder candidates by descending p_relevant; ties keep the original order."""
+    """Reorder candidates by descending p_relevant; ties keep the original order.
+
+    A candidate without a judgment (its judge call failed) scores p = 0.0.
+    """
     p_map = {j.doc_id: j.p_relevant for j in judgments}
-    for doc_id, _ in candidates.entries:
-        if doc_id not in p_map:
-            raise MissingJudgment(doc_id)
-    reordered = sorted(
-        ((doc_id, p_map[doc_id]) for doc_id, _ in candidates.entries),
-        key=lambda pair: -pair[1],
-    )
-    return RankedList(candidates.query_id, reordered)
+    scored = [(doc_id, p_map.get(doc_id, 0.0)) for doc_id, _ in candidates.entries]
+    return RankedList(candidates.query_id, sorted(scored, key=lambda pair: -pair[1]))
 
 
 class _QueryRun:

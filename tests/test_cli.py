@@ -148,16 +148,19 @@ def test_unknown_method_exits_1(workspace):
 
 
 def test_missing_embeddings_exits_2(workspace, capsys):
-    config = json.loads((workspace / "config.json").read_text())
-    config["paths"]["embeddings_manifest"] = str(workspace / "missing" / "m.json")
-    bad = workspace / "bad_config.json"
-    bad.write_text(json.dumps(config))
-    code = run_command([
-        "search", "--config", str(bad), "--method", "dense",
-        "--out", str(workspace / "r.trec"),
-    ])
-    assert code == 2
-    assert "missing" in capsys.readouterr().err
+    # a manifest path that does not exist, and no manifest at all
+    for manifest, diagnostic in ((str(workspace / "missing" / "m.json"), "missing"),
+                                 (None, "dense index")):
+        config = json.loads((workspace / "config.json").read_text())
+        config["paths"]["embeddings_manifest"] = manifest
+        bad = workspace / "bad_config.json"
+        bad.write_text(json.dumps(config))
+        code = run_command([
+            "search", "--config", str(bad), "--method", "dense",
+            "--out", str(workspace / "r.trec"),
+        ])
+        assert code == 2
+        assert diagnostic in capsys.readouterr().err
 
 
 def test_eval(workspace, capsys):

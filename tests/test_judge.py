@@ -115,6 +115,26 @@ class TestScoreRelevance:
         with pytest.raises(JudgeUnavailable):
             score_relevance(judge, QUERY, "d1", "doc")
 
+    def test_extreme_logprobs_stay_finite(self):
+        # both exp() calls of a plain softmax underflow to 0 here
+        for lp1, lp0, expected in ((-800.0, -801.0, 0.7310585786300049),
+                                   (-801.0, -800.0, 0.2689414213699951)):
+            judge = llm_judge_for(
+                [{"match_substring": "", "text": "1", "first_token_logprobs": {"1": lp1, "0": lp0}}]
+            )
+            j = score_relevance(judge, QUERY, "d1", "doc")
+            assert j.p_relevant == pytest.approx(expected, abs=1e-12)
+            assert j.label is (expected > 0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.5])
+    def test_malformed_logprob_raises(self, bad):
+        for logprobs in ({"1": bad, "0": -1.0}, {"1": -1.0, "0": bad}):
+            judge = llm_judge_for(
+                [{"match_substring": "", "text": "1", "first_token_logprobs": logprobs}]
+            )
+            with pytest.raises(JudgeUnavailable):
+                score_relevance(judge, QUERY, "d1", "doc")
+
     def test_custom_tokens(self):
         judge = llm_judge_for(
             [{"match_substring": "", "text": "Yes",

@@ -8,7 +8,6 @@ from rede.errors import (
     DimMismatch,
     EmptyRelevantSet,
     JudgeUnavailable,
-    MissingJudgment,
 )
 from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
@@ -111,10 +110,11 @@ class TestRerankByJudge:
         out = rerank_by_judge(cands, self.judgments([("d1", 0.5), ("d2", 0.5), ("d3", 0.5)]))
         assert out.doc_ids() == ["d1", "d2", "d3"]
 
-    def test_missing_judgment(self):
-        cands = RankedList("q", [("d1", 3.0), ("d3", 1.0)])
-        with pytest.raises(MissingJudgment):
-            rerank_by_judge(cands, self.judgments([("d1", 0.4)]))
+    def test_unjudged_candidate_scores_zero(self):
+        # d2 has no judgment: p = 0.0, after d3 and in first-stage order among the p = 0 docs
+        cands = RankedList("q", [("d1", 4.0), ("d2", 3.0), ("d3", 2.0), ("d4", 1.0)])
+        out = rerank_by_judge(cands, self.judgments([("d1", 0.0), ("d3", 0.8), ("d4", 0.0)]))
+        assert out.entries == [("d3", 0.8), ("d1", 0.0), ("d2", 0.0), ("d4", 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,26 @@ class TestConcurrency:
 
 
 class TestRerankSearch:
+    def test_one_failed_judge_call_keeps_the_query(self):
+        class HalfBroken:
+            def p_relevant(self, query, doc_id, doc_text):
+                if doc_id == "d4":
+                    raise JudgeUnavailable("token-less reply")
+                return 1.0 if doc_id == "d5" else 0.0
+
+        result, trace = toy_engine(HalfBroken()).search("rerank", QUERY)
+        candidate_order = trace.candidates.doc_ids()
+        assert result.doc_ids() == ["d5"] + [d for d in candidate_order if d != "d5"]
+        assert "d4" not in [j.doc_id for j in trace.judgments]
+
+    def test_all_judge_calls_failed_raises(self):
+        class Broken:
+            def p_relevant(self, query, doc_id, doc_text):
+                raise JudgeUnavailable("down")
+
+        with pytest.raises(JudgeUnavailable):
+            toy_engine(Broken()).search("rerank", QUERY)
+
     def test_rerank_orders_by_p(self):
         qrels = {"q1": {"d4": 1, "d5": 1}}
         engine = toy_engine(OracleJudge(qrels))
@@ -324,6 +344,41 @@ class TestRerankSearch:
         relevant = [d for d in candidate_order if d in ("d4", "d5")]
         others = [d for d in candidate_order if d not in ("d4", "d5")]
         assert result.doc_ids() == relevant + others
+
+
+class TestRequiredComponents:
+    @pytest.mark.parametrize("method, missing", [
+        ("bm25", "sparse_index"),
+        ("dense", "dense_index"),
+        ("hybrid", "sparse_index"),
+        ("hybrid", "dense_index"),
+        ("rede", "dense_index"),
+        ("avgprf", "dense_index"),
+        ("rede", "judge"),
+        ("rerank", "judge"),
+        ("rerank", "sparse_index"),
+        ("hyde", "gateway"),
+        ("hyde-prf", "gateway"),
+        ("rede-hyde-default", "gateway"),
+    ])
+    def test_missing_component_raises_config_error(self, method, missing):
+        # a sparse first stage, so dense_index is needed only where a method reads embeddings
+        gateway = MockGateway([{"match_substring": "", "text": "a hypothetical passage"}])
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), gateway=gateway,
+                            initial_retriever="sparse")
+        setattr(engine, missing, None)
+        with pytest.raises(ConfigError, match=missing.replace("_", " ")):
+            engine.search(method, QUERY)
+        assert gateway.counter.total == 0  # checked before any stage runs
+
+    def test_gateway_needed_only_where_text_is_generated(self):
+        engine = toy_engine(OracleJudge({"q1": {}}), initial_retriever="sparse")  # no gateway
+        for method in ("bm25", "dense", "hybrid", "avgprf", "rede", "rerank"):
+            engine.search(method, QUERY)
+        with pytest.raises(ConfigError, match="gateway"):
+            engine.search("rede", QUERY, default_policy="hyde_prf")
+        engine.dense_index = None  # a rerank over a sparse first stage reads no embeddings
+        assert engine.search("rerank", QUERY)[1].path_taken == "rerank"
 
 
 class TestTraces:
