@@ -153,14 +153,14 @@ class LlmJudge:
             raise JudgeUnavailable(
                 f"neither {self.positive_token!r} nor {self.negative_token!r} in returned logprobs"
             )
-        for lp in (lp_pos, lp_neg):
-            if lp is not None and not lp <= 0.0:  # NaN or a positive log-probability
-                raise JudgeUnavailable(f"malformed logprob {lp!r} for a designated token")
         floor = min(logprobs.values()) - _MISSING_TOKEN_MARGIN
         if lp_pos is None:
             lp_pos = floor
         if lp_neg is None:
             lp_neg = floor
+        # NaN, a positive log-probability, or no mass on either token: nothing to compare
+        if not (lp_pos <= 0.0 and lp_neg <= 0.0) or lp_pos == lp_neg == -math.inf:
+            raise JudgeUnavailable(f"malformed logprobs {lp_pos!r}/{lp_neg!r} for the designated tokens")
         # two-branch logistic of the logprob gap: neither exp can overflow or divide 0/0
         if lp_pos >= lp_neg:
             return 1.0 / (1.0 + math.exp(lp_neg - lp_pos))

@@ -126,14 +126,20 @@ class TestScoreRelevance:
             assert j.p_relevant == pytest.approx(expected, abs=1e-12)
             assert j.label is (expected > 0.5)
 
-    @pytest.mark.parametrize("bad", [float("nan"), 0.5])
-    def test_malformed_logprob_raises(self, bad):
-        for logprobs in ({"1": bad, "0": -1.0}, {"1": -1.0, "0": bad}):
-            judge = llm_judge_for(
-                [{"match_substring": "", "text": "1", "first_token_logprobs": logprobs}]
-            )
-            with pytest.raises(JudgeUnavailable):
-                score_relevance(judge, QUERY, "d1", "doc")
+    @pytest.mark.parametrize("logprobs", [
+        {"1": math.nan, "0": -1.0},
+        {"1": -1.0, "0": math.nan},
+        {"1": 0.5, "0": -1.0},
+        {"1": -1.0, "0": 0.5},
+        {"1": -math.inf, "0": -math.inf},
+        {"the": math.nan, "1": -0.5},  # the floor for the missing "0" would be NaN
+    ])
+    def test_malformed_logprobs_raise(self, logprobs):
+        judge = llm_judge_for(
+            [{"match_substring": "", "text": "1", "first_token_logprobs": logprobs}]
+        )
+        with pytest.raises(JudgeUnavailable):
+            score_relevance(judge, QUERY, "d1", "doc")
 
     def test_custom_tokens(self):
         judge = llm_judge_for(
