@@ -29,7 +29,6 @@ from .dense import (
     build_dense_index,
     dense_search,
     fetch_embedding,
-    ingest_embeddings,
     load_bundle,
     write_embeddings,
 )

@@ -209,8 +209,7 @@ def _cmd_judge(args) -> int:
             else:
                 candidates = engine.initial_retrieval(query)
             relevant = judge_candidates(
-                engine.judge, query, candidates, engine.doc_texts,
-                engine.config.llm_max_workers,
+                engine.judge, query, candidates, engine.doc_texts, engine._llm_workers()
             )
             for j in relevant.judgments:
                 f.write(json.dumps({

@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateDocId,
@@ -82,6 +85,16 @@ class RankedList:
 
     def doc_ids(self) -> list[str]:
         return [doc_id for doc_id, _ in self.entries]
+
+
+def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int) -> RankedList:
+    """The k best of ``rows`` by descending score, ties broken by ascending doc_id.
+
+    Row i is ``doc_ids[i]``. Both ``doc_ids`` and ``rows`` must be ascending, so
+    a stable sort on descending score keeps tied rows in doc-id order.
+    """
+    best = rows[np.argsort(-scores[rows], kind="stable")[:k]]
+    return RankedList("", [(doc_ids[i], float(scores[i])) for i in best.tolist()])
 
 
 Corpus = dict[str, Document]

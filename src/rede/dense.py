@@ -2,8 +2,9 @@
 
 The on-disk bundle is three files: raw little-endian float32 vectors
 (row-major), a JSON manifest ``{"dim": D, "count": N, "id_file": ...}``,
-and a newline-separated doc-id file. Search is exact brute force by
-inner product (cosine behind a flag); ties break by ascending doc_id.
+and a newline-separated doc-id file. In memory, rows are held in ascending
+doc-id order whatever the order of the id file. Search is exact brute force
+by inner product (cosine behind a flag); ties break by ascending doc_id.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .corpus import RankedList, tokenize
+from .corpus import RankedList, _top_k, tokenize
 from .errors import (
     BackendUnavailable,
     DimMismatch,
     DuplicateDocId,
+    MalformedRecord,
     NonFiniteVector,
     SizeMismatch,
     UnknownDocId,
@@ -33,53 +35,33 @@ _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 @dataclass
 class DenseIndex:
     dim: int
-    ids: list[str]
+    ids: list[str]  # ascending; row i is ids[i]
     vectors: np.ndarray  # (count, dim) float32
     id_to_row: dict[str, int]
-    _ids_array: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self._ids_array is None:
-            self._ids_array = np.array(self.ids)
 
     @property
     def count(self) -> int:
         return len(self.ids)
 
 
-def ingest_embeddings(vectors_path: str, manifest_path: str) -> DenseIndex:
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    dim, count = int(manifest["dim"]), int(manifest["count"])
-    id_file = manifest["id_file"]
-    if not os.path.isabs(id_file):
-        id_file = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), id_file)
-
-    expected = count * dim * 4
-    actual = os.path.getsize(vectors_path)
-    if actual != expected:
-        raise SizeMismatch(
-            f"vectors file is {actual} bytes, expected {expected} ({count} x {dim} float32)"
-        )
-    vectors = np.fromfile(vectors_path, dtype="<f4").reshape(count, dim)
-    if not np.all(np.isfinite(vectors)):
-        bad = int(np.argwhere(~np.isfinite(vectors).all(axis=1))[0][0])
-        raise NonFiniteVector(f"non-finite value in row {bad}")
-
-    with open(id_file, "r", encoding="utf-8") as f:
-        ids = [line.rstrip("\n") for line in f if line.strip()]
-    if len(ids) != count:
-        raise SizeMismatch(f"id file has {len(ids)} ids, manifest declares {count}")
-    id_to_row: dict[str, int] = {}
-    for row, doc_id in enumerate(ids):
-        if doc_id in id_to_row:
-            raise DuplicateDocId(doc_id)
-        id_to_row[doc_id] = row
-    return DenseIndex(dim, ids, vectors, id_to_row)
+def build_dense_index(corpus_ids: list[str], vectors: np.ndarray) -> DenseIndex:
+    """The only constructor: validates the input and stores rows in ascending doc-id order."""
+    arr = np.asarray(vectors, dtype=np.float32)
+    if arr.ndim != 2 or arr.shape[0] != len(corpus_ids):
+        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(corpus_ids)} ids")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise NonFiniteVector(f"non-finite value in row {int(np.argmin(finite))}")
+    order = sorted(range(len(corpus_ids)), key=corpus_ids.__getitem__)
+    ids = [corpus_ids[i] for i in order]
+    id_to_row = {doc_id: row for row, doc_id in enumerate(ids)}
+    if len(id_to_row) < len(ids):
+        raise DuplicateDocId(next(a for a, b in zip(ids, ids[1:]) if a == b))
+    return DenseIndex(arr.shape[1], ids, arr[order], id_to_row)
 
 
 def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: str = "embeddings") -> str:
-    """Write a bundle ingest_embeddings can read; returns the manifest path."""
+    """Write a bundle load_bundle can read; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     arr = np.ascontiguousarray(vectors, dtype="<f4")
     if arr.ndim != 2 or arr.shape[0] != len(ids):
@@ -103,15 +85,25 @@ def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: st
 
 
 def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseIndex:
-    """Ingest using the manifest's own vectors_file when no explicit path is given."""
-    if vectors_path is None:
+    """Read a bundle; vectors_path overrides the manifest's own vectors_file."""
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-        name = manifest.get("vectors_file")
-        if name is None:
-            raise SizeMismatch("manifest has no 'vectors_file'; pass vectors_path explicitly")
-        vectors_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), name)
-    return ingest_embeddings(vectors_path, manifest_path)
+        dim, count = int(manifest["dim"]), int(manifest["count"])
+        id_file = os.path.join(base, manifest["id_file"])
+        vectors_path = vectors_path or os.path.join(base, manifest["vectors_file"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedRecord(0, f"bad manifest {manifest_path}: {exc!r}") from exc
+    expected = count * dim * 4
+    actual = os.path.getsize(vectors_path)
+    if dim < 1 or count < 0 or actual != expected:
+        raise SizeMismatch(
+            f"vectors file is {actual} bytes, expected {expected} ({count} x {dim} float32)"
+        )
+    with open(id_file, "r", encoding="utf-8") as f:
+        ids = [line.rstrip("\n") for line in f if line.strip()]
+    return build_dense_index(ids, np.fromfile(vectors_path, dtype="<f4").reshape(count, dim))
 
 
 def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
@@ -136,10 +128,7 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int,
         scores = np.divide(scores, norms, out=np.zeros_like(scores, dtype=np.float64), where=norms > 0)
     elif similarity != "dot":
         raise ValueError(f"unsupported similarity: {similarity!r}")
-    # primary key: score descending; secondary: doc_id ascending
-    order = np.lexsort((index._ids_array, -scores))
-    top = order[: min(k, index.count)]
-    return RankedList("", [(index.ids[i], float(scores[i])) for i in top])
+    return _top_k(index.ids, scores, np.arange(index.count), k)
 
 
 class HashingEncoder:
@@ -188,29 +177,15 @@ class HttpEncoder:
         try:
             resp = requests.post(self.url, json={"texts": texts}, timeout=self.timeout)
             resp.raise_for_status()
-            vectors = resp.json()["vectors"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
+            arr = np.asarray(resp.json()["vectors"], dtype=np.float32)
+        except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
             raise BackendUnavailable(f"encoder backend at {self.url}: {exc}") from exc
-        arr = np.asarray(vectors, dtype=np.float32)
         if arr.ndim != 2 or arr.shape[0] != len(texts):
             raise DimMismatch(f"backend returned shape {arr.shape} for {len(texts)} texts")
         if self.dim is None:
             self.dim = int(arr.shape[1])
         elif arr.shape[1] != self.dim:
             raise DimMismatch(f"backend returned dim {arr.shape[1]}, expected {self.dim}")
+        if not np.isfinite(arr).all():
+            raise NonFiniteVector(f"encoder backend at {self.url} returned a non-finite value")
         return arr
-
-
-def build_dense_index(corpus_ids: list[str], vectors: np.ndarray) -> DenseIndex:
-    """In-memory index from already-encoded vectors (ingest path skipped)."""
-    arr = np.ascontiguousarray(vectors, dtype=np.float32)
-    if arr.ndim != 2 or arr.shape[0] != len(corpus_ids):
-        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(corpus_ids)} ids")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteVector("non-finite value in vectors")
-    id_to_row: dict[str, int] = {}
-    for row, doc_id in enumerate(corpus_ids):
-        if doc_id in id_to_row:
-            raise DuplicateDocId(doc_id)
-        id_to_row[doc_id] = row
-    return DenseIndex(arr.shape[1], list(corpus_ids), arr, id_to_row)

@@ -67,6 +67,10 @@ class BackendTimeout(RedeError):
     pass
 
 
+class BackendRejected(RedeError):
+    """The backend refused the request itself (HTTP 4xx); a retry cannot help."""
+
+
 class LogprobsUnsupported(RedeError):
     pass
 

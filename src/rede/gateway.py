@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import BackendTimeout, BackendUnavailable, LogprobsUnsupported
+from .errors import BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported
 
 
 @dataclass
@@ -104,6 +104,11 @@ class HttpGateway:
             obj = resp.json()
         except requests.Timeout as exc:
             raise BackendTimeout(f"gateway at {self.url} timed out") from exc
+        except requests.HTTPError as exc:
+            # 4xx other than 408 (request timeout) and 429 (rate limit): the request is at fault
+            if exc.response.status_code < 500 and exc.response.status_code not in (408, 429):
+                raise BackendRejected(f"gateway at {self.url} rejected the request: {exc}") from exc
+            raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
         except (requests.RequestException, ValueError) as exc:
             raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
         logprobs = obj.get("first_token_logprobs")
@@ -147,8 +152,8 @@ class MockGateway:
 def complete(backend, request: CompletionRequest) -> CompletionResponse:
     """Issue one completion with bounded retries and exponential backoff.
 
-    Contract errors (LogprobsUnsupported) are not retried; transport errors
-    are retried up to ``backend.retries`` times before propagating.
+    Contract errors (LogprobsUnsupported, BackendRejected) are not retried;
+    transport errors are retried up to ``backend.retries`` times before propagating.
     """
     backend.counter.record_call(request.want_first_token_logprobs)
     retries = getattr(backend, "retries", 3)
@@ -158,7 +163,7 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
         backend.counter.record_attempt()
         try:
             response = backend.send(request)
-        except LogprobsUnsupported:
+        except (LogprobsUnsupported, BackendRejected):
             raise
         except (BackendUnavailable, BackendTimeout) as exc:
             last_error = exc

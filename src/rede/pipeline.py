@@ -292,7 +292,7 @@ class SearchEngine:
         trace = SearchTrace(query.query_id, RankedList(query.query_id, []), path_taken=row.path)
         with _QueryRun(trace, self.gateway.counter if calls_llm else None) as run:
             qvec = None
-            if not (retriever == "sparse" and row.final == "as_is"):  # a bare BM25 list needs none
+            if retriever in ("dense", "hybrid") or row.final == "dense":
                 with run.stage("encode"):
                     qvec = self.encode_query(query.text)
             if retriever is not None:

@@ -7,7 +7,8 @@ Scoring is the Robertson variant with the (k1+1) numerator:
     idf(t)      = ln(1 + (N - df + 0.5) / (df + 0.5))
 
 Duplicate query tokens contribute once per occurrence. Documents matching
-no query term are excluded from search results.
+no query term are excluded from search results. Rows are documents in
+ascending doc-id order, so row order is the tie order.
 """
 
 from __future__ import annotations
@@ -15,37 +16,39 @@ from __future__ import annotations
 import json
 import math
 import struct
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .corpus import Corpus, RankedList, tokenize
+import numpy as np
+
+from .corpus import Corpus, RankedList, _top_k, tokenize
 from .errors import EmptyCorpus, MalformedRecord, UnknownDocId
 
 _MAGIC = b"SPIDX"
-_VERSION = 1
+_VERSION = 2
+_PREAMBLE = struct.Struct("<HQ")  # version, header length
 _MIN_AVGDL = 1e-9
 
 
 @dataclass
 class SparseIndex:
-    postings: dict[str, list[tuple[str, int]]]
-    doc_lengths: dict[str, int]
+    doc_ids: list[str]  # ascending; row i is doc_ids[i]
+    doc_lengths: np.ndarray  # (rows,) int32
+    postings: dict[str, np.ndarray]  # term -> (df, 2) int32 [row, tf], rows ascending
     avg_doc_length: float
-    doc_count: int
     k1: float = 0.9
     b: float = 0.4
-    # per-doc term frequencies, derived from postings; rebuilt on load
-    _doc_tf: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if not self._doc_tf:
-            for term, posting in self.postings.items():
-                for doc_id, tf in posting:
-                    self._doc_tf.setdefault(doc_id, {})[term] = tf
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
 
     def idf(self, term: str) -> float:
         df = len(self.postings.get(term, ()))
@@ -57,95 +60,89 @@ class SparseIndex:
 def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> SparseIndex:
     if not corpus:
         raise EmptyCorpus("corpus is empty")
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
-    total = 0
-    for doc_id, doc in corpus.items():
-        tokens = tokenize(doc.search_text)
-        doc_lengths[doc_id] = len(tokens)
-        total += len(tokens)
+    doc_ids = sorted(corpus)
+    lengths: list[int] = []
+    flat: dict[str, list[int]] = {}
+    for row, doc_id in enumerate(doc_ids):
+        tokens = tokenize(corpus[doc_id].search_text)
+        lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((doc_id, tf))
+            flat.setdefault(term, []).extend((row, tf))
+    total = sum(lengths)
     if total == 0:
         raise EmptyCorpus("every document tokenizes to nothing")
-    avgdl = max(total / len(corpus), _MIN_AVGDL)
-    return SparseIndex(postings, doc_lengths, avgdl, len(corpus), k1, b)
+    postings = {t: np.array(p, dtype=np.int32).reshape(-1, 2) for t, p in flat.items()}
+    avgdl = max(total / len(doc_ids), _MIN_AVGDL)
+    return SparseIndex(doc_ids, np.array(lengths, dtype=np.int32), postings, avgdl, k1, b)
+
+
+def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
+    """BM25 of every row; terms are added as count * contribution, in query-term order."""
+    scores = np.zeros(index.doc_count)
+    for term, count in Counter(query_tokens).items():
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        rows, tf = posting[:, 0], posting[:, 1]
+        norm = index.k1 * (1 - index.b + index.b * index.doc_lengths[rows] / index.avg_doc_length)
+        scores[rows] += count * (index.idf(term) * tf * (index.k1 + 1) / (tf + norm))
+    return scores
 
 
 def bm25_score(index: SparseIndex, query_tokens: list[str], doc_id: str) -> float:
-    if doc_id not in index.doc_lengths:
+    row = bisect_left(index.doc_ids, doc_id)
+    if row == index.doc_count or index.doc_ids[row] != doc_id:
         raise UnknownDocId(doc_id)
-    tf_map = index._doc_tf.get(doc_id, {})
-    dl = index.doc_lengths[doc_id]
-    norm = index.k1 * (1 - index.b + index.b * dl / index.avg_doc_length)
-    score = 0.0
-    for term in query_tokens:
-        tf = tf_map.get(term)
-        if not tf:
-            continue
-        score += index.idf(term) * tf * (index.k1 + 1) / (tf + norm)
-    return score
+    return float(_bm25(index, query_tokens)[row])
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:
     """Top-k docs by BM25, ties broken by ascending doc_id; zero scores dropped."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_tokens = tokenize(query_text)
-    scores: dict[str, float] = {}
-    for term, count in Counter(query_tokens).items():
-        posting = index.postings.get(term)
-        if not posting:
-            continue
-        idf = index.idf(term)
-        for doc_id, tf in posting:
-            dl = index.doc_lengths[doc_id]
-            norm = index.k1 * (1 - index.b + index.b * dl / index.avg_doc_length)
-            contrib = idf * tf * (index.k1 + 1) / (tf + norm)
-            scores[doc_id] = scores.get(doc_id, 0.0) + count * contrib
-    ranked = sorted(
-        ((doc_id, s) for doc_id, s in scores.items() if s > 0),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return RankedList("", ranked[:k])
+    scores = _bm25(index, tokenize(query_text))
+    return _top_k(index.doc_ids, scores, np.flatnonzero(scores > 0), k)
 
 
 def save_sparse_index(index: SparseIndex, path: str) -> None:
-    """Serialize to a single binary file: magic, u16 version, u64 length, JSON payload."""
-    payload = json.dumps(
-        {
-            "postings": {t: p for t, p in index.postings.items()},
-            "doc_lengths": index.doc_lengths,
-            "avg_doc_length": index.avg_doc_length,
-            "doc_count": index.doc_count,
-            "k1": index.k1,
-            "b": index.b,
-        }
-    ).encode("utf-8")
+    """Magic, u16 version, u64 header length, JSON header, then little-endian int32
+    document lengths followed by each term's [row, tf] pairs in header order."""
+    header = json.dumps({
+        "ids": index.doc_ids, "terms": list(index.postings),
+        "df": [len(p) for p in index.postings.values()],
+        "k1": index.k1, "b": index.b, "avgdl": index.avg_doc_length,
+    }).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HQ", _VERSION, len(payload)))
-        f.write(payload)
+        f.write(_MAGIC + _PREAMBLE.pack(_VERSION, len(header)) + header)
+        f.write(index.doc_lengths.astype("<i4").tobytes())
+        for posting in index.postings.values():
+            f.write(posting.astype("<i4").tobytes())
 
 
 def load_sparse_index(path: str) -> SparseIndex:
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise MalformedRecord(0, f"bad index magic {magic!r}")
-        version, length = struct.unpack("<HQ", f.read(10))
-        if version != _VERSION:
-            raise MalformedRecord(0, f"unsupported index version {version}")
-        payload = f.read(length)
-        if len(payload) != length:
-            raise MalformedRecord(0, "truncated index payload")
-    obj = json.loads(payload.decode("utf-8"))
-    postings = {t: [(doc_id, tf) for doc_id, tf in p] for t, p in obj["postings"].items()}
-    return SparseIndex(
-        postings,
-        obj["doc_lengths"],
-        obj["avg_doc_length"],
-        obj["doc_count"],
-        obj["k1"],
-        obj["b"],
-    )
+        data = f.read()
+    start = len(_MAGIC) + _PREAMBLE.size
+    if data[: len(_MAGIC)] != _MAGIC or len(data) < start:
+        raise MalformedRecord(0, f"{path} is not a sparse index file")
+    version, header_len = _PREAMBLE.unpack_from(data, len(_MAGIC))
+    if version != _VERSION:
+        raise MalformedRecord(0, f"unsupported index version {version}; rebuild it with rede index-sparse")
+    try:
+        header = json.loads(data[start : start + header_len])
+        ids, terms, df = header["ids"], header["terms"], [int(n) for n in header["df"]]
+        k1, b, avgdl = float(header["k1"]), float(header["b"]), float(header["avgdl"])
+        if len(terms) != len(df) or min(df, default=1) < 1:
+            raise ValueError("terms and document frequencies disagree")
+        declared = 4 * (len(ids) + 2 * sum(df))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedRecord(0, f"bad sparse index header: {exc!r}") from exc
+    body = data[start + header_len :]
+    if len(body) != declared:
+        raise MalformedRecord(0, f"sparse index body is {len(body)} bytes, not the declared size")
+    values = np.frombuffer(body, dtype="<i4")
+    pairs = values[len(ids) :].reshape(-1, 2)
+    if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < len(ids):
+        raise MalformedRecord(0, "sparse index posting row out of range")
+    postings = dict(zip(terms, np.split(pairs, np.cumsum(df)[:-1])))
+    return SparseIndex(ids, values[: len(ids)], postings, avgdl, k1, b)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import rede.cli
 from rede.cli import run_command
 from rede.config import GATEWAY_URL_ENV, load_run_config
 from rede.corpus import read_run_file
@@ -163,6 +164,25 @@ def test_missing_embeddings_exits_2(workspace, capsys):
         assert diagnostic in capsys.readouterr().err
 
 
+def test_malformed_index_files_exit_2(workspace, capsys):
+    index = workspace / "sparse.idx"
+    assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"),
+                        "--out", str(index)]) == 0
+    index.write_bytes(index.read_bytes()[:5])  # cut after the magic
+    config = json.loads((workspace / "config.json").read_text())
+    config["paths"]["sparse_index"] = str(index)
+    (workspace / "config.json").write_text(json.dumps(config))
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--out", str(workspace / "r.trec")]) == 2
+    manifest = workspace / "emb" / "embeddings.manifest.json"
+    meta = json.loads(manifest.read_text())
+    del meta["dim"]
+    manifest.write_text(json.dumps(meta))
+    assert run_command(["ingest-dense", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "sparse index" in err and "manifest" in err
+
+
 def test_eval(workspace, capsys):
     run_path = workspace / "run.trec"
     report_path = workspace / "report.json"
@@ -213,6 +233,24 @@ def test_judge_subcommand(workspace):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 4 * len(QUERIES)
     assert all(r["label"] is True for r in records)
+
+
+def test_judge_workers_capped_by_gateway_parallelism(workspace, monkeypatch):
+    config = json.loads((workspace / "config.json").read_text())
+    config["pipeline"]["llm_max_workers"] = 4
+    config["gateway"]["parallelism"] = 1
+    (workspace / "config.json").write_text(json.dumps(config))
+    workers, judge_candidates = [], rede.cli.judge_candidates
+
+    def recording(backend, query, candidates, doc_texts, max_workers=1):
+        workers.append(max_workers)
+        return judge_candidates(backend, query, candidates, doc_texts, max_workers)
+
+    monkeypatch.setattr(rede.cli, "judge_candidates", recording)
+    assert run_command([
+        "judge", "--config", str(workspace / "config.json"), "--out", str(workspace / "j.jsonl"),
+    ]) == 0
+    assert workers == [1] * len(QUERIES)
 
 
 def test_judge_over_run_file(workspace):

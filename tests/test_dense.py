@@ -9,7 +9,6 @@ from rede.dense import (
     build_dense_index,
     dense_search,
     fetch_embedding,
-    ingest_embeddings,
     load_bundle,
     write_embeddings,
 )
@@ -17,6 +16,7 @@ from rede.errors import (
     BackendUnavailable,
     DimMismatch,
     DuplicateDocId,
+    MalformedRecord,
     NonFiniteVector,
     SizeMismatch,
     UnknownDocId,
@@ -44,7 +44,35 @@ class TestIngest:
         vec_path = tmp_path / "embeddings.f32"
         vec_path.write_bytes(vec_path.read_bytes()[:-1])
         with pytest.raises(SizeMismatch):
-            ingest_embeddings(str(vec_path), manifest)
+            load_bundle(manifest, str(vec_path))
+
+    def test_unsorted_bundle_held_in_doc_id_order(self, tmp_path):
+        vectors = np.array([[3.0, 0.5], [1.0, 0.25], [2.0, 0.125]], dtype=np.float32)
+        index = load_bundle(write_embeddings(str(tmp_path), ["d3", "d1", "d2"], vectors))
+        assert index.ids == ["d1", "d2", "d3"]
+        assert index.vectors.tobytes() == vectors[[1, 2, 0]].tobytes()
+        for i, doc_id in enumerate(["d3", "d1", "d2"]):
+            assert fetch_embedding(index, doc_id).tobytes() == vectors[i].tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: "{not json",
+        lambda meta: json.dumps([meta]),
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "dim"}),
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "count"}),
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "id_file"}),
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "vectors_file"}),
+        lambda meta: json.dumps({**meta, "dim": "two"}),
+        lambda meta: json.dumps({**meta, "dim": -2, "count": -3}),  # sizes multiply to the file's
+        lambda meta: json.dumps({**meta, "count": 4}),
+    ])
+    def test_malformed_manifest_raises_typed_error(self, bundle, edit):
+        manifest, _ = bundle
+        with open(manifest) as f:
+            meta = json.load(f)
+        with open(manifest, "w") as f:
+            f.write(edit(meta))
+        with pytest.raises((MalformedRecord, SizeMismatch)):
+            load_bundle(manifest)
 
     def test_non_finite(self, tmp_path):
         vectors = np.array([[np.nan, 1.0]], dtype=np.float32)
@@ -117,6 +145,21 @@ class TestSearch:
             full = dense_search(index, q, 30).entries
             for k in (1, 3, 7, 15):
                 assert dense_search(index, q, k).entries == full[:k]
+
+    def test_top_k_matches_brute_force_sort(self):
+        # small integer vectors give exact, heavily tied scores; "d1000" < "d10000" < "d1001"
+        rng = np.random.default_rng(23)
+        for _ in range(80):
+            ids = [f"d{n}" for n in rng.choice(20000, size=int(rng.integers(1, 30)), replace=False)]
+            ids = list(dict.fromkeys(ids + ["d10000", "d1001", "d1000"]))
+            rng.shuffle(ids)
+            vectors = rng.integers(-2, 3, size=(len(ids), 3)).astype(np.float32)
+            index = build_dense_index(ids, vectors)
+            q = rng.integers(-2, 3, size=3).astype(np.float32)
+            scored = [(d, float(np.dot(v, q))) for d, v in zip(ids, vectors)]
+            expected = sorted(scored, key=lambda p: (-p[1], p[0]))
+            for k in range(1, len(ids) + 2):
+                assert dense_search(index, q, k).entries == expected[:k]
 
     def test_self_score_is_squared_norm(self):
         rng = np.random.default_rng(9)
@@ -191,3 +234,12 @@ class TestHttpEncoder:
         enc = HttpEncoder(url, dim=2)
         with pytest.raises(DimMismatch):
             enc.encode(["x"])
+
+    def test_bad_reply_raises_typed_error(self, http_server):
+        url, state = http_server
+        for vectors, error in (([[float("nan"), 1.0]], NonFiniteVector),
+                               ([[1.0, 2.0], [1.0]], BackendUnavailable),  # ragged
+                               ({"x": 1.0}, BackendUnavailable)):
+            state["handler"] = lambda body: (200, {"vectors": vectors})
+            with pytest.raises(error):
+                HttpEncoder(url).encode(["x", "y"][: len(vectors)])

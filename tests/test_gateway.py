@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from rede.errors import BackendTimeout, BackendUnavailable, LogprobsUnsupported
+from rede.errors import BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported
 from rede.gateway import (
     CompletionRequest,
     HttpGateway,
@@ -131,12 +131,15 @@ class TestHttpGateway:
         assert gw.counter.total == 1
 
     def test_exhausted_retries(self, http_server):
+        # a 4xx other than 408 and 429 is the request's fault: no retry
         url, state = http_server
-        state["handler"] = lambda body: (500, {})
-        gw = HttpGateway(url, "m", retries=2, backoff_s=0.0)
-        with pytest.raises(BackendUnavailable):
-            complete(gw, CompletionRequest("p"))
-        assert gw.counter.attempts == 3
+        for status, error, attempts in ((500, BackendUnavailable, 3), (429, BackendUnavailable, 3),
+                                        (400, BackendRejected, 1)):
+            state["handler"] = lambda body: (status, {})
+            gw = HttpGateway(url, "m", retries=2, backoff_s=0.0)
+            with pytest.raises(error):
+                complete(gw, CompletionRequest("p"))
+            assert gw.counter.attempts == attempts
 
     def test_timeout(self, http_server):
         url, state = http_server

@@ -389,6 +389,23 @@ class TestTraces:
             assert stage in trace.wall_times
             assert trace.wall_times[stage] >= 0
 
+    def test_query_encoded_only_where_a_dense_search_reads_it(self):
+        class CountingEncoder(TableEncoder):
+            calls = 0
+
+            def encode(self, texts):
+                self.calls += 1
+                return super().encode(texts)
+
+        for retriever, method, calls in (("sparse", "rerank", 0), ("sparse", "bm25", 0),
+                                         ("sparse", "rede", 1), ("dense", "rerank", 1),
+                                         ("hybrid", "rerank", 1)):
+            engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever=retriever)
+            engine.encoder = CountingEncoder({QUERY.text: QUERY_VEC}, 2)
+            _, trace = engine.search(method, QUERY)
+            assert engine.encoder.calls == calls
+            assert ("encode" in trace.wall_times) == (calls == 1)
+
     def test_to_dict_round_trips_json(self):
         import json
 

@@ -1,10 +1,12 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from rede.corpus import Document, tokenize
-from rede.errors import EmptyCorpus, UnknownDocId
+from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch, UnknownDocId
 from rede.sparse import (
     bm25_score,
     build_sparse_index,
@@ -38,13 +40,23 @@ def corpus_from(texts: dict[str, str]):
 TOY = {"d1": "a b a", "d2": "b c"}
 
 
+def assert_same_index(a, b):
+    assert a.doc_ids == b.doc_ids
+    assert a.doc_lengths.tolist() == b.doc_lengths.tolist()
+    assert {t: p.tolist() for t, p in a.postings.items()} == {t: p.tolist() for t, p in b.postings.items()}
+    assert (a.avg_doc_length, a.k1, a.b) == (b.avg_doc_length, b.k1, b.b)
+
+
 class TestBuild:
     def test_statistics(self):
-        index = build_sparse_index(corpus_from(TOY))
-        assert index.doc_count == 2
-        assert index.avg_doc_length == 2.5
-        assert index.postings["a"] == [("d1", 2)]
-        assert sorted(index.postings["b"]) == [("d1", 1), ("d2", 1)]
+        # rows follow ascending doc id whatever the corpus order
+        for texts in (TOY, dict(reversed(TOY.items()))):
+            index = build_sparse_index(corpus_from(texts))
+            assert index.doc_count == 2
+            assert index.avg_doc_length == 2.5
+            assert index.doc_ids == ["d1", "d2"]
+            assert index.postings["a"].tolist() == [[0, 2]]
+            assert index.postings["b"].tolist() == [[0, 1], [1, 1]]
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -56,15 +68,12 @@ class TestBuild:
 
     def test_single_empty_doc_tolerated(self):
         index = build_sparse_index(corpus_from({"d1": "", "d2": "a"}))
-        assert index.doc_lengths["d1"] == 0
+        assert index.doc_lengths.tolist() == [0, 1]
         assert index.avg_doc_length == 0.5
 
     def test_rebuild_identical(self):
         corpus = corpus_from(TOY)
-        a, b = build_sparse_index(corpus), build_sparse_index(corpus)
-        assert a.postings == b.postings
-        assert a.doc_lengths == b.doc_lengths
-        assert a.avg_doc_length == b.avg_doc_length
+        assert_same_index(build_sparse_index(corpus), build_sparse_index(corpus))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -153,6 +162,21 @@ class TestSearch:
             for k in range(1, len(full) + 1):
                 assert sparse_search(index, query, k).entries == full[:k]
 
+    def test_top_k_matches_brute_force_sort(self):
+        # 1-3 word documents over 3 words tie heavily; "d1000" < "d10000" < "d1001"
+        rng = np.random.default_rng(17)
+        for _ in range(80):
+            ids = [f"d{n}" for n in rng.choice(20000, size=int(rng.integers(1, 30)), replace=False)]
+            ids = list(dict.fromkeys(ids + ["d10000", "d1001", "d1000"]))
+            rng.shuffle(ids)
+            texts = {d: " ".join(rng.choice(["a", "b", "c"], size=int(rng.integers(1, 4)))) for d in ids}
+            index = build_sparse_index(corpus_from(texts))
+            query = list(rng.choice(["a", "b", "c", "z"], size=int(rng.integers(1, 3))))
+            scored = [(d, brute_force_bm25(texts, query, d, 0.9, 0.4)) for d in texts]
+            expected = sorted([p for p in scored if p[1] > 0], key=lambda p: (-p[1], p[0]))
+            for k in range(1, len(ids) + 2):
+                assert sparse_search(index, " ".join(query), k).entries == expected[:k]
+
     def test_search_matches_score(self):
         rng = np.random.default_rng(3)
         vocab = [f"w{i}" for i in range(6)]
@@ -163,14 +187,49 @@ class TestSearch:
             assert score == pytest.approx(bm25_score(index, tokenize(query), doc_id), abs=1e-12)
 
 
+def with_header(data: bytes, edit) -> bytes:
+    """A saved index with its JSON header replaced by edit(header)."""
+    (length,) = struct.unpack_from("<Q", data, 7)
+    header = json.dumps(edit(json.loads(data[15 : 15 + length]))).encode()
+    return data[:7] + struct.pack("<Q", len(header)) + header + data[15 + length :]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         index = build_sparse_index(corpus_from(TOY), k1=1.2, b=0.75)
         path = tmp_path / "sparse.idx"
         save_sparse_index(index, str(path))
         loaded = load_sparse_index(str(path))
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.avg_doc_length == index.avg_doc_length
+        assert_same_index(loaded, index)
         assert (loaded.k1, loaded.b) == (1.2, 0.75)
         assert sparse_search(loaded, "a b", 5).entries == sparse_search(index, "a b", 5).entries
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: b"XXXXX" + data[5:],  # bad magic
+        lambda data: data[:5],  # cut after the magic
+        lambda data: data[:9],  # short header
+        lambda data: data[:5] + struct.pack("<H", 1) + data[7:],  # version 1
+        lambda data: data[:5] + struct.pack("<H", 3) + data[7:],  # a later version
+        lambda data: data.replace(b'{"ids"', b'{"ids', 1),  # bad header JSON
+        lambda data: with_header(data, lambda h: {k: v for k, v in h.items() if k != "df"}),
+        lambda data: with_header(data, lambda h: {**h, "k1": [1.2]}),  # wrong type
+        lambda data: with_header(data, lambda h: {**h, "terms": h["terms"][:-1]}),  # one df too many
+        lambda data: data[:-1],  # body not a multiple of 4 bytes
+        lambda data: data[:-4],  # body one value short
+        lambda data: data + bytes(8),  # body too long
+        lambda data: data[:-8] + struct.pack("<ii", 2, 1),  # a posting row past the last document
+    ])
+    def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
+        path = tmp_path / "sparse.idx"
+        save_sparse_index(build_sparse_index(corpus_from(TOY), k1=1.2), str(path))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises((MalformedRecord, SizeMismatch)):
+            load_sparse_index(str(path))
+
+    def test_version_1_file_must_be_rebuilt(self, tmp_path):
+        payload = json.dumps({"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": 1},
+                              "avg_doc_length": 1.0, "doc_count": 1, "k1": 0.9, "b": 0.4}).encode()
+        path = tmp_path / "v1.idx"
+        path.write_bytes(b"SPIDX" + struct.pack("<HQ", 1, len(payload)) + payload)
+        with pytest.raises(MalformedRecord, match="unsupported index version 1"):
+            load_sparse_index(str(path))
