@@ -55,7 +55,6 @@ from .judge import (
     LlmJudge,
     OracleJudge,
     RelevanceJudgment,
-    RelevantSet,
     judge_candidates,
     render_judge_prompt,
     score_relevance,
@@ -66,7 +65,6 @@ from .pipeline import (
     SearchTrace,
     mean_update,
     rerank_by_judge,
-    select_feedback_docs,
 )
 from .sparse import (
     SparseIndex,

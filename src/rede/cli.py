@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import config as cfgmod
 from .corpus import load_corpus, load_qrels, load_queries, read_run_file, write_run_file
 from .dense import load_bundle, write_embeddings
 from .errors import RedeError
 from .evalbench import evaluate_run, export_distill_dataset, measure_latency
-from .judge import judge_candidates
+from .judge import judge_candidates, map_in_order
 from .pipeline import METHODS
 from .sparse import build_sparse_index, save_sparse_index
 
@@ -133,18 +132,11 @@ def _cmd_ingest_dense(args) -> int:
     return 0
 
 
-def _search_all(engine, method: str, queries, parallel: int):
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(lambda q: engine.search(method, q), queries))
-    return [engine.search(method, q) for q in queries]
-
-
 def _cmd_search(args) -> int:
     cfg = _load_cfg(args)
     engine = cfgmod.build_engine(cfg, args.method)
     queries = _load_query_set(cfg)
-    results = _search_all(engine, args.method, queries, args.parallel)
+    results = map_in_order(lambda q: engine.search(args.method, q), queries, args.parallel)
     runs = [run for run, _ in results]
     write_run_file(args.out, runs, args.tag or args.method)
     if args.trace:
@@ -208,10 +200,9 @@ def _cmd_judge(args) -> int:
                     continue
             else:
                 candidates = engine.initial_retrieval(query)
-            relevant = judge_candidates(
+            for j in judge_candidates(
                 engine.judge, query, candidates, engine.doc_texts, engine._llm_workers()
-            )
-            for j in relevant.judgments:
+            ):
                 f.write(json.dumps({
                     "query_id": j.query_id, "doc_id": j.doc_id,
                     "p_relevant": j.p_relevant, "label": j.label,

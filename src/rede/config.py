@@ -29,8 +29,7 @@ The schema (all keys optional unless a subcommand needs them):
                    "retries": 3, "backoff_s": 0.25, "parallelism": 1,
                    "mock_script": null, "logprob_delay_s": 0.0, "text_delay_s": 0.0},
       "encoder":  {"backend": "hash",          // hash | http
-                   "dim": 64, "url": null},
-      "seed": 0
+                   "dim": 64, "url": null}
     }
 
 REDE_GATEWAY_URL in the environment overrides gateway.url.
@@ -106,7 +105,6 @@ _DEFAULTS: dict = {
         "text_delay_s": 0.0,
     },
     "encoder": {"backend": "hash", "dim": 64, "url": None},
-    "seed": 0,
 }
 
 

@@ -11,6 +11,7 @@ File formats:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -77,6 +78,8 @@ class RankedList:
                     f"duplicate doc_id {doc_id!r} in ranked list for {self.query_id!r}"
                 )
             seen.add(doc_id)
+            if math.isnan(score):
+                raise PreconditionViolation(f"NaN score for {doc_id!r} in ranked list for {self.query_id!r}")
             if prev is not None and score > prev:
                 raise PreconditionViolation(
                     f"scores not non-increasing in ranked list for {self.query_id!r}"

@@ -111,10 +111,7 @@ class HttpGateway:
             raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
         except (requests.RequestException, ValueError) as exc:
             raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
-        logprobs = obj.get("first_token_logprobs")
-        if request.want_first_token_logprobs and not logprobs:
-            raise LogprobsUnsupported(f"backend at {self.url} returned no logprobs")
-        return CompletionResponse(obj.get("text", ""), logprobs)
+        return CompletionResponse(obj.get("text", ""), obj.get("first_token_logprobs"))
 
 
 class MockGateway:
@@ -142,36 +139,29 @@ class MockGateway:
             time.sleep(delay)
         for entry in self.script:
             if entry.get("match_substring", "") in request.prompt:
-                logprobs = entry.get("first_token_logprobs")
-                if request.want_first_token_logprobs and not logprobs:
-                    raise LogprobsUnsupported("scripted entry has no first_token_logprobs")
-                return CompletionResponse(entry.get("text", ""), logprobs)
+                return CompletionResponse(entry.get("text", ""), entry.get("first_token_logprobs"))
         raise BackendUnavailable("no scripted entry matches the prompt")
 
 
 def complete(backend, request: CompletionRequest) -> CompletionResponse:
     """Issue one completion with bounded retries and exponential backoff.
 
-    Contract errors (LogprobsUnsupported, BackendRejected) are not retried;
-    transport errors are retried up to ``backend.retries`` times before propagating.
+    Transport errors (BackendUnavailable, BackendTimeout) are retried up to
+    ``backend.retries`` times before propagating; anything else propagates at
+    once. A logprob request whose reply has no or empty logprobs raises
+    LogprobsUnsupported without a retry.
     """
     backend.counter.record_call(request.want_first_token_logprobs)
-    retries = getattr(backend, "retries", 3)
-    backoff = getattr(backend, "backoff_s", 0.25)
-    last_error: Exception | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(backend.retries + 1):
         backend.counter.record_attempt()
         try:
             response = backend.send(request)
-        except (LogprobsUnsupported, BackendRejected):
-            raise
-        except (BackendUnavailable, BackendTimeout) as exc:
-            last_error = exc
-            if attempt < retries and backoff > 0:
-                time.sleep(backoff * (2**attempt))
+        except (BackendUnavailable, BackendTimeout):
+            if attempt == backend.retries:
+                raise
+            if backend.backoff_s > 0:
+                time.sleep(backend.backoff_s * (2**attempt))
             continue
-        if response.first_token_logprobs is not None and not response.first_token_logprobs:
-            raise LogprobsUnsupported("backend returned an empty logprob map")
+        if request.want_first_token_logprobs and not response.first_token_logprobs:
+            raise LogprobsUnsupported("backend returned no first-token logprobs")
         return response
-    assert last_error is not None
-    raise last_error

@@ -9,18 +9,13 @@ the pseudo-relevance-feedback variant). Each invocation draws
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
-from .errors import AllSamplesEmpty, UnknownTemplate
+from .errors import AllSamplesEmpty
 from .gateway import CompletionRequest, complete
-from .judge import truncate_tokens
+from .judge import HYDE_TASK_FAMILIES, load_template, map_in_order, truncate_tokens
 
 log = logging.getLogger(__name__)
-
-HYDE_TASK_FAMILIES = ("web_search", "scifact", "bio_medical", "fiqa", "dbpedia", "news")
 
 
 @dataclass
@@ -38,20 +33,7 @@ class HydeConfig:
             raise ValueError("n_samples must be >= 1")
         if self.context_docs < 0:
             raise ValueError("context_docs must be >= 0")
-        if self.templates_dir is None and self.task_template not in HYDE_TASK_FAMILIES:
-            raise UnknownTemplate(self.task_template)
-
-
-def _load_template(name: str, templates_dir: str | None = None) -> str:
-    if templates_dir is not None:
-        path = Path(templates_dir) / f"{name}.txt"
-        if not path.is_file():
-            raise UnknownTemplate(name)
-        return path.read_text(encoding="utf-8")
-    resource = resources.files("rede") / "templates" / "hyde" / f"{name}.txt"
-    if not resource.is_file():
-        raise UnknownTemplate(name)
-    return resource.read_text(encoding="utf-8")
+        load_template("hyde", self.task_template, self.templates_dir)  # fail at construction
 
 
 def render_hyde_prompt(
@@ -62,12 +44,9 @@ def render_hyde_prompt(
     templates_dir: str | None = None,
 ) -> str:
     """Zero-context prompt, or the context form when documents are supplied."""
-    if task_template not in HYDE_TASK_FAMILIES and templates_dir is None:
-        raise UnknownTemplate(task_template)
     if not context_docs:
-        template = _load_template(task_template, templates_dir)
-        return template.replace("{query}", query_text)
-    template = _load_template(f"{task_template}_context", templates_dir)
+        return load_template("hyde", task_template, templates_dir).replace("{query}", query_text)
+    template = load_template("hyde_context", task_template, templates_dir)
     context = "\n".join(truncate_tokens(doc, max_context_doc_tokens) for doc in context_docs)
     return template.replace("{context}", context).replace("{query}", query_text)
 
@@ -104,14 +83,8 @@ def generate_hypothetical_docs(
             text = complete(gateway, request).text  # one retry for an empty sample
         return text
 
-    if max_workers > 1 and config.n_samples > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            raw = list(pool.map(sample, range(config.n_samples)))
-    else:
-        raw = [sample(i) for i in range(config.n_samples)]
-
     docs = []
-    for i, text in enumerate(raw):
+    for i, text in enumerate(map_in_order(sample, range(config.n_samples), max_workers)):
         if text.strip():
             docs.append(text)
         else:

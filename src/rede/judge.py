@@ -13,6 +13,9 @@ pair through one method, ``p_relevant(query, doc_id, doc_text)``:
 
 A document counts as relevant iff p > 0.5 (strictly), i.e. iff the
 positive token is the argmax of the two.
+
+This module also holds the one prompt-template loader (judge and HyDE
+templates alike) and the one in-order fan-out over a thread pool.
 """
 
 from __future__ import annotations
@@ -21,16 +24,26 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .corpus import Qrels, Query, RankedList, tokenize
-from .errors import JudgeUnavailable, UnknownTemplate
+from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownTemplate
 from .gateway import CompletionRequest, complete
 
 log = logging.getLogger(__name__)
 
 JUDGE_TEMPLATE_IDS = ("default", "pointwise_yes_no", "rg_yn", "rg_yn_star", "rater_guideline")
+HYDE_TASK_FAMILIES = ("web_search", "scifact", "bio_medical", "fiqa", "dbpedia", "news")
+
+# template kind -> (in-package directory, file-name suffix, built-in names)
+_TEMPLATE_KINDS = {
+    "judge": ("judge", "", JUDGE_TEMPLATE_IDS),
+    "hyde": ("hyde", "", HYDE_TASK_FAMILIES),
+    "hyde_context": ("hyde", "_context", HYDE_TASK_FAMILIES),
+}
 
 # positive/negative first tokens per template; overridable in LlmJudge
 DEFAULT_TOKENS = {
@@ -60,38 +73,40 @@ class RelevanceJudgment:
     label: bool
 
 
-@dataclass
-class RelevantSet:
-    """Relevant candidates ordered by descending p, plus all judgments."""
+@lru_cache(maxsize=None)
+def load_template(kind: str, name: str, templates_dir: str | None) -> str:
+    """The text of one prompt template, read once per process.
 
-    query_id: str
-    docs: list[tuple[str, float]]
-    judgments: list[RelevanceJudgment]
+    In-package names must be built-in for their kind; a custom directory
+    takes any file name, but no name may contain a path separator.
+    """
+    package_dir, suffix, built_in = _TEMPLATE_KINDS[kind]
+    if templates_dir is None:
+        root, allowed = resources.files("rede") / "templates" / package_dir, name in built_in
+    else:
+        root, allowed = Path(templates_dir), True
+    path = root / f"{name}{suffix}.txt"
+    if not allowed or "/" in name or "\\" in name or not path.is_file():
+        raise UnknownTemplate(name)
+    return path.read_text(encoding="utf-8")
 
-    @property
-    def kstar(self) -> int:
-        return len(self.docs)
 
+def map_in_order(fn: Callable, items: Iterable, max_workers: int) -> list:
+    """[fn(x) for x in items], on a thread pool when max_workers > 1 and there are 2+ items.
 
-def _load_template(template_id: str, templates_dir: str | None = None) -> str:
-    if templates_dir is not None:
-        path = Path(templates_dir) / f"{template_id}.txt"
-        if not path.is_file():
-            raise UnknownTemplate(template_id)
-        return path.read_text(encoding="utf-8")
-    if template_id not in JUDGE_TEMPLATE_IDS:
-        raise UnknownTemplate(template_id)
-    return (resources.files("rede") / "templates" / "judge" / f"{template_id}.txt").read_text(
-        encoding="utf-8"
-    )
+    ``ThreadPoolExecutor`` is looked up in this module at call time: perfbench
+    swaps it here to carry span parents into the worker threads.
+    """
+    items = list(items)
+    if max_workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def truncate_tokens(text: str, max_tokens: int) -> str:
     """Keep the first max_tokens whitespace-separated tokens."""
-    tokens = text.split()
-    if len(tokens) <= max_tokens:
-        return " ".join(tokens)
-    return " ".join(tokens[:max_tokens])
+    return " ".join(text.split()[:max_tokens])
 
 
 def render_judge_prompt(
@@ -103,7 +118,7 @@ def render_judge_prompt(
 ) -> JudgePrompt:
     if not query_text:
         raise ValueError("query_text must be non-empty")
-    template = _load_template(template_id, templates_dir)
+    template = load_template("judge", template_id, templates_dir)
     rendered = template.replace("{query}", query_text).replace(
         "{document}", truncate_tokens(doc_text, max_doc_tokens)
     )
@@ -121,8 +136,7 @@ class LlmJudge:
         top_logprobs: int = 10,
         templates_dir: str | None = None,
     ):
-        if templates_dir is None and template_id not in JUDGE_TEMPLATE_IDS:
-            raise UnknownTemplate(template_id)
+        load_template("judge", template_id, templates_dir)  # fail at construction, not per call
         defaults = DEFAULT_TOKENS.get(template_id, ("1", "0"))
         self.gateway = gateway
         self.template_id = template_id
@@ -146,7 +160,7 @@ class LlmJudge:
                 top_logprobs=self.top_logprobs,
             ),
         )
-        logprobs = response.first_token_logprobs or {}
+        logprobs = response.first_token_logprobs  # non-empty: complete() checks it
         lp_pos = logprobs.get(self.positive_token)
         lp_neg = logprobs.get(self.negative_token)
         if lp_pos is None and lp_neg is None:
@@ -188,8 +202,10 @@ class LexicalJudge:
 
 
 def score_relevance(backend, query: Query, doc_id: str, doc_text: str) -> RelevanceJudgment:
-    """Judge one document; label is strict (p > 0.5)."""
+    """Judge one document; label is strict (p > 0.5). A p outside [0, 1] (or NaN) is a failed call."""
     p = backend.p_relevant(query, doc_id, doc_text)
+    if not 0.0 <= p <= 1.0:
+        raise JudgeUnavailable(f"judge returned p = {p!r} for {doc_id}, outside [0, 1]")
     return RelevanceJudgment(query.query_id, doc_id, p, p > 0.5)
 
 
@@ -199,37 +215,23 @@ def judge_candidates(
     candidates: RankedList,
     doc_texts: dict[str, str],
     max_workers: int = 1,
-) -> RelevantSet:
-    """Judge every candidate once and collect the relevant subset.
+) -> list[RelevanceJudgment]:
+    """Judge every candidate once; the judgments come back in candidate order.
 
-    The relevant docs are ordered by descending p, ties by original rank.
-    Judgments for non-relevant docs are retained (the reranking path needs
-    them). Per-doc judge failures are skipped with a warning; the call
-    fails only if every candidate fails.
+    A candidate whose call fails (JudgeUnavailable, or a reply without
+    logprobs) is skipped with a warning; the call fails only if every
+    candidate fails. Transport errors propagate.
     """
-    ids = candidates.doc_ids()
-    judgments: list[RelevanceJudgment | None] = [None] * len(ids)
 
-    def judge_one(i: int) -> None:
-        doc_id = ids[i]
+    def judge_one(doc_id: str) -> RelevanceJudgment | None:
         try:
-            judgments[i] = score_relevance(backend, query, doc_id, doc_texts.get(doc_id, ""))
-        except JudgeUnavailable as exc:
+            return score_relevance(backend, query, doc_id, doc_texts.get(doc_id, ""))
+        except (JudgeUnavailable, LogprobsUnsupported) as exc:
             log.warning("skipping %s for query %s: %s", doc_id, query.query_id, exc)
+            return None
 
-    if max_workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(judge_one, range(len(ids))))
-    else:
-        for i in range(len(ids)):
-            judge_one(i)
-
-    kept = [j for j in judgments if j is not None]
-    if ids and not kept:
+    ids = candidates.doc_ids()
+    judgments = [j for j in map_in_order(judge_one, ids, max_workers) if j is not None]
+    if ids and not judgments:
         raise JudgeUnavailable(f"all {len(ids)} candidates failed for query {query.query_id}")
-    rank = {doc_id: i for i, doc_id in enumerate(ids)}
-    relevant = sorted(
-        (j for j in kept if j.label),
-        key=lambda j: (-j.p_relevant, rank[j.doc_id]),
-    )
-    return RelevantSet(query.query_id, [(j.doc_id, j.p_relevant) for j in relevant], kept)
+    return judgments

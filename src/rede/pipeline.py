@@ -28,7 +28,7 @@ from .dense import DenseIndex, dense_search, fetch_embedding
 from .errors import ConfigError, DimMismatch, EmptyRelevantSet, JudgeUnavailable
 from .fusion import FusionConfig, hybrid_search
 from .hyde import HydeConfig, generate_hypothetical_docs
-from .judge import RelevanceJudgment, RelevantSet, judge_candidates
+from .judge import RelevanceJudgment, judge_candidates
 from .sparse import SparseIndex, sparse_search
 
 INITIAL_RETRIEVERS = ("sparse", "dense", "hybrid")
@@ -164,14 +164,11 @@ def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndar
     return (totals / stacked.shape[0]).astype(np.float32)
 
 
-def select_feedback_docs(relevant_set: RelevantSet, max_kstar: int) -> list[str]:
-    """Cap the relevant set at max_kstar docs (already ordered by p, then rank)."""
-    return [doc_id for doc_id, _ in relevant_set.docs[:max_kstar]]
-
-
 def rerank_by_judge(candidates: RankedList, judgments: list[RelevanceJudgment]) -> RankedList:
     """Reorder candidates by descending p_relevant; ties keep the original order.
 
+    This is the one judgment order: the relevant docs (p > 0.5) are its
+    prefix, so judge feedback is the first min(#relevant, max_kstar) of it.
     A candidate without a judgment (its judge call failed) scores p = 0.0.
     """
     p_map = {j.doc_id: j.p_relevant for j in judgments}
@@ -306,14 +303,15 @@ class SearchEngine:
             if row.feedback == "judge":
                 with run.stage("judge"):
                     try:
-                        relevant = judge_candidates(
+                        trace.judgments = judge_candidates(
                             self.judge, query, candidates, self.doc_texts, self._llm_workers()
                         )
-                        trace.judgments = relevant.judgments
-                        feedback = select_feedback_docs(relevant, cfg.max_kstar)
                     except JudgeUnavailable:
                         if policy is None:
                             raise  # no empty-feedback fallback to fall through to
+                    if row.final == "dense":  # the relevant docs lead the rerank order
+                        kstar = min(sum(j.label for j in trace.judgments), cfg.max_kstar)
+                        feedback = rerank_by_judge(candidates, trace.judgments).doc_ids()[:kstar]
             elif row.feedback == "all":
                 with run.stage("update"):
                     feedback = candidates.doc_ids()

@@ -46,6 +46,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", state
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

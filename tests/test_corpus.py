@@ -171,6 +171,12 @@ class TestRunFile:
         with pytest.raises(PreconditionViolation):
             write_run_file(str(path), [RankedList("q1", [("d1", 0.9), ("d1", 0.1)])], "t")
 
+    def test_nan_score_rejected(self):
+        # NaN compares false both ways, so the order check alone would pass these lists
+        for entries in ([("d1", 0.2), ("d2", float("nan")), ("d3", 0.9)], [("d1", float("nan"))]):
+            with pytest.raises(PreconditionViolation, match="NaN"):
+                RankedList("q1", entries).validate()
+
     def test_round_trip_six_decimals(self, tmp_path):
         runs = [
             RankedList("q1", [("d1", 1.2345678), ("d2", 0.0000014)]),

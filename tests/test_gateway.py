@@ -50,9 +50,12 @@ class TestMockGateway:
         assert complete(mock, req) == complete(mock, req)
 
     def test_logprobs_unsupported(self):
-        mock = MockGateway([{"match_substring": "", "text": "x"}])
-        with pytest.raises(LogprobsUnsupported):
-            complete(mock, CompletionRequest("p", want_first_token_logprobs=True))
+        for entry in ({"text": "x"}, {"text": "x", "first_token_logprobs": {}}):
+            mock = MockGateway([{"match_substring": "", **entry}])
+            with pytest.raises(LogprobsUnsupported):
+                complete(mock, CompletionRequest("p", want_first_token_logprobs=True))
+            assert mock.counter.attempts == 1  # not retried
+            assert complete(mock, CompletionRequest("p")).text == "x"  # a text request needs none
 
     def test_no_match(self):
         mock = MockGateway([{"match_substring": "never-present", "text": "x"}], retries=1)
@@ -108,11 +111,12 @@ class TestHttpGateway:
 
     def test_missing_logprobs_is_contract_error(self, http_server):
         url, state = http_server
-        state["handler"] = lambda body: (200, {"text": "1"})
-        gw = HttpGateway(url, "m", retries=3, backoff_s=0.0)
-        with pytest.raises(LogprobsUnsupported):
-            complete(gw, CompletionRequest("judge", want_first_token_logprobs=True))
-        assert gw.counter.attempts == 1  # contract errors are not retried
+        for reply in ({"text": "1"}, {"text": "1", "first_token_logprobs": {}}):
+            state["handler"] = lambda body: (200, reply)
+            gw = HttpGateway(url, "m", retries=3, backoff_s=0.0)
+            with pytest.raises(LogprobsUnsupported):
+                complete(gw, CompletionRequest("judge", want_first_token_logprobs=True))
+            assert gw.counter.attempts == 1  # contract errors are not retried
 
     def test_bounded_retries_then_success(self, http_server):
         url, state = http_server

@@ -49,8 +49,11 @@ class TestRenderPrompt:
             assert "QTEXT" in with_ctx and "DOCTEXT" in with_ctx
 
     def test_unknown_family(self):
-        with pytest.raises(UnknownTemplate):
-            render_hyde_prompt("astrology", "q")
+        for family in ("astrology", "web_search_context", "../judge/default"):
+            with pytest.raises(UnknownTemplate):
+                render_hyde_prompt(family, "q")
+            with pytest.raises(UnknownTemplate):
+                render_hyde_prompt(family, "q", ["a context doc"])
 
 
 class TestConfig:
@@ -63,8 +66,18 @@ class TestConfig:
             HydeConfig(n_samples=0)
 
     def test_unknown_template_validated(self):
+        for family in ("astrology", "web_search_context"):
+            with pytest.raises(UnknownTemplate):
+                HydeConfig(task_template=family)
+
+    def test_custom_templates_dir(self, tmp_path):
+        (tmp_path / "mine.txt").write_text("Q={query}")
+        (tmp_path / "mine_context.txt").write_text("C={context} Q={query}")
+        cfg = HydeConfig(task_template="mine", templates_dir=str(tmp_path))
+        assert render_hyde_prompt("mine", "q", templates_dir=cfg.templates_dir) == "Q=q"
+        assert render_hyde_prompt("mine", "q", ["d"], templates_dir=cfg.templates_dir) == "C=d Q=q"
         with pytest.raises(UnknownTemplate):
-            HydeConfig(task_template="astrology")
+            HydeConfig(task_template="missing", templates_dir=str(tmp_path))
 
 
 class TestGenerate:
@@ -101,6 +114,10 @@ class TestGenerate:
         mock = MockGateway([{"match_substring": plain_prompt, "text": "plain"}])
         cfg = HydeConfig(n_samples=1, context_docs=0)
         assert generate_hypothetical_docs(mock, cfg, "q", ["ignored doc"]) == ["plain"]
+
+    def test_empty_logprob_map_on_a_text_reply_is_ignored(self):
+        mock = MockGateway([{"match_substring": "", "text": "a passage", "first_token_logprobs": {}}])
+        assert generate_hypothetical_docs(mock, HydeConfig(n_samples=2), "q") == ["a passage"] * 2
 
     def test_sample_order_with_workers(self):
         mock = MockGateway([{"match_substring": "", "text": "same"}])

@@ -16,6 +16,7 @@ from rede.judge import (
     score_relevance,
     truncate_tokens,
 )
+from rede.pipeline import rerank_by_judge
 
 QUERY = Query("q1", "how do submarines navigate")
 
@@ -44,8 +45,11 @@ class TestRenderPrompt:
             assert "{document}" not in prompt.rendered
 
     def test_unknown_template(self):
-        with pytest.raises(UnknownTemplate):
-            render_judge_prompt("nope", "q", "d")
+        for template_id in ("nope", "../hyde/web_search"):
+            with pytest.raises(UnknownTemplate):
+                render_judge_prompt(template_id, "q", "d")
+            with pytest.raises(UnknownTemplate):
+                LlmJudge(MockGateway([]), template_id=template_id)
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
@@ -55,6 +59,21 @@ class TestRenderPrompt:
         (tmp_path / "mine.txt").write_text("Q={query} D={document}")
         prompt = render_judge_prompt("mine", "a", "b", templates_dir=str(tmp_path))
         assert prompt.rendered == "Q=a D=b"
+
+    def test_custom_dir_rejects_path_separators(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "mine.txt").write_text("{query} {document}")
+        (tmp_path / "mine.txt").write_text("{query} {document}")
+        for name in ("sub/mine", "sub\\mine", "../" + tmp_path.name + "/mine"):
+            with pytest.raises(UnknownTemplate):
+                render_judge_prompt(name, "q", "d", templates_dir=str(tmp_path))
+
+    def test_template_read_once_per_process(self, tmp_path):
+        path = tmp_path / "once.txt"
+        path.write_text("first {query} {document}")
+        assert render_judge_prompt("once", "q", "d", templates_dir=str(tmp_path)).rendered == "first q d"
+        path.write_text("second {query} {document}")
+        assert render_judge_prompt("once", "q", "d", templates_dir=str(tmp_path)).rendered == "first q d"
 
     def test_truncate_tokens_helper(self):
         assert truncate_tokens("a  b\tc\nd", 3) == "a b c"
@@ -162,6 +181,15 @@ class TestScoreRelevance:
         assert hit.label is True
         assert miss.label is False
 
+    @pytest.mark.parametrize("p", [math.nan, 1.5, -0.1, math.inf])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        class CustomJudge:
+            def p_relevant(self, query, doc_id, doc_text):
+                return p
+
+        with pytest.raises(JudgeUnavailable, match="outside"):
+            score_relevance(CustomJudge(), QUERY, "d1", "doc")
+
     def test_lexical_zero_threshold_always_relevant(self):
         judge = LexicalJudge(threshold=0.0)
         assert score_relevance(judge, QUERY, "d", "completely unrelated").label is True
@@ -195,32 +223,34 @@ class TestJudgeCandidates:
     def test_threshold_and_ordering(self):
         texts = {"c1": "t1", "c2": "t2", "c3": "t3"}
         judge = ScriptedJudge({"t1": 0.9, "t2": 0.3, "t3": 0.7})
-        result = judge_candidates(judge, QUERY, candidates("c1", "c2", "c3"), texts)
-        assert result.docs == [("c1", 0.9), ("c3", 0.7)]
-        assert len(result.judgments) == 3
+        cands = candidates("c1", "c2", "c3")
+        result = judge_candidates(judge, QUERY, cands, texts)
+        assert [(j.doc_id, j.p_relevant, j.label) for j in result] == [
+            ("c1", 0.9, True), ("c2", 0.3, False), ("c3", 0.7, True)
+        ]
+        assert rerank_by_judge(cands, result).entries[:2] == [("c1", 0.9), ("c3", 0.7)]
 
     def test_ties_keep_original_rank(self):
         texts = {"c1": "t1", "c2": "t2", "c3": "t3"}
         judge = ScriptedJudge({"t1": 0.8, "t2": 0.8, "t3": 0.9})
-        result = judge_candidates(judge, QUERY, candidates("c1", "c2", "c3"), texts)
-        assert [d for d, _ in result.docs] == ["c3", "c1", "c2"]
+        cands = candidates("c1", "c2", "c3")
+        result = judge_candidates(judge, QUERY, cands, texts)
+        assert rerank_by_judge(cands, result).doc_ids() == ["c3", "c1", "c2"]
 
     def test_all_below_threshold(self):
         texts = {"c1": "t1", "c2": "t2"}
         judge = ScriptedJudge({"t1": 0.2, "t2": 0.5})  # 0.5 is strictly not relevant
         result = judge_candidates(judge, QUERY, candidates("c1", "c2"), texts)
-        assert result.docs == []
-        assert result.kstar == 0
+        assert [j.label for j in result] == [False, False]
 
     def test_oracle_exact_set(self):
         qrels = {"q1": {"d2": 1, "d7": 3, "d9": 0}}
         texts = {d: d for d in ("d1", "d2", "d7", "d9")}
         result = judge_candidates(OracleJudge(qrels), QUERY, candidates("d1", "d2", "d7", "d9"), texts)
-        assert sorted(d for d, _ in result.docs) == ["d2", "d7"]
+        assert sorted(j.doc_id for j in result if j.label) == ["d2", "d7"]
 
     def test_empty_candidates(self):
-        result = judge_candidates(ScriptedJudge({}), QUERY, RankedList("q1", []), {})
-        assert result.docs == [] and result.judgments == []
+        assert judge_candidates(ScriptedJudge({}), QUERY, RankedList("q1", []), {}) == []
 
     def test_order_invariance_of_scores(self):
         texts = {f"c{i}": f"t{i}" for i in range(5)}
@@ -228,16 +258,14 @@ class TestJudgeCandidates:
         judge = ScriptedJudge(probs)
         forward = judge_candidates(judge, QUERY, candidates(*texts), texts)
         backward = judge_candidates(judge, QUERY, candidates(*reversed(list(texts))), texts)
-        assert {j.doc_id: j.p_relevant for j in forward.judgments} == {
-            j.doc_id: j.p_relevant for j in backward.judgments
-        }
+        assert {j.doc_id: j.p_relevant for j in forward} == {j.doc_id: j.p_relevant for j in backward}
 
     def test_partial_failure_skips_with_warning(self, caplog):
         texts = {"c1": "t1", "c2": "t2"}
         judge = FailingJudge(fail_for={"t2"})
         with caplog.at_level("WARNING"):
             result = judge_candidates(judge, QUERY, candidates("c1", "c2"), texts)
-        assert [j.doc_id for j in result.judgments] == ["c1"]
+        assert [j.doc_id for j in result] == ["c1"]
         assert any("skipping" in r.message for r in caplog.records)
 
     def test_all_failures_raise(self):
@@ -251,5 +279,5 @@ class TestJudgeCandidates:
         judge = ScriptedJudge(probs)
         seq = judge_candidates(judge, QUERY, candidates(*texts), texts, max_workers=1)
         par = judge_candidates(judge, QUERY, candidates(*texts), texts, max_workers=4)
-        assert seq.docs == par.docs
-        assert [j.doc_id for j in seq.judgments] == [j.doc_id for j in par.judgments]
+        assert seq == par
+        assert [j.doc_id for j in seq] == list(texts)

@@ -1,5 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
+
+import rede.pipeline
 
 from rede.corpus import Document, Query, RankedList
 from rede.dense import build_dense_index, dense_search
@@ -11,13 +16,12 @@ from rede.errors import (
 )
 from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
-from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment, RelevantSet
+from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment
 from rede.pipeline import (
     PipelineConfig,
     SearchEngine,
     mean_update,
     rerank_by_judge,
-    select_feedback_docs,
 )
 from rede.sparse import build_sparse_index
 from rede.synthetic import TableEncoder
@@ -78,21 +82,6 @@ class TestUpdates:
             out = mean_update(q, vectors)
             max_norm = max(np.linalg.norm(v) for v in [q] + vectors)
             assert np.linalg.norm(out) <= max_norm + 1e-6
-
-
-class TestSelectFeedbackDocs:
-    def rel_set(self, n):
-        docs = [(f"d{i}", 1.0 - 0.05 * i) for i in range(n)]
-        return RelevantSet("q", docs, [])
-
-    def test_under_cap(self):
-        assert select_feedback_docs(self.rel_set(5), 10) == [f"d{i}" for i in range(5)]
-
-    def test_over_cap_keeps_highest_p(self):
-        assert select_feedback_docs(self.rel_set(15), 10) == [f"d{i}" for i in range(10)]
-
-    def test_empty(self):
-        assert select_feedback_docs(self.rel_set(0), 10) == []
 
 
 class TestRerankByJudge:
@@ -223,6 +212,85 @@ class TestFeedbackSearch:
             engine.search("rede", QUERY)
 
 
+class ScriptedJudge:
+    """p per doc id; "fail" raises JudgeUnavailable."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def p_relevant(self, query, doc_id, doc_text):
+        p = self.probs.get(doc_id, 0.0)
+        if p == "fail":
+            raise JudgeUnavailable("scripted failure")
+        return p
+
+
+def feedback_docs(monkeypatch, engine):
+    """Run rede; return the feedback doc ids in the order their embeddings were fetched."""
+    fetched, fetch = [], rede.pipeline.fetch_embedding
+
+    def recording_fetch(index, doc_id):
+        fetched.append(doc_id)
+        return fetch(index, doc_id)
+
+    with monkeypatch.context() as m:
+        m.setattr(rede.pipeline, "fetch_embedding", recording_fetch)
+        _, trace = engine.search("rede", QUERY)
+    assert trace.kstar == len(fetched)
+    return fetched
+
+
+class TestSelectFeedbackDocs:
+    """rede's feedback is the first min(#relevant, max_kstar) docs of the rerank order."""
+
+    PROBS = {"d1": 0.6, "d2": 0.95, "d3": 0.7, "d4": 0.9, "d5": 0.2, "d6": 0.5}
+
+    def test_under_cap(self, monkeypatch):
+        engine = toy_engine(ScriptedJudge(self.PROBS), max_kstar=6)
+        assert feedback_docs(monkeypatch, engine) == ["d2", "d4", "d3", "d1"]
+
+    def test_over_cap_keeps_highest_p(self, monkeypatch):
+        engine = toy_engine(ScriptedJudge(self.PROBS), max_kstar=2)
+        assert feedback_docs(monkeypatch, engine) == ["d2", "d4"]
+
+    def test_empty(self, monkeypatch):
+        engine = toy_engine(ScriptedJudge({"d1": 0.5, "d2": 0.1}))
+        assert feedback_docs(monkeypatch, engine) == []
+
+
+class TestJudgmentOrderProperty:
+    def test_seeded_random_judgments(self, monkeypatch):
+        rng = random.Random(4)
+        n = 12
+        ids = [f"d{i:02d}" for i in range(n)]
+        vectors = np.asarray([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in ids], dtype=np.float32)
+        corpus = {d: Document(d, "", f"word{i}") for i, d in enumerate(ids)}
+        dense = build_dense_index(ids, vectors)
+        encoder = TableEncoder({QUERY.text: QUERY_VEC}, 2)
+        levels = [0.0, 0.2, 0.5, 0.51, 0.8, 0.8, 1.0, 1.0, "fail", math.nan, 1.5]  # heavy ties
+        for _ in range(300):
+            probs = {d: rng.choice(levels) for d in ids}
+            max_kstar = rng.randint(1, n)
+            engine = SearchEngine(
+                corpus, None, dense, encoder, judge=ScriptedJudge(probs),
+                config=PipelineConfig(initial_retriever="dense", k_initial=n, max_kstar=max_kstar,
+                                      output_depth=n),
+            )
+            candidates = engine.initial_retrieval(QUERY).doc_ids()
+            judged = {d for d in candidates if isinstance(probs[d], float) and 0 <= probs[d] <= 1}
+            p = {d: probs[d] if d in judged else 0.0 for d in candidates}  # failed or rejected: 0.0
+            expected = sorted(candidates, key=lambda d: (-p[d], candidates.index(d)))
+            if not judged:
+                with pytest.raises(JudgeUnavailable):
+                    engine.search("rerank", QUERY)
+            else:
+                result, _ = engine.search("rerank", QUERY)
+                result.validate()
+                assert result.entries == [(d, p[d]) for d in expected]
+            relevant = [d for d in expected if p[d] > 0.5]
+            assert feedback_docs(monkeypatch, engine) == relevant[:max_kstar]
+
+
 # judge prompts are recognized by the default template's instruction text,
 # so a later catch-all entry can serve generation prompts
 _JUDGE_MARKER = 'Output "1" if the passage'
@@ -325,6 +393,42 @@ class TestRerankSearch:
         candidate_order = trace.candidates.doc_ids()
         assert result.doc_ids() == ["d5"] + [d for d in candidate_order if d != "d5"]
         assert "d4" not in [j.doc_id for j in trace.judgments]
+
+    def test_reply_without_logprobs_keeps_the_query(self):
+        # d3's reply has no logprobs and d5's an empty map: both are skipped and score p = 0.0
+        script = []
+        for d, text in DOC_TEXTS.items():
+            relevant = d in ("d1", "d2")
+            script.append({"match_substring": f"Document: {text}\n", "text": "1",
+                           "first_token_logprobs": {"1": -0.05, "0": -3.2} if relevant
+                           else {"1": -3.2, "0": -0.05}})
+        del script[2]["first_token_logprobs"]  # d3
+        script[4]["first_token_logprobs"] = {}  # d5
+        gateway = MockGateway(script)
+        engine = toy_engine(LlmJudge(gateway), gateway=gateway)
+        result, trace = engine.search("rerank", QUERY)
+        result.validate()
+        assert {"d3", "d5"}.isdisjoint(j.doc_id for j in trace.judgments)
+        order = trace.candidates.doc_ids()
+        assert result.doc_ids() == ([d for d in order if d in ("d1", "d2")]
+                                    + [d for d in order if d in ("d4", "d6")]
+                                    + [d for d in order if d in ("d3", "d5")])
+        assert [score for d, score in result.entries if d in ("d3", "d5")] == [0.0, 0.0]
+        assert gateway.counter.attempts == 6  # a logprob-less reply is not retried
+        out, trace = engine.search("rede", QUERY)
+        out.validate()
+        assert trace.path_taken == "rede" and trace.kstar == 2
+
+    def test_custom_judge_nan_is_skipped(self):
+        class NanJudge:
+            def p_relevant(self, query, doc_id, doc_text):
+                return {"d1": 0.2, "d2": math.nan, "d3": 0.9, "d4": 0.5}.get(doc_id, 0.1)
+
+        result, trace = toy_engine(NanJudge()).search("rerank", QUERY)
+        result.validate()
+        assert all(0.0 <= score <= 1.0 for _, score in result.entries)
+        assert "d2" not in [j.doc_id for j in trace.judgments]
+        assert dict(result.entries)["d2"] == 0.0
 
     def test_all_judge_calls_failed_raises(self):
         class Broken:
