@@ -13,7 +13,7 @@ import sys
 
 from . import config as cfgmod
 from .corpus import load_corpus, load_qrels, load_queries, read_run_file, write_run_file
-from .dense import load_bundle, write_embeddings
+from .dense import HashingEncoder, load_bundle, write_embeddings
 from .errors import RedeError
 from .evalbench import evaluate_run, export_distill_dataset, measure_latency
 from .judge import judge_candidates, map_in_order
@@ -123,8 +123,7 @@ def _cmd_ingest_dense(args) -> int:
     if not (args.corpus and args.out):
         raise _UsageError("ingest-dense needs either --manifest or --corpus with --out")
     corpus = load_corpus(args.corpus, args.format)
-    encoder_cfg = {"encoder": {"backend": "hash", "dim": args.dim, "url": None}}
-    encoder = cfgmod.build_encoder(cfgmod.load_run_config(None, encoder_cfg))
+    encoder = HashingEncoder(dim=args.dim)
     ids = list(corpus.keys())
     vectors = encoder.encode([corpus[d].search_text for d in ids])
     manifest = write_embeddings(args.out, ids, vectors, name=args.name)
@@ -233,7 +232,7 @@ def run_command(argv: list[str]) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:  # ValueError: a flag value the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RedeError, OSError) as exc:

@@ -1,45 +1,32 @@
 """Run configuration: one JSON file, flag overrides, and engine assembly.
 
-The schema (all keys optional unless a subcommand needs them):
+The file is a JSON object of sections; every key is optional unless a
+subcommand needs it. A section holds the parameters of the class it
+builds, and a key the file does not set keeps that class's default:
 
-    {
-      "paths": {
-        "corpus": "corpus.jsonl",          "corpus_format": "jsonl",
-        "queries": "queries.tsv",          "queries_format": "tsv",
-        "qrels": "qrels.txt",
-        "embeddings_manifest": "emb/embeddings.manifest.json",
-        "embeddings_vectors": null,          // default: manifest's vectors_file
-        "sparse_index": null,                // default: build from corpus
-        "judge_templates_dir": null,         // default: templates shipped in-package
-        "hyde_templates_dir": null
-      },
-      "pipeline": {"initial_retriever": "hybrid", "k_initial": 20, "max_kstar": null,
-                   "default_policy": "encoder_only", "output_depth": 1000,
-                   "llm_max_workers": 1},
-      "fusion":   {"alpha": 0.5, "pool_depth": null},
-      "hyde":     {"n_samples": 8, "temperature": 0.7, "max_new_tokens": 512,
-                   "task_template": "web_search", "context_docs": 0,
-                   "max_context_doc_tokens": 128},
-      "judge":    {"backend": "llm",          // llm | oracle | lexical
-                   "template_id": "default", "positive_token": null,
-                   "negative_token": null, "threshold": 0.15,
-                   "max_doc_tokens": 128, "top_logprobs": 10},
-      "gateway":  {"backend": "http",          // http | mock
-                   "url": null, "model": "completion-model", "timeout": 60.0,
-                   "retries": 3, "backoff_s": 0.25, "parallelism": 1,
-                   "mock_script": null, "logprob_delay_s": 0.0, "text_delay_s": 0.0},
-      "encoder":  {"backend": "hash",          // hash | http
-                   "dim": 64, "url": null}
-    }
+  * ``pipeline`` -> ``PipelineConfig``, ``fusion`` -> ``FusionConfig``,
+    ``hyde`` -> ``HydeConfig`` (all fields but ``templates_dir``);
+  * ``judge``, ``gateway`` and ``encoder`` pick a class by ``backend``
+    (first listed is the default) and take that class's keys from
+    ``_BACKENDS``: judge ``llm`` -> ``LlmJudge``, ``oracle`` ->
+    ``OracleJudge``, ``lexical`` -> ``LexicalJudge``; gateway ``http`` ->
+    ``HttpGateway``, ``mock`` -> ``MockGateway.from_script_file``; encoder
+    ``hash`` -> ``HashingEncoder``, ``http`` -> ``HttpEncoder``;
+  * ``paths`` holds the deployment's files, listed with defaults in
+    ``_PATHS`` (None: not given; ``sparse_index`` None builds the index
+    from the corpus, ``embeddings_vectors`` None reads the manifest's
+    vectors file, a templates dir None uses the templates in the package).
 
-REDE_GATEWAY_URL in the environment overrides gateway.url.
+Unknown keys are rejected at load time in every section. REDE_GATEWAY_URL
+in the environment overrides gateway.url.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 from .corpus import load_corpus, load_qrels
 from .dense import HashingEncoder, HttpEncoder, load_bundle
@@ -53,76 +40,72 @@ from .sparse import build_sparse_index, load_sparse_index
 
 GATEWAY_URL_ENV = "REDE_GATEWAY_URL"
 
-_DEFAULTS: dict = {
-    "paths": {
-        "corpus": None,
-        "corpus_format": "jsonl",
-        "queries": None,
-        "queries_format": "tsv",
-        "qrels": None,
-        "embeddings_manifest": None,
-        "embeddings_vectors": None,
-        "sparse_index": None,
-        "judge_templates_dir": None,
-        "hyde_templates_dir": None,
-    },
-    "pipeline": {
-        "initial_retriever": "hybrid",
-        "k_initial": 20,
-        "max_kstar": None,
-        "default_policy": "encoder_only",
-        "output_depth": 1000,
-        "llm_max_workers": 1,
-    },
-    "fusion": {"alpha": 0.5, "pool_depth": None},
-    "hyde": {
-        "n_samples": 8,
-        "temperature": 0.7,
-        "max_new_tokens": 512,
-        "task_template": "web_search",
-        "context_docs": 0,
-        "max_context_doc_tokens": 128,
-    },
-    "judge": {
-        "backend": "llm",
-        "template_id": "default",
-        "positive_token": None,
-        "negative_token": None,
-        "threshold": 0.15,
-        "max_doc_tokens": 128,
-        "top_logprobs": 10,
-    },
-    "gateway": {
-        "backend": "http",
-        "url": None,
-        "model": "completion-model",
-        "timeout": 60.0,
-        "retries": 3,
-        "backoff_s": 0.25,
-        "parallelism": 1,
-        "mock_script": None,
-        "logprob_delay_s": 0.0,
-        "text_delay_s": 0.0,
-    },
-    "encoder": {"backend": "hash", "dim": 64, "url": None},
+_PATHS = {
+    "corpus": None, "corpus_format": "jsonl", "queries": None, "queries_format": "tsv",
+    "qrels": None, "embeddings_manifest": None, "embeddings_vectors": None,
+    "sparse_index": None, "judge_templates_dir": None, "hyde_templates_dir": None,
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
-    return out
+class _Backend(NamedTuple):
+    build: Callable
+    keys: tuple[str, ...] = ()  # section keys it takes
+    takes: tuple[str, ...] = ()  # values assembly supplies: gateway, qrels, templates_dir
+    needs: tuple[str, str] | None = None  # (argument it cannot do without, where it is set)
+
+
+_GATEWAY_KEYS = ("retries", "backoff_s", "parallelism")
+_BACKENDS = {
+    "judge": {
+        "llm": _Backend(LlmJudge, ("template_id", "positive_token", "negative_token",
+                                   "max_doc_tokens", "top_logprobs"),
+                        takes=("gateway", "templates_dir")),
+        "oracle": _Backend(OracleJudge, takes=("qrels",), needs=("qrels", "paths.qrels")),
+        "lexical": _Backend(LexicalJudge, ("threshold",)),
+    },
+    "gateway": {
+        "http": _Backend(HttpGateway, ("url", "model", "timeout", *_GATEWAY_KEYS),
+                         needs=("url", f"gateway.url (or {GATEWAY_URL_ENV})")),
+        "mock": _Backend(MockGateway.from_script_file,
+                         ("mock_script", "logprob_delay_s", "text_delay_s", *_GATEWAY_KEYS),
+                         needs=("mock_script", "gateway.mock_script")),
+    },
+    "encoder": {
+        "hash": _Backend(HashingEncoder, ("dim",)),
+        "http": _Backend(HttpEncoder, ("url", "dim"), needs=("url", "encoder.url")),
+    },
+}
+
+# every key a run-config file may set, by section
+SECTION_KEYS: dict[str, frozenset[str]] = {
+    "paths": frozenset(_PATHS),
+    "pipeline": frozenset(f.name for f in fields(PipelineConfig)),
+    "fusion": frozenset(f.name for f in fields(FusionConfig)),
+    "hyde": frozenset(f.name for f in fields(HydeConfig)) - {"templates_dir"},
+    **{section: frozenset({"backend"}).union(*(b.keys for b in backends.values()))
+       for section, backends in _BACKENDS.items()},
+}
+
+
+def _layer(cfg: dict, layer, source: str) -> None:
+    if not isinstance(layer, dict):
+        raise ConfigError(f"{source} must be a JSON object, got {type(layer).__name__}")
+    for section, values in layer.items():
+        if section not in SECTION_KEYS:
+            raise ConfigError(f"unknown config key {section!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object, "
+                              f"got {type(values).__name__}")
+        for key in values:
+            if key not in SECTION_KEYS[section]:
+                raise ConfigError(f"unknown config key {f'{section}.{key}'!r}")
+        cfg[section].update(values)
 
 
 def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Layer defaults <- config file <- explicit overrides."""
-    cfg = copy.deepcopy(_DEFAULTS)
+    """The keys set by the config file, then by explicit overrides; paths filled with defaults."""
+    cfg: dict = {section: {} for section in SECTION_KEYS}
+    cfg["paths"].update(_PATHS)
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
@@ -131,9 +114,9 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
                 file_cfg = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
-        cfg = _merge(cfg, file_cfg)
+        _layer(cfg, file_cfg, f"config file {path}")
     if overrides:
-        cfg = _merge(cfg, overrides)
+        _layer(cfg, overrides, "config overrides")
     url = os.environ.get(GATEWAY_URL_ENV)
     if url:
         cfg["gateway"]["url"] = url
@@ -149,106 +132,67 @@ def _require_path(cfg: dict, key: str) -> str:
     return path
 
 
-def build_gateway(cfg: dict):
-    g = cfg["gateway"]
-    if g["backend"] == "mock":
-        if not g["mock_script"]:
-            raise ConfigError("gateway.backend 'mock' needs gateway.mock_script")
-        if not os.path.isfile(g["mock_script"]):
-            raise ConfigError(f"gateway.mock_script does not exist: {g['mock_script']}")
-        return MockGateway.from_script_file(
-            g["mock_script"],
-            logprob_delay_s=g["logprob_delay_s"],
-            text_delay_s=g["text_delay_s"],
-            retries=g["retries"],
-            backoff_s=g["backoff_s"],
-            parallelism=g["parallelism"],
-        )
-    if g["backend"] == "http":
-        if not g["url"]:
-            raise ConfigError(f"gateway.backend 'http' needs gateway.url (or {GATEWAY_URL_ENV})")
-        return HttpGateway(
-            g["url"], g["model"], timeout=g["timeout"], retries=g["retries"],
-            backoff_s=g["backoff_s"], parallelism=g["parallelism"],
-        )
-    raise ConfigError(f"unknown gateway.backend {g['backend']!r}")
+def _construct(section: str, build: Callable, **kwargs):
+    """build(**kwargs); a value it rejects (or a file it cannot read) is a ConfigError."""
+    try:
+        return build(**kwargs)
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
-def build_encoder(cfg: dict):
-    e = cfg["encoder"]
-    if e["backend"] == "hash":
-        return HashingEncoder(dim=e["dim"])
-    if e["backend"] == "http":
-        if not e["url"]:
-            raise ConfigError("encoder.backend 'http' needs encoder.url")
-        return HttpEncoder(e["url"], dim=e.get("dim"))
-    raise ConfigError(f"unknown encoder.backend {e['backend']!r}")
+def _backend(cfg: dict, section: str) -> tuple[str, _Backend]:
+    backends = _BACKENDS[section]
+    name = cfg[section].get("backend", next(iter(backends)))
+    if name not in backends:
+        raise ConfigError(f"unknown {section}.backend {name!r}; expected one of {tuple(backends)}")
+    return name, backends[name]
 
 
-def build_judge(cfg: dict, gateway, qrels):
-    j = cfg["judge"]
-    if j["backend"] == "oracle":
-        if qrels is None:
-            raise ConfigError("judge.backend 'oracle' needs paths.qrels")
-        return OracleJudge(qrels)
-    if j["backend"] == "lexical":
-        return LexicalJudge(threshold=j["threshold"])
-    if j["backend"] == "llm":
-        if gateway is None:
-            raise ConfigError("judge.backend 'llm' needs a gateway")
-        return LlmJudge(
-            gateway,
-            template_id=j["template_id"],
-            positive_token=j["positive_token"],
-            negative_token=j["negative_token"],
-            max_doc_tokens=j["max_doc_tokens"],
-            top_logprobs=j["top_logprobs"],
-            templates_dir=cfg["paths"]["judge_templates_dir"],
-        )
-    raise ConfigError(f"unknown judge.backend {j['backend']!r}")
-
-
-def _components(cfg: dict, method: str) -> list[str]:
-    """What the method needs; ``judge`` (the judge subcommand) needs only a judge."""
-    if method == "judge":
-        return ["judge"]
-    p = cfg["pipeline"]
-    return required_components(method, p["initial_retriever"], p["default_policy"])
-
-
-def needs_gateway(cfg: dict, method: str) -> bool:
-    needs = _components(cfg, method)
-    return "gateway" in needs or ("judge" in needs and cfg["judge"]["backend"] == "llm")
+def _build(cfg: dict, section: str, **supplied):
+    """Build the section's backend from the keys the file set and what assembly supplies."""
+    name, backend = _backend(cfg, section)
+    values = cfg[section]
+    kwargs = {key: values[key] for key in backend.keys if key in values}
+    kwargs.update((key, supplied[key]) for key in backend.takes)
+    if backend.needs is not None and not kwargs.get(backend.needs[0]):
+        raise ConfigError(f"{section}.backend {name!r} needs {backend.needs[1]}")
+    return _construct(section, backend.build, **kwargs)
 
 
 def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
-    """Load data and assemble a SearchEngine for the given method."""
-    pipeline_cfg = PipelineConfig(**cfg["pipeline"])  # validated before anything reads it
-    corpus = load_corpus(_require_path(cfg, "corpus"), cfg["paths"]["corpus_format"])
+    """Load data and assemble a SearchEngine for the given method (``judge``: a judge only)."""
+    paths = cfg["paths"]
+    pipeline_cfg = _construct("pipeline", PipelineConfig, **cfg["pipeline"])
+    fusion_cfg = _construct("fusion", FusionConfig, **cfg["fusion"])
+    hyde_cfg = _construct("hyde", HydeConfig, **cfg["hyde"], templates_dir=paths["hyde_templates_dir"])
+    encoder = _build(cfg, "encoder")
+    corpus = load_corpus(_require_path(cfg, "corpus"), paths["corpus_format"])
 
     sparse_index = None
-    if cfg["paths"]["sparse_index"]:
+    if paths["sparse_index"]:
         sparse_index = load_sparse_index(_require_path(cfg, "sparse_index"))
     elif corpus:
         sparse_index = build_sparse_index(corpus)
 
     dense_index = None
-    if cfg["paths"]["embeddings_manifest"]:
-        dense_index = load_bundle(
-            _require_path(cfg, "embeddings_manifest"), cfg["paths"]["embeddings_vectors"]
-        )
+    if paths["embeddings_manifest"]:
+        dense_index = load_bundle(_require_path(cfg, "embeddings_manifest"), paths["embeddings_vectors"])
 
-    qrels = load_qrels(_require_path(cfg, "qrels")) if cfg["paths"]["qrels"] else None
-    gateway = build_gateway(cfg) if needs_gateway(cfg, method) else None
-    judge = build_judge(cfg, gateway, qrels) if "judge" in _components(cfg, method) else None
-
-    fusion_cfg = FusionConfig(**cfg["fusion"])
-    hyde_cfg = HydeConfig(**cfg["hyde"], templates_dir=cfg["paths"]["hyde_templates_dir"])
+    qrels = load_qrels(_require_path(cfg, "qrels")) if paths["qrels"] else None
+    needs = ["judge"] if method == "judge" else required_components(
+        method, pipeline_cfg.initial_retriever, pipeline_cfg.default_policy
+    )
+    judge_takes = _backend(cfg, "judge")[1].takes if "judge" in needs else ()
+    gateway = _build(cfg, "gateway") if "gateway" in needs or "gateway" in judge_takes else None
+    judge = None
+    if "judge" in needs:
+        judge = _build(cfg, "judge", gateway=gateway, qrels=qrels,
+                       templates_dir=paths["judge_templates_dir"])
     return SearchEngine(
         corpus,
         sparse_index,
         dense_index,
-        build_encoder(cfg),
+        encoder,
         judge=judge,
         gateway=gateway,
         config=pipeline_cfg,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import requests
@@ -76,11 +77,15 @@ class CallCounter:
             self.total = self.logprob_calls = self.text_calls = self.attempts = 0
 
 
+# the calls of the one query running in this context; the pipeline sets it per search
+QUERY_CALLS: ContextVar[CallCounter | None] = ContextVar("QUERY_CALLS", default=None)
+
+
 class HttpGateway:
     """Completion backend over HTTP; chat-template wrapping is server-side."""
 
-    def __init__(self, url: str, model: str, timeout: float = 60.0,
-                 retries: int = 3, backoff_s: float = 0.25, parallelism: int = 4):
+    def __init__(self, url: str, model: str = "completion-model", timeout: float = 60.0,
+                 retries: int = 3, backoff_s: float = 0.25, parallelism: int = 1):
         self.url = url
         self.model = model
         self.timeout = timeout
@@ -111,6 +116,8 @@ class HttpGateway:
             raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
         except (requests.RequestException, ValueError) as exc:
             raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise BackendUnavailable(f"gateway at {self.url} replied with a JSON {type(obj).__name__}")
         return CompletionResponse(obj.get("text", ""), obj.get("first_token_logprobs"))
 
 
@@ -129,8 +136,8 @@ class MockGateway:
         self.counter = CallCounter()
 
     @classmethod
-    def from_script_file(cls, path: str, **kwargs) -> "MockGateway":
-        with open(path, "r", encoding="utf-8") as f:
+    def from_script_file(cls, mock_script: str, **kwargs) -> "MockGateway":
+        with open(mock_script, "r", encoding="utf-8") as f:
             return cls(json.load(f), **kwargs)
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
@@ -148,10 +155,15 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
 
     Transport errors (BackendUnavailable, BackendTimeout) are retried up to
     ``backend.retries`` times before propagating; anything else propagates at
-    once. A logprob request whose reply has no or empty logprobs raises
-    LogprobsUnsupported without a retry.
+    once. A logprob request whose reply has no, empty or non-numeric logprobs
+    raises LogprobsUnsupported without a retry. The call is counted on
+    ``backend.counter`` and on the ``QUERY_CALLS`` counter of the current
+    context, if one is set; attempts only on ``backend.counter``.
     """
     backend.counter.record_call(request.want_first_token_logprobs)
+    query_calls = QUERY_CALLS.get()
+    if query_calls is not None:
+        query_calls.record_call(request.want_first_token_logprobs)
     for attempt in range(backend.retries + 1):
         backend.counter.record_attempt()
         try:
@@ -162,6 +174,16 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
             if backend.backoff_s > 0:
                 time.sleep(backend.backoff_s * (2**attempt))
             continue
-        if request.want_first_token_logprobs and not response.first_token_logprobs:
-            raise LogprobsUnsupported("backend returned no first-token logprobs")
+        if request.want_first_token_logprobs and not _usable_logprobs(response.first_token_logprobs):
+            raise LogprobsUnsupported("backend returned no usable first-token logprobs")
         return response
+
+
+_NUMBER_TYPES = frozenset((int, float))  # exact types: a JSON true is not a logprob
+
+
+def _usable_logprobs(logprobs) -> bool:
+    """A non-empty {token: number} map."""
+    return isinstance(logprobs, dict) and bool(logprobs) and _NUMBER_TYPES.issuperset(
+        map(type, logprobs.values())
+    )

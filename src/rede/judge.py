@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -94,13 +95,16 @@ def load_template(kind: str, name: str, templates_dir: str | None) -> str:
 def map_in_order(fn: Callable, items: Iterable, max_workers: int) -> list:
     """[fn(x) for x in items], on a thread pool when max_workers > 1 and there are 2+ items.
 
+    Each pooled item runs in a copy of the caller's context, so the per-query
+    call counter (``gateway.QUERY_CALLS``) follows it into the worker thread.
     ``ThreadPoolExecutor`` is looked up in this module at call time: perfbench
     swaps it here to carry span parents into the worker threads.
     """
     items = list(items)
     if max_workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, items))
+            futures = [pool.submit(copy_context().run, fn, x) for x in items]
+            return [f.result() for f in futures]
     return [fn(x) for x in items]
 
 

@@ -27,6 +27,7 @@ from .corpus import Corpus, Query, RankedList
 from .dense import DenseIndex, dense_search, fetch_embedding
 from .errors import ConfigError, DimMismatch, EmptyRelevantSet, JudgeUnavailable
 from .fusion import FusionConfig, hybrid_search
+from .gateway import QUERY_CALLS, CallCounter
 from .hyde import HydeConfig, generate_hypothetical_docs
 from .judge import RelevanceJudgment, judge_candidates
 from .sparse import SparseIndex, sparse_search
@@ -179,25 +180,22 @@ def rerank_by_judge(candidates: RankedList, judgments: list[RelevanceJudgment]) 
 class _QueryRun:
     """Per-query context: times stages into the trace and fills its LLM call counts.
 
-    Calls are the gateway's global counter diffed over the query, taken only
-    for rows that can call the LLM; other rows report 0.
+    The calls are this query's own: ``complete`` records into the counter set
+    in ``QUERY_CALLS`` here, and ``map_in_order`` carries it into worker threads.
     """
 
-    def __init__(self, trace: SearchTrace, counter):
-        self.trace, self.counter = trace, counter
-
-    def _calls(self) -> tuple[int, int]:
-        c = self.counter
-        return (0, 0) if c is None else (c.logprob_calls, c.text_calls)
+    def __init__(self, trace: SearchTrace):
+        self.trace, self.calls = trace, CallCounter()
 
     def __enter__(self) -> "_QueryRun":
-        self._t0, self._calls0 = time.perf_counter(), self._calls()
+        self._t0, self._token = time.perf_counter(), QUERY_CALLS.set(self.calls)
         return self
 
     def __exit__(self, *exc) -> None:
+        QUERY_CALLS.reset(self._token)
         self.trace.wall_times["total"] = time.perf_counter() - self._t0
-        (judge1, gen1), (judge0, gen0) = self._calls(), self._calls0
-        self.trace.judge_calls, self.trace.generation_calls = judge1 - judge0, gen1 - gen0
+        calls = self.calls
+        self.trace.judge_calls, self.trace.generation_calls = calls.logprob_calls, calls.text_calls
 
     @contextmanager
     def stage(self, name: str):
@@ -285,9 +283,8 @@ class SearchEngine:
                       required_components(method, cfg.initial_retriever, default_policy))
         policy, retriever = row.empty_policy(default_policy), row.retriever(cfg.initial_retriever)
         depth = cfg.k_initial if row.first == "initial" else cfg.output_depth
-        calls_llm = row.feedback not in (None, "all") and self.gateway is not None
         trace = SearchTrace(query.query_id, RankedList(query.query_id, []), path_taken=row.path)
-        with _QueryRun(trace, self.gateway.counter if calls_llm else None) as run:
+        with _QueryRun(trace) as run:
             qvec = None
             if retriever in ("dense", "hybrid") or row.final == "dense":
                 with run.stage("encode"):

@@ -79,6 +79,28 @@ def test_ingest_dense_requires_inputs():
     assert run_command(["ingest-dense"]) == 1
 
 
+def test_ingest_dense_rejects_dim_zero(workspace, capsys):
+    assert run_command(["ingest-dense", "--corpus", str(workspace / "corpus.jsonl"), "--dim", "0",
+                        "--out", str(workspace / "emb0")]) == 1
+    assert capsys.readouterr().err.startswith("error: dim must be >= 1")
+
+
+def test_index_sparse_rejects_b_outside_unit_interval(workspace, capsys):
+    assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"), "--b", "2",
+                        "--out", str(workspace / "sparse.idx")]) == 1
+    assert capsys.readouterr().err.startswith("error: b must be in [0, 1]")
+
+
+def test_eval_rejects_k_zero(workspace, capsys):
+    run_path = workspace / "run.trec"
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--out", str(run_path)]) == 0
+    capsys.readouterr()
+    assert run_command(["eval", "--run", str(run_path), "--qrels", str(workspace / "qrels.txt"),
+                        "--k", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: k must be >= 1")
+
+
 @pytest.mark.parametrize("method", ["bm25", "dense", "hybrid", "avgprf", "rede",
                                     "rede-hyde-default", "hyde", "hyde-prf", "rerank"])
 def test_search_every_method(workspace, method):

@@ -1,0 +1,195 @@
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from rede.cli import run_command
+from rede.config import GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
+from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
+from rede.errors import ConfigError
+from rede.fusion import FusionConfig
+from rede.gateway import HttpGateway, MockGateway
+from rede.hyde import HydeConfig
+from rede.pipeline import PipelineConfig
+
+DOCS = [("d1", "apple banana fruit"), ("d2", "satellite launch orbit"), ("d3", "market trading")]
+
+# the run-config keys accepted before defaults moved into the classes each section builds
+ACCEPTED_KEYS = {
+    "paths.corpus", "paths.corpus_format", "paths.queries", "paths.queries_format",
+    "paths.qrels", "paths.embeddings_manifest", "paths.embeddings_vectors",
+    "paths.sparse_index", "paths.judge_templates_dir", "paths.hyde_templates_dir",
+    "pipeline.initial_retriever", "pipeline.k_initial", "pipeline.max_kstar",
+    "pipeline.default_policy", "pipeline.output_depth", "pipeline.llm_max_workers",
+    "fusion.alpha", "fusion.pool_depth",
+    "hyde.n_samples", "hyde.temperature", "hyde.max_new_tokens", "hyde.task_template",
+    "hyde.context_docs", "hyde.max_context_doc_tokens",
+    "judge.backend", "judge.template_id", "judge.positive_token", "judge.negative_token",
+    "judge.threshold", "judge.max_doc_tokens", "judge.top_logprobs",
+    "gateway.backend", "gateway.url", "gateway.model", "gateway.timeout", "gateway.retries",
+    "gateway.backoff_s", "gateway.parallelism", "gateway.mock_script",
+    "gateway.logprob_delay_s", "gateway.text_delay_s",
+    "encoder.backend", "encoder.dim", "encoder.url",
+}
+
+
+def _write_data(root: Path) -> None:
+    """corpus.jsonl, queries.tsv, qrels.txt, mock.json and a dim-64 bundle in emb/."""
+    (root / "corpus.jsonl").write_text(
+        "\n".join(json.dumps({"_id": d, "text": t}) for d, t in DOCS) + "\n")
+    (root / "queries.tsv").write_text("q1\tapple fruit\n")
+    (root / "qrels.txt").write_text("q1 0 d1 1\n")
+    (root / "mock.json").write_text(json.dumps([{"match_substring": "", "text": "fruit"}]))
+    ids = [d for d, _ in DOCS]
+    write_embeddings(str(root / "emb"), ids, HashingEncoder(64).encode([t for _, t in DOCS]))
+
+
+@pytest.fixture
+def data(tmp_path, monkeypatch):
+    monkeypatch.delenv(GATEWAY_URL_ENV, raising=False)
+    _write_data(tmp_path)
+    return tmp_path
+
+
+def _paths(root: Path) -> dict:
+    return {
+        "corpus": str(root / "corpus.jsonl"),
+        "queries": str(root / "queries.tsv"),
+        "qrels": str(root / "qrels.txt"),
+        "embeddings_manifest": str(root / "emb" / "embeddings.manifest.json"),
+    }
+
+
+def _config_file(root: Path, cfg) -> str:
+    path = root / "run_config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _build(root: Path, sections: dict, method: str = "rede"):
+    cfg = load_run_config(_config_file(root, {"paths": _paths(root), **sections}))
+    return build_engine(cfg, method)
+
+
+def test_accepted_key_set_is_unchanged():
+    assert {f"{s}.{k}" for s, keys in SECTION_KEYS.items() for k in keys} == ACCEPTED_KEYS
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"bogus": {}}, "'bogus'"),
+    ({"judge": {"bogus": 1}}, "'judge.bogus'"),  # bm25 never builds a judge
+    ({"hyde": {"templates_dir": "t"}}, "'hyde.templates_dir'"),  # set by paths.hyde_templates_dir
+])
+def test_unknown_key_rejected_at_load(data, cfg, key, capsys):
+    path = _config_file(data, {"paths": _paths(data), **cfg})
+    with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+        load_run_config(path)
+    argv = ["search", "--config", path, "--method", "bm25", "--out", str(data / "run.trec")]
+    assert run_command(argv) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([1, 2], "must be a JSON object, got list"),
+    ({"pipeline": 5}, "section 'pipeline' must be a JSON object, got int"),
+    ({"paths": None}, "section 'paths' must be a JSON object, got NoneType"),
+])
+def test_non_object_rejected(tmp_path, cfg, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(_config_file(tmp_path, cfg))
+
+
+def test_invalid_json_and_missing_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"pipeline": ')
+    with pytest.raises(ConfigError, match="invalid config JSON"):
+        load_run_config(str(bad))
+    with pytest.raises(ConfigError, match="config file not found"):
+        load_run_config(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize("cfg, method", [
+    ({"fusion": {"alpha": 2}}, "hybrid"),
+    ({"pipeline": 5}, "hybrid"),
+    ([1, 2], "hybrid"),
+    ({"encoder": {"dim": 0}}, "hybrid"),
+    ({"encoder": {"dim": "64"}}, "hybrid"),
+    ({"pipeline": {"k_initial": 0}}, "hybrid"),
+    ({"hyde": {"n_samples": 0}}, "hybrid"),
+    ({"gateway": {"backend": "mock", "mock_script": "absent.json"}}, "hyde"),
+])
+def test_bad_value_exits_2_without_traceback(data, cfg, method, capsys):
+    if isinstance(cfg, dict):
+        cfg = {"paths": _paths(data), **cfg}
+    argv = ["search", "--config", _config_file(data, cfg), "--method", method,
+            "--out", str(data / "run.trec")]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sections, method, message", [
+    ({"gateway": {"backend": "http"}}, "hyde",
+     f"gateway.backend 'http' needs gateway.url (or {GATEWAY_URL_ENV})"),
+    ({"gateway": {"backend": "mock"}}, "hyde", "gateway.backend 'mock' needs gateway.mock_script"),
+    ({"encoder": {"backend": "http"}}, "dense", "encoder.backend 'http' needs encoder.url"),
+    ({"judge": {"backend": "oracle"}}, "rede", "judge.backend 'oracle' needs paths.qrels"),
+    ({"judge": {"backend": "exact"}}, "rede", "unknown judge.backend 'exact'"),
+])
+def test_missing_backend_setting_is_named(data, sections, method, message):
+    paths = {k: v for k, v in _paths(data).items() if k != "qrels"}
+    path = _config_file(data, {"paths": paths, **sections})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_engine(load_run_config(path), method)
+
+
+def test_paths_only_config_takes_class_defaults(data):
+    engine = _build(data, {}, "bm25")
+    assert engine.config == PipelineConfig()
+    assert engine.fusion_config == FusionConfig()
+    assert engine.hyde_config == HydeConfig()
+    assert isinstance(engine.encoder, HashingEncoder) and engine.encoder.dim == 64
+    assert engine.judge is None and engine.gateway is None
+
+
+def test_backend_defaults_come_from_the_constructor(data):
+    engine = _build(data, {"gateway": {"backend": "http", "url": "http://127.0.0.1:9"},
+                           "encoder": {"backend": "http", "url": "http://127.0.0.1:9"}}, "hyde")
+    gateway = engine.gateway
+    assert isinstance(gateway, HttpGateway)
+    assert (gateway.model, gateway.parallelism, gateway.backoff_s) == ("completion-model", 1, 0.25)
+    assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.dim is None  # inferred
+    mock = _build(data, {"gateway": {"backend": "mock", "mock_script": str(data / "mock.json"),
+                                     "url": "ignored by the mock backend"}}, "hyde").gateway
+    assert isinstance(mock, MockGateway) and mock.backoff_s == 0.0
+
+
+def test_set_keys_reach_the_classes(data):
+    engine = _build(data, {
+        "pipeline": {"k_initial": 3, "max_kstar": 2, "llm_max_workers": 2},
+        "fusion": {"alpha": 0.25},
+        "hyde": {"n_samples": 2},
+        "judge": {"backend": "llm", "template_id": "rg_yn", "max_doc_tokens": 7},
+        "gateway": {"backend": "mock", "mock_script": str(data / "mock.json"), "retries": 5},
+    })
+    assert (engine.config.k_initial, engine.config.max_kstar, engine.config.llm_max_workers) == (3, 2, 2)
+    assert engine.fusion_config.alpha == 0.25 and engine.hyde_config.n_samples == 2
+    assert (engine.judge.template_id, engine.judge.positive_token, engine.judge.max_doc_tokens) == (
+        "rg_yn", "Yes", 7)
+    assert engine.judge.gateway is engine.gateway and engine.gateway.retries == 5
+
+
+def test_readme_run_config_builds(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Run config\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    example = json.loads(block)
+    monkeypatch.delenv(GATEWAY_URL_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    _write_data(tmp_path)  # at the relative paths the example names
+    path = _config_file(tmp_path, example)
+    for method in ("rede", "hyde-prf"):
+        engine = build_engine(load_run_config(path), method)
+        assert isinstance(engine.gateway, HttpGateway)
+        assert engine.gateway.url == example["gateway"]["url"]
+    assert engine.config == PipelineConfig(**example["pipeline"])

@@ -111,12 +111,22 @@ class TestHttpGateway:
 
     def test_missing_logprobs_is_contract_error(self, http_server):
         url, state = http_server
-        for reply in ({"text": "1"}, {"text": "1", "first_token_logprobs": {}}):
+        for logprobs in (None, {}, [-0.1, -2.0], {"1": "high"}, {"1": -0.1, "0": None}, {"1": True}):
+            reply = {"text": "1"} if logprobs is None else {"text": "1", "first_token_logprobs": logprobs}
             state["handler"] = lambda body: (200, reply)
             gw = HttpGateway(url, "m", retries=3, backoff_s=0.0)
             with pytest.raises(LogprobsUnsupported):
                 complete(gw, CompletionRequest("judge", want_first_token_logprobs=True))
             assert gw.counter.attempts == 1  # contract errors are not retried
+
+    def test_non_object_reply_is_unavailable(self, http_server):
+        url, state = http_server
+        for reply in ([1, 2], "text", None):
+            state["handler"] = lambda body: (200, reply)
+            gw = HttpGateway(url, retries=1, backoff_s=0.0)
+            with pytest.raises(BackendUnavailable, match="replied with a JSON"):
+                complete(gw, CompletionRequest("p"))
+            assert gw.counter.attempts == 2  # a garbled reply is retried like a transport error
 
     def test_bounded_retries_then_success(self, http_server):
         url, state = http_server

@@ -5,7 +5,7 @@ import pytest
 
 from rede.corpus import Query, RankedList
 from rede.errors import JudgeUnavailable, UnknownTemplate
-from rede.gateway import MockGateway
+from rede.gateway import HttpGateway, MockGateway
 from rede.judge import (
     JUDGE_TEMPLATE_IDS,
     LexicalJudge,
@@ -267,6 +267,16 @@ class TestJudgeCandidates:
             result = judge_candidates(judge, QUERY, candidates("c1", "c2"), texts)
         assert [j.doc_id for j in result] == ["c1"]
         assert any("skipping" in r.message for r in caplog.records)
+
+    def test_unusable_http_logprobs_skip_the_candidate(self, http_server):
+        url, state = http_server
+        replies = {"t2": [-0.1, -2.0], "t3": {"1": "high", "0": -2.0}}
+        state["handler"] = lambda body: (200, {"text": "1", "first_token_logprobs": next(
+            (v for k, v in replies.items() if k in body["prompt"]), {"1": -0.1, "0": -2.5})})
+        texts = {"c1": "t1", "c2": "t2", "c3": "t3"}
+        judge = LlmJudge(HttpGateway(url, retries=0))
+        result = judge_candidates(judge, QUERY, candidates(*texts), texts)
+        assert [(j.doc_id, j.label) for j in result] == [("c1", True)]
 
     def test_all_failures_raise(self):
         texts = {"c1": "t1", "c2": "t2"}

@@ -16,7 +16,7 @@ from rede.errors import (
 )
 from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
-from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment
+from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment, map_in_order
 from rede.pipeline import (
     PipelineConfig,
     SearchEngine,
@@ -374,6 +374,20 @@ class TestConcurrency:
         out_p, trace_p = parallel.search("rede", QUERY)
         assert out_s.entries == out_p.entries
         assert trace_s.kstar == trace_p.kstar
+
+    @pytest.mark.parametrize("script, calls", [
+        (JUDGE_ALL_RELEVANT, (5, 0)),
+        (JUDGE_NONE_RELEVANT + [{"match_substring": "", "text": "a hypothetical passage"}], (5, 4)),
+    ])
+    def test_concurrent_queries_count_their_own_calls(self, script, calls):
+        gateway = MockGateway(script, logprob_delay_s=0.002, text_delay_s=0.002, parallelism=4)
+        engine = toy_engine(LlmJudge(gateway), gateway=gateway, k_initial=5, llm_max_workers=4)
+        engine.encoder.table["a hypothetical passage"] = vec(0.4, 0.4)
+        queries = [Query(f"q{i}", QUERY.text) for i in range(20)]
+        traces = [trace for _, trace in map_in_order(
+            lambda q: engine.search("rede", q, default_policy="hyde_prf"), queries, 4)]
+        assert [(t.judge_calls, t.generation_calls) for t in traces] == [calls] * 20
+        assert sum(t.llm_calls for t in traces) == gateway.counter.total == 20 * sum(calls)
 
     def test_workers_capped_by_gateway_parallelism(self):
         gateway = MockGateway(JUDGE_ALL_RELEVANT, parallelism=2)
