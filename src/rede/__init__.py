@@ -13,7 +13,6 @@ from .corpus import (
     Document,
     Qrels,
     Query,
-    QrelEntry,
     RankedList,
     load_corpus,
     load_qrels,

@@ -36,7 +36,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("index-sparse", help="build and save a BM25 index")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
     p.add_argument("--out", required=True)
     p.add_argument("--k1", type=float, default=0.9)
     p.add_argument("--b", type=float, default=0.4)
@@ -45,7 +44,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", help="existing bundle manifest to validate/load")
     p.add_argument("--vectors", help="vectors file (default: manifest's vectors_file)")
     p.add_argument("--corpus", help="corpus to encode when no manifest is given")
-    p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--out", help="output directory for a freshly encoded bundle")
     p.add_argument("--name", default="embeddings")
@@ -88,15 +86,12 @@ def _build_parser() -> _Parser:
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON run-config file")
     p.add_argument("--queries", default=None, help="overrides paths.queries")
-    p.add_argument("--queries-format", default=None, choices=["jsonl", "tsv"])
 
 
 def _load_cfg(args) -> dict:
     overrides: dict = {"paths": {}}
     if args.queries:
         overrides["paths"]["queries"] = args.queries
-    if getattr(args, "queries_format", None):
-        overrides["paths"]["queries_format"] = args.queries_format
     return cfgmod.load_run_config(args.config, overrides)
 
 
@@ -104,11 +99,11 @@ def _load_query_set(cfg: dict):
     path = cfg["paths"]["queries"]
     if not path:
         raise RedeError("no queries given (paths.queries or --queries)")
-    return load_queries(path, cfg["paths"]["queries_format"])
+    return load_queries(path)
 
 
 def _cmd_index_sparse(args) -> int:
-    corpus = load_corpus(args.corpus, args.format)
+    corpus = load_corpus(args.corpus)
     index = build_sparse_index(corpus, k1=args.k1, b=args.b)
     save_sparse_index(index, args.out)
     print(f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {args.out}")
@@ -122,7 +117,7 @@ def _cmd_ingest_dense(args) -> int:
         return 0
     if not (args.corpus and args.out):
         raise _UsageError("ingest-dense needs either --manifest or --corpus with --out")
-    corpus = load_corpus(args.corpus, args.format)
+    corpus = load_corpus(args.corpus)
     encoder = HashingEncoder(dim=args.dim)
     ids = list(corpus.keys())
     vectors = encoder.encode([corpus[d].search_text for d in ids])

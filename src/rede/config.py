@@ -41,9 +41,9 @@ from .sparse import build_sparse_index, load_sparse_index
 GATEWAY_URL_ENV = "REDE_GATEWAY_URL"
 
 _PATHS = {
-    "corpus": None, "corpus_format": "jsonl", "queries": None, "queries_format": "tsv",
-    "qrels": None, "embeddings_manifest": None, "embeddings_vectors": None,
-    "sparse_index": None, "judge_templates_dir": None, "hyde_templates_dir": None,
+    "corpus": None, "queries": None, "qrels": None, "embeddings_manifest": None,
+    "embeddings_vectors": None, "sparse_index": None, "judge_templates_dir": None,
+    "hyde_templates_dir": None,
 }
 
 
@@ -112,7 +112,7 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
         with open(path, "r", encoding="utf-8") as f:
             try:
                 file_cfg = json.load(f)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
         _layer(cfg, file_cfg, f"config file {path}")
     if overrides:
@@ -166,7 +166,7 @@ def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
     fusion_cfg = _construct("fusion", FusionConfig, **cfg["fusion"])
     hyde_cfg = _construct("hyde", HydeConfig, **cfg["hyde"], templates_dir=paths["hyde_templates_dir"])
     encoder = _build(cfg, "encoder")
-    corpus = load_corpus(_require_path(cfg, "corpus"), paths["corpus_format"])
+    corpus = load_corpus(_require_path(cfg, "corpus"))
 
     sparse_index = None
     if paths["sparse_index"]:

@@ -1,11 +1,15 @@
 """Corpus, query, qrels and run-file I/O plus the shared tokenizer.
 
+Every file is UTF-8 text read one non-blank line per record (``_records``).
 File formats:
   corpus  - JSONL with ``_id``/``title``/``text`` keys, or TSV with
             ``id<TAB>text`` / ``id<TAB>title<TAB>text`` columns
   queries - JSONL with ``_id``/``text``, or two-column TSV ``id<TAB>text``
   qrels   - whitespace-separated ``qid iter docid rel`` (iter ignored)
-  run     - ``qid Q0 docid rank score tag``, rank from 1, score %.6f
+  run     - ``qid Q0 docid rank score tag``, rank from 1, score %.6f; a
+            query's lines are contiguous and no field holds whitespace
+A corpus or query file is JSONL if its first record starts with ``{``,
+and TSV otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,13 +54,6 @@ class Document:
 class Query:
     query_id: str
     text: str
-
-
-@dataclass(frozen=True)
-class QrelEntry:
-    query_id: str
-    doc_id: str
-    relevance: int
 
 
 @dataclass
@@ -104,107 +101,115 @@ Corpus = dict[str, Document]
 Qrels = dict[str, dict[str, int]]
 
 
-def load_corpus(path: str, format: str = "jsonl") -> Corpus:
+def _records(path: str) -> Iterator[tuple[int, str]]:
+    """(line_no, line) per non-blank line of a UTF-8 file, newline and any leading BOM stripped."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as f:
+            for line_no, line in enumerate(f, 1):
+                if not line.isspace():  # never "": a file yields no empty line
+                    yield line_no, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(0, f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _id_title_text(path: str, split_tsv: Callable) -> Iterator[tuple[int, tuple[str, str, str]]]:
+    """(line_no, (id, title, text)) per record; JSONL if the first starts with '{', else TSV."""
+    jsonl = None
+    for line_no, line in _records(path):
+        if jsonl is None:
+            jsonl = line.startswith("{")
+        if not jsonl:
+            yield line_no, split_tsv(line_no, line)
+            continue
+        try:
+            obj = json.loads(line)
+            fields = str(obj["_id"]), str(obj.get("title", "") or ""), str(obj["text"])
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
+        except (TypeError, KeyError) as exc:  # a JSON value other than an object, or a key missing
+            raise MalformedRecord(line_no, "expected a JSON object with '_id' and 'text'") from exc
+        yield line_no, fields
+
+
+def _split_doc(line_no: int, line: str) -> tuple[str, str, str]:
+    cols = line.split("\t")
+    if len(cols) == 2:
+        return cols[0], "", cols[1]
+    if len(cols) == 3:
+        return cols[0], cols[1], cols[2]
+    raise MalformedRecord(line_no, f"expected 2 or 3 columns, got {len(cols)}")
+
+
+def _split_query(line_no: int, line: str) -> tuple[str, str, str]:
+    cols = line.split("\t", 1)
+    if len(cols) != 2:
+        raise MalformedRecord(line_no, "expected 'id<TAB>text'")
+    return cols[0], "", cols[1]
+
+
+def load_corpus(path: str) -> Corpus:
     """Load a corpus file into a doc_id -> Document map."""
     corpus: Corpus = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if format == "jsonl":
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-                if "_id" not in obj or "text" not in obj:
-                    raise MalformedRecord(line_no, "missing '_id' or 'text' field")
-                doc = Document(str(obj["_id"]), str(obj.get("title", "") or ""), str(obj["text"]))
-            elif format == "tsv":
-                cols = line.split("\t")
-                if len(cols) == 2:
-                    doc = Document(cols[0], "", cols[1])
-                elif len(cols) == 3:
-                    doc = Document(cols[0], cols[1], cols[2])
-                else:
-                    raise MalformedRecord(line_no, f"expected 2 or 3 columns, got {len(cols)}")
-            else:
-                raise ValueError(f"unsupported corpus format: {format!r}")
-            if not doc.doc_id:
-                raise MalformedRecord(line_no, "empty doc_id")
-            if doc.doc_id in corpus:
-                raise DuplicateDocId(doc.doc_id)
-            corpus[doc.doc_id] = doc
+    for line_no, (doc_id, title, text) in _id_title_text(path, _split_doc):
+        if not doc_id:
+            raise MalformedRecord(line_no, "empty doc_id")
+        if doc_id in corpus:
+            raise DuplicateDocId(doc_id)
+        corpus[doc_id] = Document(doc_id, title, text)
     return corpus
 
 
-def load_queries(path: str, format: str = "jsonl") -> list[Query]:
+def load_queries(path: str) -> list[Query]:
     """Load queries in file order."""
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if format == "jsonl":
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-                if "_id" not in obj or "text" not in obj:
-                    raise MalformedRecord(line_no, "missing '_id' or 'text' field")
-                query = Query(str(obj["_id"]), str(obj["text"]))
-            elif format == "tsv":
-                cols = line.split("\t", 1)
-                if len(cols) != 2:
-                    raise MalformedRecord(line_no, "expected 'id<TAB>text'")
-                query = Query(cols[0], cols[1])
-            else:
-                raise ValueError(f"unsupported query format: {format!r}")
-            if not query.query_id:
-                raise MalformedRecord(line_no, "empty query_id")
-            if not query.text.strip():
-                raise MalformedRecord(line_no, "blank query text")
-            if query.query_id in seen:
-                raise DuplicateQueryId(query.query_id)
-            seen.add(query.query_id)
-            queries.append(query)
+    for line_no, (query_id, _, text) in _id_title_text(path, _split_query):
+        if not query_id:
+            raise MalformedRecord(line_no, "empty query_id")
+        if not text.strip():
+            raise MalformedRecord(line_no, "blank query text")
+        if query_id in seen:
+            raise DuplicateQueryId(query_id)
+        seen.add(query_id)
+        queries.append(Query(query_id, text))
     return queries
 
 
 def load_qrels(path: str) -> Qrels:
     """Load TREC qrels; relevance-0 entries are kept (explicit non-relevant)."""
     qrels: Qrels = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            cols = line.split()
-            if len(cols) != 4:
-                raise MalformedRecord(line_no, f"expected 'qid iter docid rel', got {len(cols)} fields")
-            entry = _parse_qrel(cols, line_no)
-            per_query = qrels.setdefault(entry.query_id, {})
-            if entry.doc_id in per_query:
-                raise MalformedRecord(line_no, f"duplicate qrel for ({entry.query_id}, {entry.doc_id})")
-            per_query[entry.doc_id] = entry.relevance
+    for line_no, line in _records(path):
+        cols = line.split()
+        if len(cols) != 4:
+            raise MalformedRecord(line_no, f"expected 'qid iter docid rel', got {len(cols)} fields")
+        query_id, _, doc_id, rel = cols
+        try:
+            relevance = int(rel)
+        except ValueError as exc:
+            raise MalformedRecord(line_no, f"non-integer relevance {rel!r}") from exc
+        if relevance < 0:
+            raise NegativeRelevance(f"line {line_no}: relevance {relevance} < 0")
+        per_query = qrels.setdefault(query_id, {})
+        if doc_id in per_query:
+            raise MalformedRecord(line_no, f"duplicate qrel for ({query_id}, {doc_id})")
+        per_query[doc_id] = relevance
     return qrels
 
 
-def _parse_qrel(cols: list[str], line_no: int) -> QrelEntry:
-    try:
-        rel = int(cols[3])
-    except ValueError as exc:
-        raise MalformedRecord(line_no, f"non-integer relevance {cols[3]!r}") from exc
-    if rel < 0:
-        raise NegativeRelevance(f"line {line_no}: relevance {rel} < 0")
-    return QrelEntry(cols[0], cols[2], rel)
-
-
 def write_run_file(path: str, runs: list[RankedList], tag: str) -> None:
-    """Write a TREC run file; query order and within-query order preserved."""
+    """Write a TREC run file; query order and within-query order preserved.
+
+    A field that is empty or holds whitespace would not read back, so it is refused first.
+    """
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag {tag!r} must be non-empty and hold no whitespace")
     for run in runs:
         run.validate()
+        for name in (run.query_id, *run.doc_ids()):
+            if name.split() != [name]:
+                raise PreconditionViolation(
+                    f"id {name!r} in ranked list for {run.query_id!r} is empty or holds whitespace"
+                )
     with open(path, "w", encoding="utf-8") as f:
         for run in runs:
             for rank, (doc_id, score) in enumerate(run.entries, 1):
@@ -212,25 +217,24 @@ def write_run_file(path: str, runs: list[RankedList], tag: str) -> None:
 
 
 def read_run_file(path: str) -> list[RankedList]:
-    """Read a TREC run file back into RankedLists, in file order."""
+    """Read a TREC run file into RankedLists in file order; a query's lines must be contiguous."""
     runs: list[RankedList] = []
-    current: RankedList | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            cols = line.split()
-            if len(cols) != 6:
-                raise MalformedRecord(line_no, f"expected 6 run-file fields, got {len(cols)}")
-            qid, _, doc_id, _, score, _ = cols
-            try:
-                value = float(score)
-            except ValueError as exc:
-                raise MalformedRecord(line_no, f"non-numeric score {score!r}") from exc
-            if current is None or current.query_id != qid:
-                current = RankedList(qid)
-                runs.append(current)
-            current.entries.append((doc_id, value))
+    seen: set[str] = set()
+    for line_no, line in _records(path):
+        cols = line.split()
+        if len(cols) != 6:
+            raise MalformedRecord(line_no, f"expected 6 run-file fields, got {len(cols)}")
+        qid, _, doc_id, _, score, _ = cols
+        try:
+            value = float(score)
+        except ValueError as exc:
+            raise MalformedRecord(line_no, f"non-numeric score {score!r}") from exc
+        if not runs or runs[-1].query_id != qid:
+            if qid in seen:
+                raise MalformedRecord(line_no, f"lines of query {qid!r} are not contiguous")
+            seen.add(qid)
+            runs.append(RankedList(qid))
+        runs[-1].entries.append((doc_id, value))
     for run in runs:
         run.validate()
     return runs

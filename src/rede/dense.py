@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .corpus import RankedList, _top_k, tokenize
+from .corpus import RankedList, _records, _top_k, tokenize
 from .errors import (
     BackendUnavailable,
     DimMismatch,
@@ -101,8 +101,7 @@ def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseInd
         raise SizeMismatch(
             f"vectors file is {actual} bytes, expected {expected} ({count} x {dim} float32)"
         )
-    with open(id_file, "r", encoding="utf-8") as f:
-        ids = [line.rstrip("\n") for line in f if line.strip()]
+    ids = [line for _, line in _records(id_file)]
     return build_dense_index(ids, np.fromfile(vectors_path, dtype="<f4").reshape(count, dim))
 
 

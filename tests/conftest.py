@@ -32,11 +32,14 @@ def http_server():
             state["requests"].append(body)
             status, payload = state["handler"](body)
             data = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client hung up (e.g. timed out); nobody is left to reply to
 
         def log_message(self, *args):
             pass

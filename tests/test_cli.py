@@ -205,6 +205,22 @@ def test_malformed_index_files_exit_2(workspace, capsys):
     assert "sparse index" in err and "manifest" in err
 
 
+def test_non_utf8_corpus_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(b"\x80\x81")
+    assert run_command(["index-sparse", "--corpus", str(corpus),
+                        "--out", str(tmp_path / "sparse.idx")]) == 2
+    assert "corpus.bin is not UTF-8" in capsys.readouterr().err
+
+
+def test_tag_with_whitespace_exits_1(workspace, capsys):
+    out = workspace / "run.trec"
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--tag", "my run", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: run tag 'my run'")
+    assert not out.exists()
+
+
 def test_eval(workspace, capsys):
     run_path = workspace / "run.trec"
     report_path = workspace / "report.json"

@@ -15,11 +15,11 @@ from rede.pipeline import PipelineConfig
 
 DOCS = [("d1", "apple banana fruit"), ("d2", "satellite launch orbit"), ("d3", "market trading")]
 
-# the run-config keys accepted before defaults moved into the classes each section builds
+# every run-config key; there is no format key, since corpus and query files show their format
 ACCEPTED_KEYS = {
-    "paths.corpus", "paths.corpus_format", "paths.queries", "paths.queries_format",
-    "paths.qrels", "paths.embeddings_manifest", "paths.embeddings_vectors",
-    "paths.sparse_index", "paths.judge_templates_dir", "paths.hyde_templates_dir",
+    "paths.corpus", "paths.queries", "paths.qrels", "paths.embeddings_manifest",
+    "paths.embeddings_vectors", "paths.sparse_index", "paths.judge_templates_dir",
+    "paths.hyde_templates_dir",
     "pipeline.initial_retriever", "pipeline.k_initial", "pipeline.max_kstar",
     "pipeline.default_policy", "pipeline.output_depth", "pipeline.llm_max_workers",
     "fusion.alpha", "fusion.pool_depth",
@@ -107,6 +107,16 @@ def test_invalid_json_and_missing_file(tmp_path):
         load_run_config(str(bad))
     with pytest.raises(ConfigError, match="config file not found"):
         load_run_config(str(tmp_path / "absent.json"))
+
+
+def test_non_utf8_config_exits_2(data, capsys):
+    config = data / "utf16.json"
+    config.write_text(json.dumps({"paths": _paths(data)}), encoding="utf-16")
+    with pytest.raises(ConfigError, match="invalid config JSON"):
+        load_run_config(str(config))
+    assert run_command(["search", "--config", str(config), "--method", "bm25",
+                        "--out", str(data / "run.trec")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid config JSON")
 
 
 @pytest.mark.parametrize("cfg, method", [

@@ -1,7 +1,12 @@
+import json
+import os
+
+import numpy as np
 import pytest
 
 from rede.corpus import (
     Document,
+    Query,
     RankedList,
     load_corpus,
     load_qrels,
@@ -10,6 +15,7 @@ from rede.corpus import (
     tokenize,
     write_run_file,
 )
+from rede.dense import load_bundle, write_embeddings
 from rede.errors import (
     DuplicateDocId,
     DuplicateQueryId,
@@ -74,7 +80,7 @@ class TestLoadCorpus:
     def test_tsv_two_and_three_columns(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("d1\tbody one\nd2\tTitle\tbody two\n")
-        corpus = load_corpus(str(path), "tsv")
+        corpus = load_corpus(str(path))
         assert corpus["d1"] == Document("d1", "", "body one")
         assert corpus["d2"] == Document("d2", "Title", "body two")
 
@@ -94,7 +100,7 @@ class TestLoadQueries:
     def test_tsv(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\twhat is bm25\n")
-        queries = load_queries(str(path), "tsv")
+        queries = load_queries(str(path))
         assert queries[0].query_id == "q1"
         assert queries[0].text == "what is bm25"
 
@@ -107,18 +113,18 @@ class TestLoadQueries:
         path = tmp_path / "q.tsv"
         path.write_text("q1\t   \n")
         with pytest.raises(MalformedRecord):
-            load_queries(str(path), "tsv")
+            load_queries(str(path))
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\ta\nq1\tb\n")
         with pytest.raises(DuplicateQueryId):
-            load_queries(str(path), "tsv")
+            load_queries(str(path))
 
     def test_file_order_preserved(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q9\tnine\nq1\tone\nq5\tfive\n")
-        assert [q.query_id for q in load_queries(str(path), "tsv")] == ["q9", "q1", "q5"]
+        assert [q.query_id for q in load_queries(str(path))] == ["q9", "q1", "q5"]
 
 
 class TestLoadQrels:
@@ -148,6 +154,92 @@ class TestLoadQrels:
         path.write_text("q1 0 d1 1\nq1 0 d1 2\n")
         with pytest.raises(MalformedRecord):
             load_qrels(str(path))
+
+
+def _load_bundle_ids(path: str):
+    """load_bundle over a one-row bundle whose manifest names path as its id file."""
+    manifest = write_embeddings(os.path.join(os.path.dirname(path), "emb"), ["d1"],
+                                np.zeros((1, 2), dtype=np.float32))
+    with open(manifest, encoding="utf-8") as f:
+        meta = json.load(f)
+    meta["id_file"] = path
+    with open(manifest, "w", encoding="utf-8") as f:
+        json.dump(meta, f)
+    return load_bundle(manifest)
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "reader", [load_corpus, load_queries, load_qrels, read_run_file, _load_bundle_ids]
+    )
+    def test_non_utf8_is_malformed(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\x80\x81")
+        with pytest.raises(MalformedRecord, match="bad.txt is not UTF-8"):
+            reader(str(path))
+
+    @pytest.mark.parametrize("loader", [load_corpus, load_queries])
+    @pytest.mark.parametrize("line", ["5", "null", "[1]", '"x"'])
+    def test_jsonl_line_must_be_an_object(self, tmp_path, loader, line):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"_id":"a","text":"x"}\n' + line + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            loader(str(path))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("loader, jsonl, tsv", [
+        (load_corpus,
+         '{"_id":"d1","title":"T1","text":"one"}\n{"_id":"d2","title":"T2","text":"two"}\n',
+         "d1\tT1\tone\nd2\tT2\ttwo\n"),
+        (load_corpus,
+         '{"_id":"d1","text":"one"}\n{"_id":"d2","text":"two"}\n',
+         "d1\tone\nd2\ttwo\n"),
+        (load_queries,
+         '{"_id":"q2","text":"two"}\n{"_id":"q1","text":"one"}\n',
+         "q2\ttwo\nq1\tone\n"),
+    ])
+    def test_jsonl_and_tsv_load_equal(self, tmp_path, loader, jsonl, tsv):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_text(jsonl)
+        b.write_text(tsv)
+        assert loader(str(a)) == loader(str(b))
+
+    def test_format_read_from_first_record(self, tmp_path):
+        path = tmp_path / "q"
+        path.write_text('\n{"_id":"q1","text":"x"}\n')
+        assert load_queries(str(path)) == [Query("q1", "x")]
+        path.write_text("q1\t{not json}\n")
+        assert load_queries(str(path)) == [Query("q1", "{not json}")]
+
+    def test_tsv_id_starting_with_brace_reads_as_jsonl(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("{d1\tbody\n")
+        with pytest.raises(MalformedRecord, match="invalid JSON"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_corpus, '{"_id":"d1","title":"T","text":"a"}\n\n{"_id":"d2","text":"b"}\n'),
+        (load_corpus, "d1\tT\ta\n\nd2\tb\n"),
+        (load_queries, "q1\tone\nq2\ttwo\n"),
+        (load_qrels, "q1 0 d1 1\nq1 0 d2 0\n"),
+        (read_run_file, "q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.25 t\n"),
+    ])
+    def test_crlf_loads_as_lf(self, tmp_path, loader, text):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert loader(str(crlf)) == loader(str(lf))
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_corpus, '{"_id":"d1","text":"a"}\n'),
+        (load_corpus, "d1\ta\n"),
+        (load_qrels, "q1 0 d1 1\n"),
+    ])
+    def test_byte_order_mark_skipped(self, tmp_path, loader, text):
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert loader(str(bom)) == loader(str(plain))
 
 
 class TestRunFile:
@@ -194,3 +286,25 @@ class TestRunFile:
         path2 = tmp_path / "run2.trec"
         write_run_file(str(path2), loaded, "t")
         assert path2.read_text() == path.read_text()
+
+    def test_split_query_block_rejected(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.8 t\nq1 Q0 d2 2 0.5 t\n")
+        with pytest.raises(MalformedRecord, match="'q1' are not contiguous") as exc:
+            read_run_file(str(path))
+        assert exc.value.line_no == 3
+
+    def test_bad_tag_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "run.trec"
+        for tag in ("my run", "", "tab\there"):
+            with pytest.raises(ValueError, match="run tag"):
+                write_run_file(str(path), [RankedList("q1", [("d1", 0.5)])], tag)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("query_id, doc_id", [("q 1", "d1"), ("", "d1"), ("q1", "d\n1"),
+                                                  ("q1", "")])
+    def test_bad_id_rejected_before_writing(self, tmp_path, query_id, doc_id):
+        path = tmp_path / "run.trec"
+        with pytest.raises(PreconditionViolation, match="whitespace"):
+            write_run_file(str(path), [RankedList(query_id, [(doc_id, 0.5)])], "t")
+        assert not path.exists()
