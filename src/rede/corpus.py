@@ -9,7 +9,8 @@ File formats:
   run     - ``qid Q0 docid rank score tag``, rank from 1, score %.6f; a
             query's lines are contiguous and no field holds whitespace
 A corpus or query file is JSONL if its first record starts with ``{``,
-and TSV otherwise.
+and TSV otherwise. A JSONL ``_id`` is a string or an integer, ``text`` a
+string, and ``title`` a string, null or absent.
 """
 
 from __future__ import annotations
@@ -90,11 +91,19 @@ class RankedList:
 def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int) -> RankedList:
     """The k best of ``rows`` by descending score, ties broken by ascending doc_id.
 
-    Row i is ``doc_ids[i]``. Both ``doc_ids`` and ``rows`` must be ascending, so
-    a stable sort on descending score keeps tied rows in doc-id order.
+    Row i is ``doc_ids[i]``. Both ``doc_ids`` and ``rows`` must be ascending.
+    ``np.partition`` finds the k-th best score; only the rows that tie or beat
+    it are stable-sorted on descending score, which keeps tied rows in doc-id
+    order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
+    last, as by the full sort) must survive when the k-th score is NaN.
     """
-    best = rows[np.argsort(-scores[rows], kind="stable")[:k]]
-    return RankedList("", [(doc_ids[i], float(scores[i])) for i in best.tolist()])
+    neg = -scores[rows]
+    if 0 < k < len(rows):
+        kth = np.partition(neg, k - 1)[k - 1]
+        keep = ~(neg > kth)
+        rows, neg = rows[keep], neg[keep]
+    best = rows[np.argsort(neg, kind="stable")[:k]]
+    return RankedList("", list(zip([doc_ids[i] for i in best.tolist()], scores[best].tolist())))
 
 
 Corpus = dict[str, Document]
@@ -109,7 +118,7 @@ def _records(path: str) -> Iterator[tuple[int, str]]:
                 if not line.isspace():  # never "": a file yields no empty line
                     yield line_no, line.rstrip("\n")
     except UnicodeDecodeError as exc:
-        raise MalformedRecord(0, f"{path} is not UTF-8 text: {exc}") from exc
+        raise MalformedRecord(None, f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _id_title_text(path: str, split_tsv: Callable) -> Iterator[tuple[int, tuple[str, str, str]]]:
@@ -123,12 +132,18 @@ def _id_title_text(path: str, split_tsv: Callable) -> Iterator[tuple[int, tuple[
             continue
         try:
             obj = json.loads(line)
-            fields = str(obj["_id"]), str(obj.get("title", "") or ""), str(obj["text"])
         except json.JSONDecodeError as exc:
             raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-        except (TypeError, KeyError) as exc:  # a JSON value other than an object, or a key missing
-            raise MalformedRecord(line_no, "expected a JSON object with '_id' and 'text'") from exc
-        yield line_no, fields
+        if not isinstance(obj, dict) or "_id" not in obj or "text" not in obj:
+            raise MalformedRecord(line_no, "expected a JSON object with '_id' and 'text'")
+        record_id, title, text = obj["_id"], obj.get("title"), obj["text"]
+        if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+            raise MalformedRecord(line_no, "'_id' must be a JSON string or integer")
+        if not isinstance(text, str):
+            raise MalformedRecord(line_no, "'text' must be a JSON string")
+        if title is not None and not isinstance(title, str):
+            raise MalformedRecord(line_no, "'title' must be a JSON string or null")
+        yield line_no, (str(record_id), title or "", text)
 
 
 def _split_doc(line_no: int, line: str) -> tuple[str, str, str]:

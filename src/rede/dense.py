@@ -94,7 +94,7 @@ def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseInd
         id_file = os.path.join(base, manifest["id_file"])
         vectors_path = vectors_path or os.path.join(base, manifest["vectors_file"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedRecord(0, f"bad manifest {manifest_path}: {exc!r}") from exc
+        raise MalformedRecord(None, f"bad manifest {manifest_path}: {exc!r}") from exc
     expected = count * dim * 4
     actual = os.path.getsize(vectors_path)
     if dim < 1 or count < 0 or actual != expected:
@@ -121,6 +121,8 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int,
     q = np.asarray(query_vector)
     if q.shape != (index.dim,):
         raise DimMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
+    if not np.isfinite(q).all():
+        raise NonFiniteVector("query vector holds a NaN or inf")
     scores = index.vectors @ q
     if similarity == "cosine":
         norms = np.linalg.norm(index.vectors, axis=1) * (np.linalg.norm(q) or 1.0)

@@ -8,8 +8,10 @@ class RedeError(Exception):
 # --- data loading / serialization ---------------------------------------
 
 class MalformedRecord(RedeError):
-    def __init__(self, line_no: int, message: str = "malformed record"):
-        super().__init__(f"line {line_no}: {message}")
+    """A bad record at ``line_no``, or a fault of the whole file when it is None."""
+
+    def __init__(self, line_no: int | None, message: str = "malformed record"):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 

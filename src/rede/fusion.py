@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import RankedList
+from .corpus import RankedList, _top_k
 from .dense import DenseIndex, dense_search
 from .sparse import SparseIndex, sparse_search
 
@@ -40,15 +40,15 @@ def normalize_scores(entries: RankedList) -> RankedList:
 
 
 def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k: int) -> RankedList:
-    """Fuse two already-retrieved candidate lists; ties break by ascending doc_id."""
+    """Fuse two already-retrieved candidate lists; ``_top_k`` ranks the union, ties by ascending doc_id."""
     sparse_norm = dict(normalize_scores(sparse_results).entries)
     dense_norm = dict(normalize_scores(dense_results).entries)
-    fused = {
-        doc_id: alpha * sparse_norm.get(doc_id, 0.0) + (1 - alpha) * dense_norm.get(doc_id, 0.0)
-        for doc_id in set(sparse_norm) | set(dense_norm)
-    }
-    ranked = sorted(fused.items(), key=lambda pair: (-pair[1], pair[0]))
-    return RankedList(sparse_results.query_id or dense_results.query_id, ranked[:k])
+    doc_ids = sorted(sparse_norm.keys() | dense_norm.keys())
+    fused = np.array([alpha * sparse_norm.get(doc_id, 0.0) + (1 - alpha) * dense_norm.get(doc_id, 0.0)
+                      for doc_id in doc_ids], dtype=np.float64)
+    result = _top_k(doc_ids, fused, np.arange(len(doc_ids)), k)
+    result.query_id = sparse_results.query_id or dense_results.query_id
+    return result
 
 
 def hybrid_search(

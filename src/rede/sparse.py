@@ -124,10 +124,10 @@ def load_sparse_index(path: str) -> SparseIndex:
         data = f.read()
     start = len(_MAGIC) + _PREAMBLE.size
     if data[: len(_MAGIC)] != _MAGIC or len(data) < start:
-        raise MalformedRecord(0, f"{path} is not a sparse index file")
+        raise MalformedRecord(None, f"{path} is not a sparse index file")
     version, header_len = _PREAMBLE.unpack_from(data, len(_MAGIC))
     if version != _VERSION:
-        raise MalformedRecord(0, f"unsupported index version {version}; rebuild it with rede index-sparse")
+        raise MalformedRecord(None, f"unsupported index version {version}; rebuild it with rede index-sparse")
     try:
         header = json.loads(data[start : start + header_len])
         ids, terms, df = header["ids"], header["terms"], [int(n) for n in header["df"]]
@@ -136,13 +136,13 @@ def load_sparse_index(path: str) -> SparseIndex:
             raise ValueError("terms and document frequencies disagree")
         declared = 4 * (len(ids) + 2 * sum(df))
     except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedRecord(0, f"bad sparse index header: {exc!r}") from exc
+        raise MalformedRecord(None, f"bad sparse index header: {exc!r}") from exc
     body = data[start + header_len :]
     if len(body) != declared:
-        raise MalformedRecord(0, f"sparse index body is {len(body)} bytes, not the declared size")
+        raise MalformedRecord(None, f"sparse index body is {len(body)} bytes, not the declared size")
     values = np.frombuffer(body, dtype="<i4")
     pairs = values[len(ids) :].reshape(-1, 2)
     if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < len(ids):
-        raise MalformedRecord(0, "sparse index posting row out of range")
+        raise MalformedRecord(None, "sparse index posting row out of range")
     postings = dict(zip(terms, np.split(pairs, np.cumsum(df)[:-1])))
     return SparseIndex(ids, values[: len(ids)], postings, avgdl, k1, b)

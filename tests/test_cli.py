@@ -213,6 +213,16 @@ def test_non_utf8_corpus_exits_2(tmp_path, capsys):
     assert "corpus.bin is not UTF-8" in capsys.readouterr().err
 
 
+def test_whole_file_fault_names_no_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(b"\x80\x81")
+    assert run_command(["index-sparse", "--corpus", str(corpus),
+                        "--out", str(tmp_path / "sparse.idx")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus} is not UTF-8")
+    assert "line 0" not in err
+
+
 def test_tag_with_whitespace_exits_1(workspace, capsys):
     out = workspace / "run.trec"
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",

@@ -1,13 +1,16 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rede.corpus import (
     Document,
     Query,
     RankedList,
+    _top_k,
     load_corpus,
     load_qrels,
     load_queries,
@@ -187,6 +190,40 @@ class TestRecords:
             loader(str(path))
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("loader", [load_corpus, load_queries])
+    @pytest.mark.parametrize("fields", [
+        '"_id": null, "text": "x"',
+        '"_id": 1.0, "text": "x"',
+        '"_id": true, "text": "x"',
+        '"_id": ["a"], "text": "x"',
+        '"_id": "a", "text": null',
+        '"_id": "a", "text": ["x"]',
+        '"_id": "a", "text": 5',
+        '"_id": "a", "title": 5, "text": "x"',
+        '"_id": "a", "title": false, "text": "x"',
+        '"_id": "a", "title": ["t"], "text": "x"',
+    ])
+    def test_jsonl_field_of_wrong_type_is_malformed(self, tmp_path, loader, fields):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"_id": "b", "text": "y"}\n{' + fields + "}\n")
+        with pytest.raises(MalformedRecord, match="^line 2: ") as exc:
+            loader(str(path))
+        assert exc.value.line_no == 2
+
+    def test_jsonl_integer_id_and_null_title(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"_id": 7, "title": null, "text": "x"}\n{"_id": "d8", "title": "T", "text": "y"}\n')
+        assert load_corpus(str(path)) == {"7": Document("7", "", "x"), "d8": Document("d8", "T", "y")}
+        assert load_queries(str(path)) == [Query("7", "x"), Query("d8", "y")]
+
+    def test_whole_file_fault_names_no_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\x80\x81")
+        with pytest.raises(MalformedRecord) as exc:
+            load_corpus(str(path))
+        assert exc.value.line_no is None
+        assert str(exc.value).startswith(f"{path} is not UTF-8")
+
     @pytest.mark.parametrize("loader, jsonl, tsv", [
         (load_corpus,
          '{"_id":"d1","title":"T1","text":"one"}\n{"_id":"d2","title":"T2","text":"two"}\n',
@@ -240,6 +277,48 @@ class TestRecords:
         plain.write_bytes(text.encode())
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert loader(str(bom)) == loader(str(plain))
+
+
+SPECIAL_SCORES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+
+
+def score_bits(entries):
+    """Entries with each score as its IEEE bytes, so NaN and the sign of zero compare exactly."""
+    return [(doc_id, struct.pack("<d", score)) for doc_id, score in entries]
+
+
+def full_sort_top_k(doc_ids, scores, rows, k):
+    """The full stable sort on descending score that ``_top_k`` must equal."""
+    best = rows[np.argsort(-scores[rows], kind="stable")][:k]
+    return [(doc_ids[i], float(scores[i])) for i in best.tolist()]
+
+
+class TestTopK:
+    def test_matches_full_stable_sort(self):
+        # pools of a few values tie heavily; NaN sorts last, -0.0 ties 0.0
+        rng = np.random.default_rng(29)
+        pools = [SPECIAL_SCORES, [0.5, 0.25, 0.0, -0.0], list(np.round(rng.normal(size=8), 1)) + [np.nan]]
+        for trial in range(240):
+            n = int(rng.integers(0, 40))
+            scores = rng.choice(pools[trial % 3], size=n)
+            if trial % 4 == 3:
+                scores = scores.astype(np.float32)
+            doc_ids = sorted(f"d{i}" for i in rng.choice(20000, size=n, replace=False))
+            rows = np.flatnonzero(rng.random(n) < 0.6) if trial % 5 else np.arange(n)
+            for k in range(1, n + 2):
+                expected = full_sort_top_k(doc_ids, scores, rows, k)
+                assert score_bits(_top_k(doc_ids, scores, rows, k).entries) == score_bits(expected)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SPECIAL_SCORES) | st.floats(width=32), max_size=30), st.data())
+    def test_property_matches_full_stable_sort(self, values, data):
+        scores = np.array(values, dtype=np.float64)
+        n = len(values)
+        doc_ids = [f"d{i:02d}" for i in range(n)]
+        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, n + 1))
+        expected = full_sort_top_k(doc_ids, scores, rows, k)
+        assert score_bits(_top_k(doc_ids, scores, rows, k).entries) == score_bits(expected)
 
 
 class TestRunFile:

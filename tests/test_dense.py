@@ -74,6 +74,14 @@ class TestIngest:
         with pytest.raises((MalformedRecord, SizeMismatch)):
             load_bundle(manifest)
 
+    def test_bad_manifest_names_no_line(self, bundle):
+        manifest, _ = bundle
+        with open(manifest, "w") as f:
+            f.write("[]")
+        with pytest.raises(MalformedRecord, match="^bad manifest") as exc:
+            load_bundle(manifest)
+        assert exc.value.line_no is None
+
     def test_non_finite(self, tmp_path):
         vectors = np.array([[np.nan, 1.0]], dtype=np.float32)
         manifest = write_embeddings(str(tmp_path), ["d1"], vectors)
@@ -135,6 +143,12 @@ class TestSearch:
         index = build_dense_index(["d1"], np.ones((1, 2), dtype=np.float32))
         with pytest.raises(DimMismatch):
             dense_search(index, np.ones(3, dtype=np.float32), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, bad):
+        index = build_dense_index(["d1", "d2"], np.eye(2, dtype=np.float32))
+        with pytest.raises(NonFiniteVector):
+            dense_search(index, np.array([bad, 0.0], dtype=np.float32), 2)
 
     def test_prefix_property(self):
         rng = np.random.default_rng(5)

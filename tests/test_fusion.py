@@ -61,6 +61,32 @@ class TestFuse:
             assert rank_after <= rank_before
 
 
+def tied_leg(rng, ids):
+    """A ranked list over a random subset of ids with scores from {0, 1, 2}."""
+    chosen = rng.permutation(ids)[: rng.integers(1, len(ids) + 1)]
+    return RankedList("q", sorted(((str(d), float(rng.integers(0, 3))) for d in chosen), key=lambda p: -p[1]))
+
+
+class TestFuseOrder:
+    def test_matches_sorted_reference_at_every_k(self):
+        # few distinct scores tie heavily; "d1000" < "d10000" < "d1001" as strings
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            ids = [f"d{n}" for n in rng.choice(20000, size=int(rng.integers(1, 20)), replace=False)]
+            ids = list(dict.fromkeys(ids + ["d10000", "d1001", "d1000"]))
+            sparse, dense = tied_leg(rng, ids), tied_leg(rng, ids)
+            alpha = [0.0, 0.5, 1.0, float(rng.uniform(0, 1))][int(rng.integers(0, 4))]
+            sparse_norm = dict(normalize_scores(sparse).entries)
+            dense_norm = dict(normalize_scores(dense).entries)
+            fused = {d: alpha * sparse_norm.get(d, 0.0) + (1 - alpha) * dense_norm.get(d, 0.0)
+                     for d in sparse_norm.keys() | dense_norm.keys()}
+            expected = sorted(fused.items(), key=lambda p: (-p[1], p[0]))
+            for k in range(1, len(fused) + 2):
+                out = fuse(sparse, dense, alpha, k)
+                assert out.query_id == "q"
+                assert out.entries == expected[:k]
+
+
 def build_random_instance(rng, n_docs=12):
     vocab = [f"w{i}" for i in range(10)]
     corpus = {}

@@ -13,6 +13,7 @@ from rede.errors import (
     DimMismatch,
     EmptyRelevantSet,
     JudgeUnavailable,
+    NonFiniteVector,
 )
 from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
@@ -497,6 +498,19 @@ class TestRequiredComponents:
             engine.search("rede", QUERY, default_policy="hyde_prf")
         engine.dense_index = None  # a rerank over a sparse first stage reads no embeddings
         assert engine.search("rerank", QUERY)[1].path_taken == "rerank"
+
+
+class TestNonFiniteQueryVector:
+    @pytest.mark.parametrize("retriever, method", [
+        ("dense", "dense"), ("dense", "hybrid"), ("dense", "avgprf"), ("hybrid", "avgprf"),
+        ("sparse", "avgprf"), ("hybrid", "rede"), ("sparse", "rede"), ("hybrid", "rerank"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raises_typed_error(self, retriever, method, bad):
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever=retriever)
+        engine.encoder = TableEncoder({QUERY.text: vec(bad, 0.0)}, 2)
+        with pytest.raises(NonFiniteVector):
+            engine.search(method, QUERY)
 
 
 class TestTraces:

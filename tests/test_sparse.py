@@ -226,6 +226,14 @@ class TestSerialization:
         with pytest.raises((MalformedRecord, SizeMismatch)):
             load_sparse_index(str(path))
 
+    def test_file_level_fault_names_no_line(self, tmp_path):
+        path = tmp_path / "junk.idx"
+        path.write_bytes(b"not an index")
+        with pytest.raises(MalformedRecord, match="junk.idx is not a sparse index file") as exc:
+            load_sparse_index(str(path))
+        assert exc.value.line_no is None
+        assert not str(exc.value).startswith("line")
+
     def test_version_1_file_must_be_rebuilt(self, tmp_path):
         payload = json.dumps({"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": 1},
                               "avg_doc_length": 1.0, "doc_count": 1, "k1": 0.9, "b": 0.4}).encode()
