@@ -8,6 +8,7 @@ error. ``--trace`` writes one JSON trace per query alongside the run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -179,8 +180,9 @@ def _cmd_export_distill(args) -> int:
 
 
 def _cmd_judge(args) -> int:
+    """The rerank row's first stage and judge, or the judge alone over --run's candidates."""
     cfg = _load_cfg(args)
-    engine = cfgmod.build_engine(cfg, "judge")
+    engine = cfgmod.build_engine(cfg, "rerank")
     queries = _load_query_set(cfg)
     candidate_runs = None
     if args.run:
@@ -188,19 +190,15 @@ def _cmd_judge(args) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         total = 0
         for query in queries:
-            if candidate_runs is not None:
-                candidates = candidate_runs.get(query.query_id)
-                if candidates is None:
-                    continue
+            if candidate_runs is None:
+                judgments = engine.search("rerank", query)[1].judgments
+            elif query.query_id in candidate_runs:
+                judgments = judge_candidates(engine.judge, query, candidate_runs[query.query_id],
+                                             engine.doc_texts, engine.config.llm_max_workers)
             else:
-                candidates = engine.initial_retrieval(query)
-            for j in judge_candidates(
-                engine.judge, query, candidates, engine.doc_texts, engine._llm_workers()
-            ):
-                f.write(json.dumps({
-                    "query_id": j.query_id, "doc_id": j.doc_id,
-                    "p_relevant": j.p_relevant, "label": j.label,
-                }) + "\n")
+                continue
+            for j in judgments:
+                f.write(json.dumps(dataclasses.asdict(j)) + "\n")
                 total += 1
     print(f"wrote {total} judgments -> {args.out}")
     return 0

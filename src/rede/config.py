@@ -6,6 +6,8 @@ builds, and a key the file does not set keeps that class's default:
 
   * ``pipeline`` -> ``PipelineConfig``, ``fusion`` -> ``FusionConfig``,
     ``hyde`` -> ``HydeConfig`` (all fields but ``templates_dir``);
+    ``pipeline.llm_max_workers`` alone sets how many judge calls or HyDE
+    samples of one query are in flight;
   * ``judge``, ``gateway`` and ``encoder`` pick a class by ``backend``
     (first listed is the default) and take that class's keys from
     ``_BACKENDS``: judge ``llm`` -> ``LlmJudge``, ``oracle`` ->
@@ -54,7 +56,7 @@ class _Backend(NamedTuple):
     needs: tuple[str, str] | None = None  # (argument it cannot do without, where it is set)
 
 
-_GATEWAY_KEYS = ("retries", "backoff_s", "parallelism")
+_GATEWAY_KEYS = ("retries", "backoff_s")
 _BACKENDS = {
     "judge": {
         "llm": _Backend(LlmJudge, ("template_id", "positive_token", "negative_token",
@@ -160,7 +162,7 @@ def _build(cfg: dict, section: str, **supplied):
 
 
 def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
-    """Load data and assemble a SearchEngine for the given method (``judge``: a judge only)."""
+    """Load data and assemble a SearchEngine with what the given method needs."""
     paths = cfg["paths"]
     pipeline_cfg = _construct("pipeline", PipelineConfig, **cfg["pipeline"])
     fusion_cfg = _construct("fusion", FusionConfig, **cfg["fusion"])
@@ -179,9 +181,7 @@ def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
         dense_index = load_bundle(_require_path(cfg, "embeddings_manifest"), paths["embeddings_vectors"])
 
     qrels = load_qrels(_require_path(cfg, "qrels")) if paths["qrels"] else None
-    needs = ["judge"] if method == "judge" else required_components(
-        method, pipeline_cfg.initial_retriever, pipeline_cfg.default_policy
-    )
+    needs = required_components(method, pipeline_cfg.initial_retriever, pipeline_cfg.default_policy)
     judge_takes = _backend(cfg, "judge")[1].takes if "judge" in needs else ()
     gateway = _build(cfg, "gateway") if "gateway" in needs or "gateway" in judge_takes else None
     judge = None

@@ -4,7 +4,8 @@ The on-disk bundle is three files: raw little-endian float32 vectors
 (row-major), a JSON manifest ``{"dim": D, "count": N, "id_file": ...}``,
 and a newline-separated doc-id file. In memory, rows are held in ascending
 doc-id order whatever the order of the id file. Search is exact brute force
-by inner product (cosine behind a flag); ties break by ascending doc_id.
+by inner product; ties break by ascending doc_id. A score that is not
+finite (float32 overflow of finite vectors) is an error, not a rank.
 """
 
 from __future__ import annotations
@@ -113,9 +114,8 @@ def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
     return index.vectors[row]
 
 
-def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int,
-                 similarity: str = "dot") -> RankedList:
-    """Top-k by inner product (or cosine), ties broken by ascending doc_id."""
+def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedList:
+    """Top-k by inner product, ties broken by ascending doc_id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = np.asarray(query_vector)
@@ -124,11 +124,8 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int,
     if not np.isfinite(q).all():
         raise NonFiniteVector("query vector holds a NaN or inf")
     scores = index.vectors @ q
-    if similarity == "cosine":
-        norms = np.linalg.norm(index.vectors, axis=1) * (np.linalg.norm(q) or 1.0)
-        scores = np.divide(scores, norms, out=np.zeros_like(scores, dtype=np.float64), where=norms > 0)
-    elif similarity != "dot":
-        raise ValueError(f"unsupported similarity: {similarity!r}")
+    if not np.isfinite(scores).all():
+        raise NonFiniteVector("inner product overflows: a score is NaN or inf")
     return _top_k(index.ids, scores, np.arange(index.count), k)
 
 

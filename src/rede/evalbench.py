@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,16 +49,6 @@ class LatencyReport:
             "p95_ms": self.p95_ms,
             "llm_call_counts": {"judge": self.judge_calls, "generation": self.generation_calls},
         }
-
-
-@dataclass
-class DistillRecord:
-    query_id: str
-    query_text: str
-    target_vector: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"query_id": self.query_id, "text": self.query_text, "target": self.target_vector}
 
 
 def _gain(rel: int, gain: str) -> float:
@@ -151,11 +141,8 @@ def export_distill_dataset(engine, queries: Sequence[Query], out_path: str) -> i
             _, trace = engine.search("rede", query, default_policy="none")
             if trace.path_taken != "rede" or trace.refined_vector is None:
                 continue
-            record = DistillRecord(
-                query.query_id,
-                query.text,
-                [float(np.float32(x)) for x in trace.refined_vector],
-            )
-            f.write(json.dumps(record.to_dict()) + "\n")
+            target = [float(np.float32(x)) for x in trace.refined_vector]
+            record = {"query_id": query.query_id, "text": query.text, "target": target}
+            f.write(json.dumps(record) + "\n")
             written += 1
     return written

@@ -85,13 +85,12 @@ class HttpGateway:
     """Completion backend over HTTP; chat-template wrapping is server-side."""
 
     def __init__(self, url: str, model: str = "completion-model", timeout: float = 60.0,
-                 retries: int = 3, backoff_s: float = 0.25, parallelism: int = 1):
+                 retries: int = 3, backoff_s: float = 0.25):
         self.url = url
         self.model = model
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
-        self.parallelism = parallelism
         self.counter = CallCounter()
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
@@ -125,14 +124,12 @@ class MockGateway:
     """Deterministic scripted backend; replays entries by prompt substring."""
 
     def __init__(self, script: list[dict], logprob_delay_s: float = 0.0,
-                 text_delay_s: float = 0.0, retries: int = 3, backoff_s: float = 0.0,
-                 parallelism: int = 1):
+                 text_delay_s: float = 0.0, retries: int = 3, backoff_s: float = 0.0):
         self.script = script
         self.logprob_delay_s = logprob_delay_s
         self.text_delay_s = text_delay_s
         self.retries = retries
         self.backoff_s = backoff_s
-        self.parallelism = parallelism
         self.counter = CallCounter()
 
     @classmethod

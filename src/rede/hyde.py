@@ -4,6 +4,8 @@ Prompts live in ``templates/hyde/`` as ``{family}.txt`` (no context) and
 ``{family}_context.txt`` (top retrieved documents prepended as context,
 the pseudo-relevance-feedback variant). Each invocation draws
 ``n_samples`` independent completions at the configured temperature.
+Given context documents, the prompt holds the first ``context_docs`` of
+them (0: all given); given none, it is the plain form.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class HydeConfig:
     temperature: float = 0.7
     max_new_tokens: int = 512
     task_template: str = "web_search"
-    context_docs: int = 0  # 0 = no context form
+    context_docs: int = 0  # at most this many context documents; 0 = all given
     max_context_doc_tokens: int = 128
     templates_dir: str | None = None  # None: templates shipped in-package
 
@@ -33,6 +35,12 @@ class HydeConfig:
             raise ValueError("n_samples must be >= 1")
         if self.context_docs < 0:
             raise ValueError("context_docs must be >= 0")
+        if self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be >= 1")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_context_doc_tokens < 0:
+            raise ValueError("max_context_doc_tokens must be >= 0")
         load_template("hyde", self.task_template, self.templates_dir)  # fail at construction
 
 
@@ -60,12 +68,12 @@ def generate_hypothetical_docs(
 ) -> list[str]:
     """Sample n_samples hypothetical documents, in sample-index order.
 
-    An empty completion is retried once and then dropped with a warning;
-    if every sample ends up empty, AllSamplesEmpty is raised.
+    ``context_texts`` are ranked documents, best first; none, or an empty
+    list, gives the plain prompt. An empty completion is retried once and
+    then dropped with a warning; if every sample ends up empty,
+    AllSamplesEmpty is raised.
     """
-    context = None
-    if context_texts and config.context_docs > 0:
-        context = context_texts[: config.context_docs]
+    context = context_texts[: config.context_docs or None] if context_texts else None
     prompt = render_hyde_prompt(
         config.task_template, query_text, context, config.max_context_doc_tokens,
         config.templates_dir,

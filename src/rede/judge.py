@@ -141,6 +141,10 @@ class LlmJudge:
         templates_dir: str | None = None,
     ):
         load_template("judge", template_id, templates_dir)  # fail at construction, not per call
+        if top_logprobs < 1:
+            raise ValueError("top_logprobs must be >= 1")
+        if max_doc_tokens < 0:
+            raise ValueError("max_doc_tokens must be >= 0")
         defaults = DEFAULT_TOKENS.get(template_id, ("1", "0"))
         self.gateway = gateway
         self.template_id = template_id

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +95,7 @@ class PipelineConfig:
     max_kstar: int | None = None  # None: use k_initial
     default_policy: str = "encoder_only"
     output_depth: int = 1000
-    llm_max_workers: int = 1
+    llm_max_workers: int = 1  # the LLM fan-out: judge calls and HyDE samples in flight per query
 
     def __post_init__(self) -> None:
         if self.initial_retriever not in INITIAL_RETRIEVERS:
@@ -106,6 +106,8 @@ class PipelineConfig:
             raise ConfigError("k_initial must be >= 1")
         if self.output_depth < 1:
             raise ConfigError("output_depth must be >= 1")
+        if self.llm_max_workers < 1:
+            raise ConfigError("llm_max_workers must be >= 1")
         if self.max_kstar is None:
             self.max_kstar = self.k_initial
         if not 1 <= self.max_kstar <= self.k_initial:
@@ -232,21 +234,10 @@ class SearchEngine:
         self.hyde_config = hyde_config or HydeConfig()
         self.doc_texts = {doc_id: doc.search_text for doc_id, doc in corpus.items()}
 
-    def encode_query(self, text: str) -> np.ndarray:
-        return self.encoder.encode([text])[0]
-
     def _require(self, what: str, needs: list[str]) -> None:
         missing = [name.replace("_", " ") for name in needs if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"{what} requires a {' and a '.join(missing)}")
-
-    def initial_retrieval(self, query: Query, query_vec: np.ndarray | None = None) -> RankedList:
-        """The configured first stage at k_initial."""
-        retriever = self.config.initial_retriever
-        self._require(f"{retriever} retrieval", _INDEXES[retriever])
-        if query_vec is None and retriever != "sparse":
-            query_vec = self.encode_query(query.text)
-        return self._retrieve(retriever, self.config.k_initial, query, query_vec)
 
     def _retrieve(self, retriever: str, depth: int, query: Query, qvec: np.ndarray | None) -> RankedList:
         if retriever == "sparse":
@@ -260,16 +251,11 @@ class SearchEngine:
         result.query_id = query.query_id
         return result
 
-    def _llm_workers(self) -> int:
-        workers = self.config.llm_max_workers
-        return max(min(workers, getattr(self.gateway, "parallelism", workers)), 1)
-
     def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList | None) -> np.ndarray:
-        context, hyde_cfg = None, self.hyde_config
-        if candidates is not None:
-            context = [self.doc_texts.get(d, "") for d in candidates.doc_ids()]
-            hyde_cfg = replace(hyde_cfg, context_docs=hyde_cfg.context_docs or self.config.k_initial)
-        docs = generate_hypothetical_docs(self.gateway, hyde_cfg, query.text, context, self._llm_workers())
+        context = None if candidates is None else [
+            self.doc_texts.get(d, "") for d in candidates.doc_ids()]
+        docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query.text, context,
+                                          self.config.llm_max_workers)
         return mean_update(qvec, list(self.encoder.encode(docs)))
 
     def search(self, method: str, query: Query, default_policy: str | None = None
@@ -288,7 +274,7 @@ class SearchEngine:
             qvec = None
             if retriever in ("dense", "hybrid") or row.final == "dense":
                 with run.stage("encode"):
-                    qvec = self.encode_query(query.text)
+                    qvec = self.encoder.encode([query.text])[0]
             if retriever is not None:
                 with run.stage("initial_retrieval"):
                     trace.candidates = self._retrieve(retriever, depth, query, qvec)
@@ -301,7 +287,7 @@ class SearchEngine:
                 with run.stage("judge"):
                     try:
                         trace.judgments = judge_candidates(
-                            self.judge, query, candidates, self.doc_texts, self._llm_workers()
+                            self.judge, query, candidates, self.doc_texts, cfg.llm_max_workers
                         )
                     except JudgeUnavailable:
                         if policy is None:

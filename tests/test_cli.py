@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import rede.cli
+import rede.pipeline
 from rede.cli import run_command
 from rede.config import GATEWAY_URL_ENV, load_run_config
 from rede.corpus import read_run_file
@@ -283,22 +286,59 @@ def test_judge_subcommand(workspace):
     assert all(r["label"] is True for r in records)
 
 
-def test_judge_workers_capped_by_gateway_parallelism(workspace, monkeypatch):
-    config = json.loads((workspace / "config.json").read_text())
-    config["pipeline"]["llm_max_workers"] = 4
-    config["gateway"]["parallelism"] = 1
-    (workspace / "config.json").write_text(json.dumps(config))
-    workers, judge_candidates = [], rede.cli.judge_candidates
+def _script_judge(workspace, entries):
+    """Put judge replies ahead of the workspace's mock script entries."""
+    script = workspace / "mock_script.json"
+    script.write_text(json.dumps(entries + json.loads(script.read_text())))
 
-    def recording(backend, query, candidates, doc_texts, max_workers=1):
-        workers.append(max_workers)
-        return judge_candidates(backend, query, candidates, doc_texts, max_workers)
 
-    monkeypatch.setattr(rede.cli, "judge_candidates", recording)
-    assert run_command([
-        "judge", "--config", str(workspace / "config.json"), "--out", str(workspace / "j.jsonl"),
-    ]) == 0
-    assert workers == [1] * len(QUERIES)
+def test_judge_writes_the_rerank_judgments(workspace):
+    _script_judge(workspace, [
+        {"match_substring": "Document: apple", "first_token_logprobs": {"1": -0.3, "0": -1.9}},
+        {"match_substring": "Document: satellite", "first_token_logprobs": {"x": -0.1}},
+        {"match_substring": "Document: stock", "first_token_logprobs": {"1": -2.2, "0": -0.2}},
+    ])
+    config, trace, out = (str(workspace / name) for name in ("config.json", "t.jsonl", "j.jsonl"))
+    assert run_command(["search", "--config", config, "--method", "rerank",
+                        "--out", str(workspace / "r.trec"), "--trace", trace]) == 0
+    assert run_command(["judge", "--config", config, "--out", out]) == 0
+    traces = [json.loads(line) for line in Path(trace).read_text().splitlines()]
+    expected = [{"query_id": t["query_id"], **j} for t in traces for j in t["judgments"]]
+    assert [json.loads(line) for line in Path(out).read_text().splitlines()] == expected
+    assert len({r["p_relevant"] for r in expected}) == 3  # the scripted replies all show
+    assert "d6" not in {r["doc_id"] for r in expected}  # its reply names neither token
+
+
+def test_judge_exits_2_when_no_candidate_can_be_judged(workspace, capsys):
+    _script_judge(workspace, [{"match_substring": 'Output "1" if the passage',
+                               "first_token_logprobs": {"x": -0.1}}])
+    assert run_command(["judge", "--config", str(workspace / "config.json"),
+                        "--out", str(workspace / "j.jsonl")]) == 2
+    assert "candidates failed" in capsys.readouterr().err
+
+
+def test_judge_fans_out_llm_max_workers(workspace, monkeypatch):
+    config = workspace / "config.json"
+    settings = json.loads(config.read_text())
+    settings["pipeline"]["llm_max_workers"] = 3
+    config.write_text(json.dumps(settings))
+    calls = []
+    for module in (rede.pipeline, rede.cli):
+        def recording(backend, query, candidates, doc_texts, max_workers=1,
+                      name=module.__name__, judge_candidates=module.judge_candidates):
+            calls.append((name, max_workers))
+            return judge_candidates(backend, query, candidates, doc_texts, max_workers)
+
+        monkeypatch.setattr(module, "judge_candidates", recording)
+    judge = ["judge", "--config", str(config), "--out", str(workspace / "j.jsonl")]
+    assert run_command(judge) == 0
+    assert calls == [("rede.pipeline", 3)] * len(QUERIES)
+    run_path = workspace / "cands.trec"
+    assert run_command(["search", "--config", str(config), "--method", "bm25",
+                        "--out", str(run_path)]) == 0
+    calls.clear()
+    assert run_command(judge + ["--run", str(run_path)]) == 0
+    assert calls == [("rede.cli", 3)] * len(QUERIES)
 
 
 def test_judge_over_run_file(workspace):
@@ -319,3 +359,15 @@ def test_env_var_overrides_gateway_url(workspace, monkeypatch):
     monkeypatch.setenv(GATEWAY_URL_ENV, "http://example.invalid:9")
     cfg = load_run_config(str(workspace / "config.json"))
     assert cfg["gateway"]["url"] == "http://example.invalid:9"
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command-line interface\n\n```\n(.*?)```", readme, re.S).group(1)
+    parser = rede.cli._build_parser()
+    commands = set()
+    for line in block.splitlines():
+        argv = re.sub(r"[\[\]]", "", line.split("#")[0]).split()
+        assert argv[0] == "rede"
+        commands.add(parser.parse_args(argv[1:]).command)  # an unknown flag raises
+    assert commands == set(rede.cli._COMMANDS)

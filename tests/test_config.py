@@ -28,7 +28,7 @@ ACCEPTED_KEYS = {
     "judge.backend", "judge.template_id", "judge.positive_token", "judge.negative_token",
     "judge.threshold", "judge.max_doc_tokens", "judge.top_logprobs",
     "gateway.backend", "gateway.url", "gateway.model", "gateway.timeout", "gateway.retries",
-    "gateway.backoff_s", "gateway.parallelism", "gateway.mock_script",
+    "gateway.backoff_s", "gateway.mock_script",
     "gateway.logprob_delay_s", "gateway.text_delay_s",
     "encoder.backend", "encoder.dim", "encoder.url",
 }
@@ -80,6 +80,7 @@ def test_accepted_key_set_is_unchanged():
     ({"bogus": {}}, "'bogus'"),
     ({"judge": {"bogus": 1}}, "'judge.bogus'"),  # bm25 never builds a judge
     ({"hyde": {"templates_dir": "t"}}, "'hyde.templates_dir'"),  # set by paths.hyde_templates_dir
+    ({"gateway": {"parallelism": 4}}, "'gateway.parallelism'"),  # pipeline.llm_max_workers sets it
 ])
 def test_unknown_key_rejected_at_load(data, cfg, key, capsys):
     path = _config_file(data, {"paths": _paths(data), **cfg})
@@ -139,6 +140,26 @@ def test_bad_value_exits_2_without_traceback(data, cfg, method, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_HTTP_GATEWAY = {"backend": "http", "url": "http://127.0.0.1:9"}  # built, never called
+
+
+@pytest.mark.parametrize("sections, method, message", [
+    ({"judge": {"top_logprobs": 0}}, "rede", "top_logprobs must be >= 1"),
+    ({"judge": {"max_doc_tokens": -1}}, "rerank", "max_doc_tokens must be >= 0"),
+    ({"hyde": {"max_new_tokens": 0}}, "hyde", "max_new_tokens must be >= 1"),
+    ({"hyde": {"temperature": -0.5}}, "hyde", "temperature must be >= 0"),
+    ({"hyde": {"max_context_doc_tokens": -1}}, "hyde-prf", "max_context_doc_tokens must be >= 0"),
+    ({"pipeline": {"llm_max_workers": 0}}, "rede", "llm_max_workers must be >= 1"),
+])
+def test_bad_llm_parameter_rejected_at_build(data, sections, method, message, capsys):
+    path = _config_file(data, {"paths": _paths(data), "gateway": _HTTP_GATEWAY, **sections})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_engine(load_run_config(path), method)
+    argv = ["search", "--config", path, "--method", method, "--out", str(data / "run.trec")]
+    assert run_command(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sections, method, message", [
     ({"gateway": {"backend": "http"}}, "hyde",
      f"gateway.backend 'http' needs gateway.url (or {GATEWAY_URL_ENV})"),
@@ -168,7 +189,7 @@ def test_backend_defaults_come_from_the_constructor(data):
                            "encoder": {"backend": "http", "url": "http://127.0.0.1:9"}}, "hyde")
     gateway = engine.gateway
     assert isinstance(gateway, HttpGateway)
-    assert (gateway.model, gateway.parallelism, gateway.backoff_s) == ("completion-model", 1, 0.25)
+    assert (gateway.model, gateway.backoff_s) == ("completion-model", 0.25)
     assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.dim is None  # inferred
     mock = _build(data, {"gateway": {"backend": "mock", "mock_script": str(data / "mock.json"),
                                      "url": "ignored by the mock backend"}}, "hyde").gateway

@@ -184,17 +184,14 @@ class TestSearch:
             scores = dict(result.entries)
             assert scores[f"d{i}"] == pytest.approx(float(vectors[i] @ vectors[i]), rel=1e-6)
 
-    def test_cosine_flag(self):
-        index = build_dense_index(
-            ["big", "small"], np.array([[10, 0], [0.9, 0.1]], dtype=np.float32)
-        )
-        q = np.array([1.0, 0.2], dtype=np.float32)
-        by_dot = dense_search(index, q, 2, similarity="dot").doc_ids()
-        by_cos = dense_search(index, q, 2, similarity="cosine").doc_ids()
-        assert by_dot[0] == "big"          # magnitude dominates inner product
-        assert by_cos == by_dot or by_cos[0] == "small"
-        scores = dict(dense_search(index, q, 2, similarity="cosine").entries)
-        assert all(-1.0 - 1e-6 <= s <= 1.0 + 1e-6 for s in scores.values())
+    @pytest.mark.parametrize("rows, query", [
+        ([[1e30, -1e30], [1.0, 0.0]], [1e30, 1e30]),  # inf - inf: NaN
+        ([[3e38, 3e38], [1.0, 0.0]], [1.0, 1.0]),  # sum past float32 max: inf
+    ])
+    def test_overflowing_score_raises(self, rows, query):
+        index = build_dense_index(["d1", "d2"], np.array(rows, dtype=np.float32))
+        with pytest.raises(NonFiniteVector):
+            dense_search(index, np.array(query, dtype=np.float32), 2)
 
 
 class TestHashingEncoder:

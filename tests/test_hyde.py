@@ -109,11 +109,19 @@ class TestGenerate:
         docs = generate_hypothetical_docs(captured, cfg, "q", ["AAA text", "BBB text", "CCC text"])
         assert docs == ["match"]  # exact prompt match: first 2 docs only, in order
 
-    def test_context_docs_zero_means_plain(self):
+    def test_context_docs_zero_means_every_given_doc(self):
+        docs = ["AAA text", "BBB text", "CCC text"]
+        prompt = render_hyde_prompt("web_search", "q", docs)
+        mock = MockGateway([{"match_substring": prompt, "text": "all"}])
+        cfg = HydeConfig(n_samples=1, context_docs=0)
+        assert generate_hypothetical_docs(mock, cfg, "q", docs) == ["all"]
+
+    @pytest.mark.parametrize("context", [None, []])
+    def test_no_context_means_plain(self, context):
         plain_prompt = render_hyde_prompt("web_search", "q")
         mock = MockGateway([{"match_substring": plain_prompt, "text": "plain"}])
-        cfg = HydeConfig(n_samples=1, context_docs=0)
-        assert generate_hypothetical_docs(mock, cfg, "q", ["ignored doc"]) == ["plain"]
+        cfg = HydeConfig(n_samples=1, context_docs=2)
+        assert generate_hypothetical_docs(mock, cfg, "q", context) == ["plain"]
 
     def test_empty_logprob_map_on_a_text_reply_is_ignored(self):
         mock = MockGateway([{"match_substring": "", "text": "a passage", "first_token_logprobs": {}}])

@@ -277,7 +277,7 @@ class TestJudgmentOrderProperty:
                 config=PipelineConfig(initial_retriever="dense", k_initial=n, max_kstar=max_kstar,
                                       output_depth=n),
             )
-            candidates = engine.initial_retrieval(QUERY).doc_ids()
+            candidates = dense_search(dense, QUERY_VEC, n).doc_ids()
             judged = {d for d in candidates if isinstance(probs[d], float) and 0 <= probs[d] <= 1}
             p = {d: probs[d] if d in judged else 0.0 for d in candidates}  # failed or rejected: 0.0
             expected = sorted(candidates, key=lambda d: (-p[d], candidates.index(d)))
@@ -366,8 +366,8 @@ class TestBaselineIdentities:
 
 class TestConcurrency:
     def test_parallel_fanout_matches_serial(self):
-        gateway_serial = MockGateway(JUDGE_ALL_RELEVANT, parallelism=1)
-        gateway_parallel = MockGateway(JUDGE_ALL_RELEVANT, parallelism=8)
+        gateway_serial = MockGateway(JUDGE_ALL_RELEVANT)
+        gateway_parallel = MockGateway(JUDGE_ALL_RELEVANT)
         serial = toy_engine(LlmJudge(gateway_serial), gateway=gateway_serial)
         parallel = toy_engine(LlmJudge(gateway_parallel), gateway=gateway_parallel,
                               llm_max_workers=8)
@@ -381,7 +381,7 @@ class TestConcurrency:
         (JUDGE_NONE_RELEVANT + [{"match_substring": "", "text": "a hypothetical passage"}], (5, 4)),
     ])
     def test_concurrent_queries_count_their_own_calls(self, script, calls):
-        gateway = MockGateway(script, logprob_delay_s=0.002, text_delay_s=0.002, parallelism=4)
+        gateway = MockGateway(script, logprob_delay_s=0.002, text_delay_s=0.002)
         engine = toy_engine(LlmJudge(gateway), gateway=gateway, k_initial=5, llm_max_workers=4)
         engine.encoder.table["a hypothetical passage"] = vec(0.4, 0.4)
         queries = [Query(f"q{i}", QUERY.text) for i in range(20)]
@@ -389,11 +389,6 @@ class TestConcurrency:
             lambda q: engine.search("rede", q, default_policy="hyde_prf"), queries, 4)]
         assert [(t.judge_calls, t.generation_calls) for t in traces] == [calls] * 20
         assert sum(t.llm_calls for t in traces) == gateway.counter.total == 20 * sum(calls)
-
-    def test_workers_capped_by_gateway_parallelism(self):
-        gateway = MockGateway(JUDGE_ALL_RELEVANT, parallelism=2)
-        engine = toy_engine(LlmJudge(gateway), gateway=gateway, llm_max_workers=16)
-        assert engine._llm_workers() == 2
 
 
 class TestRerankSearch:
@@ -509,6 +504,18 @@ class TestNonFiniteQueryVector:
     def test_raises_typed_error(self, retriever, method, bad):
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever=retriever)
         engine.encoder = TableEncoder({QUERY.text: vec(bad, 0.0)}, 2)
+        with pytest.raises(NonFiniteVector):
+            engine.search(method, QUERY)
+
+    @pytest.mark.parametrize("method", ["dense", "hybrid"])
+    def test_overflowing_inner_product_raises_typed_error(self, method):
+        # every vector is finite, but the float32 matmul overflows to inf and inf - inf
+        ids = ["d1", "d2"]
+        corpus = {d: Document(d, "", "alpha beta") for d in ids}
+        dense = build_dense_index(ids, np.array([[1e30, -1e30], [1.0, 0.0]], dtype=np.float32))
+        engine = SearchEngine(corpus, build_sparse_index(corpus), dense,
+                              TableEncoder({QUERY.text: vec(1e30, 1e30)}, 2),
+                              config=PipelineConfig(initial_retriever="dense", output_depth=2))
         with pytest.raises(NonFiniteVector):
             engine.search(method, QUERY)
 
