@@ -61,11 +61,16 @@ class Query:
 class RankedList:
     """Ordered (doc_id, score) results for one query.
 
-    Invariants: scores non-increasing, doc_ids distinct.
+    Invariants: scores non-increasing, doc_ids distinct. A list that
+    ``_top_k`` ranked also carries its ``hits``: the id list it ranked over,
+    and the rows and scores of its entries, so fusion can work on rows.
+    Hits describe the entries as ranked; set them to None to edit entries.
     """
 
     query_id: str
     entries: list[tuple[str, float]] = field(default_factory=list)
+    hits: tuple[Sequence[str], np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -91,7 +96,9 @@ class RankedList:
 def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int) -> RankedList:
     """The k best of ``rows`` by descending score, ties broken by ascending doc_id.
 
-    Row i is ``doc_ids[i]``. Both ``doc_ids`` and ``rows`` must be ascending.
+    Row i is ``doc_ids[i]`` and scores ``scores[i]``. Both ``doc_ids`` and
+    ``rows`` must be ascending. The result keeps its hits: ``(doc_ids, best
+    rows, their scores)``; tuples are built only for those k entries.
     ``np.partition`` finds the k-th best score; only the rows that tie or beat
     it are stable-sorted on descending score, which keeps tied rows in doc-id
     order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
@@ -103,7 +110,9 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int)
         keep = ~(neg > kth)
         rows, neg = rows[keep], neg[keep]
     best = rows[np.argsort(neg, kind="stable")[:k]]
-    return RankedList("", list(zip([doc_ids[i] for i in best.tolist()], scores[best].tolist())))
+    top = scores[best]
+    return RankedList("", list(zip([doc_ids[i] for i in best.tolist()], top.tolist())),
+                      (doc_ids, best, top))
 
 
 Corpus = dict[str, Document]

@@ -123,7 +123,8 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedL
         raise DimMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
     if not np.isfinite(q).all():
         raise NonFiniteVector("query vector holds a NaN or inf")
-    scores = index.vectors @ q
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteVector below
+        scores = index.vectors @ q
     if not np.isfinite(scores).all():
         raise NonFiniteVector("inner product overflows: a score is NaN or inf")
     return _top_k(index.ids, scores, np.arange(index.count), k)

@@ -51,6 +51,10 @@ class SizeMismatch(RedeError):
     pass
 
 
+class IndexMismatch(RedeError):
+    """An index does not list exactly the corpus's doc ids."""
+
+
 class NonFiniteVector(RedeError):
     pass
 

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import Qrels, Query, RankedList, tokenize
-from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownTemplate
+from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownDocId, UnknownTemplate
 from .gateway import CompletionRequest, complete
 
 log = logging.getLogger(__name__)
@@ -226,19 +226,23 @@ def judge_candidates(
 ) -> list[RelevanceJudgment]:
     """Judge every candidate once; the judgments come back in candidate order.
 
-    A candidate whose call fails (JudgeUnavailable, or a reply without
-    logprobs) is skipped with a warning; the call fails only if every
-    candidate fails. Transport errors propagate.
+    A candidate missing from ``doc_texts`` raises UnknownDocId before any
+    call is made. A candidate whose call fails (JudgeUnavailable, or a reply
+    without logprobs) is skipped with a warning; the call fails only if
+    every candidate fails. Transport errors propagate.
     """
 
     def judge_one(doc_id: str) -> RelevanceJudgment | None:
         try:
-            return score_relevance(backend, query, doc_id, doc_texts.get(doc_id, ""))
+            return score_relevance(backend, query, doc_id, doc_texts[doc_id])
         except (JudgeUnavailable, LogprobsUnsupported) as exc:
             log.warning("skipping %s for query %s: %s", doc_id, query.query_id, exc)
             return None
 
     ids = candidates.doc_ids()
+    unknown = next((doc_id for doc_id in ids if doc_id not in doc_texts), None)
+    if unknown is not None:
+        raise UnknownDocId(unknown)
     judgments = [j for j in map_in_order(judge_one, ids, max_workers) if j is not None]
     if ids and not judgments:
         raise JudgeUnavailable(f"all {len(ids)} candidates failed for query {query.query_id}")

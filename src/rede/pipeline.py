@@ -15,17 +15,19 @@ candidates, judgments, per-stage wall times and LLM call counts.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Query, RankedList
 from .dense import DenseIndex, dense_search, fetch_embedding
-from .errors import ConfigError, DimMismatch, EmptyRelevantSet, JudgeUnavailable
+from .errors import ConfigError, DimMismatch, EmptyRelevantSet, IndexMismatch, JudgeUnavailable
 from .fusion import FusionConfig, hybrid_search
 from .gateway import QUERY_CALLS, CallCounter
 from .hyde import HydeConfig, generate_hypothetical_docs
@@ -163,7 +165,7 @@ def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndar
         if np.asarray(v).shape != q.shape:
             raise DimMismatch(f"mean update: vector shape {np.asarray(v).shape} != query shape {q.shape}")
     stacked = np.vstack([q] + [np.asarray(v, dtype=np.float32) for v in vectors]).astype(np.float64)
-    totals = np.array([math.fsum(stacked[:, d]) for d in range(stacked.shape[1])])
+    totals = np.array(list(map(math.fsum, stacked.T.tolist())))
     return (totals / stacked.shape[0]).astype(np.float32)
 
 
@@ -208,8 +210,29 @@ class _QueryRun:
             times[name] = times.get(name, 0.0) + (time.perf_counter() - t0)
 
 
+def _check_index_ids(name: str, index_ids: list[str], corpus: Corpus) -> None:
+    """Raise IndexMismatch unless the index lists exactly the corpus's ids, ascending.
+
+    It walks the ids in place: a sorted copy of them would add to resident memory.
+    """
+    ascending = all(map(operator.lt, index_ids, itertools.islice(index_ids, 1, None)))
+    if ascending and len(index_ids) == len(corpus) and all(map(corpus.__contains__, index_ids)):
+        return
+    listed = set(index_ids)
+    extra = sorted(listed - corpus.keys())[:3]
+    missing = sorted(corpus.keys() - listed)[:3]
+    detail = (f"{extra} not in the corpus" if extra else f"corpus ids {missing} missing" if missing
+              else "ids repeated or out of ascending order")
+    raise IndexMismatch(f"{name} ids are not the corpus ids: {detail}")
+
+
 class SearchEngine:
-    """All retrieval methods over one corpus, sharing indices and backends."""
+    """All retrieval methods over one corpus, sharing indices and backends.
+
+    Each index must list exactly the corpus's doc ids (``IndexMismatch``
+    otherwise); the engine's indexes then share one id list, so both legs of
+    the hybrid first stage rank the same rows.
+    """
 
     def __init__(
         self,
@@ -223,6 +246,12 @@ class SearchEngine:
         fusion_config: FusionConfig | None = None,
         hyde_config: HydeConfig | None = None,
     ):
+        if sparse_index is not None:
+            _check_index_ids("sparse index", sparse_index.doc_ids, corpus)
+        if dense_index is not None:
+            _check_index_ids("dense index", dense_index.ids, corpus)
+            if sparse_index is not None:
+                dense_index = replace(dense_index, ids=sparse_index.doc_ids)
         self.corpus = corpus
         self.sparse_index = sparse_index
         self.dense_index = dense_index
@@ -252,8 +281,7 @@ class SearchEngine:
         return result
 
     def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList | None) -> np.ndarray:
-        context = None if candidates is None else [
-            self.doc_texts.get(d, "") for d in candidates.doc_ids()]
+        context = None if candidates is None else [self.doc_texts[d] for d in candidates.doc_ids()]
         docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query.text, context,
                                           self.config.llm_max_workers)
         return mean_update(qvec, list(self.encoder.encode(docs)))

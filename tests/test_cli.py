@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 import rede.cli
+import rede.judge
 import rede.pipeline
 from rede.cli import run_command
 from rede.config import GATEWAY_URL_ENV, load_run_config
-from rede.corpus import read_run_file
+from rede.corpus import load_corpus, read_run_file
+from rede.dense import HashingEncoder, write_embeddings
 from rede.sparse import load_sparse_index
 
 DOCS = [
@@ -353,6 +355,39 @@ def test_judge_over_run_file(workspace):
         "--run", str(run_path), "--out", str(out),
     ]) == 0
     assert out.read_text().strip()
+
+
+def test_judge_run_naming_an_unknown_doc_exits_2_without_a_call(workspace, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(rede.judge, "complete", lambda *args: calls.append(args))
+    run_path = workspace / "cands.trec"
+    run_path.write_text("q1 Q0 d1 1 2.000000 t\nq1 Q0 nosuchdoc 2 1.000000 t\n")
+    assert run_command(["judge", "--config", str(workspace / "config.json"),
+                        "--run", str(run_path), "--out", str(workspace / "j.jsonl")]) == 2
+    assert "nosuchdoc" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["extra bundle id", "missing id", "sparse ids differ"])
+def test_index_ids_other_than_the_corpus_ids_exit_2(workspace, capsys, case):
+    config = json.loads((workspace / "config.json").read_text())
+    corpus = load_corpus(config["paths"]["corpus"])
+    ids = sorted(corpus)
+    if case == "sparse ids differ":
+        partial = workspace / "partial.tsv"
+        partial.write_text("".join(f"{d}\t{corpus[d].text}\n" for d in ids[:-1]))
+        config["paths"]["sparse_index"] = str(workspace / "partial.idx")
+        assert run_command(["index-sparse", "--corpus", str(partial), "--out",
+                            config["paths"]["sparse_index"]]) == 0
+    else:
+        ids = ids + ["zz"] if case == "extra bundle id" else ids[1:]
+        vectors = HashingEncoder(32).encode([corpus[d].text if d in corpus else "zz" for d in ids])
+        config["paths"]["embeddings_manifest"] = write_embeddings(str(workspace / "emb2"), ids, vectors)
+    (workspace / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "hybrid",
+                        "--out", str(workspace / "r.trec")]) == 2
+    assert "are not the corpus ids" in capsys.readouterr().err
 
 
 def test_env_var_overrides_gateway_url(workspace, monkeypatch):

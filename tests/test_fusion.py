@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rede.corpus import Document, RankedList
+from rede.corpus import Document, RankedList, _top_k
 from rede.dense import build_dense_index, dense_search
 from rede.fusion import FusionConfig, fuse, hybrid_search, normalize_scores
 from rede.sparse import build_sparse_index, sparse_search
@@ -85,6 +89,101 @@ class TestFuseOrder:
                 out = fuse(sparse, dense, alpha, k)
                 assert out.query_id == "q"
                 assert out.entries == expected[:k]
+
+
+def parent_normalize(entries):
+    """Min-max normalization as it was before fusion worked on rows: the reference."""
+    if not entries.entries:
+        return RankedList(entries.query_id, [])
+    scores = [s for _, s in entries.entries]
+    lo, hi = min(scores), max(scores)
+    if hi == lo:
+        return RankedList(entries.query_id, [(d, 1.0) for d, _ in entries.entries])
+    return RankedList(entries.query_id, [(d, (s - lo) / (hi - lo)) for d, s in entries.entries])
+
+
+def parent_fuse(sparse_results, dense_results, alpha, k):
+    """``fuse`` as it was before it worked on rows: dicts over doc ids, one float per doc."""
+    sparse_norm = dict(parent_normalize(sparse_results).entries)
+    dense_norm = dict(parent_normalize(dense_results).entries)
+    doc_ids = sorted(sparse_norm.keys() | dense_norm.keys())
+    fused = np.array([alpha * sparse_norm.get(doc_id, 0.0) + (1 - alpha) * dense_norm.get(doc_id, 0.0)
+                      for doc_id in doc_ids], dtype=np.float64)
+    result = _top_k(doc_ids, fused, np.arange(len(doc_ids)), k)
+    result.query_id = sparse_results.query_id or dense_results.query_id
+    return result
+
+
+def bits(ranked):
+    """Query id and entries with each score as its IEEE bytes, so NaN and -0.0 compare exactly."""
+    return ranked.query_id, [(doc_id, struct.pack("<d", score)) for doc_id, score in ranked.entries]
+
+
+# few distinct values tie heavily; the float32 draws stand in for dense scores
+TIED_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+SCORES = TIED_SCORES | st.floats(width=32, allow_nan=False, allow_infinity=False)
+ALPHAS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+class TestFuseOverRows:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sets(st.integers(0, 20000), min_size=1, max_size=25), st.data())
+    def test_hits_and_plain_lists_match_the_parent(self, numbers, data):
+        # ids like "d1000" < "d10000" < "d1001" sort as strings, not as numbers
+        ids = sorted(f"d{n}" for n in numbers)
+        n = len(ids)
+        sparse_scores = np.array(data.draw(st.lists(SCORES, min_size=n, max_size=n)))
+        dense_scores = np.array(data.draw(st.lists(SCORES, min_size=n, max_size=n)), dtype=np.float32)
+        # sparse keeps a subset of rows, possibly none: an empty sparse leg
+        sparse_rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        sparse = _top_k(ids, sparse_scores, sparse_rows, data.draw(st.integers(1, n + 1)))
+        dense = _top_k(ids, dense_scores, np.arange(n), data.draw(st.integers(1, n + 1)))
+        sparse.query_id = dense.query_id = "q"
+        plain_sparse, plain_dense = RankedList("q", list(sparse.entries)), RankedList("q", list(dense.entries))
+        alpha = data.draw(ALPHAS)
+        union = len(set(sparse.doc_ids()) | set(dense.doc_ids()))
+        for k in range(1, union + 2):
+            expected = bits(parent_fuse(plain_sparse, plain_dense, alpha, k))
+            assert bits(fuse(sparse, dense, alpha, k)) == expected
+            assert bits(fuse(plain_sparse, plain_dense, alpha, k)) == expected
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([f"d{i}" for i in (1, 2, 10, 100, 1000, 10000, 1001)]),
+                              TIED_SCORES | st.floats() | st.just(float("nan"))),
+                    max_size=7, unique_by=lambda p: p[0]).map(lambda e: RankedList("q", e)),
+           st.lists(st.tuples(st.sampled_from(["d1", "d3", "d10", "d1000", "d20"]),
+                              TIED_SCORES | st.floats() | st.just(float("nan"))),
+                    max_size=5, unique_by=lambda p: p[0]).map(lambda e: RankedList("", e)),
+           ALPHAS)
+    def test_hand_built_lists_match_the_parent(self, sparse, dense, alpha):
+        # in any order, NaN and inf anywhere: lo and hi are Python min/max in entry order
+        union = len(set(sparse.doc_ids()) | set(dense.doc_ids()))
+        for k in range(1, union + 2):
+            assert bits(fuse(sparse, dense, alpha, k)) == bits(parent_fuse(sparse, dense, alpha, k))
+
+    def test_normalize_matches_the_parent(self):
+        nan = float("nan")
+        for scores in ([3.0, nan, 1.0], [nan, 2.0, 1.0], [nan, nan], [-0.0, 0.0], [np.inf, 1.0, -np.inf],
+                       [1e308, -1e308], [2.0, 2.0], []):
+            entries = RankedList("q", [(f"d{i}", s) for i, s in enumerate(scores)])
+            assert bits(normalize_scores(entries)) == bits(parent_normalize(entries))
+
+    def test_lists_over_different_id_lists_are_renumbered(self):
+        sparse = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 3)
+        dense = _top_k(["b", "c", "d"], np.array([0.5, 0.25, 1.0]), np.arange(3), 3)
+        sparse.query_id = "q"
+        for k in range(1, 6):
+            assert bits(fuse(sparse, dense, 0.25, k)) == bits(parent_fuse(sparse, dense, 0.25, k))
+
+    def test_fused_list_keeps_its_rows(self):
+        ids = ["a", "b", "c", "d"]
+        sparse = _top_k(ids, np.array([0.0, 3.0, 1.0, 2.0]), np.array([1, 2, 3]), 2)
+        dense = _top_k(ids, np.array([1.0, 0.0, 0.5, 0.25], dtype=np.float32), np.arange(4), 2)
+        out = fuse(sparse, dense, 0.5, 3)
+        doc_ids, rows, scores = out.hits
+        assert doc_ids is ids
+        assert [ids[r] for r in rows] == out.doc_ids()
+        assert scores.tolist() == [s for _, s in out.entries]
 
 
 def build_random_instance(rng, n_docs=12):

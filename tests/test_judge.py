@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rede.corpus import Query, RankedList
-from rede.errors import JudgeUnavailable, UnknownTemplate
+from rede.errors import JudgeUnavailable, UnknownDocId, UnknownTemplate
 from rede.gateway import HttpGateway, MockGateway
 from rede.judge import (
     JUDGE_TEMPLATE_IDS,
@@ -248,6 +248,18 @@ class TestJudgeCandidates:
         texts = {d: d for d in ("d1", "d2", "d7", "d9")}
         result = judge_candidates(OracleJudge(qrels), QUERY, candidates("d1", "d2", "d7", "d9"), texts)
         assert sorted(j.doc_id for j in result if j.label) == ["d2", "d7"]
+
+    def test_unknown_candidate_raises_before_any_call(self):
+        calls = []
+
+        class CountingJudge:
+            def p_relevant(self, query, doc_id, doc_text):
+                calls.append(doc_id)
+                return 1.0
+
+        with pytest.raises(UnknownDocId, match="nosuchdoc"):
+            judge_candidates(CountingJudge(), QUERY, candidates("c1", "nosuchdoc"), {"c1": "t1"}, 2)
+        assert calls == []
 
     def test_empty_candidates(self):
         assert judge_candidates(ScriptedJudge({}), QUERY, RankedList("q1", []), {}) == []

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import rede.fusion
 import rede.pipeline
 
 from rede.corpus import Document, Query, RankedList
@@ -12,6 +13,7 @@ from rede.errors import (
     ConfigError,
     DimMismatch,
     EmptyRelevantSet,
+    IndexMismatch,
     JudgeUnavailable,
     NonFiniteVector,
 )
@@ -50,6 +52,18 @@ class TestUpdates:
             shuffled = list(vectors)
             rng.shuffle(shuffled)
             assert mean_update(q, shuffled).tobytes() == base.tobytes()
+
+    def test_matches_per_column_fsum(self):
+        # the reference sums numpy column slices; mean_update sums Python floats
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            scale = 10.0 ** rng.choice([-30, 0, 30])
+            q = (rng.normal(size=5) * scale).astype(np.float32)
+            vectors = [(rng.normal(size=5) * scale).astype(np.float32) for _ in range(rng.integers(1, 21))]
+            stacked = np.vstack([q] + vectors).astype(np.float64)
+            totals = np.array([math.fsum(stacked[:, d]) for d in range(stacked.shape[1])])
+            expected = (totals / stacked.shape[0]).astype(np.float32)
+            assert mean_update(q, vectors).tobytes() == expected.tobytes()
 
     def test_empty_raises(self):
         with pytest.raises(EmptyRelevantSet):
@@ -518,6 +532,46 @@ class TestNonFiniteQueryVector:
                               config=PipelineConfig(initial_retriever="dense", output_depth=2))
         with pytest.raises(NonFiniteVector):
             engine.search(method, QUERY)
+
+
+class TestEngineRowSpace:
+    def test_hybrid_candidates_take_the_row_path(self, monkeypatch):
+        # indexes built apart hold equal but distinct id lists; the engine makes them one
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever="hybrid")
+        shared = []
+
+        def spy(sparse_results, dense_results, alpha, k, fuse=rede.fusion.fuse):
+            shared.append(sparse_results.hits[0] is dense_results.hits[0] is engine.dense_index.ids)
+            return fuse(sparse_results, dense_results, alpha, k)
+
+        monkeypatch.setattr(rede.fusion, "fuse", spy)
+        _, trace = engine.search("rerank", QUERY)
+        run, _ = engine.search("hybrid", QUERY)
+        assert shared == [True, True]
+        for ranked in (trace.candidates, run):
+            assert ranked.hits[0] is engine.sparse_index.doc_ids is engine.dense_index.ids
+
+    @pytest.mark.parametrize("case", ["extra bundle id", "missing id", "renamed bundle id",
+                                      "sparse ids differ", "sparse ids out of order"])
+    def test_index_ids_must_be_the_corpus_ids(self, case):
+        corpus = {d: Document(d, "", DOC_TEXTS[d]) for d in DOC_TEXTS}
+        ids = sorted(DOC_VECTORS)
+        vectors = np.stack([DOC_VECTORS[d] for d in ids])
+        sparse = build_sparse_index(corpus)
+        if case == "extra bundle id":
+            dense, diagnostic = build_dense_index(ids + ["zz"], np.vstack([vectors, vec(0, 1)])), "'zz'"
+        elif case == "missing id":
+            dense, diagnostic = build_dense_index(ids[:-1], vectors[:-1]), "'d6'"
+        elif case == "renamed bundle id":
+            dense, diagnostic = build_dense_index(ids[:-1] + ["zz"], vectors), "'zz'"
+        elif case == "sparse ids differ":
+            dense, diagnostic = build_dense_index(ids, vectors), "sparse index"
+            sparse = build_sparse_index({d: doc for d, doc in corpus.items() if d != "d3"})
+        else:
+            dense, diagnostic = build_dense_index(ids, vectors), "ascending"
+            sparse.doc_ids = sparse.doc_ids[::-1]
+        with pytest.raises(IndexMismatch, match=diagnostic):
+            SearchEngine(corpus, sparse, dense, TableEncoder({}, 2))
 
 
 class TestTraces:
