@@ -47,7 +47,7 @@ hypo_text = "glaciers form when snow compacts into ice over many years"
 gateway = MockGateway([{"match_substring": "", "text": hypo_text}])
 
 config = HydeConfig(n_samples=8, temperature=0.7, max_new_tokens=512)
-docs = generate_hypothetical_docs(gateway, config, "how do glaciers form")
+docs = generate_hypothetical_docs(gateway, config, Query("q1", "how do glaciers form"))
 print(f"sampled {len(docs)} hypothetical documents, {gateway.counter.text_calls} gateway calls")
 
 # refined query = mean of the query vector and the 8 hypothetical vectors

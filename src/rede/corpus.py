@@ -15,10 +15,12 @@ string, and ``title`` a string, null or absent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -57,20 +59,42 @@ class Query:
     text: str
 
 
-@dataclass
 class RankedList:
     """Ordered (doc_id, score) results for one query.
 
     Invariants: scores non-increasing, doc_ids distinct. A list that
-    ``_top_k`` ranked also carries its ``hits``: the id list it ranked over,
-    and the rows and scores of its entries, so fusion can work on rows.
-    Hits describe the entries as ranked; set them to None to edit entries.
+    ``_top_k`` ranked carries its ``hits`` instead of entries: the id list it
+    ranked over, and the rows and scores of its entries, so fusion can work on
+    rows. Its ``entries`` are built from the hits the first time they are
+    read and then kept, so a list nobody reads never builds its pairs.
+    Edit entries only by assigning them, which drops the hits. Equality and
+    repr see only ``query_id`` and ``entries``.
     """
 
-    query_id: str
-    entries: list[tuple[str, float]] = field(default_factory=list)
-    hits: tuple[Sequence[str], np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,
+                 hits: tuple[Sequence[str], np.ndarray, np.ndarray] | None = None):
+        self.query_id = query_id
+        self.hits = hits
+        self._entries = [] if entries is None and hits is None else entries
+
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        if self._entries is None:
+            doc_ids, rows, scores = self.hits
+            self._entries = list(zip([doc_ids[i] for i in rows.tolist()], scores.tolist()))
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries: list[tuple[str, float]]) -> None:
+        self._entries, self.hits = entries, None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.query_id, self.entries) == (other.query_id, other.entries)
+
+    def __repr__(self) -> str:
+        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -93,12 +117,18 @@ class RankedList:
         return [doc_id for doc_id, _ in self.entries]
 
 
+def _strictly_ascending(ids: Sequence[str]) -> bool:
+    """True if every id is less than the next: ascending and distinct. Walks the ids in place."""
+    return all(map(operator.lt, ids, itertools.islice(ids, 1, None)))
+
+
 def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int) -> RankedList:
     """The k best of ``rows`` by descending score, ties broken by ascending doc_id.
 
     Row i is ``doc_ids[i]`` and scores ``scores[i]``. Both ``doc_ids`` and
-    ``rows`` must be ascending. The result keeps its hits: ``(doc_ids, best
-    rows, their scores)``; tuples are built only for those k entries.
+    ``rows`` must be ascending. The result holds only its hits: ``(doc_ids,
+    best rows, their scores)``; its (doc_id, score) pairs are built when its
+    entries are first read.
     ``np.partition`` finds the k-th best score; only the rows that tie or beat
     it are stable-sorted on descending score, which keeps tied rows in doc-id
     order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
@@ -110,9 +140,7 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int)
         keep = ~(neg > kth)
         rows, neg = rows[keep], neg[keep]
     best = rows[np.argsort(neg, kind="stable")[:k]]
-    top = scores[best]
-    return RankedList("", list(zip([doc_ids[i] for i in best.tolist()], top.tolist())),
-                      (doc_ids, best, top))
+    return RankedList("", hits=(doc_ids, best, scores[best]))
 
 
 Corpus = dict[str, Document]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from .corpus import Query
 from .errors import AllSamplesEmpty
 from .gateway import CompletionRequest, complete
 from .judge import HYDE_TASK_FAMILIES, load_template, map_in_order, truncate_tokens
@@ -62,11 +63,11 @@ def render_hyde_prompt(
 def generate_hypothetical_docs(
     gateway,
     config: HydeConfig,
-    query_text: str,
+    query: Query,
     context_texts: list[str] | None = None,
     max_workers: int = 1,
 ) -> list[str]:
-    """Sample n_samples hypothetical documents, in sample-index order.
+    """Sample n_samples hypothetical documents for the query, in sample-index order.
 
     ``context_texts`` are ranked documents, best first; none, or an empty
     list, gives the plain prompt. An empty completion is retried once and
@@ -75,7 +76,7 @@ def generate_hypothetical_docs(
     """
     context = context_texts[: config.context_docs or None] if context_texts else None
     prompt = render_hyde_prompt(
-        config.task_template, query_text, context, config.max_context_doc_tokens,
+        config.task_template, query.text, context, config.max_context_doc_tokens,
         config.templates_dir,
     )
     request = CompletionRequest(
@@ -96,7 +97,7 @@ def generate_hypothetical_docs(
         if text.strip():
             docs.append(text)
         else:
-            log.warning("dropping empty hypothetical document sample %d", i)
+            log.warning("dropping empty hypothetical document sample %d for query %s", i, query.query_id)
     if not docs:
-        raise AllSamplesEmpty(f"all {config.n_samples} samples were empty")
+        raise AllSamplesEmpty(f"all {config.n_samples} samples were empty for query {query.query_id}")
     return docs

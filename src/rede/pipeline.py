@@ -15,9 +15,7 @@ candidates, judgments, per-stage wall times and LLM call counts.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -25,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Query, RankedList
+from .corpus import Corpus, Query, RankedList, _strictly_ascending
 from .dense import DenseIndex, dense_search, fetch_embedding
 from .errors import ConfigError, DimMismatch, EmptyRelevantSet, IndexMismatch, JudgeUnavailable
 from .fusion import FusionConfig, hybrid_search
@@ -215,8 +213,8 @@ def _check_index_ids(name: str, index_ids: list[str], corpus: Corpus) -> None:
 
     It walks the ids in place: a sorted copy of them would add to resident memory.
     """
-    ascending = all(map(operator.lt, index_ids, itertools.islice(index_ids, 1, None)))
-    if ascending and len(index_ids) == len(corpus) and all(map(corpus.__contains__, index_ids)):
+    if (_strictly_ascending(index_ids) and len(index_ids) == len(corpus)
+            and all(map(corpus.__contains__, index_ids))):
         return
     listed = set(index_ids)
     extra = sorted(listed - corpus.keys())[:3]
@@ -278,11 +276,12 @@ class SearchEngine:
                 self.sparse_index, self.dense_index, query.text, qvec, depth, self.fusion_config
             )
         result.query_id = query.query_id
+        result.entries  # build the pairs here, so their cost falls inside search
         return result
 
     def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList | None) -> np.ndarray:
         context = None if candidates is None else [self.doc_texts[d] for d in candidates.doc_ids()]
-        docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query.text, context,
+        docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query, context,
                                           self.config.llm_max_workers)
         return mean_update(qvec, list(self.encoder.encode(docs)))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, RankedList, _top_k, tokenize
+from .corpus import Corpus, RankedList, _strictly_ascending, _top_k, tokenize
 from .errors import EmptyCorpus, MalformedRecord, UnknownDocId
 
 _MAGIC = b"SPIDX"
@@ -134,6 +134,8 @@ def load_sparse_index(path: str) -> SparseIndex:
         k1, b, avgdl = float(header["k1"]), float(header["b"]), float(header["avgdl"])
         if len(terms) != len(df) or min(df, default=1) < 1:
             raise ValueError("terms and document frequencies disagree")
+        if not _strictly_ascending(ids):
+            raise ValueError("ids are not strictly ascending")
         declared = 4 * (len(ids) + 2 * sum(df))
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedRecord(None, f"bad sparse index header: {exc!r}") from exc

@@ -320,6 +320,44 @@ class TestTopK:
         expected = full_sort_top_k(doc_ids, scores, rows, k)
         assert score_bits(_top_k(doc_ids, scores, rows, k).entries) == score_bits(expected)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sets(st.integers(0, 20000), max_size=30), st.data())
+    def test_lazy_entries_match_a_sort_on_score_then_doc_id(self, numbers, data):
+        # ids like "d1000" < "d10000" < "d1001" sort as strings, not as numbers
+        doc_ids = sorted(f"d{n}" for n in numbers)
+        n = len(doc_ids)
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf])
+                                             | st.floats(allow_nan=False), min_size=n, max_size=n)))
+        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, n + 1))
+        ranked = _top_k(doc_ids, scores, rows, k)
+        assert ranked._entries is None  # nothing built until the entries are read
+        expected = sorted(((doc_ids[i], float(scores[i])) for i in rows.tolist()),
+                          key=lambda pair: (-pair[1], pair[0]))[:k]
+        assert score_bits(ranked.entries) == score_bits(expected)
+        assert ranked.entries is ranked.entries  # built once, then kept
+        assert ranked.hits[0] is doc_ids
+
+
+class TestRankedList:
+    def test_hits_left_out_of_equality_and_repr(self):
+        ranked = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
+        plain = RankedList("", [("b", 3.0), ("c", 2.0)])
+        assert ranked == plain and plain == ranked
+        assert repr(ranked) == repr(plain) == "RankedList(query_id='', entries=[('b', 3.0), ('c', 2.0)])"
+        assert ranked != RankedList("q", [("b", 3.0), ("c", 2.0)])
+
+    def test_assigning_entries_drops_hits(self):
+        ranked = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
+        ranked.entries = [("c", 2.0)]
+        assert ranked.hits is None
+        assert ranked.entries == [("c", 2.0)] and ranked.doc_ids() == ["c"]
+
+    def test_default_entries_are_an_empty_list(self):
+        first, second = RankedList("q"), RankedList("q")
+        first.entries.append(("d1", 1.0))
+        assert second.entries == [] and first.hits is None
+
 
 class TestRunFile:
     def test_format(self, tmp_path):

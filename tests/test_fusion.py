@@ -186,6 +186,30 @@ class TestFuseOverRows:
         assert scores.tolist() == [s for _, s in out.entries]
 
 
+# Any finite score of at most half the largest float64: min-max over scores spread wider
+# than the largest float64 divides inf by inf and gives NaN, which the parent gave too
+# (``test_normalize_matches_the_parent`` pins it with [1e308, -1e308]).
+HALF_MAX = float(np.finfo(np.float64).max) / 2
+FINITE = TIED_SCORES | st.floats(-HALF_MAX, HALF_MAX)
+
+
+class TestFusedBounds:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sets(st.integers(0, 20000), min_size=1, max_size=25), st.floats(0, 1), st.data())
+    def test_fused_scores_lie_in_the_unit_interval(self, numbers, alpha, data):
+        ids = sorted(f"d{n}" for n in numbers)
+        n = len(ids)
+        sparse_scores = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        dense_scores = np.array(data.draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                                   min_size=n, max_size=n)), dtype=np.float32)
+        sparse_rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        sparse = _top_k(ids, sparse_scores, sparse_rows, data.draw(st.integers(1, n + 1)))
+        dense = _top_k(ids, dense_scores, np.arange(n), data.draw(st.integers(1, n + 1)))
+        for legs in ((sparse, dense), (RankedList("q", sparse.entries), RankedList("q", dense.entries))):
+            fused = fuse(*legs, alpha, 2 * n)
+            assert all(0.0 <= score <= 1.0 for _, score in fused.entries)
+
+
 def build_random_instance(rng, n_docs=12):
     vocab = [f"w{i}" for i in range(10)]
     corpus = {}

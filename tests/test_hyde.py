@@ -1,5 +1,6 @@
 import pytest
 
+from rede.corpus import Query
 from rede.errors import AllSamplesEmpty, UnknownTemplate
 from rede.gateway import MockGateway
 from rede.hyde import (
@@ -80,10 +81,13 @@ class TestConfig:
             HydeConfig(task_template="missing", templates_dir=str(tmp_path))
 
 
+QUERY = Query("q1", "q")
+
+
 class TestGenerate:
     def test_fixed_mock_returns_n_copies(self):
         mock = MockGateway([{"match_substring": "", "text": "hypo"}])
-        docs = generate_hypothetical_docs(mock, HydeConfig(n_samples=8), "query")
+        docs = generate_hypothetical_docs(mock, HydeConfig(n_samples=8), QUERY)
         assert docs == ["hypo"] * 8
         assert mock.counter.total == 8
         assert mock.counter.text_calls == 8
@@ -91,22 +95,29 @@ class TestGenerate:
     def test_single_deterministic_sample(self):
         mock = MockGateway([{"match_substring": "", "text": "one"}])
         cfg = HydeConfig(n_samples=1, temperature=0.0)
-        assert generate_hypothetical_docs(mock, cfg, "q") == ["one"]
+        assert generate_hypothetical_docs(mock, cfg, QUERY) == ["one"]
 
     def test_all_empty_raises_after_retry(self):
         mock = MockGateway([{"match_substring": "", "text": ""}])
         with pytest.raises(AllSamplesEmpty):
-            generate_hypothetical_docs(mock, HydeConfig(n_samples=3), "q")
+            generate_hypothetical_docs(mock, HydeConfig(n_samples=3), QUERY)
         assert mock.counter.total == 6  # each sample retried once
+
+    def test_empty_samples_name_the_query(self, caplog):
+        mock = MockGateway([{"match_substring": "", "text": ""}])
+        with caplog.at_level("WARNING"), pytest.raises(AllSamplesEmpty, match="for query q1"):
+            generate_hypothetical_docs(mock, HydeConfig(n_samples=2), QUERY)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropping empty hypothetical document sample {i} for query q1" for i in range(2)]
 
     def test_context_passed_in_rank_order(self):
         mock = MockGateway([{"match_substring": "", "text": "hypo"}])
         cfg = HydeConfig(n_samples=1, context_docs=2)
-        generate_hypothetical_docs(mock, cfg, "q", ["AAA text", "BBB text", "CCC text"])
+        generate_hypothetical_docs(mock, cfg, QUERY, ["AAA text", "BBB text", "CCC text"])
         # inspect the prompt the mock received via a fresh scripted capture
         prompt = render_hyde_prompt("web_search", "q", ["AAA text", "BBB text"])
         captured = MockGateway([{"match_substring": prompt, "text": "match"}])
-        docs = generate_hypothetical_docs(captured, cfg, "q", ["AAA text", "BBB text", "CCC text"])
+        docs = generate_hypothetical_docs(captured, cfg, QUERY, ["AAA text", "BBB text", "CCC text"])
         assert docs == ["match"]  # exact prompt match: first 2 docs only, in order
 
     def test_context_docs_zero_means_every_given_doc(self):
@@ -114,23 +125,23 @@ class TestGenerate:
         prompt = render_hyde_prompt("web_search", "q", docs)
         mock = MockGateway([{"match_substring": prompt, "text": "all"}])
         cfg = HydeConfig(n_samples=1, context_docs=0)
-        assert generate_hypothetical_docs(mock, cfg, "q", docs) == ["all"]
+        assert generate_hypothetical_docs(mock, cfg, QUERY, docs) == ["all"]
 
     @pytest.mark.parametrize("context", [None, []])
     def test_no_context_means_plain(self, context):
         plain_prompt = render_hyde_prompt("web_search", "q")
         mock = MockGateway([{"match_substring": plain_prompt, "text": "plain"}])
         cfg = HydeConfig(n_samples=1, context_docs=2)
-        assert generate_hypothetical_docs(mock, cfg, "q", context) == ["plain"]
+        assert generate_hypothetical_docs(mock, cfg, QUERY, context) == ["plain"]
 
     def test_empty_logprob_map_on_a_text_reply_is_ignored(self):
         mock = MockGateway([{"match_substring": "", "text": "a passage", "first_token_logprobs": {}}])
-        assert generate_hypothetical_docs(mock, HydeConfig(n_samples=2), "q") == ["a passage"] * 2
+        assert generate_hypothetical_docs(mock, HydeConfig(n_samples=2), QUERY) == ["a passage"] * 2
 
     def test_sample_order_with_workers(self):
         mock = MockGateway([{"match_substring": "", "text": "same"}])
         cfg = HydeConfig(n_samples=6)
-        docs = generate_hypothetical_docs(mock, cfg, "q", max_workers=4)
+        docs = generate_hypothetical_docs(mock, cfg, QUERY, max_workers=4)
         assert docs == ["same"] * 6
 
     def test_generation_request_params(self):
@@ -142,7 +153,7 @@ class TestGenerate:
                 return super().send(request)
 
         mock = SpyGateway([{"match_substring": "", "text": "x"}])
-        generate_hypothetical_docs(mock, HydeConfig(n_samples=2), "q")
+        generate_hypothetical_docs(mock, HydeConfig(n_samples=2), QUERY)
         assert all(r.temperature == 0.7 for r in seen)
         assert all(r.max_new_tokens == 512 for r in seen)
         assert all(not r.want_first_token_logprobs for r in seen)

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rede.fusion
 import rede.pipeline
@@ -21,6 +22,7 @@ from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
 from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment, map_in_order
 from rede.pipeline import (
+    INITIAL_RETRIEVERS,
     PipelineConfig,
     SearchEngine,
     mean_update,
@@ -52,6 +54,16 @@ class TestUpdates:
             shuffled = list(vectors)
             rng.shuffle(shuffled)
             assert mean_update(q, shuffled).tobytes() == base.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+        min_size=2, max_size=12)), st.data())
+    def test_permutation_exact_property(self, rows, data):
+        q, *vectors = [np.array(row, dtype=np.float32) for row in rows]
+        order = data.draw(st.permutations(range(len(vectors))))
+        shuffled = [vectors[i] for i in order]
+        assert mean_update(q, shuffled).tobytes() == mean_update(q, vectors).tobytes()
 
     def test_matches_per_column_fsum(self):
         # the reference sums numpy column slices; mean_update sums Python floats
@@ -550,6 +562,29 @@ class TestEngineRowSpace:
         assert shared == [True, True]
         for ranked in (trace.candidates, run):
             assert ranked.hits[0] is engine.sparse_index.doc_ids is engine.dense_index.ids
+
+    def test_hybrid_legs_never_build_their_pairs(self, monkeypatch):
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever="hybrid")
+        legs = []
+
+        def spy(sparse_results, dense_results, alpha, k, fuse=rede.fusion.fuse):
+            legs.extend((sparse_results, dense_results))
+            return fuse(sparse_results, dense_results, alpha, k)
+
+        monkeypatch.setattr(rede.fusion, "fuse", spy)
+        for method in ("hybrid", "rede"):
+            engine.search(method, QUERY)
+        assert len(legs) == 4
+        assert all(leg.hits is not None and leg._entries is None for leg in legs)
+
+    @pytest.mark.parametrize("retriever, method", [("hybrid", m) for m in ("bm25", "dense", "hybrid")]
+                             + [(r, m) for r in INITIAL_RETRIEVERS for m in ("rede", "rerank")])
+    def test_search_builds_its_own_pairs(self, retriever, method):
+        # a caller timing search pays for its results' pairs inside the call
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever=retriever)
+        run, trace = engine.search(method, QUERY)
+        assert run._entries is not None and trace.candidates._entries is not None
+        assert run.entries and trace.candidates.entries
 
     @pytest.mark.parametrize("case", ["extra bundle id", "missing id", "renamed bundle id",
                                       "sparse ids differ", "sparse ids out of order"])

@@ -234,6 +234,21 @@ class TestSerialization:
         assert exc.value.line_no is None
         assert not str(exc.value).startswith("line")
 
+    @pytest.mark.parametrize("ids", [["d2", "d1"], ["d1", "d1"]], ids=["out of order", "repeated"])
+    def test_ids_must_be_strictly_ascending(self, tmp_path, ids):
+        # row order is the tie order, so a file's ids must be ascending and distinct
+        def write(path, doc_ids):
+            header = json.dumps({"ids": doc_ids, "terms": ["a"], "df": [2],
+                                 "k1": 0.9, "b": 0.4, "avgdl": 1.0}).encode()
+            body = struct.pack("<6i", 1, 1, 0, 1, 1, 1)  # two lengths, then "a" in rows 0 and 1
+            path.write_bytes(b"SPIDX" + struct.pack("<HQ", 2, len(header)) + header + body)
+
+        write(tmp_path / "good.idx", ["d1", "d2"])
+        assert load_sparse_index(str(tmp_path / "good.idx")).doc_ids == ["d1", "d2"]
+        write(tmp_path / "bad.idx", ids)
+        with pytest.raises(MalformedRecord, match="ids are not strictly ascending"):
+            load_sparse_index(str(tmp_path / "bad.idx"))
+
     def test_version_1_file_must_be_rebuilt(self, tmp_path):
         payload = json.dumps({"postings": {"a": [["d1", 1]]}, "doc_lengths": {"d1": 1},
                               "avg_doc_length": 1.0, "doc_count": 1, "k1": 0.9, "b": 0.4}).encode()
