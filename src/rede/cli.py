@@ -107,7 +107,7 @@ def _cmd_index_sparse(args) -> int:
     corpus = load_corpus(args.corpus)
     index = build_sparse_index(corpus, k1=args.k1, b=args.b)
     save_sparse_index(index, args.out)
-    print(f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {args.out}")
+    print(f"indexed {index.doc_count} documents, {len(index.terms)} terms -> {args.out}")
     return 0
 
 

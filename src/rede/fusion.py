@@ -9,6 +9,7 @@ other lists are numbered by the sorted union of their doc_ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
     """Min-max normalized float64 scores; all-equal scores map to 1.0.
 
     lo and hi are Python ``min``/``max`` over the scores in list order, so a
-    NaN counts only where it stands first; an empty array stays empty.
+    NaN counts only where it stands first; an empty array stays empty. When
+    finite lo and hi are more than the largest float64 apart, both terms are
+    halved, so the result stays in [0, 1] instead of dividing inf by inf.
     """
     values = scores.tolist()
     if not values:
@@ -42,8 +45,11 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
     lo, hi = min(values), max(values)
     if hi == lo:
         return np.ones(len(values))
+    scores = scores.astype(np.float64)
+    if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi):
+        return (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (scores.astype(np.float64) - lo) / (hi - lo)
+        return (scores - lo) / (hi - lo)
 
 
 def normalize_scores(entries: RankedList) -> RankedList:

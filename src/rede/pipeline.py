@@ -25,7 +25,14 @@ import numpy as np
 
 from .corpus import Corpus, Query, RankedList, _strictly_ascending
 from .dense import DenseIndex, dense_search, fetch_embedding
-from .errors import ConfigError, DimMismatch, EmptyRelevantSet, IndexMismatch, JudgeUnavailable
+from .errors import (
+    ConfigError,
+    DimMismatch,
+    EmptyRelevantSet,
+    IndexMismatch,
+    JudgeUnavailable,
+    NonFiniteVector,
+)
 from .fusion import FusionConfig, hybrid_search
 from .gateway import QUERY_CALLS, CallCounter
 from .hyde import HydeConfig, generate_hypothetical_docs
@@ -279,11 +286,22 @@ class SearchEngine:
         result.entries  # build the pairs here, so their cost falls inside search
         return result
 
+    def _encode(self, texts: list[str]) -> np.ndarray:
+        """The one encoder boundary: a reply holds one finite vector of the index's dim per text."""
+        vectors = np.asarray(self.encoder.encode(texts))
+        expected = (len(texts), self.dense_index.dim)
+        if vectors.shape != expected:
+            raise DimMismatch(f"encoder returned shape {vectors.shape} for {len(texts)} texts, "
+                              f"expected {expected}")
+        if not np.isfinite(vectors).all():
+            raise NonFiniteVector(f"encoder returned a NaN or inf for {len(texts)} texts")
+        return vectors
+
     def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList | None) -> np.ndarray:
         context = None if candidates is None else [self.doc_texts[d] for d in candidates.doc_ids()]
         docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query, context,
                                           self.config.llm_max_workers)
-        return mean_update(qvec, list(self.encoder.encode(docs)))
+        return mean_update(qvec, list(self._encode(docs)))
 
     def search(self, method: str, query: Query, default_policy: str | None = None
                ) -> tuple[RankedList, SearchTrace]:
@@ -301,7 +319,7 @@ class SearchEngine:
             qvec = None
             if retriever in ("dense", "hybrid") or row.final == "dense":
                 with run.stage("encode"):
-                    qvec = self.encoder.encode([query.text])[0]
+                    qvec = self._encode([query.text])[0]
             if retriever is not None:
                 with run.stage("initial_retrieval"):
                     trace.candidates = self._retrieve(retriever, depth, query, qvec)

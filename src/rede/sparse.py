@@ -9,16 +9,24 @@ Scoring is the Robertson variant with the (k1+1) numerator:
 Duplicate query tokens contribute once per occurrence. Documents matching
 no query term are excluded from search results. Rows are documents in
 ascending doc-id order, so row order is the tie order.
+
+In memory the postings are flat arrays: term t (numbered in file order) has
+the [row, tf] pairs ``pairs[offsets[t]:offsets[t+1]]``, rows ascending, and
+``postings`` is a read-only mapping view over them. A query gathers its
+terms' slices and adds them into the row scores with one bincount.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,62 +39,101 @@ _PREAMBLE = struct.Struct("<HQ")  # version, header length
 _MIN_AVGDL = 1e-9
 
 
-@dataclass
+class _Postings(Mapping):
+    """Read-only view of an index's postings: term -> its (df, 2) int32 [row, tf]
+    slice of ``pairs``, terms in file order."""
+
+    def __init__(self, terms: dict[str, int], offsets: np.ndarray, pairs: np.ndarray):
+        self._terms, self._offsets, self._pairs = terms, offsets, pairs
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        t = self._terms[term]
+        return self._pairs[self._offsets[t] : self._offsets[t + 1]]
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+
+@dataclass(frozen=True)
 class SparseIndex:
     doc_ids: list[str]  # ascending; row i is doc_ids[i]
     doc_lengths: np.ndarray  # (rows,) int32
-    postings: dict[str, np.ndarray]  # term -> (df, 2) int32 [row, tf], rows ascending
+    terms: dict[str, int]  # term -> its number, in file order
+    offsets: np.ndarray  # (terms + 1,) int64
+    pairs: np.ndarray  # (nnz, 2) int32 [row, tf]; each term's rows ascending
     avg_doc_length: float
     k1: float = 0.9
     b: float = 0.4
+    norm: np.ndarray = field(init=False, repr=False)  # per row: k1 * (1 - b + b * dl / avgdl)
+    postings: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
+        self.pairs.flags.writeable = False
+        norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "postings", _Postings(self.terms, self.offsets, self.pairs))
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        if df == 0:
+        t = self.terms.get(term)
+        if t is None:
             return 0.0
+        df = int(self.offsets[t + 1] - self.offsets[t])
         return math.log(1 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
 def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> SparseIndex:
+    """Terms are numbered by first occurrence over the documents in row order;
+    one sort of ``term * N + row`` keys gives every term's rows, ascending."""
     if not corpus:
         raise EmptyCorpus("corpus is empty")
     doc_ids = sorted(corpus)
-    lengths: list[int] = []
-    flat: dict[str, list[int]] = {}
-    for row, doc_id in enumerate(doc_ids):
-        tokens = tokenize(corpus[doc_id].search_text)
-        lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            flat.setdefault(term, []).extend((row, tf))
+    docs = [tokenize(corpus[doc_id].search_text) for doc_id in doc_ids]
+    lengths = list(map(len, docs))
     total = sum(lengths)
     if total == 0:
         raise EmptyCorpus("every document tokenizes to nothing")
-    postings = {t: np.array(p, dtype=np.int32).reshape(-1, 2) for t, p in flat.items()}
-    avgdl = max(total / len(doc_ids), _MIN_AVGDL)
-    return SparseIndex(doc_ids, np.array(lengths, dtype=np.int32), postings, avgdl, k1, b)
+    tokens = list(chain.from_iterable(docs))
+    terms = {term: t for t, term in enumerate(dict.fromkeys(tokens))}
+    n = len(doc_ids)
+    keys = np.fromiter(map(terms.__getitem__, tokens), dtype=np.int64, count=total) * n
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, tf = np.unique(keys, return_counts=True)
+    term_of, rows = np.divmod(keys, n)
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
+    pairs = np.column_stack((rows, tf)).astype(np.int32)
+    avgdl = max(total / n, _MIN_AVGDL)
+    return SparseIndex(doc_ids, np.array(lengths, dtype=np.int32), terms, offsets, pairs, avgdl, k1, b)
 
 
 def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
-    """BM25 of every row; terms are added as count * contribution, in query-term order."""
-    scores = np.zeros(index.doc_count)
+    """BM25 of every row; terms are added as count * contribution, in query-term order.
+
+    A term's rows are distinct and bincount adds each row's weights in input
+    order from 0.0, so this is one ``scores[rows] +=`` per term, bit for bit.
+    """
+    rows, weights = [], []
     for term, count in Counter(query_tokens).items():
         posting = index.postings.get(term)
         if posting is None:
             continue
-        rows, tf = posting[:, 0], posting[:, 1]
-        norm = index.k1 * (1 - index.b + index.b * index.doc_lengths[rows] / index.avg_doc_length)
-        scores[rows] += count * (index.idf(term) * tf * (index.k1 + 1) / (tf + norm))
-    return scores
+        row, tf = posting[:, 0], posting[:, 1]
+        rows.append(row)
+        weights.append(count * (index.idf(term) * tf * (index.k1 + 1) / (tf + index.norm[row])))
+    if not rows:
+        return np.zeros(index.doc_count)
+    return np.bincount(np.concatenate(rows), np.concatenate(weights), minlength=index.doc_count)
 
 
 def bm25_score(index: SparseIndex, query_tokens: list[str], doc_id: str) -> float:
@@ -108,43 +155,73 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
     """Magic, u16 version, u64 header length, JSON header, then little-endian int32
     document lengths followed by each term's [row, tf] pairs in header order."""
     header = json.dumps({
-        "ids": index.doc_ids, "terms": list(index.postings),
-        "df": [len(p) for p in index.postings.values()],
+        "ids": index.doc_ids, "terms": list(index.terms), "df": np.diff(index.offsets).tolist(),
         "k1": index.k1, "b": index.b, "avgdl": index.avg_doc_length,
     }).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC + _PREAMBLE.pack(_VERSION, len(header)) + header)
         f.write(index.doc_lengths.astype("<i4").tobytes())
-        for posting in index.postings.values():
-            f.write(posting.astype("<i4").tobytes())
+        f.write(index.pairs.astype("<i4").tobytes())
+
+
+def _check_body(doc_lengths: np.ndarray, pairs: np.ndarray, offsets: np.ndarray) -> None:
+    """Lengths >= 0 (a negative one can make ``tf + norm`` zero), rows in range and
+    strictly ascending within each term, tf >= 1: a repeated row would be added
+    twice by the bincount in ``_bm25``."""
+    doc_count, rows, tf = len(doc_lengths), pairs[:, 0], pairs[:, 1]
+    if doc_count and doc_lengths.min() < 0:
+        raise MalformedRecord(None, "sparse index document length below 0")
+    if len(pairs) and not 0 <= rows.min() <= rows.max() < doc_count:
+        raise MalformedRecord(None, "sparse index posting row out of range")
+    ascending = rows[1:] > rows[:-1]
+    ascending[offsets[1:-1] - 1] = True  # a term's first row follows the last term's last row
+    if not ascending.all():
+        raise MalformedRecord(None, "sparse index posting rows of a term are not strictly ascending")
+    if len(pairs) and tf.min() < 1:
+        raise MalformedRecord(None, "sparse index term frequency below 1")
 
 
 def load_sparse_index(path: str) -> SparseIndex:
-    with open(path, "rb") as f:
-        data = f.read()
+    """Reads the header, then the body straight into one int32 array; the
+    document lengths and the pairs are views of it, and nothing else is kept."""
     start = len(_MAGIC) + _PREAMBLE.size
-    if data[: len(_MAGIC)] != _MAGIC or len(data) < start:
-        raise MalformedRecord(None, f"{path} is not a sparse index file")
-    version, header_len = _PREAMBLE.unpack_from(data, len(_MAGIC))
-    if version != _VERSION:
-        raise MalformedRecord(None, f"unsupported index version {version}; rebuild it with rede index-sparse")
-    try:
-        header = json.loads(data[start : start + header_len])
-        ids, terms, df = header["ids"], header["terms"], [int(n) for n in header["df"]]
-        k1, b, avgdl = float(header["k1"]), float(header["b"]), float(header["avgdl"])
-        if len(terms) != len(df) or min(df, default=1) < 1:
-            raise ValueError("terms and document frequencies disagree")
-        if not _strictly_ascending(ids):
-            raise ValueError("ids are not strictly ascending")
-        declared = 4 * (len(ids) + 2 * sum(df))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedRecord(None, f"bad sparse index header: {exc!r}") from exc
-    body = data[start + header_len :]
-    if len(body) != declared:
-        raise MalformedRecord(None, f"sparse index body is {len(body)} bytes, not the declared size")
-    values = np.frombuffer(body, dtype="<i4")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        preamble = f.read(start)
+        if preamble[: len(_MAGIC)] != _MAGIC or len(preamble) < start:
+            raise MalformedRecord(None, f"{path} is not a sparse index file")
+        version, header_len = _PREAMBLE.unpack_from(preamble, len(_MAGIC))
+        if version != _VERSION:
+            raise MalformedRecord(None, f"unsupported index version {version}; rebuild it with rede index-sparse")
+        try:
+            if header_len > size - start:
+                raise ValueError("header runs past the end of the file")
+            header = json.loads(f.read(header_len))
+            ids, terms, df = header["ids"], header["terms"], [int(n) for n in header["df"]]
+            k1, b, avgdl = float(header["k1"]), float(header["b"]), float(header["avgdl"])
+            if len(terms) != len(df) or min(df, default=1) < 1:
+                raise ValueError("terms and document frequencies disagree")
+            if not 0 < avgdl < math.inf:
+                raise ValueError(f"avgdl must be positive and finite, got {avgdl}")
+            term_numbers = {term: t for t, term in enumerate(terms)}
+            if len(term_numbers) != len(terms):
+                raise ValueError("a term is listed twice")
+            if not _strictly_ascending(ids):
+                raise ValueError("ids are not strictly ascending")
+            declared = len(ids) + 2 * sum(df)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedRecord(None, f"bad sparse index header: {exc!r}") from exc
+        body_size = size - start - header_len
+        if body_size != 4 * declared:
+            raise MalformedRecord(None, f"sparse index body is {body_size} bytes, not the declared size")
+        values = np.empty(declared, dtype="<i4")
+        if f.readinto(values) != values.nbytes:
+            raise MalformedRecord(None, f"{path} changed while it was read")
+    offsets = np.zeros(len(df) + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
     pairs = values[len(ids) :].reshape(-1, 2)
-    if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < len(ids):
-        raise MalformedRecord(None, "sparse index posting row out of range")
-    postings = dict(zip(terms, np.split(pairs, np.cumsum(df)[:-1])))
-    return SparseIndex(ids, values[: len(ids)], postings, avgdl, k1, b)
+    _check_body(values[: len(ids)], pairs, offsets)
+    try:
+        return SparseIndex(ids, values[: len(ids)], term_numbers, offsets, pairs, avgdl, k1, b)
+    except ValueError as exc:
+        raise MalformedRecord(None, f"bad sparse index header: {exc}") from exc

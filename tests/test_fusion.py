@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -92,13 +93,18 @@ class TestFuseOrder:
 
 
 def parent_normalize(entries):
-    """Min-max normalization as it was before fusion worked on rows: the reference."""
+    """Min-max normalization as it was before fusion worked on rows, one document at a time:
+    the reference. Where finite scores spread wider than the largest float64, both terms are
+    halved, as the README's Fusion contract says; the parent divided inf by inf there."""
     if not entries.entries:
         return RankedList(entries.query_id, [])
     scores = [s for _, s in entries.entries]
     lo, hi = min(scores), max(scores)
     if hi == lo:
         return RankedList(entries.query_id, [(d, 1.0) for d, _ in entries.entries])
+    if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi):
+        return RankedList(entries.query_id, [(d, (s / 2 - lo / 2) / (hi / 2 - lo / 2))
+                                             for d, s in entries.entries])
     return RankedList(entries.query_id, [(d, (s - lo) / (hi - lo)) for d, s in entries.entries])
 
 
@@ -167,6 +173,12 @@ class TestFuseOverRows:
                        [1e308, -1e308], [2.0, 2.0], []):
             entries = RankedList("q", [(f"d{i}", s) for i, s in enumerate(scores)])
             assert bits(normalize_scores(entries)) == bits(parent_normalize(entries))
+        # finite scores spread wider than the largest float64: the parent divided inf by inf
+        # and gave NaN; both terms are now halved
+        entries = RankedList("q", [("d0", 1e308), ("d1", 5.0), ("d2", -1e308)])
+        assert normalize_scores(entries).entries == [("d0", 1.0), ("d1", 0.5), ("d2", 0.0)]
+        fused = fuse(RankedList("q", [("a", 1e308), ("b", -1e308)]), RankedList("q", [("a", 1.0)]), 0.5, 2)
+        assert fused.entries == [("a", 1.0), ("b", 0.0)]
 
     def test_lists_over_different_id_lists_are_renumbered(self):
         sparse = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 3)
@@ -186,11 +198,8 @@ class TestFuseOverRows:
         assert scores.tolist() == [s for _, s in out.entries]
 
 
-# Any finite score of at most half the largest float64: min-max over scores spread wider
-# than the largest float64 divides inf by inf and gives NaN, which the parent gave too
-# (``test_normalize_matches_the_parent`` pins it with [1e308, -1e308]).
-HALF_MAX = float(np.finfo(np.float64).max) / 2
-FINITE = TIED_SCORES | st.floats(-HALF_MAX, HALF_MAX)
+# Any finite score, also scores spread wider than the largest float64
+FINITE = TIED_SCORES | st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestFusedBounds:

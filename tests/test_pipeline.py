@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -546,6 +547,62 @@ class TestNonFiniteQueryVector:
             engine.search(method, QUERY)
 
 
+class ScriptedEncoder:
+    """Encodes the query as QUERY_VEC, or as query_reply, and any other batch as sample_reply."""
+
+    def __init__(self, sample_reply, query_reply=None):
+        self.sample_reply = np.asarray(sample_reply, dtype=np.float32)
+        self.query_reply = np.array([QUERY_VEC]) if query_reply is None else np.asarray(query_reply)
+
+    def encode(self, texts):
+        return self.query_reply if texts == [QUERY.text] else self.sample_reply
+
+
+def hyde_engine(encoder):
+    script = JUDGE_NONE_RELEVANT + [{"match_substring": "", "text": "a hypothetical passage"}]
+    gateway = MockGateway(script)
+    engine = toy_engine(LlmJudge(gateway), gateway=gateway)
+    engine.encoder = encoder
+    return engine
+
+
+HYDE_SEARCHES = [("hyde", None), ("hyde-prf", None), ("rede", "hyde_prf")]
+
+
+class TestEncoderBoundary:
+    @pytest.mark.parametrize("method, policy", HYDE_SEARCHES)
+    def test_opposite_infinite_samples_raise_typed_error(self, method, policy):
+        # +inf and -inf in one dimension made mean_update's fsum raise an untyped ValueError
+        engine = hyde_engine(ScriptedEncoder([[np.inf, 0.0], [-np.inf, 0.0]] * 2))
+        with pytest.raises(NonFiniteVector):
+            engine.search(method, QUERY, default_policy=policy)
+
+    @pytest.mark.parametrize("method, policy", HYDE_SEARCHES)
+    @pytest.mark.parametrize("reply", [
+        [[0.5, 0.5]] * 3,  # one vector short: a sample would be dropped from the mean
+        [[0.5, 0.5, 0.0]] * 4,  # not the index's dim
+        [0.5, 0.5, 0.5, 0.5],  # not one vector per text
+    ], ids=["short", "wrong dim", "flat"])
+    def test_sample_reply_of_the_wrong_shape_raises_dim_mismatch(self, method, policy, reply):
+        engine = hyde_engine(ScriptedEncoder(reply))
+        with pytest.raises(DimMismatch):
+            engine.search(method, QUERY, default_policy=policy)
+
+    @pytest.mark.parametrize("method", ["dense", "hybrid", "avgprf", "rede", "hyde"])
+    @pytest.mark.parametrize("reply", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0]],
+                             ids=["wrong dim", "two vectors", "flat"])
+    def test_query_reply_of_the_wrong_shape_raises_dim_mismatch(self, method, reply):
+        engine = hyde_engine(ScriptedEncoder([[0.5, 0.5]] * 4, query_reply=reply))
+        with pytest.raises(DimMismatch):
+            engine.search(method, QUERY)
+
+    def test_good_replies_pass_unchanged(self):
+        engine = hyde_engine(ScriptedEncoder([[0.7, 0.2]] * 4))
+        result, trace = engine.search("hyde", QUERY)
+        assert result.doc_ids() == brute_force_ranking(QUERY_VEC, [vec(0.7, 0.2)] * 4)
+        assert trace.refined_vector.tobytes() == mean_update(QUERY_VEC, [vec(0.7, 0.2)] * 4).tobytes()
+
+
 class TestEngineRowSpace:
     def test_hybrid_candidates_take_the_row_path(self, monkeypatch):
         # indexes built apart hold equal but distinct id lists; the engine makes them one
@@ -604,7 +661,7 @@ class TestEngineRowSpace:
             sparse = build_sparse_index({d: doc for d, doc in corpus.items() if d != "d3"})
         else:
             dense, diagnostic = build_dense_index(ids, vectors), "ascending"
-            sparse.doc_ids = sparse.doc_ids[::-1]
+            sparse = replace(sparse, doc_ids=sparse.doc_ids[::-1])  # the index is frozen
         with pytest.raises(IndexMismatch, match=diagnostic):
             SearchEngine(corpus, sparse, dense, TableEncoder({}, 2))
 

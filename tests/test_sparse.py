@@ -1,9 +1,13 @@
 import json
 import math
 import struct
+from collections import Counter
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rede.corpus import Document, tokenize
 from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch, UnknownDocId
@@ -14,6 +18,7 @@ from rede.sparse import (
     save_sparse_index,
     sparse_search,
 )
+from rede.sparse import _bm25
 
 
 def brute_force_bm25(texts: dict[str, str], query_tokens, doc_id, k1, b):
@@ -187,6 +192,13 @@ class TestSearch:
             assert score == pytest.approx(bm25_score(index, tokenize(query), doc_id), abs=1e-12)
 
 
+def spidx(ids, terms, df, lengths, pairs, avgdl=1.0, b=0.4) -> bytes:
+    """A version-2 sparse index file built by hand."""
+    header = json.dumps({"ids": ids, "terms": terms, "df": df, "k1": 0.9, "b": b, "avgdl": avgdl}).encode()
+    body = struct.pack(f"<{len(lengths) + 2 * len(pairs)}i", *lengths, *(v for pair in pairs for v in pair))
+    return b"SPIDX" + struct.pack("<HQ", 2, len(header)) + header + body
+
+
 def with_header(data: bytes, edit) -> bytes:
     """A saved index with its JSON header replaced by edit(header)."""
     (length,) = struct.unpack_from("<Q", data, 7)
@@ -218,6 +230,11 @@ class TestSerialization:
         lambda data: data[:-4],  # body one value short
         lambda data: data + bytes(8),  # body too long
         lambda data: data[:-8] + struct.pack("<ii", 2, 1),  # a posting row past the last document
+        lambda data: with_header(data, lambda h: {**h, "terms": ["a"] * len(h["terms"])}),  # a term twice
+        lambda data: with_header(data, lambda h: {**h, "avgdl": 0.0}),
+        lambda data: with_header(data, lambda h: {**h, "avgdl": float("nan")}),
+        lambda data: with_header(data, lambda h: {**h, "k1": -1.0}),
+        lambda data: data[:7] + struct.pack("<Q", 2**63) + data[15:],  # header past the end of the file
     ])
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
         path = tmp_path / "sparse.idx"
@@ -233,6 +250,25 @@ class TestSerialization:
             load_sparse_index(str(path))
         assert exc.value.line_no is None
         assert not str(exc.value).startswith("line")
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (0, 1)], "not strictly ascending"),  # a repeated row would be added twice
+        ([(1, 1), (0, 1)], "not strictly ascending"),
+        ([(0, 1), (1, 0)], "term frequency below 1"),
+        ([(0, -1), (1, 1)], "term frequency below 1"),
+    ], ids=["repeated row", "descending rows", "tf 0", "negative tf"])
+    def test_postings_must_be_ascending_with_positive_tf(self, tmp_path, pairs, message):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(spidx(["d1", "d2"], ["a"], [2], [1, 1], pairs))
+        with pytest.raises(MalformedRecord, match=message):
+            load_sparse_index(str(path))
+
+    def test_document_lengths_must_not_be_negative(self, tmp_path):
+        # a length of -1 with avgdl 0.9 and b = 1 made tf + norm zero: an inf score
+        path = tmp_path / "bad.idx"
+        path.write_bytes(spidx(["d1", "d2"], ["a"], [2], [-1, 1], [(0, 1), (1, 1)], avgdl=0.9, b=1.0))
+        with pytest.raises(MalformedRecord, match="document length below 0"):
+            load_sparse_index(str(path))
 
     @pytest.mark.parametrize("ids", [["d2", "d1"], ["d1", "d1"]], ids=["out of order", "repeated"])
     def test_ids_must_be_strictly_ascending(self, tmp_path, ids):
@@ -256,3 +292,98 @@ class TestSerialization:
         path.write_bytes(b"SPIDX" + struct.pack("<HQ", 1, len(payload)) + payload)
         with pytest.raises(MalformedRecord, match="unsupported index version 1"):
             load_sparse_index(str(path))
+
+
+# -- the flat index against the per-document dict build and the per-term scoring ---------------
+
+def reference_file(corpus, k1=0.9, b=0.4) -> bytes:
+    """The index file as the per-document dict build wrote it: a Counter per document,
+    every term's [row, tf] pairs extended in row order, terms in order of first sight."""
+    doc_ids = sorted(corpus)
+    lengths, flat = [], {}
+    for row, doc_id in enumerate(doc_ids):
+        tokens = tokenize(corpus[doc_id].search_text)
+        lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            flat.setdefault(term, []).extend((row, tf))
+    header = json.dumps({"ids": doc_ids, "terms": list(flat), "df": [len(p) // 2 for p in flat.values()],
+                         "k1": k1, "b": b, "avgdl": max(sum(lengths) / len(doc_ids), 1e-9)}).encode("utf-8")
+    values = lengths + [v for p in flat.values() for v in p]
+    return (b"SPIDX" + struct.pack("<HQ", 2, len(header)) + header
+            + struct.pack(f"<{len(values)}i", *values))
+
+
+def reference_bm25(index, query_tokens) -> np.ndarray:
+    """BM25 of every row with one ``scores[rows] +=`` per distinct query term."""
+    scores = np.zeros(index.doc_count)
+    for term, count in Counter(query_tokens).items():
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        rows, tf = posting[:, 0], posting[:, 1]
+        norm = index.k1 * (1 - index.b + index.b * index.doc_lengths[rows] / index.avg_doc_length)
+        scores[rows] += count * (index.idf(term) * tf * (index.k1 + 1) / (tf + norm))
+    return scores
+
+
+# repeated tokens, case folding and non-ASCII letters; separators split tokens and are not tokens
+WORDS = st.sampled_from(["a", "A", "b", "bb", "é", "É", "straße", "日本", "x1", "ω", "z"])
+TEXTS = st.lists(WORDS, max_size=8).flatmap(
+    lambda words: st.lists(st.sampled_from([" ", ", ", "_", "-", "…"]),
+                           min_size=len(words), max_size=len(words)).map(
+        lambda seps: "".join(w + s for w, s in zip(words, seps))))
+CORPORA = st.dictionaries(st.sampled_from(["d1", "d2", "d10", "d100", "d11", "e", "é"]), TEXTS,
+                          min_size=1, max_size=7).map(corpus_from)
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestFlatIndex:
+    @PROPERTY
+    @given(CORPORA, st.floats(0, 3), st.floats(0, 1))
+    def test_saved_bytes_equal_the_per_document_build(self, tmp_path_factory, corpus, k1, b):
+        if not any(tokenize(doc.search_text) for doc in corpus.values()):
+            with pytest.raises(EmptyCorpus):
+                build_sparse_index(corpus, k1=k1, b=b)
+            return
+        path = tmp_path_factory.getbasetemp() / "flat.idx"
+        save_sparse_index(build_sparse_index(corpus, k1=k1, b=b), str(path))
+        assert path.read_bytes() == reference_file(corpus, k1, b)
+        assert load_sparse_index(str(path)).pairs.tobytes() == build_sparse_index(corpus).pairs.tobytes()
+
+    @PROPERTY
+    @given(CORPORA, st.lists(WORDS | st.just("unknown"), max_size=6), st.floats(0, 3), st.floats(0, 1))
+    def test_scores_equal_the_per_term_sum_bit_for_bit(self, corpus, query, k1, b):
+        # repeated query tokens count per occurrence; an unknown or absent term adds nothing
+        if not any(tokenize(doc.search_text) for doc in corpus.values()):
+            return
+        index = build_sparse_index(corpus, k1=k1, b=b)
+        tokens = tokenize(" ".join(query))
+        assert _bm25(index, tokens).tobytes() == reference_bm25(index, tokens).tobytes()
+
+    @PROPERTY
+    @given(CORPORA)
+    def test_postings_are_a_read_only_view_in_file_order(self, corpus):
+        if not any(tokenize(doc.search_text) for doc in corpus.values()):
+            return
+        index = build_sparse_index(corpus)
+        postings = index.postings
+        assert isinstance(postings, Mapping) and not isinstance(postings, MutableMapping)
+        docs = [tokenize(corpus[doc_id].search_text) for doc_id in sorted(corpus)]
+        assert list(postings) == list(index.terms) == list(dict.fromkeys(t for doc in docs for t in doc))
+        for term, posting in postings.items():
+            assert len(posting) == sum(term in doc for doc in docs)
+            assert posting.tolist() == [[row, doc.count(term)] for row, doc in enumerate(docs) if term in doc]
+        assert postings.get("unknown") is None and "unknown" not in postings
+        with pytest.raises(TypeError):
+            postings["unknown"] = np.zeros((1, 2), dtype=np.int32)
+        with pytest.raises(ValueError):
+            next(iter(postings.values()))[0, 1] = 7
+
+    def test_terms_add_in_query_order(self):
+        # float addition is not associative: on this corpus, adding "d b a" in reverse
+        # order changes the last bit of a score
+        index = build_sparse_index(corpus_from(
+            {"d0": "d b d a", "d1": "c e a", "d2": "a d c e b", "d3": "d e a d e"}))
+        forward = reference_bm25(index, ["d", "b", "a"])
+        assert forward.tobytes() != reference_bm25(index, ["a", "b", "d"]).tobytes()
+        assert _bm25(index, ["d", "b", "a"]).tobytes() == forward.tobytes()
