@@ -34,10 +34,20 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+# For ASCII text [^\W_] is exactly [A-Za-z0-9]: those map to themselves and every
+# other ASCII char, `_` and the control characters included, to a space for str.split.
+# Listing all 128 spares str.translate a failed lookup for each distinct letter.
+_ASCII_TABLE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric codepoint; no stemming."""
+    """Lowercase, then keep the maximal runs of alphanumeric codepoints; no stemming.
+
+    ASCII text takes one translate and one split, which give the regex's
+    tokens in the regex's order in well under half its time.
+    """
+    if text.isascii():
+        return text.lower().translate(_ASCII_TABLE).split()
     return _TOKEN.findall(text.lower())
 
 

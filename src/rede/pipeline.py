@@ -10,7 +10,8 @@ of the query vector and a bag of stored or generated document vectors.
 When judge feedback is empty, the row's policy decides: keep the encoder
 vector, refine with hypothetical documents over the same candidates, or
 return no results (ablation mode). Every search returns a trace carrying
-candidates, judgments, per-stage wall times and LLM call counts.
+candidates, judgments, the path taken and why, per-stage wall times and
+LLM call counts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     IndexMismatch,
     JudgeUnavailable,
     NonFiniteVector,
+    PreconditionViolation,
 )
 from .fusion import FusionConfig, hybrid_search
 from .gateway import QUERY_CALLS, CallCounter
@@ -128,6 +130,8 @@ class SearchTrace:
     judgments: list[RelevanceJudgment] = field(default_factory=list)
     kstar: int = 0
     path_taken: str = ""
+    # why judge feedback was empty: "judge_none_relevant" or "judge_unavailable"; "" otherwise
+    path_reason: str = ""
     judge_calls: int = 0
     generation_calls: int = 0
     wall_times: dict[str, float] = field(default_factory=dict)
@@ -147,6 +151,7 @@ class SearchTrace:
             ],
             "kstar": self.kstar,
             "path_taken": self.path_taken,
+            "path_reason": self.path_reason,
             "judge_calls": self.judge_calls,
             "generation_calls": self.generation_calls,
             "llm_calls": self.llm_calls,
@@ -305,13 +310,18 @@ class SearchEngine:
 
     def search(self, method: str, query: Query, default_policy: str | None = None
                ) -> tuple[RankedList, SearchTrace]:
-        """Run the stages of the method's row; default_policy overrides the configured one."""
+        """Run the stages of the method's row; default_policy overrides the configured one.
+
+        Blank query text raises PreconditionViolation, as it does in a query file.
+        """
         cfg, row = self.config, _row(method)
         if default_policy not in (None, *DEFAULT_POLICIES):
             raise ConfigError(f"default_policy must be one of {DEFAULT_POLICIES}")
         default_policy = default_policy or cfg.default_policy
         self._require(f"method {method!r}",
                       required_components(method, cfg.initial_retriever, default_policy))
+        if not query.text.strip():
+            raise PreconditionViolation(f"query {query.query_id!r}: blank query text")
         policy, retriever = row.empty_policy(default_policy), row.retriever(cfg.initial_retriever)
         depth = cfg.k_initial if row.first == "initial" else cfg.output_depth
         trace = SearchTrace(query.query_id, RankedList(query.query_id, []), path_taken=row.path)
@@ -337,9 +347,12 @@ class SearchEngine:
                     except JudgeUnavailable:
                         if policy is None:
                             raise  # no empty-feedback fallback to fall through to
+                        trace.path_reason = "judge_unavailable"
                     if row.final == "dense":  # the relevant docs lead the rerank order
                         kstar = min(sum(j.label for j in trace.judgments), cfg.max_kstar)
                         feedback = rerank_by_judge(candidates, trace.judgments).doc_ids()[:kstar]
+                        if not feedback:
+                            trace.path_reason = trace.path_reason or "judge_none_relevant"
             elif row.feedback == "all":
                 with run.stage("update"):
                     feedback = candidates.doc_ids()

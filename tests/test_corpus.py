@@ -1,10 +1,11 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rede.corpus import (
     Document,
@@ -28,6 +29,11 @@ from rede.errors import (
 )
 
 
+def reference_tokenize(text: str) -> list[str]:
+    """The tokenizer rule as one regex: lowercase, then maximal runs of alphanumeric codepoints."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
 class TestTokenize:
     def test_lowercase_and_split(self):
         assert tokenize("BM25, okay?") == ["bm25", "okay"]
@@ -49,6 +55,28 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Zürich café 42"
         assert tokenize(text) == tokenize(text)
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_each_ascii_char_between_two_letters(self, code):
+        text = f"a{chr(code)}B"
+        assert tokenize(text) == reference_tokenize(text)
+        assert tokenize(text) == (["a" + chr(code).lower() + "b"] if chr(code).isalnum() else ["a", "b"])
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=40))
+    def test_ascii_text_matches_the_regex(self, text):
+        assert text.isascii()
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.text(max_size=40))
+    @example("Café_NOIR")
+    @example("İstanbul x_y")
+    @example("日本語 BM25")
+    @example("ǅemal ẞ")
+    @example("A\u00a0B")
+    def test_any_text_matches_the_regex(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestLoadCorpus:

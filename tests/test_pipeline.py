@@ -18,6 +18,7 @@ from rede.errors import (
     IndexMismatch,
     JudgeUnavailable,
     NonFiniteVector,
+    PreconditionViolation,
 )
 from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
@@ -186,12 +187,18 @@ def brute_force_ranking(query_vec, feedback_vectors):
     return [doc_id for doc_id, _ in scored]
 
 
+class BrokenJudge:
+    def p_relevant(self, query, doc_id, doc_text):
+        raise JudgeUnavailable("down")
+
+
 class TestFeedbackSearch:
     def test_oracle_feedback_matches_brute_force(self):
         qrels = {"q1": {"d2": 1, "d3": 2}}
         engine = toy_engine(OracleJudge(qrels))
         result, trace = engine.search("rede", QUERY)
         assert trace.path_taken == "rede"
+        assert trace.path_reason == ""
         assert trace.kstar == 2
         assert result.doc_ids() == brute_force_ranking(QUERY_VEC, [DOC_VECTORS["d2"], DOC_VECTORS["d3"]])
 
@@ -210,14 +217,31 @@ class TestFeedbackSearch:
         assert trace.refined_vector is None
 
     def test_judge_failure_falls_through_to_default(self):
-        class BrokenJudge:
-            def p_relevant(self, query, doc_id, doc_text):
-                raise JudgeUnavailable("down")
-
         engine = toy_engine(BrokenJudge())
         result, trace = engine.search("rede", QUERY)
         assert trace.path_taken == "default_encoder"
+        assert trace.path_reason == "judge_unavailable"
         assert result.doc_ids() == dense_search(engine.dense_index, QUERY_VEC, 6).doc_ids()
+
+    def test_none_relevant_falls_through_to_default(self):
+        engine = toy_engine(OracleJudge({"q1": {}}))
+        result, trace = engine.search("rede", QUERY)
+        assert trace.path_taken == "default_encoder"
+        assert trace.path_reason == "judge_none_relevant"
+        assert trace.to_dict()["path_reason"] == "judge_none_relevant"
+        assert result.doc_ids() == dense_search(engine.dense_index, QUERY_VEC, 6).doc_ids()
+
+    @pytest.mark.parametrize("judge, method, policy, path, reason", [
+        (OracleJudge({"q1": {"d2": 1}}), "rede", "encoder_only", "rede", ""),
+        (OracleJudge({"q1": {}}), "rede", "none", "none", "judge_none_relevant"),
+        (BrokenJudge(), "rede", "none", "none", "judge_unavailable"),
+        (OracleJudge({"q1": {}}), "rerank", "encoder_only", "rerank", ""),
+        (OracleJudge({"q1": {}}), "avgprf", "encoder_only", "avg_prf", ""),
+        (OracleJudge({"q1": {}}), "dense", "encoder_only", "dense", ""),
+    ])
+    def test_path_reason(self, judge, method, policy, path, reason):
+        _, trace = toy_engine(judge, default_policy=policy).search(method, QUERY)
+        assert (trace.path_taken, trace.path_reason) == (path, reason)
 
     def test_max_kstar_cap(self):
         qrels = {"q1": {d: 1 for d in DOC_VECTORS}}
@@ -348,6 +372,7 @@ class TestCallAccounting:
         engine.encoder.table["a hypothetical passage"] = vec(0.4, 0.4)
         _, trace = engine.search("rede", QUERY, default_policy="hyde_prf")
         assert trace.path_taken == "default_hyde_prf"
+        assert trace.path_reason == "judge_none_relevant"
         assert (trace.judge_calls, trace.generation_calls) == (6, 4)
         assert gateway.counter.logprob_calls == 6
         assert gateway.counter.text_calls == 4
@@ -547,6 +572,20 @@ class TestNonFiniteQueryVector:
             engine.search(method, QUERY)
 
 
+class TestBlankQuery:
+    @pytest.mark.parametrize("method", rede.pipeline.METHODS)
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_blank_text_raises_precondition_violation(self, method, text):
+        # the rule load_queries applies to files; every vector and reply exists, so only
+        # the check itself can stop these searches
+        gateway = MockGateway(JUDGE_ALL_RELEVANT + [{"match_substring": "", "text": "a hypothetical passage"}])
+        engine = toy_engine(LlmJudge(gateway), gateway=gateway, initial_retriever="hybrid")
+        engine.encoder.table.update({text: QUERY_VEC, "a hypothetical passage": vec(0.4, 0.4)})
+        with pytest.raises(PreconditionViolation, match="blank query text"):
+            engine.search(method, Query("q1", text))
+        assert gateway.counter.total == 0  # checked before any stage runs
+
+
 class ScriptedEncoder:
     """Encodes the query as QUERY_VEC, or as query_reply, and any other batch as sample_reply."""
 
@@ -698,6 +737,7 @@ class TestTraces:
         _, trace = engine.search("rede", QUERY)
         obj = json.loads(json.dumps(trace.to_dict()))
         assert obj["path_taken"] == "rede"
+        assert obj["path_reason"] == ""
         assert obj["kstar"] == 1
         assert len(obj["refined_vector"]) == 2
 

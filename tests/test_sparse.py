@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 from collections import Counter
 from collections.abc import Mapping, MutableMapping
@@ -292,6 +293,25 @@ class TestSerialization:
         path.write_bytes(b"SPIDX" + struct.pack("<HQ", 1, len(payload)) + payload)
         with pytest.raises(MalformedRecord, match="unsupported index version 1"):
             load_sparse_index(str(path))
+
+
+def test_ascii_fast_path_writes_the_regex_tokenizers_bytes(tmp_path, monkeypatch):
+    # ASCII documents take tokenize's translate-and-split path, the others its regex
+    corpus = corpus_from({
+        "a1": "BM25 ranks THE docs, v2.0; fast_path\ttabs\x1fand\x7fcontrols",
+        "a2": "snake_case_words and kebab-case-words: x1 X1 x_1",
+        "a3": "the quick brown fox (again) [x1]",
+        "u1": "Café crème, CAFÉ_creme and cafe",
+        "u2": "İstanbul and ISTANBUL_istanbul",
+        "u3": "日本語のテキスト BM25 混在_text",
+        "u4": "ǅemal straße STRASSE ẞ_x1",
+    })
+    assert [doc.text.isascii() for doc in corpus.values()] == [True] * 3 + [False] * 4
+    fast, regex = tmp_path / "fast.idx", tmp_path / "regex.idx"
+    save_sparse_index(build_sparse_index(corpus), str(fast))
+    monkeypatch.setattr("rede.sparse.tokenize", lambda text: re.findall(r"[^\W_]+", text.lower()))
+    save_sparse_index(build_sparse_index(corpus), str(regex))
+    assert fast.read_bytes() == regex.read_bytes()
 
 
 # -- the flat index against the per-document dict build and the per-term scoring ---------------
