@@ -39,7 +39,7 @@ from .evalbench import (
     measure_latency,
     ndcg_at_k,
 )
-from .fusion import FusionConfig, fuse, hybrid_search, normalize_scores
+from .fusion import FusionConfig, fuse, hybrid_search
 from .gateway import (
     CompletionRequest,
     CompletionResponse,

@@ -77,8 +77,8 @@ class RankedList:
     ranked over, and the rows and scores of its entries, so fusion can work on
     rows. Its ``entries`` are built from the hits the first time they are
     read and then kept, so a list nobody reads never builds its pairs.
-    Edit entries only by assigning them, which drops the hits. Equality and
-    repr see only ``query_id`` and ``entries``.
+    ``entries`` cannot be assigned. Equality and repr see only ``query_id``
+    and ``entries``.
     """
 
     def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,
@@ -93,10 +93,6 @@ class RankedList:
             doc_ids, rows, scores = self.hits
             self._entries = list(zip([doc_ids[i] for i in rows.tolist()], scores.tolist()))
         return self._entries
-
-    @entries.setter
-    def entries(self, entries: list[tuple[str, float]]) -> None:
-        self._entries, self.hits = entries, None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -133,7 +129,7 @@ def _strictly_ascending(ids: Sequence[str]) -> bool:
 
 
 def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int) -> RankedList:
-    """The k best of ``rows`` by descending score, ties broken by ascending doc_id.
+    """The k best of ``rows`` by descending score, ties by ascending doc_id; ValueError if k < 1.
 
     Row i is ``doc_ids[i]`` and scores ``scores[i]``. Both ``doc_ids`` and
     ``rows`` must be ascending. The result holds only its hits: ``(doc_ids,
@@ -144,8 +140,10 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int)
     order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
     last, as by the full sort) must survive when the k-th score is NaN.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     neg = -scores[rows]
-    if 0 < k < len(rows):
+    if k < len(rows):
         kth = np.partition(neg, k - 1)[k - 1]
         keep = ~(neg > kth)
         rows, neg = rows[keep], neg[keep]

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .corpus import RankedList, _records, _top_k, tokenize
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
     SizeMismatch,
     UnknownDocId,
 )
+from .gateway import _post_json
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -116,8 +116,6 @@ def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
 
 def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedList:
     """Top-k by inner product, ties broken by ascending doc_id."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     q = np.asarray(query_vector)
     if q.shape != (index.dim,):
         raise DimMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
@@ -163,7 +161,9 @@ class HashingEncoder:
 
 
 class HttpEncoder:
-    """Encoder backed by an HTTP service: POST {"texts": [...]} -> {"vectors": [[...]]}."""
+    """Encoder over HTTP: POST {"texts": [...]} -> {"vectors": [[...]]}; no retries.
+
+    The HTTP errors are typed as the gateway's, by ``gateway._post_json``."""
 
     def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0):
         self.url = url
@@ -173,11 +173,10 @@ class HttpEncoder:
     def encode(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("texts must be a non-empty list")
+        obj = _post_json(self.url, {"texts": texts}, self.timeout)
         try:
-            resp = requests.post(self.url, json={"texts": texts}, timeout=self.timeout)
-            resp.raise_for_status()
-            arr = np.asarray(resp.json()["vectors"], dtype=np.float32)
-        except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
+            arr = np.asarray(obj["vectors"], dtype=np.float32)
+        except (KeyError, ValueError, TypeError) as exc:
             raise BackendUnavailable(f"encoder backend at {self.url}: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != len(texts):
             raise DimMismatch(f"backend returned shape {arr.shape} for {len(texts)} texts")

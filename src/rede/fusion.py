@@ -34,10 +34,12 @@ class FusionConfig:
 def _min_max(scores: np.ndarray) -> np.ndarray:
     """Min-max normalized float64 scores; all-equal scores map to 1.0.
 
-    lo and hi are Python ``min``/``max`` over the scores in list order, so a
-    NaN counts only where it stands first; an empty array stays empty. When
-    finite lo and hi are more than the largest float64 apart, both terms are
-    halved, so the result stays in [0, 1] instead of dividing inf by inf.
+    Fusion's one normalization rule: ``fuse`` applies it to each leg's scores
+    in entry order. lo and hi are Python ``min``/``max`` over the scores in
+    list order, so a NaN counts only where it stands first; an empty array
+    stays empty. When finite lo and hi are more than the largest float64
+    apart, both terms are halved, so the result stays in [0, 1] instead of
+    dividing inf by inf.
     """
     values = scores.tolist()
     if not values:
@@ -50,12 +52,6 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
         return (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
     with np.errstate(over="ignore", invalid="ignore"):
         return (scores - lo) / (hi - lo)
-
-
-def normalize_scores(entries: RankedList) -> RankedList:
-    """Min-max normalize; all-equal scores map to 1.0; empty list unchanged."""
-    scores = _min_max(np.array([s for _, s in entries.entries], dtype=np.float64))
-    return RankedList(entries.query_id, list(zip(entries.doc_ids(), scores.tolist())))
 
 
 def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
@@ -109,8 +105,6 @@ def hybrid_search(
     config: FusionConfig | None = None,
 ) -> RankedList:
     """Run both legs to pool depth and fuse; returns the top-k fused candidates."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     config = config or FusionConfig()
     depth = config.pool_depth if config.pool_depth is not None else max(k, 100)
     sparse_results = sparse_search(sparse_index, query_text, depth)

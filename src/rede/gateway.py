@@ -81,6 +81,27 @@ class CallCounter:
 QUERY_CALLS: ContextVar[CallCounter | None] = ContextVar("QUERY_CALLS", default=None)
 
 
+def _post_json(url: str, payload: dict, timeout: float) -> dict:
+    """The reply's JSON object. A timeout is BackendTimeout; a 4xx other than 408 (request
+    timeout) and 429 (rate limit) is the request's fault, BackendRejected; any other
+    failure, or a reply that is not a JSON object, is BackendUnavailable."""
+    try:
+        resp = requests.post(url, json=payload, timeout=timeout)
+        resp.raise_for_status()
+        obj = resp.json()
+    except requests.Timeout as exc:
+        raise BackendTimeout(f"backend at {url} timed out") from exc
+    except requests.HTTPError as exc:
+        if exc.response.status_code < 500 and exc.response.status_code not in (408, 429):
+            raise BackendRejected(f"backend at {url} rejected the request: {exc}") from exc
+        raise BackendUnavailable(f"backend at {url}: {exc}") from exc
+    except (requests.RequestException, ValueError) as exc:
+        raise BackendUnavailable(f"backend at {url}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise BackendUnavailable(f"backend at {url} replied with a JSON {type(obj).__name__}")
+    return obj
+
+
 class HttpGateway:
     """Completion backend over HTTP; chat-template wrapping is server-side."""
 
@@ -102,21 +123,7 @@ class HttpGateway:
         }
         if request.want_first_token_logprobs:
             payload["logprobs"] = request.top_logprobs
-        try:
-            resp = requests.post(self.url, json=payload, timeout=self.timeout)
-            resp.raise_for_status()
-            obj = resp.json()
-        except requests.Timeout as exc:
-            raise BackendTimeout(f"gateway at {self.url} timed out") from exc
-        except requests.HTTPError as exc:
-            # 4xx other than 408 (request timeout) and 429 (rate limit): the request is at fault
-            if exc.response.status_code < 500 and exc.response.status_code not in (408, 429):
-                raise BackendRejected(f"gateway at {self.url} rejected the request: {exc}") from exc
-            raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
-        except (requests.RequestException, ValueError) as exc:
-            raise BackendUnavailable(f"gateway at {self.url}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise BackendUnavailable(f"gateway at {self.url} replied with a JSON {type(obj).__name__}")
+        obj = _post_json(self.url, payload, self.timeout)
         return CompletionResponse(obj.get("text", ""), obj.get("first_token_logprobs"))
 
 

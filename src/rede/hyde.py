@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .corpus import Query
 from .errors import AllSamplesEmpty
 from .gateway import CompletionRequest, complete
-from .judge import HYDE_TASK_FAMILIES, load_template, map_in_order, truncate_tokens
+from .judge import HYDE_TASK_FAMILIES, _fill, load_template, map_in_order, truncate_tokens
 
 log = logging.getLogger(__name__)
 
@@ -54,10 +54,10 @@ def render_hyde_prompt(
 ) -> str:
     """Zero-context prompt, or the context form when documents are supplied."""
     if not context_docs:
-        return load_template("hyde", task_template, templates_dir).replace("{query}", query_text)
+        return _fill(load_template("hyde", task_template, templates_dir), query=query_text)
     template = load_template("hyde_context", task_template, templates_dir)
     context = "\n".join(truncate_tokens(doc, max_context_doc_tokens) for doc in context_docs)
-    return template.replace("{context}", context).replace("{query}", query_text)
+    return _fill(template, context=context, query=query_text)
 
 
 def generate_hypothetical_docs(

@@ -14,14 +14,15 @@ pair through one method, ``p_relevant(query, doc_id, doc_text)``:
 A document counts as relevant iff p > 0.5 (strictly), i.e. iff the
 positive token is the argmax of the two.
 
-This module also holds the one prompt-template loader (judge and HyDE
-templates alike) and the one in-order fan-out over a thread pool.
+This module also holds the one prompt-template loader and filler (judge
+and HyDE templates alike) and the one in-order fan-out over a thread pool.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -36,7 +37,15 @@ from .gateway import CompletionRequest, complete
 
 log = logging.getLogger(__name__)
 
-JUDGE_TEMPLATE_IDS = ("default", "pointwise_yes_no", "rg_yn", "rg_yn_star", "rater_guideline")
+# positive/negative first tokens per built-in judge template; overridable in LlmJudge
+DEFAULT_TOKENS = {
+    "default": ("1", "0"),
+    "pointwise_yes_no": ("Yes", "No"),
+    "rg_yn": ("Yes", "No"),
+    "rg_yn_star": ("Yes", "No"),
+    "rater_guideline": ("1", "0"),
+}
+JUDGE_TEMPLATE_IDS = tuple(DEFAULT_TOKENS)
 HYDE_TASK_FAMILIES = ("web_search", "scifact", "bio_medical", "fiqa", "dbpedia", "news")
 
 # template kind -> (in-package directory, file-name suffix, built-in names)
@@ -45,15 +54,7 @@ _TEMPLATE_KINDS = {
     "hyde": ("hyde", "", HYDE_TASK_FAMILIES),
     "hyde_context": ("hyde", "_context", HYDE_TASK_FAMILIES),
 }
-
-# positive/negative first tokens per template; overridable in LlmJudge
-DEFAULT_TOKENS = {
-    "default": ("1", "0"),
-    "pointwise_yes_no": ("Yes", "No"),
-    "rg_yn": ("Yes", "No"),
-    "rg_yn_star": ("Yes", "No"),
-    "rater_guideline": ("1", "0"),
-}
+_PLACEHOLDER = re.compile(r"\{(query|document|context)\}")
 
 # logprob assigned to a designated token missing from a truncated top-K map:
 # min returned logprob minus this margin, so truncation cannot flip labels
@@ -92,6 +93,11 @@ def load_template(kind: str, name: str, templates_dir: str | None) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _fill(template: str, **values: str) -> str:
+    """Fill the placeholders named in ``values`` in one pass: inserted text is never read as one."""
+    return _PLACEHOLDER.sub(lambda m: values.get(m[1], m[0]), template)
+
+
 def map_in_order(fn: Callable, items: Iterable, max_workers: int) -> list:
     """[fn(x) for x in items], on a thread pool when max_workers > 1 and there are 2+ items.
 
@@ -123,10 +129,8 @@ def render_judge_prompt(
     if not query_text:
         raise ValueError("query_text must be non-empty")
     template = load_template("judge", template_id, templates_dir)
-    rendered = template.replace("{query}", query_text).replace(
-        "{document}", truncate_tokens(doc_text, max_doc_tokens)
-    )
-    return JudgePrompt(template_id, rendered)
+    document = truncate_tokens(doc_text, max_doc_tokens)
+    return JudgePrompt(template_id, _fill(template, query=query_text, document=document))
 
 
 class LlmJudge:

@@ -130,7 +130,7 @@ class SearchTrace:
     judgments: list[RelevanceJudgment] = field(default_factory=list)
     kstar: int = 0
     path_taken: str = ""
-    # why judge feedback was empty: "judge_none_relevant" or "judge_unavailable"; "" otherwise
+    # why feedback was empty: "no_candidates", "judge_none_relevant", "judge_unavailable"; else ""
     path_reason: str = ""
     judge_calls: int = 0
     generation_calls: int = 0
@@ -351,8 +351,6 @@ class SearchEngine:
                     if row.final == "dense":  # the relevant docs lead the rerank order
                         kstar = min(sum(j.label for j in trace.judgments), cfg.max_kstar)
                         feedback = rerank_by_judge(candidates, trace.judgments).doc_ids()[:kstar]
-                        if not feedback:
-                            trace.path_reason = trace.path_reason or "judge_none_relevant"
             elif row.feedback == "all":
                 with run.stage("update"):
                     feedback = candidates.doc_ids()
@@ -363,6 +361,9 @@ class SearchEngine:
                 return result, trace
 
             trace.kstar = len(feedback)
+            if not feedback and row.feedback in ("judge", "all"):  # the policy's fallback follows
+                trace.path_reason = ("no_candidates" if not candidates.entries
+                                     else trace.path_reason or "judge_none_relevant")
             if row.feedback in ("hyde", "hyde_context"):
                 with run.stage("generation"):
                     refined = self._hyde_refine(

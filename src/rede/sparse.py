@@ -145,8 +145,6 @@ def bm25_score(index: SparseIndex, query_tokens: list[str], doc_id: str) -> floa
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:
     """Top-k docs by BM25, ties broken by ascending doc_id; zero scores dropped."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     scores = _bm25(index, tokenize(query_text))
     return _top_k(index.doc_ids, scores, np.flatnonzero(scores > 0), k)
 

@@ -29,6 +29,11 @@ QRELS = {"q1": ["d1", "d2", "d3", "d7"], "q2": ["d5", "d6"], "q3": ["d4", "d8"]}
 
 @pytest.fixture
 def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+def make_workspace(tmp_path: Path) -> Path:
+    """Corpus, queries, qrels, a mock gateway script, a dim-32 bundle and config.json in tmp_path."""
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(
         "\n".join(json.dumps({"_id": d, "title": "", "text": t}) for d, t in DOCS) + "\n"

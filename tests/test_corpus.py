@@ -375,12 +375,6 @@ class TestRankedList:
         assert repr(ranked) == repr(plain) == "RankedList(query_id='', entries=[('b', 3.0), ('c', 2.0)])"
         assert ranked != RankedList("q", [("b", 3.0), ("c", 2.0)])
 
-    def test_assigning_entries_drops_hits(self):
-        ranked = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
-        ranked.entries = [("c", 2.0)]
-        assert ranked.hits is None
-        assert ranked.entries == [("c", 2.0)] and ranked.doc_ids() == ["c"]
-
     def test_default_entries_are_an_empty_list(self):
         first, second = RankedList("q"), RankedList("q")
         first.entries.append(("d1", 1.0))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from rede.dense import (
     write_embeddings,
 )
 from rede.errors import (
+    BackendRejected,
+    BackendTimeout,
     BackendUnavailable,
     DimMismatch,
     DuplicateDocId,
@@ -254,3 +257,21 @@ class TestHttpEncoder:
             state["handler"] = lambda body: (200, {"vectors": vectors})
             with pytest.raises(error):
                 HttpEncoder(url).encode(["x", "y"][: len(vectors)])
+
+
+def slow_reply(body):
+    time.sleep(0.5)
+    return 200, {"vectors": [[1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("handler, error, message", [
+    (lambda body: (400, {}), BackendRejected, "rejected the request"),
+    (slow_reply, BackendTimeout, "timed out"),
+    (lambda body: (200, [[1.0, 2.0]]), BackendUnavailable, "replied with a JSON list"),
+], ids=["400", "slow", "json-list"])
+def test_http_errors_are_typed_as_the_gateways(http_server, handler, error, message):
+    url, state = http_server
+    state["handler"] = handler
+    with pytest.raises(error, match=message):
+        HttpEncoder(url, timeout=0.1).encode(["x"])
+    assert len(state["requests"]) == 1  # no retries

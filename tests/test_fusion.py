@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from rede.corpus import Document, RankedList, _top_k
 from rede.dense import build_dense_index, dense_search
-from rede.fusion import FusionConfig, fuse, hybrid_search, normalize_scores
+from rede.fusion import FusionConfig, _min_max, fuse, hybrid_search
 from rede.sparse import build_sparse_index, sparse_search
+
+
+def normalize_scores(entries: RankedList) -> RankedList:
+    """The list with its scores min-max normalized by ``_min_max``, fusion's one rule."""
+    scores = _min_max(np.array([s for _, s in entries.entries], dtype=np.float64))
+    return RankedList(entries.query_id, list(zip(entries.doc_ids(), scores.tolist())))
 
 
 class TestNormalize:
@@ -31,6 +37,14 @@ class TestFuse:
         dense = RankedList("q", [("d2", 1.0), ("d1", 0.0)])
         out = fuse(sparse, dense, alpha=0.5, k=2)
         assert out.entries == [("d1", 0.5), ("d2", 0.5)]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, k):
+        # a negative k must not quietly drop entries, nor k = 0 return an empty list
+        sparse = RankedList("q", [("d1", 1.0), ("d2", 0.0)])
+        dense = RankedList("q", [("d2", 1.0), ("d1", 0.0)])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            fuse(sparse, dense, 0.5, k)
 
     def test_missing_leg_scores_zero(self):
         sparse = RankedList("q", [("d1", 2.0), ("d2", 1.0)])

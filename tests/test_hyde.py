@@ -36,6 +36,12 @@ class TestRenderPrompt:
         assert prompt.index("FIRSTDOC") < prompt.index("SECONDDOC") < q_pos
         assert "based on the context" in prompt
 
+    def test_context_text_is_never_read_as_a_placeholder(self):
+        # a context document is inserted as it is, even where it reads like a placeholder
+        prompt = render_hyde_prompt("web_search", "QUESTION", ["how to fill {query} in a template"])
+        assert "how to fill {query} in a template" in prompt
+        assert prompt.count("QUESTION") == 1
+
     def test_context_docs_truncated(self):
         long_doc = " ".join(f"tok{i}" for i in range(300))
         prompt = render_hyde_prompt("web_search", "q", [long_doc])

@@ -44,6 +44,13 @@ class TestRenderPrompt:
             assert "{query}" not in prompt.rendered
             assert "{document}" not in prompt.rendered
 
+    def test_query_text_is_never_read_as_a_placeholder(self):
+        # the query is inserted as it is, even where it reads like another placeholder
+        for template_id in JUDGE_TEMPLATE_IDS:
+            rendered = render_judge_prompt(template_id, "what does {document} mean", "DOC").rendered
+            assert "what does {document} mean" in rendered
+            assert rendered.count("DOC") == 1
+
     def test_unknown_template(self):
         for template_id in ("nope", "../hyde/web_search"):
             with pytest.raises(UnknownTemplate):

@@ -243,6 +243,23 @@ class TestFeedbackSearch:
         _, trace = toy_engine(judge, default_policy=policy).search(method, QUERY)
         assert (trace.path_taken, trace.path_reason) == (path, reason)
 
+    @pytest.mark.parametrize("method, policy, path", [
+        ("rede", "encoder_only", "default_encoder"),
+        ("rede", "none", "none"),
+        ("rede-hyde-default", "encoder_only", "default_hyde_prf"),
+        ("avgprf", "encoder_only", "default_encoder"),
+    ])
+    def test_empty_first_stage_reason(self, method, policy, path):
+        # a sparse first stage matching no query term leaves nothing to judge or average
+        query = Query("q1", "nothing matches")
+        gateway = MockGateway([{"match_substring": "", "text": "a hypothetical passage"}])
+        engine = toy_engine(LlmJudge(gateway), gateway=gateway, initial_retriever="sparse",
+                            default_policy=policy)
+        engine.encoder.table.update({query.text: QUERY_VEC, "a hypothetical passage": vec(0.4, 0.4)})
+        _, trace = engine.search(method, query)
+        assert trace.candidates.entries == [] and trace.judge_calls == 0
+        assert (trace.path_taken, trace.path_reason) == (path, "no_candidates")
+
     def test_max_kstar_cap(self):
         qrels = {"q1": {d: 1 for d in DOC_VECTORS}}
         engine = toy_engine(OracleJudge(qrels), max_kstar=2)
