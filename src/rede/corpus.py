@@ -38,6 +38,9 @@ _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 # other ASCII char, `_` and the control characters included, to a space for str.split.
 # Listing all 128 spares str.translate a failed lookup for each distinct letter.
 _ASCII_TABLE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
+# The same rule over bytes for bytes.translate, with the lowercasing folded in: ASCII
+# letters lowercased, digits kept, every other ASCII byte a space; bytes >= 0x80 kept.
+_ASCII_BYTES = "".join(map(_ASCII_TABLE.get, range(128))).lower().encode("ascii") + bytes(range(128, 256))
 
 
 def tokenize(text: str) -> list[str]:
@@ -77,8 +80,9 @@ class RankedList:
     ranked over, and the rows and scores of its entries, so fusion can work on
     rows. Its ``entries`` are built from the hits the first time they are
     read and then kept, so a list nobody reads never builds its pairs.
-    ``entries`` cannot be assigned. Equality and repr see only ``query_id``
-    and ``entries``.
+    ``entries`` cannot be assigned, but once built it can be edited in place,
+    so the hits speak for the list only while its entries are unbuilt
+    (``_unread_hits``). Equality and repr see only ``query_id`` and ``entries``.
     """
 
     def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,
@@ -93,6 +97,10 @@ class RankedList:
             doc_ids, rows, scores = self.hits
             self._entries = list(zip([doc_ids[i] for i in rows.tolist()], scores.tolist()))
         return self._entries
+
+    def _unread_hits(self) -> tuple[Sequence[str], np.ndarray, np.ndarray] | None:
+        """The hits while the entries are unbuilt, else None."""
+        return self.hits if self._entries is None else None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

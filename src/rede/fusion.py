@@ -57,10 +57,11 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
 def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
     """(doc_ids, (rows, scores) per leg) with scores in entry order.
 
-    Two lists ranked over one id list keep their own hits; any others are
-    given rows by numbering the sorted union of their doc_ids.
+    Two lists ranked over one id list whose entries are unbuilt keep their own
+    hits; any others, and lists whose entries may have been edited, are given
+    rows by numbering the sorted union of their doc_ids.
     """
-    a, b = sparse_results.hits, dense_results.hits
+    a, b = sparse_results._unread_hits(), dense_results._unread_hits()
     if a is not None and b is not None and a[0] is b[0]:
         return a[0], (a[1], a[2]), (b[1], b[2])
     doc_ids = sorted({d for d, _ in sparse_results.entries} | {d for d, _ in dense_results.entries})

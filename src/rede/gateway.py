@@ -159,8 +159,10 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
 
     Transport errors (BackendUnavailable, BackendTimeout) are retried up to
     ``backend.retries`` times before propagating; anything else propagates at
-    once. A logprob request whose reply has no, empty or non-numeric logprobs
-    raises LogprobsUnsupported without a retry. The call is counted on
+    once. A generation reply whose text is not a string counts as
+    BackendUnavailable, as a reply that is not a JSON object does. A logprob
+    request whose reply has no, empty or non-numeric logprobs raises
+    LogprobsUnsupported without a retry. The call is counted on
     ``backend.counter`` and on the ``QUERY_CALLS`` counter of the current
     context, if one is set; attempts only on ``backend.counter``.
     """
@@ -172,6 +174,8 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
         backend.counter.record_attempt()
         try:
             response = backend.send(request)
+            if not (request.want_first_token_logprobs or isinstance(response.text, str)):
+                raise BackendUnavailable(f"backend replied with a {type(response.text).__name__} text")
         except (BackendUnavailable, BackendTimeout):
             if attempt == backend.retries:
                 raise

@@ -23,14 +23,14 @@ import math
 import os
 import struct
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
-from .corpus import Corpus, RankedList, _strictly_ascending, _top_k, tokenize
+from .corpus import _ASCII_BYTES, Corpus, RankedList, _strictly_ascending, _top_k, tokenize
 from .errors import EmptyCorpus, MalformedRecord, UnknownDocId
 
 _MAGIC = b"SPIDX"
@@ -92,29 +92,56 @@ class SparseIndex:
         return math.log(1 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
+def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, each token's term number, each token's row, each row's token count).
+
+    Terms are numbered in one pass, in order of first occurrence over the texts
+    in order. If every text is ASCII they are joined around a 0xFF byte, which
+    no ASCII text holds, tokenized as one byte string with ``_ASCII_BYTES`` and
+    one split, and the 0xFF tokens mark where each text ends; only the distinct
+    terms are decoded. Any other corpus is tokenized one text at a time.
+    """
+    numbers = defaultdict()
+    numbers.default_factory = numbers.__len__  # a new term takes the next number
+    n = len(texts)
+    if all(map(str.isascii, texts)):
+        numbers[b"\xff"]  # the text boundary is term 0
+        tokens = " \xff ".join(texts).encode("latin-1").translate(_ASCII_BYTES).split()
+        term_of = np.fromiter(map(numbers.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        kept = term_of != 0
+        rows = np.cumsum(~kept)[kept]  # a token's row is the count of boundaries before it
+        terms = {term.decode("ascii"): t for t, term in enumerate(islice(numbers, 1, None))}
+        return terms, term_of[kept] - 1, rows, np.bincount(rows, minlength=n)
+    docs = [tokenize(text) for text in texts]
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n)
+    term_of = np.fromiter(map(numbers.__getitem__, chain.from_iterable(docs)), dtype=np.int64,
+                          count=int(lengths.sum()))
+    # a plain dict: a lookup of a missing term must raise, not number it
+    return dict(numbers), term_of, np.repeat(np.arange(n, dtype=np.int64), lengths), lengths
+
+
 def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> SparseIndex:
-    """Terms are numbered by first occurrence over the documents in row order;
-    one sort of ``term * N + row`` keys gives every term's rows, ascending."""
+    """Terms are numbered by first occurrence over the documents in row order, in
+    one pass over the tokens of the whole corpus (``_number_tokens``: one byte
+    string for an all-ASCII corpus, one ``tokenize`` per document otherwise); one
+    sort of ``term * N + row`` keys gives every term's rows, ascending."""
     if not corpus:
         raise EmptyCorpus("corpus is empty")
     doc_ids = sorted(corpus)
-    docs = [tokenize(corpus[doc_id].search_text) for doc_id in doc_ids]
-    lengths = list(map(len, docs))
-    total = sum(lengths)
+    terms, term_of, rows, lengths = _number_tokens([corpus[doc_id].search_text for doc_id in doc_ids])
+    total = len(term_of)
     if total == 0:
         raise EmptyCorpus("every document tokenizes to nothing")
-    tokens = list(chain.from_iterable(docs))
-    terms = {term: t for t, term in enumerate(dict.fromkeys(tokens))}
     n = len(doc_ids)
-    keys = np.fromiter(map(terms.__getitem__, tokens), dtype=np.int64, count=total) * n
-    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys = term_of * n
+    keys += rows
     keys, tf = np.unique(keys, return_counts=True)
     term_of, rows = np.divmod(keys, n)
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
     pairs = np.column_stack((rows, tf)).astype(np.int32)
     avgdl = max(total / n, _MIN_AVGDL)
-    return SparseIndex(doc_ids, np.array(lengths, dtype=np.int32), terms, offsets, pairs, avgdl, k1, b)
+    return SparseIndex(doc_ids, lengths.astype(np.int32), terms, offsets, pairs, avgdl, k1, b)
 
 
 def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:

@@ -299,6 +299,14 @@ def _script_judge(workspace, entries):
     script.write_text(json.dumps(entries + json.loads(script.read_text())))
 
 
+@pytest.mark.parametrize("text", [None, 5])
+def test_hyde_reply_text_that_is_not_a_string_exits_2(workspace, capsys, text):
+    (workspace / "mock_script.json").write_text(json.dumps([{"match_substring": "", "text": text}]))
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "hyde",
+                        "--out", str(workspace / "r.trec")]) == 2
+    assert f"replied with a {type(text).__name__} text" in capsys.readouterr().err
+
+
 def test_judge_writes_the_rerank_judgments(workspace):
     _script_judge(workspace, [
         {"match_substring": "Document: apple", "first_token_logprobs": {"1": -0.3, "0": -1.9}},

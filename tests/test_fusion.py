@@ -211,6 +211,15 @@ class TestFuseOverRows:
         assert [ids[r] for r in rows] == out.doc_ids()
         assert scores.tolist() == [s for _, s in out.entries]
 
+    def test_entries_edited_in_place_are_fused_not_the_stale_rows(self):
+        ids = ["a", "b", "c"]
+        sparse = _top_k(ids, np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
+        dense = _top_k(ids, np.array([3.0, 1.0, 2.0]), np.arange(3), 1)
+        sparse.entries.clear()
+        sparse.entries.append(("c", 9.0))
+        plain = fuse(RankedList("", [("c", 9.0)]), RankedList("", list(dense.entries)), 0.5, 3)
+        assert fuse(sparse, dense, 0.5, 3).entries == plain.entries == [("a", 0.5), ("c", 0.5)]
+
 
 # Any finite score, also scores spread wider than the largest float64
 FINITE = TIED_SCORES | st.floats(allow_nan=False, allow_infinity=False)

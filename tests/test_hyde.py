@@ -1,7 +1,7 @@
 import pytest
 
 from rede.corpus import Query
-from rede.errors import AllSamplesEmpty, UnknownTemplate
+from rede.errors import AllSamplesEmpty, BackendUnavailable, UnknownTemplate
 from rede.gateway import MockGateway
 from rede.hyde import (
     HYDE_TASK_FAMILIES,
@@ -139,6 +139,13 @@ class TestGenerate:
         mock = MockGateway([{"match_substring": plain_prompt, "text": "plain"}])
         cfg = HydeConfig(n_samples=1, context_docs=2)
         assert generate_hypothetical_docs(mock, cfg, QUERY, context) == ["plain"]
+
+    @pytest.mark.parametrize("text, kind", [(None, "NoneType"), (5, "int")])
+    def test_a_text_that_is_not_a_string_is_backend_unavailable(self, text, kind):
+        mock = MockGateway([{"match_substring": "", "text": text}])
+        with pytest.raises(BackendUnavailable, match=f"replied with a {kind} text"):
+            generate_hypothetical_docs(mock, HydeConfig(n_samples=1), QUERY)
+        assert mock.counter.attempts == mock.retries + 1  # retried like a garbled reply
 
     def test_empty_logprob_map_on_a_text_reply_is_ignored(self):
         mock = MockGateway([{"match_substring": "", "text": "a passage", "first_token_logprobs": {}}])

@@ -12,6 +12,7 @@ import rede.pipeline
 from rede.corpus import Document, Query, RankedList
 from rede.dense import build_dense_index, dense_search
 from rede.errors import (
+    BackendUnavailable,
     ConfigError,
     DimMismatch,
     EmptyRelevantSet,
@@ -601,6 +602,14 @@ class TestBlankQuery:
         with pytest.raises(PreconditionViolation, match="blank query text"):
             engine.search(method, Query("q1", text))
         assert gateway.counter.total == 0  # checked before any stage runs
+
+
+@pytest.mark.parametrize("text", [None, 5])
+def test_hyde_sample_that_is_not_a_string_raises_backend_unavailable(text):
+    gateway = MockGateway([{"match_substring": "", "text": text}])
+    engine = toy_engine(OracleJudge({}), gateway=gateway)
+    with pytest.raises(BackendUnavailable, match="text"):
+        engine.search("hyde", QUERY)
 
 
 class ScriptedEncoder:

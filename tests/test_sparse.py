@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rede.corpus import Document, tokenize
+from rede.corpus import _ASCII_BYTES, _ASCII_TABLE, Document, tokenize
 from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch, UnknownDocId
 from rede.sparse import (
     bm25_score,
@@ -20,6 +21,9 @@ from rede.sparse import (
     sparse_search,
 )
 from rede.sparse import _bm25
+from rede.synthetic import generate_benchmark
+
+from test_cli import DOCS
 
 
 def brute_force_bm25(texts: dict[str, str], query_tokens, doc_id, k1, b):
@@ -352,14 +356,32 @@ TEXTS = st.lists(WORDS, max_size=8).flatmap(
     lambda words: st.lists(st.sampled_from([" ", ", ", "_", "-", "…"]),
                            min_size=len(words), max_size=len(words)).map(
         lambda seps: "".join(w + s for w, s in zip(words, seps))))
-CORPORA = st.dictionaries(st.sampled_from(["d1", "d2", "d10", "d100", "d11", "e", "é"]), TEXTS,
-                          min_size=1, max_size=7).map(corpus_from)
+DOC_IDS = st.sampled_from(["d1", "d2", "d10", "d100", "d11", "e", "é"])
+CORPORA = st.dictionaries(DOC_IDS, TEXTS, min_size=1, max_size=7).map(corpus_from)
+# ASCII corpora take the build's one-byte-string path: any of the 128 code points, words
+# of both cases between separators (`_`, the whitespace bytes.split splits on, the
+# \x1c-\x1f that only str.split splits on, \x7f), and separators alone; "" included
+ASCII_WORDS = st.sampled_from(["a", "A", "b", "bB", "Bb", "x1", "X1", "42", "z"])
+ASCII_SEPARATORS = st.sampled_from([" ", "_", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d",
+                                    "\x1e", "\x1f", "\x7f", "\x00", "-", ".", "~"])
+ASCII_TEXTS = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=12),
+    st.lists(st.tuples(ASCII_WORDS, ASCII_SEPARATORS), max_size=8).map(
+        lambda pairs: "".join(w + s for w, s in pairs)),
+    st.lists(ASCII_SEPARATORS, max_size=4).map("".join),
+)
+ASCII_CORPORA = st.dictionaries(DOC_IDS, ASCII_TEXTS, min_size=1, max_size=7).map(corpus_from)
+# one non-ASCII document sends the whole corpus down the per-document path; `ÿ` is
+# U+00FF, which would be the boundary byte were the corpus joined as bytes
+MIXED_CORPORA = st.tuples(ASCII_CORPORA, st.sampled_from(["ÿ", "ÿes Ÿ_x1", "a ÿ b", "naïve A", "日本 BM25"])).map(
+    lambda pair: {**pair[0], "u": Document("u", "", pair[1])})
+ANY_CORPORA = st.one_of(CORPORA, ASCII_CORPORA, MIXED_CORPORA)
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
 class TestFlatIndex:
-    @PROPERTY
-    @given(CORPORA, st.floats(0, 3), st.floats(0, 1))
+    @settings(PROPERTY, max_examples=900)  # about 300 from each kind of corpus
+    @given(ANY_CORPORA, st.floats(0, 3), st.floats(0, 1))
     def test_saved_bytes_equal_the_per_document_build(self, tmp_path_factory, corpus, k1, b):
         if not any(tokenize(doc.search_text) for doc in corpus.values()):
             with pytest.raises(EmptyCorpus):
@@ -380,8 +402,8 @@ class TestFlatIndex:
         tokens = tokenize(" ".join(query))
         assert _bm25(index, tokens).tobytes() == reference_bm25(index, tokens).tobytes()
 
-    @PROPERTY
-    @given(CORPORA)
+    @settings(PROPERTY, max_examples=900)
+    @given(ANY_CORPORA)
     def test_postings_are_a_read_only_view_in_file_order(self, corpus):
         if not any(tokenize(doc.search_text) for doc in corpus.values()):
             return
@@ -407,3 +429,47 @@ class TestFlatIndex:
         forward = reference_bm25(index, ["d", "b", "a"])
         assert forward.tobytes() != reference_bm25(index, ["a", "b", "d"]).tobytes()
         assert _bm25(index, ["d", "b", "a"]).tobytes() == forward.tobytes()
+
+
+def test_one_non_ascii_document_builds_per_document(tmp_path):
+    corpus = corpus_from({"a1": "A b\x1fc_ÿ", "a2": "", "u": "xÿz ÿ B", "z": "\x7f b"})
+    index = build_sparse_index(corpus)
+    assert list(index.terms) == ["a", "b", "c", "ÿ", "xÿz"]
+    assert index.doc_lengths.tolist() == [4, 0, 3, 1]
+    path = tmp_path / "mixed.idx"
+    save_sparse_index(index, str(path))
+    assert path.read_bytes() == reference_file(corpus)
+
+
+def test_byte_table_str_table_and_regex_agree_on_every_ascii_code_point():
+    for c in range(128):
+        char = chr(c)
+        expected = char.lower() if re.fullmatch(r"[^\W_]", char) else " "
+        assert char.lower().translate(_ASCII_TABLE) == expected, c
+        assert bytes([c]).translate(_ASCII_BYTES) == expected.encode("ascii"), c
+    high = bytes(range(128, 256))
+    assert high.translate(_ASCII_BYTES) == high  # never met in ASCII text; 0xFF is the boundary
+
+
+# sha256 of the index files written before terms were numbered in one pass. The golden
+# grid hashes search output only, and a change in term-numbering order changes the
+# file without changing a ranking.
+PINNED_INDEX_SHA256 = {
+    "cli-workspace": "d063e2d525a58dd15cd91e410882b00add312ba849b4155983e534b313543bfa",
+    "shortpost-2k": "38d3a833ec38dfc0a596b437054ac4cc1156fc6839c0fff7411a15c055239631",
+}
+
+
+def pinned_corpus(name: str):
+    if name == "cli-workspace":
+        return corpus_from(dict(DOCS))
+    # perfbench's hybrid-shortpost-20k generator shape at 2k documents
+    return generate_benchmark(1, n_docs=2000, dim=64, n_clusters=200, vocab_per_cluster=60,
+                              shared_vocab=83, shared_per_doc=1, n_queries=100).corpus
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INDEX_SHA256))
+def test_index_file_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / "pinned.idx"
+    save_sparse_index(build_sparse_index(pinned_corpus(name)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_INDEX_SHA256[name]
