@@ -128,6 +128,8 @@ def _cmd_ingest_dense(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.parallel < 1:
+        raise _UsageError("--parallel must be >= 1")
     cfg = _load_cfg(args)
     engine = cfgmod.build_engine(cfg, args.method)
     queries = _load_query_set(cfg)

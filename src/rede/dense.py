@@ -5,13 +5,16 @@ The on-disk bundle is three files: raw little-endian float32 vectors
 and a newline-separated doc-id file. In memory, rows are held in ascending
 doc-id order whatever the order of the id file. Search is exact brute force
 by inner product; ties break by ascending doc_id. A score that is not
-finite (float32 overflow of finite vectors) is an error, not a rank.
+finite (float32 overflow of finite vectors) is an error, not a rank. One
+module lock, ``_PRODUCT_LOCK``, serializes the inner products of concurrent
+searches, so BLAS's thread pool serves one query at a time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,13 @@ from .gateway import _post_json
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
+
+# OpenBLAS threads a large product over every CPU, so two queries calling it
+# at once oversubscribe the CPUs and stretch the tail of both. The lock costs
+# little: the interpreter lock already serializes the Python part of a query,
+# with one client nothing waits on it, and with OPENBLAS_NUM_THREADS=1 a wait
+# lasts one single-threaded product.
+_PRODUCT_LOCK = threading.Lock()
 
 
 @dataclass
@@ -122,7 +132,8 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedL
     if not np.isfinite(q).all():
         raise NonFiniteVector("query vector holds a NaN or inf")
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteVector below
-        scores = index.vectors @ q
+        with _PRODUCT_LOCK:
+            scores = index.vectors @ q
     if not np.isfinite(scores).all():
         raise NonFiniteVector("inner product overflows: a score is NaN or inf")
     return _top_k(index.ids, scores, np.arange(index.count), k)

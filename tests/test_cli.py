@@ -167,6 +167,15 @@ def test_parallel_matches_serial(workspace):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_parallel_below_one_exits_1(workspace, capsys, parallel):
+    out = workspace / "run.trec"
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "hybrid",
+                        "--out", str(out), "--parallel", parallel]) == 1
+    assert capsys.readouterr().err.startswith("error: --parallel must be >= 1")
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run_command(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -195,6 +197,85 @@ class TestSearch:
         index = build_dense_index(["d1", "d2"], np.array(rows, dtype=np.float32))
         with pytest.raises(NonFiniteVector):
             dense_search(index, np.array(query, dtype=np.float32), 2)
+
+
+def run_threads(target, n):
+    """Run target(i) on n threads started together; re-raise the first error."""
+    start, errors = threading.Barrier(n), []
+
+    def body(i):
+        try:
+            start.wait(timeout=10)
+            target(i)
+        except Exception as exc:  # re-raised in the test thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+
+
+class TestConcurrentSearch:
+    def test_one_caller_inside_the_product_at_a_time(self):
+        inside, most = [0], [0]
+        count = threading.Lock()
+
+        class CountingVectors(np.ndarray):
+            def __matmul__(self, other):
+                with count:
+                    inside[0] += 1
+                    most[0] = max(most[0], inside[0])
+                try:
+                    time.sleep(0.002)  # a caller not held back by the lock would arrive meanwhile
+                    return np.asarray(self) @ other
+                finally:
+                    with count:
+                        inside[0] -= 1
+
+        rng = np.random.default_rng(3)
+        index = build_dense_index([f"d{i}" for i in range(50)],
+                                  rng.normal(size=(50, 8)).astype(np.float32))
+        expected = dense_search(index, np.ones(8, dtype=np.float32), 10).entries
+        index.vectors = index.vectors.view(CountingVectors)
+        results = [[] for _ in range(4)]
+
+        def search(i):
+            for _ in range(10):
+                results[i].append(dense_search(index, np.ones(8, dtype=np.float32), 10).entries)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(search, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert results == [[expected] * 10] * 4
+
+    def test_concurrent_results_equal_sequential_bit_for_bit(self):
+        # 20k x 64 is well above the size at which OpenBLAS threads a product over the CPUs
+        rng = np.random.default_rng(11)
+        index = build_dense_index([f"d{i}" for i in range(20000)],
+                                  rng.normal(size=(20000, 64)).astype(np.float32))
+        queries = rng.normal(size=(24, 64)).astype(np.float32)
+        expected = [dense_search(index, q, 100) for q in queries]
+        results: list = [None] * len(queries)
+
+        def search(i):
+            for j in range(i, len(queries), 4):
+                results[j] = dense_search(index, queries[j], 100)
+
+        run_threads(search, 4)
+        for got, want in zip(results, expected):
+            assert got.hits[0] is want.hits[0]
+            assert got.hits[1].tobytes() == want.hits[1].tobytes()
+            assert got.hits[2].tobytes() == want.hits[2].tobytes()
+            assert got.entries == want.entries
 
 
 class TestHashingEncoder:
