@@ -136,13 +136,14 @@ def _strictly_ascending(ids: Sequence[str]) -> bool:
     return all(map(operator.lt, ids, itertools.islice(ids, 1, None)))
 
 
-def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int) -> RankedList:
+def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray | None, k: int) -> RankedList:
     """The k best of ``rows`` by descending score, ties by ascending doc_id; ValueError if k < 1.
 
     Row i is ``doc_ids[i]`` and scores ``scores[i]``. Both ``doc_ids`` and
-    ``rows`` must be ascending. The result holds only its hits: ``(doc_ids,
-    best rows, their scores)``; its (doc_id, score) pairs are built when its
-    entries are first read.
+    ``rows`` must be ascending; ``rows=None`` means every row, and spares
+    the gather of all the scores through a row list. The result holds only
+    its hits: ``(doc_ids, best rows, their scores)``; its (doc_id, score)
+    pairs are built when its entries are first read.
     ``np.partition`` finds the k-th best score; only the rows that tie or beat
     it are stable-sorted on descending score, which keeps tied rows in doc-id
     order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
@@ -150,11 +151,13 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray, k: int)
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    neg = -scores[rows]
-    if k < len(rows):
+    neg = -(scores if rows is None else scores[rows])
+    if k < len(neg):
         kth = np.partition(neg, k - 1)[k - 1]
-        keep = ~(neg > kth)
-        rows, neg = rows[keep], neg[keep]
+        keep = np.flatnonzero(~(neg > kth))
+        rows, neg = keep if rows is None else rows[keep], neg[keep]
+    elif rows is None:
+        rows = np.arange(len(neg))
     best = rows[np.argsort(neg, kind="stable")[:k]]
     return RankedList("", hits=(doc_ids, best, scores[best]))
 

@@ -125,18 +125,23 @@ def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
 
 
 def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedList:
-    """Top-k by inner product, ties broken by ascending doc_id."""
+    """Top-k by inner product over every row, ties broken by ascending doc_id.
+
+    The product runs in the index's float32 whatever the query's dtype; a
+    finite query value past float32's range gives a non-finite score.
+    """
     q = np.asarray(query_vector)
     if q.shape != (index.dim,):
         raise DimMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
     if not np.isfinite(q).all():
         raise NonFiniteVector("query vector holds a NaN or inf")
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteVector below
+        q = q.astype(index.vectors.dtype, copy=False)  # a float64 query would upcast every row
         with _PRODUCT_LOCK:
             scores = index.vectors @ q
     if not np.isfinite(scores).all():
         raise NonFiniteVector("inner product overflows: a score is NaN or inf")
-    return _top_k(index.ids, scores, np.arange(index.count), k)
+    return _top_k(index.ids, scores, None, k)
 
 
 class HashingEncoder:

@@ -4,7 +4,10 @@ Each leg is min-max normalized over its own candidate list, candidates
 missing from a leg score 0 there, and the fused score is
 ``alpha * sparse + (1 - alpha) * dense``. Fusion works on index rows: legs
 ranked over one id list (the engine's) bring their rows along, and any
-other lists are numbered by the sorted union of their doc_ids.
+other lists are numbered by the sorted union of their doc_ids. The union
+of the legs' rows is marked in a boolean array over that id list, and each
+leg's normalized scores are scattered into an array over it, so no row
+list is sorted or searched.
 """
 
 from __future__ import annotations
@@ -35,18 +38,23 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
     """Min-max normalized float64 scores; all-equal scores map to 1.0.
 
     Fusion's one normalization rule: ``fuse`` applies it to each leg's scores
-    in entry order. lo and hi are Python ``min``/``max`` over the scores in
-    list order, so a NaN counts only where it stands first; an empty array
-    stays empty. When finite lo and hi are more than the largest float64
-    apart, both terms are halved, so the result stays in [0, 1] instead of
-    dividing inf by inf.
+    in entry order. lo and hi are the first minimum and the first maximum
+    (``argmin``/``argmax``), which is what Python ``min``/``max`` keep on
+    NaN-free scores, ±0.0 included. Where either is NaN, a NaN is present,
+    and lo and hi are Python ``min``/``max`` over the scores in list order,
+    so a NaN counts only where it stands first. An empty array stays empty.
+    When finite lo and hi are more than the largest float64 apart, both
+    terms are halved, so the result stays in [0, 1] instead of dividing inf
+    by inf.
     """
-    values = scores.tolist()
-    if not values:
+    if not len(scores):
         return np.zeros(0)
-    lo, hi = min(values), max(values)
+    lo, hi = float(scores[scores.argmin()]), float(scores[scores.argmax()])
+    if math.isnan(lo) or math.isnan(hi):
+        values = scores.tolist()
+        lo, hi = min(values), max(values)
     if hi == lo:
-        return np.ones(len(values))
+        return np.ones(len(scores))
     scores = scores.astype(np.float64)
     if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi):
         return (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
@@ -77,21 +85,23 @@ def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
 def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k: int) -> RankedList:
     """Fuse two already-retrieved candidate lists over index rows.
 
-    ``_top_k`` ranks the union of the legs' rows, ties by ascending doc_id;
-    (doc_id, score) tuples are built only for the k entries returned.
+    The union of the legs' rows is marked over the id list; each leg's
+    normalized scores are scattered into a zeroed array over it, so a row
+    missing from a leg scores 0.0 there. ``_top_k`` ranks the union, ties
+    by ascending doc_id; (doc_id, score) tuples are built only for the k
+    entries returned.
     """
     doc_ids, (sparse_rows, sparse_scores), (dense_rows, dense_scores) = _leg_rows(
         sparse_results, dense_results)
-    rows = np.sort(np.concatenate((sparse_rows, dense_rows)))  # np.union1d, without np.unique's cost
-    distinct = np.ones(len(rows), dtype=bool)
-    distinct[1:] = rows[1:] != rows[:-1]
-    rows = rows[distinct]
-    sparse_norm, dense_norm = np.zeros(len(rows)), np.zeros(len(rows))
-    sparse_norm[np.searchsorted(rows, sparse_rows)] = _min_max(sparse_scores)
-    dense_norm[np.searchsorted(rows, dense_rows)] = _min_max(dense_scores)
+    member = np.zeros(len(doc_ids), dtype=bool)
+    member[sparse_rows] = member[dense_rows] = True
+    rows = np.flatnonzero(member)
+    sparse_norm, dense_norm = np.zeros(len(doc_ids)), np.zeros(len(doc_ids))
+    sparse_norm[sparse_rows] = _min_max(sparse_scores)
+    dense_norm[dense_rows] = _min_max(dense_scores)
     fused = np.empty(len(doc_ids))
     with np.errstate(over="ignore", invalid="ignore"):
-        fused[rows] = alpha * sparse_norm + (1 - alpha) * dense_norm
+        fused[rows] = alpha * sparse_norm[rows] + (1 - alpha) * dense_norm[rows]
     result = _top_k(doc_ids, fused, rows, k)
     result.query_id = sparse_results.query_id or dense_results.query_id
     return result

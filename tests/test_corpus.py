@@ -332,21 +332,29 @@ class TestTopK:
             if trial % 4 == 3:
                 scores = scores.astype(np.float32)
             doc_ids = sorted(f"d{i}" for i in rng.choice(20000, size=n, replace=False))
-            rows = np.flatnonzero(rng.random(n) < 0.6) if trial % 5 else np.arange(n)
-            for k in range(1, n + 2):
-                expected = full_sort_top_k(doc_ids, scores, rows, k)
+            # None ranks every row, as np.arange(n) does
+            rows = [np.arange(n), None][trial % 5] if trial % 5 < 2 else np.flatnonzero(rng.random(n) < 0.6)
+            for k in range(1, n + 3):
+                expected = full_sort_top_k(doc_ids, scores, np.arange(n) if rows is None else rows, k)
                 assert score_bits(_top_k(doc_ids, scores, rows, k).entries) == score_bits(expected)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(SPECIAL_SCORES) | st.floats(width=32), max_size=30), st.data())
     def test_property_matches_full_stable_sort(self, values, data):
-        scores = np.array(values, dtype=np.float64)
+        scores = np.array(values, dtype=data.draw(st.sampled_from([np.float64, np.float32])))
         n = len(values)
         doc_ids = [f"d{i:02d}" for i in range(n)]
-        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        k = data.draw(st.integers(1, n + 1))
-        expected = full_sort_top_k(doc_ids, scores, rows, k)
-        assert score_bits(_top_k(doc_ids, scores, rows, k).entries) == score_bits(expected)
+        # rows=None ranks every row, as the row list np.arange(n) does
+        rows = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.flatnonzero))
+        listed = np.arange(n) if rows is None else rows
+        k = data.draw(st.integers(1, n + 2))
+        ranked = _top_k(doc_ids, scores, rows, k)
+        expected = full_sort_top_k(doc_ids, scores, listed, k)
+        assert score_bits(ranked.entries) == score_bits(expected)
+        by_list = _top_k(doc_ids, scores, listed, k)
+        assert ranked.hits[0] is doc_ids
+        for got, want in zip(ranked.hits[1:], by_list.hits[1:]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.sets(st.integers(0, 20000), max_size=30), st.data())
@@ -356,11 +364,12 @@ class TestTopK:
         n = len(doc_ids)
         scores = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf])
                                              | st.floats(allow_nan=False), min_size=n, max_size=n)))
-        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        k = data.draw(st.integers(1, n + 1))
+        rows = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.flatnonzero))
+        k = data.draw(st.integers(1, n + 2))
         ranked = _top_k(doc_ids, scores, rows, k)
         assert ranked._entries is None  # nothing built until the entries are read
-        expected = sorted(((doc_ids[i], float(scores[i])) for i in rows.tolist()),
+        listed = range(n) if rows is None else rows.tolist()
+        expected = sorted(((doc_ids[i], float(scores[i])) for i in listed),
                           key=lambda pair: (-pair[1], pair[0]))[:k]
         assert score_bits(ranked.entries) == score_bits(expected)
         assert ranked.entries is ranked.entries  # built once, then kept

@@ -198,6 +198,29 @@ class TestSearch:
         with pytest.raises(NonFiniteVector):
             dense_search(index, np.array(query, dtype=np.float32), 2)
 
+    def test_float64_query_scores_as_its_float32_values(self):
+        # the product runs in the index's float32, not in the query's float64
+        rng = np.random.default_rng(41)
+        vectors = rng.normal(size=(200, 16)).astype(np.float32)
+        index = build_dense_index([f"d{i}" for i in range(200)], vectors)
+        for _ in range(10):
+            q = rng.normal(size=16).astype(np.float32)
+            want, got = dense_search(index, q, 50), dense_search(index, q.astype(np.float64), 50)
+            assert got.hits[2].dtype == want.hits[2].dtype == np.float32
+            assert got.hits[1].tobytes() == want.hits[1].tobytes()
+            assert got.hits[2].tobytes() == want.hits[2].tobytes()
+            assert got.entries == want.entries
+
+    def test_finite_float64_query_past_float32_range_raises(self):
+        index = build_dense_index(["d1", "d2"], np.eye(2, dtype=np.float32))
+        with pytest.raises(NonFiniteVector):
+            dense_search(index, np.array([1e39, 0.0]), 2)
+
+    def test_zero_row_index_has_no_hits(self):
+        index = build_dense_index([], np.zeros((0, 3), dtype=np.float32))
+        result = dense_search(index, np.ones(3, dtype=np.float32), 5)
+        assert result.entries == [] and len(result.hits[1]) == 0
+
 
 def run_threads(target, n):
     """Run target(i) on n threads started together; re-raise the first error."""

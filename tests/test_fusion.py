@@ -142,7 +142,7 @@ def bits(ranked):
 # few distinct values tie heavily; the float32 draws stand in for dense scores
 TIED_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
 SCORES = TIED_SCORES | st.floats(width=32, allow_nan=False, allow_infinity=False)
-ALPHAS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+ALPHAS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])  # -0.0: alpha * 0.0 is -0.0
 
 
 class TestFuseOverRows:
@@ -183,10 +183,16 @@ class TestFuseOverRows:
 
     def test_normalize_matches_the_parent(self):
         nan = float("nan")
-        for scores in ([3.0, nan, 1.0], [nan, 2.0, 1.0], [nan, nan], [-0.0, 0.0], [np.inf, 1.0, -np.inf],
-                       [1e308, -1e308], [2.0, 2.0], []):
+        for scores in ([3.0, nan, 1.0], [nan, 2.0, 1.0], [2.0, 1.0, nan], [nan, nan], [-0.0, 0.0],
+                       [0.0, -0.0], [np.inf, 1.0, -np.inf], [1e308, -1e308], [2.0, 2.0], []):
             entries = RankedList("q", [(f"d{i}", s) for i, s in enumerate(scores)])
             assert bits(normalize_scores(entries)) == bits(parent_normalize(entries))
+            # the dense leg's float32 scores, which the parent read as Python floats
+            with np.errstate(over="ignore"):
+                single = np.array(scores, dtype=np.float32)
+            entries = RankedList("q", [(f"d{i}", s) for i, s in enumerate(single.tolist())])
+            expected = np.array([s for _, s in parent_normalize(entries).entries])
+            assert _min_max(single).tobytes() == expected.tobytes()
         # finite scores spread wider than the largest float64: the parent divided inf by inf
         # and gave NaN; both terms are now halved
         entries = RankedList("q", [("d0", 1e308), ("d1", 5.0), ("d2", -1e308)])

@@ -13,9 +13,11 @@ sha256 of the TREC run text, the sha256 of the trace JSONL with
     model, run through ``SearchEngine`` and ``write_run_file``.
 
 Both run at ``llm_max_workers`` 2. Traces hold full-precision scores, and
-OpenBLAS picks its kernel per CPU, so the file keeps the numpy and BLAS
-provenance of its recording; a mismatch on other hardware is a finding to
-report, not a reason to skip.
+OpenBLAS picks its kernel per CPU and splits a product's rows over its
+threads, so score bits can depend on the kernel and thread count. The file
+keeps the numpy, BLAS, CPU-count and thread-setting provenance of its
+recording; a mismatch on other hardware or settings is a finding to report,
+not a reason to skip.
 
 Re-record only when a change means to alter outputs, and name the cells that
 changed (``--record`` prints them):
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import platform
 import sys
 import tempfile
@@ -160,13 +163,15 @@ def compute(work: Path) -> dict:
 
 
 def provenance() -> dict:
-    """numpy and the BLAS it was built against: the scores in the traces depend on them."""
+    """numpy, the BLAS it was built against, the CPU count and the BLAS thread settings:
+    the scores in the traces depend on them."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its config and returns None
         blas = {}
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine(),
+            "machine": platform.machine(), "cpu_count": os.cpu_count(),
+            "threads": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import rede.fusion
 import rede.pipeline
 
-from rede.corpus import Document, Query, RankedList
+from rede.corpus import Document, Query, RankedList, write_run_file
 from rede.dense import build_dense_index, dense_search
 from rede.errors import (
     BackendUnavailable,
@@ -32,7 +33,7 @@ from rede.pipeline import (
     rerank_by_judge,
 )
 from rede.sparse import build_sparse_index
-from rede.synthetic import TableEncoder
+from rede.synthetic import TableEncoder, generate_benchmark
 
 
 def vec(*xs):
@@ -666,6 +667,37 @@ class TestEncoderBoundary:
         result, trace = engine.search("hyde", QUERY)
         assert result.doc_ids() == brute_force_ranking(QUERY_VEC, [vec(0.7, 0.2)] * 4)
         assert trace.refined_vector.tobytes() == mean_update(QUERY_VEC, [vec(0.7, 0.2)] * 4).tobytes()
+
+
+class Float64Encoder:
+    """The wrapped encoder's vectors, exactly, as float64."""
+
+    def __init__(self, encoder):
+        self.encoder = encoder
+
+    def encode(self, texts):
+        return self.encoder.encode(texts).astype(np.float64)
+
+
+class TestFloat64Encoder:
+    @pytest.mark.parametrize("method", ["dense", "hybrid", "rede"])
+    def test_run_and_traces_equal_the_float32_encoders(self, tmp_path, method):
+        # the product runs in the index's float32, so the encoder's dtype changes no bit
+        bench = generate_benchmark(seed=5, n_docs=300, n_queries=8)
+        sparse, dense = build_sparse_index(bench.corpus), build_dense_index(bench.doc_ids, bench.doc_vectors)
+        outputs = []
+        for encoder in (bench.encoder, Float64Encoder(bench.encoder)):
+            engine = SearchEngine(bench.corpus, sparse, dense, encoder, judge=OracleJudge(bench.qrels),
+                                  config=PipelineConfig(initial_retriever="hybrid", k_initial=30,
+                                                        output_depth=100))
+            results = [engine.search(method, q) for q in bench.queries]
+            run = tmp_path / "run.trec"
+            write_run_file(str(run), [r for r, _ in results], method)
+            # json.dumps writes each float's repr: the exact value, the sign of zero included
+            outputs.append((run.read_text(), json.dumps([r.entries for r, _ in results]),
+                            json.dumps([{k: v for k, v in t.to_dict().items() if k != "wall_times"}
+                                        for _, t in results])))
+        assert outputs[1] == outputs[0]
 
 
 class TestEngineRowSpace:
