@@ -67,7 +67,6 @@ from .pipeline import (
 )
 from .sparse import (
     SparseIndex,
-    bm25_score,
     build_sparse_index,
     load_sparse_index,
     save_sparse_index,

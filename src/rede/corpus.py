@@ -83,6 +83,7 @@ class RankedList:
     ``entries`` cannot be assigned, but once built it can be edited in place,
     so the hits speak for the list only while its entries are unbuilt
     (``_unread_hits``). Equality and repr see only ``query_id`` and ``entries``.
+    ``entries`` stays a list: perfbench's ``check_rankings`` compares it with one.
     """
 
     def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,

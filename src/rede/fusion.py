@@ -1,7 +1,7 @@
 """Sparse-dense score fusion for the initial retrieval stage.
 
-Each leg is min-max normalized over its own candidate list, candidates
-missing from a leg score 0 there, and the fused score is
+Each leg's finite scores are min-max normalized over its own candidate
+list, candidates missing from a leg score 0 there, and the fused score is
 ``alpha * sparse + (1 - alpha) * dense``. Fusion works on index rows: legs
 ranked over one id list (the engine's) bring their rows along, and any
 other lists are numbered by the sorted union of their doc_ids. The union
@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import RankedList, _top_k
 from .dense import DenseIndex, dense_search
+from .errors import PreconditionViolation
 from .sparse import SparseIndex, sparse_search
 
 
@@ -37,29 +38,22 @@ class FusionConfig:
 def _min_max(scores: np.ndarray) -> np.ndarray:
     """Min-max normalized float64 scores; all-equal scores map to 1.0.
 
-    Fusion's one normalization rule: ``fuse`` applies it to each leg's scores
-    in entry order. lo and hi are the first minimum and the first maximum
-    (``argmin``/``argmax``), which is what Python ``min``/``max`` keep on
-    NaN-free scores, ±0.0 included. Where either is NaN, a NaN is present,
-    and lo and hi are Python ``min``/``max`` over the scores in list order,
-    so a NaN counts only where it stands first. An empty array stays empty.
-    When finite lo and hi are more than the largest float64 apart, both
-    terms are halved, so the result stays in [0, 1] instead of dividing inf
-    by inf.
+    Fusion's one normalization rule: ``fuse`` applies it to each leg's finite
+    scores in entry order. lo and hi are the first minimum and the first
+    maximum (``argmin``/``argmax``), which is what Python ``min``/``max``
+    keep, ±0.0 included. An empty array stays empty. When lo and hi are more
+    than the largest float64 apart, both terms are halved, so the result
+    stays in [0, 1] instead of dividing inf by inf.
     """
     if not len(scores):
         return np.zeros(0)
     lo, hi = float(scores[scores.argmin()]), float(scores[scores.argmax()])
-    if math.isnan(lo) or math.isnan(hi):
-        values = scores.tolist()
-        lo, hi = min(values), max(values)
     if hi == lo:
         return np.ones(len(scores))
     scores = scores.astype(np.float64)
-    if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi):
+    if math.isinf(hi - lo):
         return (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (scores - lo) / (hi - lo)
+    return (scores - lo) / (hi - lo)
 
 
 def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
@@ -85,14 +79,17 @@ def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
 def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k: int) -> RankedList:
     """Fuse two already-retrieved candidate lists over index rows.
 
-    The union of the legs' rows is marked over the id list; each leg's
-    normalized scores are scattered into a zeroed array over it, so a row
-    missing from a leg scores 0.0 there. ``_top_k`` ranks the union, ties
-    by ascending doc_id; (doc_id, score) tuples are built only for the k
-    entries returned.
+    A NaN or ±inf score in either leg raises ``PreconditionViolation``. The
+    union of the legs' rows is marked over the id list; each leg's normalized
+    scores are scattered into a zeroed array over it, so a row missing from a
+    leg scores 0.0 there. ``_top_k`` ranks the union, ties by ascending
+    doc_id; (doc_id, score) tuples are built only for the k entries returned.
     """
     doc_ids, (sparse_rows, sparse_scores), (dense_rows, dense_scores) = _leg_rows(
         sparse_results, dense_results)
+    query_id = sparse_results.query_id or dense_results.query_id
+    if not (np.isfinite(sparse_scores).all() and np.isfinite(dense_scores).all()):
+        raise PreconditionViolation(f"fusion needs finite scores; a leg of {query_id!r} has NaN or inf")
     member = np.zeros(len(doc_ids), dtype=bool)
     member[sparse_rows] = member[dense_rows] = True
     rows = np.flatnonzero(member)
@@ -100,10 +97,9 @@ def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k:
     sparse_norm[sparse_rows] = _min_max(sparse_scores)
     dense_norm[dense_rows] = _min_max(dense_scores)
     fused = np.empty(len(doc_ids))
-    with np.errstate(over="ignore", invalid="ignore"):
-        fused[rows] = alpha * sparse_norm[rows] + (1 - alpha) * dense_norm[rows]
+    fused[rows] = alpha * sparse_norm[rows] + (1 - alpha) * dense_norm[rows]
     result = _top_k(doc_ids, fused, rows, k)
-    result.query_id = sparse_results.query_id or dense_results.query_id
+    result.query_id = query_id
     return result
 
 

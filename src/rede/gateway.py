@@ -54,7 +54,6 @@ class CompletionResponse:
 class CallCounter:
     """Thread-safe instrumentation: logical calls plus wire-level attempts."""
 
-    total: int = 0
     logprob_calls: int = 0
     text_calls: int = 0
     attempts: int = 0
@@ -62,7 +61,6 @@ class CallCounter:
 
     def record_call(self, want_logprobs: bool) -> None:
         with self._lock:
-            self.total += 1
             if want_logprobs:
                 self.logprob_calls += 1
             else:
@@ -74,7 +72,11 @@ class CallCounter:
 
     def reset(self) -> None:
         with self._lock:
-            self.total = self.logprob_calls = self.text_calls = self.attempts = 0
+            self.logprob_calls = self.text_calls = self.attempts = 0
+
+    @property
+    def total(self) -> int:
+        return self.logprob_calls + self.text_calls
 
 
 # the calls of the one query running in this context; the pipeline sets it per search

@@ -11,9 +11,9 @@ no query term are excluded from search results. Rows are documents in
 ascending doc-id order, so row order is the tie order.
 
 In memory the postings are flat arrays: term t (numbered in file order) has
-the [row, tf] pairs ``pairs[offsets[t]:offsets[t+1]]``, rows ascending, and
-``postings`` is a read-only mapping view over them. A query gathers its
-terms' slices and adds them into the row scores with one bincount.
+the [row, tf] pairs ``pairs[offsets[t]:offsets[t+1]]``, rows ascending. A
+query gathers its terms' slices and adds them into the row scores with one
+bincount.
 """
 
 from __future__ import annotations
@@ -22,39 +22,22 @@ import json
 import math
 import os
 import struct
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice
+from types import MappingProxyType
 
 import numpy as np
 
 from .corpus import _ASCII_BYTES, Corpus, RankedList, _strictly_ascending, _top_k, tokenize
-from .errors import EmptyCorpus, MalformedRecord, UnknownDocId
+from .errors import EmptyCorpus, MalformedRecord
 
 _MAGIC = b"SPIDX"
 _VERSION = 2
 _PREAMBLE = struct.Struct("<HQ")  # version, header length
 _MIN_AVGDL = 1e-9
-
-
-class _Postings(Mapping):
-    """Read-only view of an index's postings: term -> its (df, 2) int32 [row, tf]
-    slice of ``pairs``, terms in file order."""
-
-    def __init__(self, terms: dict[str, int], offsets: np.ndarray, pairs: np.ndarray):
-        self._terms, self._offsets, self._pairs = terms, offsets, pairs
-
-    def __getitem__(self, term: str) -> np.ndarray:
-        t = self._terms[term]
-        return self._pairs[self._offsets[t] : self._offsets[t + 1]]
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
 
 @dataclass(frozen=True)
@@ -68,17 +51,21 @@ class SparseIndex:
     k1: float = 0.9
     b: float = 0.4
     norm: np.ndarray = field(init=False, repr=False)  # per row: k1 * (1 - b + b * dl / avgdl)
-    postings: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         self.pairs.flags.writeable = False
         norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
         object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "postings", _Postings(self.terms, self.offsets, self.pairs))
+
+    @cached_property
+    def postings(self) -> Mapping[str, np.ndarray]:
+        """Read-only term -> its [row, tf] slice of ``pairs``; built on first read, for inspection."""
+        return MappingProxyType({term: self.pairs[self.offsets[t] : self.offsets[t + 1]]
+                                 for term, t in self.terms.items()})
 
     @property
     def doc_count(self) -> int:
@@ -86,10 +73,11 @@ class SparseIndex:
 
     def idf(self, term: str) -> float:
         t = self.terms.get(term)
-        if t is None:
-            return 0.0
-        df = int(self.offsets[t + 1] - self.offsets[t])
-        return math.log(1 + (self.doc_count - df + 0.5) / (df + 0.5))
+        return 0.0 if t is None else _idf(self.doc_count, int(self.offsets[t + 1] - self.offsets[t]))
+
+
+def _idf(doc_count: int, df: int) -> float:
+    return math.log(1 + (doc_count - df + 0.5) / (df + 0.5))
 
 
 def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
@@ -152,22 +140,16 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
     """
     rows, weights = [], []
     for term, count in Counter(query_tokens).items():
-        posting = index.postings.get(term)
-        if posting is None:
+        t = index.terms.get(term)
+        if t is None:
             continue
-        row, tf = posting[:, 0], posting[:, 1]
+        row, tf = index.pairs[index.offsets[t] : index.offsets[t + 1]].T
+        idf = _idf(index.doc_count, len(row))
         rows.append(row)
-        weights.append(count * (index.idf(term) * tf * (index.k1 + 1) / (tf + index.norm[row])))
+        weights.append(count * (idf * tf * (index.k1 + 1) / (tf + index.norm[row])))
     if not rows:
         return np.zeros(index.doc_count)
     return np.bincount(np.concatenate(rows), np.concatenate(weights), minlength=index.doc_count)
-
-
-def bm25_score(index: SparseIndex, query_tokens: list[str], doc_id: str) -> float:
-    row = bisect_left(index.doc_ids, doc_id)
-    if row == index.doc_count or index.doc_ids[row] != doc_id:
-        raise UnknownDocId(doc_id)
-    return float(_bm25(index, query_tokens)[row])
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:

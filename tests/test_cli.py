@@ -101,6 +101,15 @@ def test_index_sparse_rejects_b_outside_unit_interval(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: b must be in [0, 1]")
 
 
+@pytest.mark.parametrize("k1", ["nan", "inf", "-1"])
+def test_index_sparse_rejects_k1_that_is_not_finite_and_non_negative(workspace, capsys, k1):
+    out = workspace / "sparse.idx"
+    assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"), "--k1", k1,
+                        "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: k1 must be finite and >= 0")
+    assert not out.exists()
+
+
 def test_eval_rejects_k_zero(workspace, capsys):
     run_path = workspace / "run.trec"
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",

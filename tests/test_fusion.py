@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rede.corpus import Document, RankedList, _top_k
 from rede.dense import build_dense_index, dense_search
+from rede.errors import PreconditionViolation
 from rede.fusion import FusionConfig, _min_max, fuse, hybrid_search
 from rede.sparse import build_sparse_index, sparse_search
 
@@ -176,20 +177,25 @@ class TestFuseOverRows:
                     max_size=5, unique_by=lambda p: p[0]).map(lambda e: RankedList("", e)),
            ALPHAS)
     def test_hand_built_lists_match_the_parent(self, sparse, dense, alpha):
-        # in any order, NaN and inf anywhere: lo and hi are Python min/max in entry order
+        # in any order, NaN and inf anywhere: a list with one raises, any other matches the parent
+        finite = all(math.isfinite(s) for _, s in sparse.entries + dense.entries)
         union = len(set(sparse.doc_ids()) | set(dense.doc_ids()))
         for k in range(1, union + 2):
-            assert bits(fuse(sparse, dense, alpha, k)) == bits(parent_fuse(sparse, dense, alpha, k))
+            if finite:
+                assert bits(fuse(sparse, dense, alpha, k)) == bits(parent_fuse(sparse, dense, alpha, k))
+            else:
+                with pytest.raises(PreconditionViolation, match="finite"):
+                    fuse(sparse, dense, alpha, k)
 
     def test_normalize_matches_the_parent(self):
-        nan = float("nan")
-        for scores in ([3.0, nan, 1.0], [nan, 2.0, 1.0], [2.0, 1.0, nan], [nan, nan], [-0.0, 0.0],
-                       [0.0, -0.0], [np.inf, 1.0, -np.inf], [1e308, -1e308], [2.0, 2.0], []):
+        for scores in ([-0.0, 0.0], [0.0, -0.0], [1e308, -1e308], [2.0, 2.0], []):
             entries = RankedList("q", [(f"d{i}", s) for i, s in enumerate(scores)])
             assert bits(normalize_scores(entries)) == bits(parent_normalize(entries))
             # the dense leg's float32 scores, which the parent read as Python floats
             with np.errstate(over="ignore"):
                 single = np.array(scores, dtype=np.float32)
+            if not np.isfinite(single).all():
+                continue  # ±1e308 is ±inf in float32, which fusion rejects
             entries = RankedList("q", [(f"d{i}", s) for i, s in enumerate(single.tolist())])
             expected = np.array([s for _, s in parent_normalize(entries).entries])
             assert _min_max(single).tobytes() == expected.tobytes()
@@ -225,6 +231,26 @@ class TestFuseOverRows:
         sparse.entries.append(("c", 9.0))
         plain = fuse(RankedList("", [("c", 9.0)]), RankedList("", list(dense.entries)), 0.5, 3)
         assert fuse(sparse, dense, 0.5, 3).entries == plain.entries == [("a", 0.5), ("c", 0.5)]
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad_leg", ["sparse", "dense"])
+    def test_fuse_raises_for_a_non_finite_score_in_either_leg(self, bad, bad_leg):
+        ids = ["a", "b", "c"]
+
+        def legs():
+            # fresh lists each time: reading a list's entries takes it off the row path
+            sparse_scores, dense_scores = np.array([2.0, 1.0, 3.0]), np.array([0.5, 1.0, 0.25], dtype=np.float32)
+            (sparse_scores if bad_leg == "sparse" else dense_scores)[1] = bad
+            return _top_k(ids, sparse_scores, np.arange(3), 3), _top_k(ids, dense_scores, np.arange(3), 3)
+
+        hits = legs()
+        assert all(leg._unread_hits() is not None for leg in hits)
+        plain = [RankedList("q", list(leg.entries)) for leg in legs()]
+        for sparse, dense in (hits, plain):
+            with pytest.raises(PreconditionViolation, match="fusion needs finite scores"):
+                fuse(sparse, dense, 0.5, 3)
 
 
 # Any finite score, also scores spread wider than the largest float64

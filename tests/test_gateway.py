@@ -76,6 +76,10 @@ class TestMockGateway:
         assert mock.counter.total == 3
         assert mock.counter.logprob_calls == 1
         assert mock.counter.text_calls == 2
+        with pytest.raises(AttributeError):  # total is the sum of the two, not a third count
+            mock.counter.total = 0
+        mock.counter.reset()
+        assert (mock.counter.total, mock.counter.logprob_calls, mock.counter.text_calls) == (0, 0, 0)
 
     def test_per_call_delay(self):
         mock = MockGateway(SCRIPT, logprob_delay_s=0.03, text_delay_s=0.0)

@@ -10,7 +10,7 @@ EXPORTED = {
     "LexicalJudge", "LlmJudge", "MetricReport", "MockGateway", "OracleJudge", "PipelineConfig",
     "Qrels", "Query", "RankedList", "RelevanceJudgment", "SearchEngine", "SearchTrace",
     "SparseIndex", "SyntheticBenchmark", "TableEncoder",
-    "bm25_score", "build_dense_index", "build_sparse_index", "complete", "dense_search",
+    "build_dense_index", "build_sparse_index", "complete", "dense_search",
     "evaluate_run", "export_distill_dataset", "fetch_embedding", "fuse", "generate_benchmark",
     "generate_hypothetical_docs", "hybrid_search", "judge_candidates", "load_bundle",
     "load_corpus", "load_qrels", "load_queries", "load_sparse_index", "mean_update",

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rede.corpus import _ASCII_BYTES, _ASCII_TABLE, Document, tokenize
-from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch, UnknownDocId
+from rede.dense import build_dense_index
+from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch
+from rede.judge import OracleJudge
+from rede.pipeline import PipelineConfig, SearchEngine
 from rede.sparse import (
-    bm25_score,
     build_sparse_index,
     load_sparse_index,
     save_sparse_index,
@@ -90,6 +92,9 @@ class TestBuild:
             build_sparse_index(corpus_from(TOY), k1=-0.1)
         with pytest.raises(ValueError):
             build_sparse_index(corpus_from(TOY), b=1.5)
+        for k1 in (math.nan, math.inf):  # nan ranks nothing; inf divides inf by inf in every search
+            with pytest.raises(ValueError, match="k1 must be finite and >= 0"):
+                build_sparse_index(corpus_from(TOY), k1=k1)
 
 
 class TestScore:
@@ -97,30 +102,26 @@ class TestScore:
         # idf = ln(2), tf = 2, dl = 3, avgdl = 2.5, k1 = 0.9, b = 0.4
         index = build_sparse_index(corpus_from(TOY), k1=0.9, b=0.4)
         expected = math.log(2) * 2 * 1.9 / (2 + 0.9 * (1 - 0.4 + 0.4 * 3 / 2.5))
-        assert bm25_score(index, ["a"], "d1") == pytest.approx(expected, abs=1e-12)
-        assert bm25_score(index, ["a"], "d1") == pytest.approx(0.8862581716446137, abs=1e-9)
+        d1 = _bm25(index, ["a"])[0]  # rows are doc ids ascending
+        assert d1 == pytest.approx(expected, abs=1e-12)
+        assert d1 == pytest.approx(0.8862581716446137, abs=1e-9)
 
     def test_no_matching_terms(self):
         index = build_sparse_index(corpus_from(TOY))
-        assert bm25_score(index, ["zzz"], "d1") == 0.0
+        assert _bm25(index, ["zzz"]).tolist() == [0.0, 0.0]
 
     def test_duplicate_query_terms_add_per_occurrence(self):
         index = build_sparse_index(corpus_from(TOY))
-        one = bm25_score(index, ["a"], "d1")
-        two = bm25_score(index, ["a", "a"], "d1")
+        one = _bm25(index, ["a"])[0]
+        two = _bm25(index, ["a", "a"])[0]
         assert two == pytest.approx(2 * one, rel=1e-12)
         assert two == pytest.approx(brute_force_bm25(TOY, ["a", "a"], "d1", 0.9, 0.4), abs=1e-12)
-
-    def test_unknown_doc(self):
-        index = build_sparse_index(corpus_from(TOY))
-        with pytest.raises(UnknownDocId):
-            bm25_score(index, ["a"], "dX")
 
     def test_monotone_in_tf(self):
         # same doc length and df, increasing tf of the query term
         texts = {"d1": "a b b c", "d2": "a a b c", "d3": "a a a c"}
         index = build_sparse_index(corpus_from(texts))
-        scores = [bm25_score(index, ["a"], d) for d in ("d1", "d2", "d3")]
+        scores = _bm25(index, ["a"])  # rows d1, d2, d3
         assert scores[0] < scores[1] < scores[2]
 
     def test_randomized_oracle_equivalence(self):
@@ -137,9 +138,10 @@ class TestScore:
             k1, b = float(rng.uniform(0, 2)), float(rng.uniform(0, 1))
             index = build_sparse_index(corpus_from(texts), k1=k1, b=b)
             query = list(rng.choice(vocab, size=rng.integers(1, 6)))
-            for doc_id in texts:
+            scores = _bm25(index, query)
+            for row, doc_id in enumerate(index.doc_ids):
                 expected = brute_force_bm25(texts, query, doc_id, k1, b)
-                assert bm25_score(index, query, doc_id) == pytest.approx(expected, abs=1e-9)
+                assert scores[row] == pytest.approx(expected, abs=1e-9)
 
 
 class TestSearch:
@@ -193,8 +195,9 @@ class TestSearch:
         texts = {f"d{i}": " ".join(rng.choice(vocab, size=8)) for i in range(10)}
         index = build_sparse_index(corpus_from(texts))
         query = "w0 w1 w0"
+        scores = _bm25(index, tokenize(query))
         for doc_id, score in sparse_search(index, query, 10).entries:
-            assert score == pytest.approx(bm25_score(index, tokenize(query), doc_id), abs=1e-12)
+            assert score == pytest.approx(scores[index.doc_ids.index(doc_id)], abs=1e-12)
 
 
 def spidx(ids, terms, df, lengths, pairs, avgdl=1.0, b=0.4) -> bytes:
@@ -239,6 +242,8 @@ class TestSerialization:
         lambda data: with_header(data, lambda h: {**h, "avgdl": 0.0}),
         lambda data: with_header(data, lambda h: {**h, "avgdl": float("nan")}),
         lambda data: with_header(data, lambda h: {**h, "k1": -1.0}),
+        lambda data: with_header(data, lambda h: {**h, "k1": float("nan")}),
+        lambda data: with_header(data, lambda h: {**h, "k1": float("inf")}),
         lambda data: data[:7] + struct.pack("<Q", 2**63) + data[15:],  # header past the end of the file
     ])
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
@@ -420,6 +425,21 @@ class TestFlatIndex:
             postings["unknown"] = np.zeros((1, 2), dtype=np.int32)
         with pytest.raises(ValueError):
             next(iter(postings.values()))[0, 1] = 7
+
+    def test_search_never_builds_the_postings_map(self, tmp_path):
+        # the map is for inspection only; built on load or search, it would add to the engine's memory
+        bench = generate_benchmark(seed=5, n_docs=300, n_queries=4)
+        path = tmp_path / "sparse.idx"
+        save_sparse_index(build_sparse_index(bench.corpus), str(path))
+        sparse = load_sparse_index(str(path))
+        engine = SearchEngine(bench.corpus, sparse, build_dense_index(bench.doc_ids, bench.doc_vectors),
+                              bench.encoder, judge=OracleJudge(bench.qrels),
+                              config=PipelineConfig(initial_retriever="hybrid"))
+        for method in ("hybrid", "rede"):
+            for query in bench.queries:
+                engine.search(method, query)
+        assert "postings" not in vars(sparse)
+        assert len(sparse.postings) == len(sparse.terms) and "postings" in vars(sparse)
 
     def test_terms_add_in_query_order(self):
         # float addition is not associative: on this corpus, adding "d b a" in reverse
