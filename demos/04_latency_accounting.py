@@ -50,7 +50,6 @@ engine = SearchEngine(
 )
 
 for method in ("hybrid", "rede", "hyde", "hyde-prf"):
-    gateway.counter.reset()
     report = measure_latency(lambda q: engine.search(method, q), bench.queries)
     print(
         f"{method:10s} mean {report.mean_ms:8.1f} ms  p95 {report.p95_ms:8.1f} ms  "

@@ -89,18 +89,15 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--queries", default=None, help="overrides paths.queries")
 
 
-def _load_cfg(args) -> dict:
-    overrides: dict = {"paths": {}}
+def _engine_and_queries(args, method: str):
+    """The engine ``method`` needs, built from --config; then the queries of --queries or paths.queries."""
+    cfg = cfgmod.load_run_config(args.config)
     if args.queries:
-        overrides["paths"]["queries"] = args.queries
-    return cfgmod.load_run_config(args.config, overrides)
-
-
-def _load_query_set(cfg: dict):
-    path = cfg["paths"]["queries"]
-    if not path:
+        cfg["paths"]["queries"] = args.queries
+    engine = cfgmod.build_engine(cfg, method)
+    if not cfg["paths"]["queries"]:
         raise RedeError("no queries given (paths.queries or --queries)")
-    return load_queries(path)
+    return engine, load_queries(cfg["paths"]["queries"])
 
 
 def _cmd_index_sparse(args) -> int:
@@ -130,9 +127,7 @@ def _cmd_ingest_dense(args) -> int:
 def _cmd_search(args) -> int:
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
-    cfg = _load_cfg(args)
-    engine = cfgmod.build_engine(cfg, args.method)
-    queries = _load_query_set(cfg)
+    engine, queries = _engine_and_queries(args, args.method)
     results = map_in_order(lambda q: engine.search(args.method, q), queries, args.parallel)
     runs = [run for run, _ in results]
     write_run_file(args.out, runs, args.tag or args.method)
@@ -157,9 +152,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _load_cfg(args)
-    engine = cfgmod.build_engine(cfg, args.method)
-    queries = _load_query_set(cfg)
+    engine, queries = _engine_and_queries(args, args.method)
     report = measure_latency(lambda q: engine.search(args.method, q), queries, warmup=args.warmup)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -173,9 +166,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_distill(args) -> int:
-    cfg = _load_cfg(args)
-    engine = cfgmod.build_engine(cfg, "rede")
-    queries = _load_query_set(cfg)
+    engine, queries = _engine_and_queries(args, "rede")
     count = export_distill_dataset(engine, queries, args.out)
     print(f"wrote {count} of {len(queries)} queries -> {args.out}")
     return 0
@@ -183,9 +174,7 @@ def _cmd_export_distill(args) -> int:
 
 def _cmd_judge(args) -> int:
     """The rerank row's first stage and judge, or the judge alone over --run's candidates."""
-    cfg = _load_cfg(args)
-    engine = cfgmod.build_engine(cfg, "rerank")
-    queries = _load_query_set(cfg)
+    engine, queries = _engine_and_queries(args, "rerank")
     candidate_runs = None
     if args.run:
         candidate_runs = {r.query_id: r for r in read_run_file(args.run)}

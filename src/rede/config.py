@@ -1,4 +1,4 @@
-"""Run configuration: one JSON file, flag overrides, and engine assembly.
+"""Run configuration: one JSON file and engine assembly.
 
 The file is a JSON object of sections; every key is optional unless a
 subcommand needs it. A section holds the parameters of the class it
@@ -20,7 +20,8 @@ builds, and a key the file does not set keeps that class's default:
     vectors file, a templates dir None uses the templates in the package).
 
 Unknown keys are rejected at load time in every section. REDE_GATEWAY_URL
-in the environment overrides gateway.url.
+in the environment overrides gateway.url; the CLI's ``--queries`` replaces
+paths.queries in the loaded dict.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def _layer(cfg: dict, layer, source: str) -> None:
         cfg[section].update(values)
 
 
-def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
-    """The keys set by the config file, then by explicit overrides; paths filled with defaults."""
+def load_run_config(path: str | None) -> dict:
+    """The keys set by the config file (none if path is None); paths filled with defaults."""
     cfg: dict = {section: {} for section in SECTION_KEYS}
     cfg["paths"].update(_PATHS)
     if path is not None:
@@ -117,8 +118,6 @@ def load_run_config(path: str | None, overrides: dict | None = None) -> dict:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
         _layer(cfg, file_cfg, f"config file {path}")
-    if overrides:
-        _layer(cfg, overrides, "config overrides")
     url = os.environ.get(GATEWAY_URL_ENV)
     if url:
         cfg["gateway"]["url"] = url

@@ -34,23 +34,20 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-# For ASCII text [^\W_] is exactly [A-Za-z0-9]: those map to themselves and every
-# other ASCII char, `_` and the control characters included, to a space for str.split.
-# Listing all 128 spares str.translate a failed lookup for each distinct letter.
-_ASCII_TABLE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
-# The same rule over bytes for bytes.translate, with the lowercasing folded in: ASCII
-# letters lowercased, digits kept, every other ASCII byte a space; bytes >= 0x80 kept.
-_ASCII_BYTES = "".join(map(_ASCII_TABLE.get, range(128))).lower().encode("ascii") + bytes(range(128, 256))
+# For ASCII text [^\W_] is exactly [A-Za-z0-9]. The bytes.translate table folds in the
+# lowercasing: ASCII letters lowercased, digits kept, every other ASCII byte (`_` and the
+# control characters included) a space for split; bytes >= 0x80 kept.
+_ASCII_BYTES = bytes(ord(chr(c).lower()) if chr(c).isalnum() else 32 for c in range(128)) + bytes(range(128, 256))
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, then keep the maximal runs of alphanumeric codepoints; no stemming.
 
-    ASCII text takes one translate and one split, which give the regex's
-    tokens in the regex's order in well under half its time.
+    ASCII text takes one bytes translate and one split, which give the
+    regex's tokens in the regex's order in well under half its time.
     """
     if text.isascii():
-        return text.lower().translate(_ASCII_TABLE).split()
+        return text.encode("ascii").translate(_ASCII_BYTES).decode("ascii").split()
     return _TOKEN.findall(text.lower())
 
 

@@ -43,7 +43,7 @@ _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 _PRODUCT_LOCK = threading.Lock()
 
 
-@dataclass
+@dataclass(eq=False)  # equality is identity: the fields are numpy arrays
 class DenseIndex:
     dim: int
     ids: list[str]  # ascending; row i is ids[i]

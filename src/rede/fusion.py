@@ -3,11 +3,11 @@
 Each leg's finite scores are min-max normalized over its own candidate
 list, candidates missing from a leg score 0 there, and the fused score is
 ``alpha * sparse + (1 - alpha) * dense``. Fusion works on index rows: legs
-ranked over one id list (the engine's) bring their rows along, and any
-other lists are numbered by the sorted union of their doc_ids. The union
-of the legs' rows is marked in a boolean array over that id list, and each
-leg's normalized scores are scattered into an array over it, so no row
-list is sorted or searched.
+ranked over one id list (the engine's) or over equal ones bring their rows
+along, and any other lists are numbered by the sorted union of their
+doc_ids. The union of the legs' rows is marked in a boolean array over that
+id list, and each leg's normalized scores are scattered into an array over
+it, so no row list is sorted or searched.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
 def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
     """(doc_ids, (rows, scores) per leg) with scores in entry order.
 
-    Two lists ranked over one id list whose entries are unbuilt keep their own
-    hits; any others, and lists whose entries may have been edited, are given
-    rows by numbering the sorted union of their doc_ids.
+    Two lists ranked over one id list, or over equal id lists, whose entries
+    are unbuilt keep their own hits; any others, and lists whose entries may
+    have been edited, are given rows by numbering the sorted union of their
+    doc_ids.
     """
     a, b = sparse_results._unread_hits(), dense_results._unread_hits()
-    if a is not None and b is not None and a[0] is b[0]:
+    if a is not None and b is not None and (a[0] is b[0] or a[0] == b[0]):
         return a[0], (a[1], a[2]), (b[1], b[2])
     doc_ids = sorted({d for d, _ in sparse_results.entries} | {d for d, _ in dense_results.entries})
     row = {doc_id: i for i, doc_id in enumerate(doc_ids)}

@@ -2,8 +2,9 @@
 
 Backends implement ``send(request) -> CompletionResponse``. ``complete``
 adds bounded retries with exponential backoff and feeds the per-backend
-instrumentation counter that the latency harness reads. The HTTP backend
-speaks a minimal completion protocol:
+instrumentation counter, which callers read, and the counter of the query
+being searched, which fills its trace; the latency harness sums the traces.
+The HTTP backend speaks a minimal completion protocol:
 
     POST {"model", "prompt", "max_tokens", "temperature", "logprobs": N}
     ->   {"text", "first_token_logprobs": {token: logprob}}

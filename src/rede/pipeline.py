@@ -262,7 +262,6 @@ class SearchEngine:
             _check_index_ids("dense index", dense_index.ids, corpus)
             if sparse_index is not None:
                 dense_index = replace(dense_index, ids=sparse_index.doc_ids)
-        self.corpus = corpus
         self.sparse_index = sparse_index
         self.dense_index = dense_index
         self.encoder = encoder

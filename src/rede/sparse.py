@@ -37,10 +37,9 @@ from .errors import EmptyCorpus, MalformedRecord
 _MAGIC = b"SPIDX"
 _VERSION = 2
 _PREAMBLE = struct.Struct("<HQ")  # version, header length
-_MIN_AVGDL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equality is identity: the fields are numpy arrays
 class SparseIndex:
     doc_ids: list[str]  # ascending; row i is doc_ids[i]
     doc_lengths: np.ndarray  # (rows,) int32
@@ -70,14 +69,6 @@ class SparseIndex:
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
-
-    def idf(self, term: str) -> float:
-        t = self.terms.get(term)
-        return 0.0 if t is None else _idf(self.doc_count, int(self.offsets[t + 1] - self.offsets[t]))
-
-
-def _idf(doc_count: int, df: int) -> float:
-    return math.log(1 + (doc_count - df + 0.5) / (df + 0.5))
 
 
 def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
@@ -128,8 +119,7 @@ def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> Spars
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
     pairs = np.column_stack((rows, tf)).astype(np.int32)
-    avgdl = max(total / n, _MIN_AVGDL)
-    return SparseIndex(doc_ids, lengths.astype(np.int32), terms, offsets, pairs, avgdl, k1, b)
+    return SparseIndex(doc_ids, lengths.astype(np.int32), terms, offsets, pairs, total / n, k1, b)
 
 
 def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
@@ -144,7 +134,7 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
         if t is None:
             continue
         row, tf = index.pairs[index.offsets[t] : index.offsets[t + 1]].T
-        idf = _idf(index.doc_count, len(row))
+        idf = math.log(1 + (index.doc_count - len(row) + 0.5) / (len(row) + 0.5))
         rows.append(row)
         weights.append(count * (idf * tf * (index.k1 + 1) / (tf + index.norm[row])))
     if not rows:

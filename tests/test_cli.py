@@ -146,6 +146,33 @@ def test_search_with_queries_flag(workspace, tmp_path):
     assert [r.query_id for r in read_run_file(str(out))] == ["z1"]
 
 
+QUERY_COMMANDS = {
+    "search": ["--method", "bm25", "--out"],
+    "bench": ["--method", "bm25", "--out"],
+    "export-distill": ["--out"],
+    "judge": ["--out"],
+}
+
+
+@pytest.mark.parametrize("command", list(QUERY_COMMANDS))
+def test_no_query_path_exits_2_after_the_engine_is_built(workspace, capsys, command):
+    config = json.loads((workspace / "config.json").read_text())
+    del config["paths"]["queries"]
+    (workspace / "config.json").write_text(json.dumps(config))
+    args = [command, "--config", str(workspace / "config.json"), *QUERY_COMMANDS[command],
+            str(workspace / "out")]
+    assert run_command(args) == 2
+    assert capsys.readouterr().err == "error: no queries given (paths.queries or --queries)\n"
+    assert not (workspace / "out").exists()
+    assert run_command(args + ["--queries", str(workspace / "queries.tsv")]) == 0
+    # the engine is built first: a config that cannot build one names that fault instead
+    del config["paths"]["corpus"]
+    (workspace / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_command(args) == 2
+    assert capsys.readouterr().err == "error: config needs paths.corpus\n"
+
+
 def test_search_writes_traces(workspace):
     out = workspace / "run.trec"
     trace_path = workspace / "trace.jsonl"

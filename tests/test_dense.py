@@ -26,6 +26,7 @@ from rede.errors import (
     SizeMismatch,
     UnknownDocId,
 )
+from rede.synthetic import generate_benchmark
 
 
 @pytest.fixture
@@ -43,6 +44,14 @@ class TestIngest:
         assert index.vectors.tobytes() == vectors.tobytes()
         for i, doc_id in enumerate(["d1", "d2", "d3"]):
             assert fetch_embedding(index, doc_id).tobytes() == vectors[i].tobytes()
+
+    def test_indexes_compare_and_hash_by_identity(self):
+        # a value comparison would reach the vectors and raise "truth value ... is ambiguous"
+        bench = generate_benchmark(seed=0, n_docs=50, n_queries=1)
+        a = build_dense_index(bench.doc_ids, bench.doc_vectors)
+        b = build_dense_index(bench.doc_ids, bench.doc_vectors)
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2
 
     def test_size_mismatch(self, tmp_path, bundle):
         manifest, _ = bundle

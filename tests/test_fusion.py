@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rede.corpus import Document, RankedList, _top_k
 from rede.dense import build_dense_index, dense_search
 from rede.errors import PreconditionViolation
-from rede.fusion import FusionConfig, _min_max, fuse, hybrid_search
+from rede.fusion import FusionConfig, _leg_rows, _min_max, fuse, hybrid_search
 from rede.sparse import build_sparse_index, sparse_search
 
 
@@ -212,6 +212,21 @@ class TestFuseOverRows:
         sparse.query_id = "q"
         for k in range(1, 6):
             assert bits(fuse(sparse, dense, 0.25, k)) == bits(parent_fuse(sparse, dense, 0.25, k))
+
+    def test_legs_over_equal_id_lists_keep_their_rows(self):
+        # separately built indexes hold equal id lists that are two objects; their legs'
+        # rows are used as they are, and the output is the renumbering path's
+        rng = np.random.default_rng(37)
+        for _ in range(25):
+            sparse, dense, query, qvec = build_random_instance(rng)
+            assert dense.ids == sparse.doc_ids and dense.ids is not sparse.doc_ids
+            sparse_leg, dense_leg = sparse_search(sparse, query, 12), dense_search(dense, qvec, 12)
+            assert _leg_rows(sparse_leg, dense_leg)[0] is sparse.doc_ids
+            plain = RankedList("", list(sparse_leg.entries)), RankedList("", list(dense_leg.entries))
+            for k in (1, 5, 12):
+                fused = hybrid_search(sparse, dense, query, qvec, k, FusionConfig(pool_depth=12))
+                assert fused.hits[0] is sparse.doc_ids
+                assert bits(fused) == bits(fuse(*plain, 0.5, k)) == bits(parent_fuse(*plain, 0.5, k))
 
     def test_fused_list_keeps_its_rows(self):
         ids = ["a", "b", "c", "d"]

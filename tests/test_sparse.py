@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rede.corpus import _ASCII_BYTES, _ASCII_TABLE, Document, tokenize
+from rede.corpus import _ASCII_BYTES, Document, tokenize
 from rede.dense import build_dense_index
 from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch
 from rede.judge import OracleJudge
@@ -86,6 +86,13 @@ class TestBuild:
     def test_rebuild_identical(self):
         corpus = corpus_from(TOY)
         assert_same_index(build_sparse_index(corpus), build_sparse_index(corpus))
+
+    def test_indexes_compare_and_hash_by_identity(self):
+        # a value comparison would reach the numpy fields and raise "truth value ... is ambiguous"
+        corpus = corpus_from(TOY)
+        a, b = build_sparse_index(corpus), build_sparse_index(corpus)
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -351,7 +358,8 @@ def reference_bm25(index, query_tokens) -> np.ndarray:
             continue
         rows, tf = posting[:, 0], posting[:, 1]
         norm = index.k1 * (1 - index.b + index.b * index.doc_lengths[rows] / index.avg_doc_length)
-        scores[rows] += count * (index.idf(term) * tf * (index.k1 + 1) / (tf + norm))
+        idf = math.log(1 + (index.doc_count - len(rows) + 0.5) / (len(rows) + 0.5))  # README formula
+        scores[rows] += count * (idf * tf * (index.k1 + 1) / (tf + norm))
     return scores
 
 
@@ -461,11 +469,11 @@ def test_one_non_ascii_document_builds_per_document(tmp_path):
     assert path.read_bytes() == reference_file(corpus)
 
 
-def test_byte_table_str_table_and_regex_agree_on_every_ascii_code_point():
+def test_byte_table_tokenize_and_regex_agree_on_every_ascii_code_point():
     for c in range(128):
         char = chr(c)
         expected = char.lower() if re.fullmatch(r"[^\W_]", char) else " "
-        assert char.lower().translate(_ASCII_TABLE) == expected, c
+        assert tokenize(char) == expected.split(), c
         assert bytes([c]).translate(_ASCII_BYTES) == expected.encode("ascii"), c
     high = bytes(range(128, 256))
     assert high.translate(_ASCII_BYTES) == high  # never met in ASCII text; 0xFF is the boundary
