@@ -15,7 +15,7 @@ import sys
 from . import config as cfgmod
 from .corpus import load_corpus, load_qrels, load_queries, read_run_file, write_run_file
 from .dense import HashingEncoder, load_bundle, write_embeddings
-from .errors import RedeError
+from .errors import RedeError, check_count
 from .evalbench import evaluate_run, export_distill_dataset, measure_latency
 from .judge import judge_candidates, map_in_order
 from .pipeline import METHODS
@@ -125,8 +125,7 @@ def _cmd_ingest_dense(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.parallel < 1:
-        raise _UsageError("--parallel must be >= 1")
+    check_count("--parallel", args.parallel, 1, _UsageError)
     engine, queries = _engine_and_queries(args, args.method)
     results = map_in_order(lambda q: engine.search(args.method, q), queries, args.parallel)
     runs = [run for run, _ in results]

@@ -144,7 +144,7 @@ def _construct(section: str, build: Callable, **kwargs):
 def _backend(cfg: dict, section: str) -> tuple[str, _Backend]:
     backends = _BACKENDS[section]
     name = cfg[section].get("backend", next(iter(backends)))
-    if name not in backends:
+    if not isinstance(name, str) or name not in backends:  # a list or an object is unhashable
         raise ConfigError(f"unknown {section}.backend {name!r}; expected one of {tuple(backends)}")
     return name, backends[name]
 

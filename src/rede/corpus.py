@@ -31,6 +31,7 @@ from .errors import (
     MalformedRecord,
     NegativeRelevance,
     PreconditionViolation,
+    check_count,
 )
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -135,7 +136,7 @@ def _strictly_ascending(ids: Sequence[str]) -> bool:
 
 
 def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray | None, k: int) -> RankedList:
-    """The k best of ``rows`` by descending score, ties by ascending doc_id; ValueError if k < 1.
+    """The k best of ``rows`` by descending score, ties by ascending doc_id, for an integer k >= 1.
 
     Row i is ``doc_ids[i]`` and scores ``scores[i]``. Both ``doc_ids`` and
     ``rows`` must be ascending; ``rows=None`` means every row, and spares
@@ -147,8 +148,7 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray | None, 
     order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
     last, as by the full sort) must survive when the k-th score is NaN.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     neg = -(scores if rows is None else scores[rows])
     if k < len(neg):
         kth = np.partition(neg, k - 1)[k - 1]

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteVector,
     SizeMismatch,
     UnknownDocId,
+    check_count,
 )
 from .gateway import _post_json
 
@@ -152,8 +153,7 @@ class HashingEncoder:
     """
 
     def __init__(self, dim: int = 64):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        check_count("dim", dim, 1)
         self.dim = dim
 
     @staticmethod
@@ -182,6 +182,8 @@ class HttpEncoder:
     The HTTP errors are typed as the gateway's, by ``gateway._post_json``."""
 
     def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0):
+        if dim is not None:
+            check_count("dim", dim, 1)
         self.url = url
         self.dim = dim
         self.timeout = timeout

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for count parameters."""
+
+import operator
 
 
 class RedeError(Exception):
@@ -109,3 +111,17 @@ class EmptyRun(RedeError):
 
 class ConfigError(RedeError):
     pass
+
+
+def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless value is an integer >= least: an int, a bool or a numpy integer.
+
+    ``operator.index`` is the integer test, so a float such as 2.5 or 64.0
+    and a string are refused, not compared.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")

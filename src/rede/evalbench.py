@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Qrels, Query, RankedList
-from .errors import EmptyRun
+from .errors import EmptyRun, check_count
 from .pipeline import SearchTrace
 
 
@@ -58,8 +58,7 @@ def _gain(rel: int, gain: str) -> float:
 def ndcg_at_k(ranked: RankedList, qrels_for_query: dict[str, int], k: int,
               gain: str = "linear") -> float:
     """NDCG truncated at k; 0.0 when the query has no positive judgments."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     if gain not in ("linear", "exp"):
         raise ValueError(f"gain must be 'linear' or 'exp', got {gain!r}")
     positives = sorted((rel for rel in qrels_for_query.values() if rel > 0), reverse=True)
@@ -105,8 +104,7 @@ def measure_latency(
     LLM call counts are summed from the measured traces, so they match the
     gateway instrumentation counters exactly when the gateway is otherwise idle.
     """
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
+    check_count("warmup", warmup, 0)
     latencies: list[float] = []
     judge_calls = 0
     generation_calls = 0

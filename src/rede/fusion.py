@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import RankedList, _top_k
 from .dense import DenseIndex, dense_search
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, check_count
 from .sparse import SparseIndex, sparse_search
 
 
@@ -31,8 +31,8 @@ class FusionConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.pool_depth is not None and self.pool_depth < 1:
-            raise ValueError(f"pool_depth must be >= 1, got {self.pool_depth}")
+        if self.pool_depth is not None:
+            check_count("pool_depth", self.pool_depth, 1)
 
 
 def _min_max(scores: np.ndarray) -> np.ndarray:

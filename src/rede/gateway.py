@@ -9,10 +9,13 @@ The HTTP backend speaks a minimal completion protocol:
     POST {"model", "prompt", "max_tokens", "temperature", "logprobs": N}
     ->   {"text", "first_token_logprobs": {token: logprob}}
 
-The mock backend replays a JSON script (list of
-``{"match_substring", "text", "first_token_logprobs"}`` entries, first
-match wins) and can charge a fixed per-call delay, which is what the
-latency benchmark uses to make LLM cost observable without a model.
+The mock backend replays a JSON script and can charge a fixed per-call
+delay, which is what the latency benchmark uses to make LLM cost
+observable without a model. The script is a list of objects
+``{"match_substring", "text", "first_token_logprobs"}``; the first entry
+whose ``match_substring`` (a string, default "" which matches every
+prompt) occurs in the prompt wins. Any other shape is a ValueError when
+the backend is built.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported
+from .errors import BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported, check_count
 
 
 @dataclass
@@ -37,12 +40,10 @@ class CompletionRequest:
     top_logprobs: int = 10
 
     def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        check_count("max_new_tokens", self.max_new_tokens, 1)
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.top_logprobs < 1:
-            raise ValueError("top_logprobs must be >= 1")
+        check_count("top_logprobs", self.top_logprobs, 1)
 
 
 @dataclass
@@ -110,6 +111,7 @@ class HttpGateway:
 
     def __init__(self, url: str, model: str = "completion-model", timeout: float = 60.0,
                  retries: int = 3, backoff_s: float = 0.25):
+        check_count("retries", retries, 0)
         self.url = url
         self.model = model
         self.timeout = timeout
@@ -135,6 +137,12 @@ class MockGateway:
 
     def __init__(self, script: list[dict], logprob_delay_s: float = 0.0,
                  text_delay_s: float = 0.0, retries: int = 3, backoff_s: float = 0.0):
+        if not isinstance(script, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("match_substring", ""), str) for e in script):
+            raise ValueError("mock script must be a list of objects whose match_substring is a string")
+        if not (0 <= logprob_delay_s and 0 <= text_delay_s):  # a string raises TypeError, a NaN fails
+            raise ValueError("logprob_delay_s and text_delay_s must be >= 0")
+        check_count("retries", retries, 0)
         self.script = script
         self.logprob_delay_s = logprob_delay_s
         self.text_delay_s = text_delay_s

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 
 from .corpus import Query
-from .errors import AllSamplesEmpty
+from .errors import AllSamplesEmpty, check_count
 from .gateway import CompletionRequest, complete
 from .judge import HYDE_TASK_FAMILIES, _fill, load_template, map_in_order, truncate_tokens
 
@@ -32,16 +32,10 @@ class HydeConfig:
     templates_dir: str | None = None  # None: templates shipped in-package
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.context_docs < 0:
-            raise ValueError("context_docs must be >= 0")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_context_doc_tokens < 0:
-            raise ValueError("max_context_doc_tokens must be >= 0")
+        check_count("n_samples", self.n_samples, 1)
+        check_count("context_docs", self.context_docs, 0)
+        CompletionRequest("", self.max_new_tokens, self.temperature)  # the request checks both
+        check_count("max_context_doc_tokens", self.max_context_doc_tokens, 0)
         load_template("hyde", self.task_template, self.templates_dir)  # fail at construction
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import Qrels, Query, RankedList, tokenize
-from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownDocId, UnknownTemplate
+from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownDocId, UnknownTemplate, check_count
 from .gateway import CompletionRequest, complete
 
 log = logging.getLogger(__name__)
@@ -145,10 +145,8 @@ class LlmJudge:
         templates_dir: str | None = None,
     ):
         load_template("judge", template_id, templates_dir)  # fail at construction, not per call
-        if top_logprobs < 1:
-            raise ValueError("top_logprobs must be >= 1")
-        if max_doc_tokens < 0:
-            raise ValueError("max_doc_tokens must be >= 0")
+        CompletionRequest("", top_logprobs=top_logprobs)  # the request checks top_logprobs
+        check_count("max_doc_tokens", max_doc_tokens, 0)
         defaults = DEFAULT_TOKENS.get(template_id, ("1", "0"))
         self.gateway = gateway
         self.template_id = template_id
@@ -204,6 +202,8 @@ class OracleJudge:
 
 class LexicalJudge:
     def __init__(self, threshold: float = 0.15):
+        if not 0 <= threshold <= 1:  # a string raises TypeError, a NaN fails
+            raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
         self.threshold = threshold
 
     def p_relevant(self, query: Query, doc_id: str, doc_text: str) -> float:

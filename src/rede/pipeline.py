@@ -1,17 +1,19 @@
 """One staged retrieval pipeline: every method is a row of ``METHOD_TABLE``.
 
-A row names a first stage (the configured retriever at ``k_initial``, a
-fixed retriever at ``output_depth``, or none), a feedback source (none, the
-documents a judge marks relevant, all candidates, or hypothetical documents
-with or without the candidates as prompt context) and a final stage (dense
-search with the refined vector, a reorder by judge probability, or the
-first-stage list as it is). Every refinement is ``mean_update``: the mean
-of the query vector and a bag of stored or generated document vectors.
-When judge feedback is empty, the row's policy decides: keep the encoder
-vector, refine with hypothetical documents over the same candidates, or
-return no results (ablation mode). Every search returns a trace carrying
-candidates, judgments, the path taken and why, per-stage wall times and
-LLM call counts.
+A row has four fields. ``first`` names the first stage: the configured
+retriever at ``k_initial``, a fixed retriever at ``output_depth``, or
+none. ``feedback`` decides the rest: none returns the first-stage list as
+it is, ``"rerank"`` reorders the candidates by judge probability, and any
+other source (the documents a judge marks relevant, all candidates, or
+hypothetical documents prompted with the candidates as context) ends in a
+dense search with the refined vector. ``path`` names the trace's path on
+the row's own feedback, and ``policy`` the empty-feedback policy. Every
+refinement is ``mean_update``: the mean of the query vector and a bag of
+stored or generated document vectors. When judge feedback is empty, the
+policy decides: keep the encoder vector, refine with hypothetical
+documents over the same candidates, or return no results (ablation mode).
+Every search returns a trace carrying candidates, judgments, the path
+taken and why, per-stage wall times and LLM call counts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     JudgeUnavailable,
     NonFiniteVector,
     PreconditionViolation,
+    check_count,
 )
 from .fusion import FusionConfig, hybrid_search
 from .gateway import QUERY_CALLS, CallCounter
@@ -48,8 +51,8 @@ DEFAULT_POLICIES = ("encoder_only", "hyde_prf", "none")
 @dataclass(frozen=True)
 class Method:
     first: str | None  # "initial", a retriever in INITIAL_RETRIEVERS, or None
-    feedback: str | None  # None, "judge", "all", "hyde" or "hyde_context"
-    final: str  # "dense", "reorder" or "as_is"
+    # None: the first-stage list as is; "rerank": reorder it by p; "judge", "all", "hyde": dense search
+    feedback: str | None
     path: str  # trace.path_taken when the row's own feedback is used
     policy: str | None = None  # empty-feedback policy: None (no fallback), "config" or pinned
 
@@ -61,15 +64,15 @@ class Method:
 
 
 METHOD_TABLE = {
-    "bm25": Method("sparse", None, "as_is", "bm25"),
-    "dense": Method("dense", None, "as_is", "dense"),
-    "hybrid": Method("hybrid", None, "as_is", "hybrid"),
-    "avgprf": Method("initial", "all", "dense", "avg_prf", policy="encoder_only"),
-    "hyde": Method(None, "hyde", "dense", "hyde"),
-    "hyde-prf": Method("initial", "hyde_context", "dense", "hyde_prf"),
-    "rede": Method("initial", "judge", "dense", "rede", policy="config"),
-    "rede-hyde-default": Method("initial", "judge", "dense", "rede", policy="hyde_prf"),
-    "rerank": Method("initial", "judge", "reorder", "rerank"),
+    "bm25": Method("sparse", None, "bm25"),
+    "dense": Method("dense", None, "dense"),
+    "hybrid": Method("hybrid", None, "hybrid"),
+    "avgprf": Method("initial", "all", "avg_prf", policy="encoder_only"),
+    "hyde": Method(None, "hyde", "hyde"),
+    "hyde-prf": Method("initial", "hyde", "hyde_prf"),
+    "rede": Method("initial", "judge", "rede", policy="config"),
+    "rede-hyde-default": Method("initial", "judge", "rede", policy="hyde_prf"),
+    "rerank": Method("initial", "rerank", "rerank"),
 }
 METHODS = tuple(METHOD_TABLE)
 
@@ -80,19 +83,16 @@ def _row(method: str) -> Method:
     return METHOD_TABLE[method]
 
 
-_INDEXES = {None: [], "sparse": ["sparse_index"], "dense": ["dense_index"],
-            "hybrid": ["sparse_index", "dense_index"]}
-
-
 def required_components(method: str, initial_retriever: str, default_policy: str) -> list[str]:
     """SearchEngine attributes the method needs; a gateway only where it can generate text."""
     row = _row(method)
-    needs = list(_INDEXES[row.retriever(initial_retriever)])
-    if row.final == "dense" and "dense_index" not in needs:
+    retriever = row.retriever(initial_retriever)
+    needs = ["sparse_index"] if retriever in ("sparse", "hybrid") else []
+    if retriever in ("dense", "hybrid") or row.feedback not in (None, "rerank"):
         needs.append("dense_index")
-    if row.feedback == "judge":
+    if row.feedback in ("judge", "rerank"):
         needs.append("judge")
-    if row.feedback in ("hyde", "hyde_context") or row.empty_policy(default_policy) == "hyde_prf":
+    if row.feedback == "hyde" or row.empty_policy(default_policy) == "hyde_prf":
         needs.append("gateway")
     return needs
 
@@ -111,15 +111,11 @@ class PipelineConfig:
             raise ConfigError(f"initial_retriever must be one of {INITIAL_RETRIEVERS}")
         if self.default_policy not in DEFAULT_POLICIES:
             raise ConfigError(f"default_policy must be one of {DEFAULT_POLICIES}")
-        if self.k_initial < 1:
-            raise ConfigError("k_initial must be >= 1")
-        if self.output_depth < 1:
-            raise ConfigError("output_depth must be >= 1")
-        if self.llm_max_workers < 1:
-            raise ConfigError("llm_max_workers must be >= 1")
         if self.max_kstar is None:
             self.max_kstar = self.k_initial
-        if not 1 <= self.max_kstar <= self.k_initial:
+        for name in ("k_initial", "output_depth", "llm_max_workers", "max_kstar"):
+            check_count(name, getattr(self, name), 1, ConfigError)
+        if self.max_kstar > self.k_initial:
             raise ConfigError(f"max_kstar must satisfy 1 <= max_kstar <= k_initial ({self.k_initial})")
 
 
@@ -301,8 +297,8 @@ class SearchEngine:
             raise NonFiniteVector(f"encoder returned a NaN or inf for {len(texts)} texts")
         return vectors
 
-    def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList | None) -> np.ndarray:
-        context = None if candidates is None else [self.doc_texts[d] for d in candidates.doc_ids()]
+    def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList) -> np.ndarray:
+        context = [self.doc_texts[d] for d in candidates.doc_ids()]
         docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query, context,
                                           self.config.llm_max_workers)
         return mean_update(qvec, list(self._encode(docs)))
@@ -314,30 +310,29 @@ class SearchEngine:
         Blank query text raises PreconditionViolation, as it does in a query file.
         """
         cfg, row = self.config, _row(method)
-        if default_policy not in (None, *DEFAULT_POLICIES):
-            raise ConfigError(f"default_policy must be one of {DEFAULT_POLICIES}")
-        default_policy = default_policy or cfg.default_policy
-        self._require(f"method {method!r}",
-                      required_components(method, cfg.initial_retriever, default_policy))
+        if default_policy is not None:
+            cfg = replace(cfg, default_policy=default_policy)
+        needs = required_components(method, cfg.initial_retriever, cfg.default_policy)
+        self._require(f"method {method!r}", needs)
         if not query.text.strip():
             raise PreconditionViolation(f"query {query.query_id!r}: blank query text")
-        policy, retriever = row.empty_policy(default_policy), row.retriever(cfg.initial_retriever)
+        policy, retriever = row.empty_policy(cfg.default_policy), row.retriever(cfg.initial_retriever)
         depth = cfg.k_initial if row.first == "initial" else cfg.output_depth
         trace = SearchTrace(query.query_id, RankedList(query.query_id, []), path_taken=row.path)
         with _QueryRun(trace) as run:
             qvec = None
-            if retriever in ("dense", "hybrid") or row.final == "dense":
+            if "dense_index" in needs:
                 with run.stage("encode"):
                     qvec = self._encode([query.text])[0]
             if retriever is not None:
                 with run.stage("initial_retrieval"):
                     trace.candidates = self._retrieve(retriever, depth, query, qvec)
             candidates = trace.candidates
-            if row.final == "as_is":
+            if row.feedback is None:
                 return candidates, trace
 
             feedback: list[str] = []
-            if row.feedback == "judge":
+            if row.feedback in ("judge", "rerank"):
                 with run.stage("judge"):
                     try:
                         trace.judgments = judge_candidates(
@@ -347,13 +342,13 @@ class SearchEngine:
                         if policy is None:
                             raise  # no empty-feedback fallback to fall through to
                         trace.path_reason = "judge_unavailable"
-                    if row.final == "dense":  # the relevant docs lead the rerank order
+                    if row.feedback == "judge":  # the relevant docs lead the rerank order
                         kstar = min(sum(j.label for j in trace.judgments), cfg.max_kstar)
                         feedback = rerank_by_judge(candidates, trace.judgments).doc_ids()[:kstar]
             elif row.feedback == "all":
                 with run.stage("update"):
                     feedback = candidates.doc_ids()
-            if row.final == "reorder":
+            if row.feedback == "rerank":
                 with run.stage("update"):
                     result = rerank_by_judge(candidates, trace.judgments)
                 trace.kstar = sum(j.label for j in trace.judgments)
@@ -363,11 +358,9 @@ class SearchEngine:
             if not feedback and row.feedback in ("judge", "all"):  # the policy's fallback follows
                 trace.path_reason = ("no_candidates" if not candidates.entries
                                      else trace.path_reason or "judge_none_relevant")
-            if row.feedback in ("hyde", "hyde_context"):
+            if row.feedback == "hyde":
                 with run.stage("generation"):
-                    refined = self._hyde_refine(
-                        query, qvec, candidates if row.feedback == "hyde_context" else None
-                    )
+                    refined = self._hyde_refine(query, qvec, candidates)
             elif feedback:
                 with run.stage("update"):
                     refined = mean_update(qvec, [fetch_embedding(self.dense_index, d) for d in feedback])

@@ -1,13 +1,16 @@
+import inspect
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rede.cli import run_command
-from rede.config import GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
+from rede.config import _BACKENDS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
 from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
-from rede.errors import ConfigError
+from rede.errors import ConfigError, check_count
 from rede.fusion import FusionConfig
 from rede.gateway import HttpGateway, MockGateway
 from rede.hyde import HydeConfig
@@ -224,3 +227,104 @@ def test_readme_run_config_builds(tmp_path, monkeypatch):
         assert isinstance(engine.gateway, HttpGateway)
         assert engine.gateway.url == example["gateway"]["url"]
     assert engine.config == PipelineConfig(**example["pipeline"])
+
+
+def _count_keys() -> list[tuple[str, str | None, str]]:
+    """(section, backend, key) of every count key: its default is an int that is not a bool.
+
+    Read from the classes, so a count parameter added later is in the list; the three count keys
+    whose default is None are named by hand.
+    """
+    keys = [(section, None, f.name)
+            for section, cls in (("pipeline", PipelineConfig), ("fusion", FusionConfig),
+                                 ("hyde", HydeConfig))
+            for f in fields(cls) if type(f.default) is int]
+    for section, backends in _BACKENDS.items():
+        for name, backend in backends.items():
+            params = inspect.signature(MockGateway.__init__ if name == "mock" else backend.build).parameters
+            keys += [(section, name, key) for key in backend.keys
+                     if key in params and type(params[key].default) is int]
+    return keys + [("pipeline", None, "max_kstar"), ("fusion", None, "pool_depth"),
+                   ("encoder", "http", "dim")]
+
+
+_BACKEND_SETTINGS = {"http": {"url": "http://127.0.0.1:9"}, "mock": {"mock_script": "mock.json"}}
+
+
+def _sections_setting(section: str, backend: str | None, values: dict) -> dict:
+    """``values`` in ``section``, with ``backend`` and the setting it needs, and an HTTP gateway.
+
+    ``rede`` with the default llm judge builds every component from these; the mock script is
+    named relative to the data directory.
+    """
+    if backend is not None:
+        values = {"backend": backend, **_BACKEND_SETTINGS.get(backend, {}), **values}
+    return {"gateway": _HTTP_GATEWAY, section: values}
+
+
+def _assert_exits_2(root: Path, capsys, sections: dict, method: str, message: str) -> None:
+    """build_engine raises ConfigError with message; `rede search` prints it and exits 2."""
+    path = _config_file(root, {"paths": _paths(root), **sections})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_engine(load_run_config(path), method)
+    assert run_command(["search", "--config", path, "--method", method,
+                        "--out", str(root / "run.trec")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_count_keys_are_read_from_the_classes():
+    assert {f"{s}.{k}" for s, _, k in _count_keys()} >= {
+        "pipeline.k_initial", "hyde.n_samples", "judge.top_logprobs", "gateway.retries",
+        "encoder.dim"}
+
+
+@pytest.mark.parametrize("section, backend, key, value", [
+    *[(s, b, k, 1.5) for s, b, k in _count_keys()], ("encoder", "hash", "dim", 64.0),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, section, backend, key,
+                                                 value):
+    monkeypatch.chdir(data)
+    _assert_exits_2(data, capsys, _sections_setting(section, backend, {key: value}), "rede",
+                    f"{key} must be an integer, got {value}")
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"gateway": {**_HTTP_GATEWAY, "retries": -1}}, "retries must be >= 0, got -1"),
+    (_sections_setting("gateway", "mock", {"retries": -1}), "retries must be >= 0, got -1"),
+    (_sections_setting("encoder", "http", {"dim": 0}), "dim must be >= 1, got 0"),
+    ({"gateway": {"backend": ["x"]}}, "unknown gateway.backend ['x']"),
+    ({"gateway": _HTTP_GATEWAY, "judge": {"backend": {"llm": 1}}}, "unknown judge.backend"),
+    ({"judge": {"backend": "lexical", "threshold": "x"}}, "bad judge config"),
+    ({"judge": {"backend": "lexical", "threshold": float("nan")}}, "threshold must be in [0, 1]"),
+    ({"judge": {"backend": "lexical", "threshold": -0.5}}, "threshold must be in [0, 1]"),
+    (_sections_setting("gateway", "mock", {"logprob_delay_s": "x"}), "bad gateway config"),
+    (_sections_setting("gateway", "mock", {"text_delay_s": -1}), "text_delay_s must be >= 0"),
+])
+def test_wrongly_typed_or_negative_value_exits_2(data, monkeypatch, capsys, sections, message):
+    monkeypatch.chdir(data)
+    _assert_exits_2(data, capsys, sections, "rede", message)
+
+
+@pytest.mark.parametrize("script", [
+    {"match_substring": "", "text": "fruit"},  # an object, not a list of them
+    [1],
+    [{"match_substring": 5, "text": "fruit"}],
+], ids=["object", "non-object entry", "non-string match_substring"])
+def test_malformed_mock_script_exits_2(data, monkeypatch, capsys, script):
+    monkeypatch.chdir(data)
+    (data / "mock.json").write_text(json.dumps(script))
+    _assert_exits_2(data, capsys, _sections_setting("gateway", "mock", {}), "hyde",
+                    "mock script must be a list of objects whose match_substring is a string")
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "n must be an integer, got 2.5"), (64.0, "n must be an integer, got 64.0"),
+    ("3", "n must be an integer, got '3'"), (None, "n must be an integer, got None"),
+    (0, "n must be >= 1, got 0"), (np.int64(-1), "n must be >= 1, got -1"),
+])
+def test_check_count_takes_integers_at_or_above_the_bound(value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        check_count("n", value, 1, ConfigError)
+    for good in (1, True, np.int32(7), 10**20):
+        check_count("n", good, 1)

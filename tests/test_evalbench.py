@@ -55,6 +55,12 @@ class TestNdcg:
         idcg = 7 / math.log2(2) + 1 / math.log2(3)
         assert got == pytest.approx(dcg / idcg, abs=1e-12)
 
+    @pytest.mark.parametrize("k, message", [(2.5, "k must be an integer, got 2.5"),
+                                            (0, "k must be >= 1, got 0")])
+    def test_k_must_be_an_integer_of_at_least_1(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            ndcg_at_k(ranked("a"), {"a": 1}, k)
+
     def test_invariant_to_order_below_k(self):
         qrels = {"d1": 1, "d5": 1}
         a = ndcg_at_k(ranked("d1", "d2", "d3", "d4", "d5"), qrels, 2)
@@ -147,6 +153,12 @@ class TestMeasureLatency:
         report = measure_latency(self.fn_with(0.0), self.queries(4), warmup=1)
         assert len(report.per_query_ms) == 3
         assert report.judge_calls == 6  # warmup trace not counted
+
+    @pytest.mark.parametrize("warmup, message", [(0.5, "warmup must be an integer, got 0.5"),
+                                                 (-1, "warmup must be >= 0, got -1")])
+    def test_warmup_must_be_an_integer_of_at_least_0(self, warmup, message):
+        with pytest.raises(ValueError, match=message):
+            measure_latency(self.fn_with(0.0), self.queries(2), warmup=warmup)
 
     def test_percentile_ordering(self):
         report = measure_latency(self.fn_with(0.001), self.queries(8))

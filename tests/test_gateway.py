@@ -25,6 +25,11 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             CompletionRequest("p", top_logprobs=0)
 
+    @pytest.mark.parametrize("key", ["max_new_tokens", "top_logprobs"])
+    def test_counts_must_be_integers(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got 2.5"):
+            CompletionRequest("p", **{key: 2.5})
+
 
 SCRIPT = [
     {"match_substring": "Query: q1", "text": "1", "first_token_logprobs": {"1": -0.1, "0": -2.3}},
@@ -62,6 +67,21 @@ class TestMockGateway:
         with pytest.raises(BackendUnavailable):
             complete(mock, CompletionRequest("p"))
 
+    @pytest.mark.parametrize("script", [
+        {"match_substring": "", "text": "x"}, [1], [{"match_substring": 5, "text": "x"}],
+    ], ids=["object", "non-object entry", "non-string match_substring"])
+    def test_malformed_script_rejected_at_construction(self, script):
+        with pytest.raises(ValueError, match="mock script must be a list of objects"):
+            MockGateway(script)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"retries": -1}, {"retries": 1.5}, {"logprob_delay_s": float("nan")}, {"text_delay_s": -0.1},
+        {"logprob_delay_s": "x"},
+    ])
+    def test_bad_retries_or_delay_rejected_at_construction(self, kwargs):
+        with pytest.raises((ValueError, TypeError)):
+            MockGateway(SCRIPT, **kwargs)
+
     def test_replay_from_file(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(json.dumps(SCRIPT))
@@ -94,6 +114,11 @@ class TestMockGateway:
 
 
 class TestHttpGateway:
+    @pytest.mark.parametrize("retries", [-1, 1.5])
+    def test_bad_retries_rejected_at_construction(self, retries):
+        with pytest.raises(ValueError, match="retries must be"):
+            HttpGateway("http://127.0.0.1:9", retries=retries)
+
     def test_happy_path(self, http_server):
         url, state = http_server
         state["handler"] = lambda body: (

@@ -26,10 +26,13 @@ from rede.gateway import MockGateway
 from rede.hyde import HydeConfig
 from rede.judge import LexicalJudge, LlmJudge, OracleJudge, RelevanceJudgment, map_in_order
 from rede.pipeline import (
+    DEFAULT_POLICIES,
     INITIAL_RETRIEVERS,
+    METHODS,
     PipelineConfig,
     SearchEngine,
     mean_update,
+    required_components,
     rerank_by_judge,
 )
 from rede.sparse import build_sparse_index
@@ -531,7 +534,33 @@ class TestRerankSearch:
         assert result.doc_ids() == relevant + others
 
 
+# required_components(method, retriever, policy) for every method, pinned so that an edit of the
+# method table cannot change what a method needs: one row of cells per initial retriever (sparse,
+# dense, hybrid), one cell per default policy (encoder_only, hyde_prf, none), one letter per
+# component in the order returned: S sparse_index, D dense_index, J judge, G gateway
+REQUIRED = {
+    "bm25": (("S", "S", "S"), ("S", "S", "S"), ("S", "S", "S")),
+    "dense": (("D", "D", "D"), ("D", "D", "D"), ("D", "D", "D")),
+    "hybrid": (("SD", "SD", "SD"), ("SD", "SD", "SD"), ("SD", "SD", "SD")),
+    "avgprf": (("SD", "SD", "SD"), ("D", "D", "D"), ("SD", "SD", "SD")),
+    "hyde": (("DG", "DG", "DG"), ("DG", "DG", "DG"), ("DG", "DG", "DG")),
+    "hyde-prf": (("SDG", "SDG", "SDG"), ("DG", "DG", "DG"), ("SDG", "SDG", "SDG")),
+    "rede": (("SDJ", "SDJG", "SDJ"), ("DJ", "DJG", "DJ"), ("SDJ", "SDJG", "SDJ")),
+    "rede-hyde-default": (("SDJG", "SDJG", "SDJG"), ("DJG", "DJG", "DJG"), ("SDJG", "SDJG", "SDJG")),
+    "rerank": (("SJ", "SJ", "SJ"), ("DJ", "DJ", "DJ"), ("SDJ", "SDJ", "SDJ")),
+}
+_COMPONENT = {"S": "sparse_index", "D": "dense_index", "J": "judge", "G": "gateway"}
+
+
 class TestRequiredComponents:
+    def test_every_combination_is_pinned(self):
+        assert tuple(REQUIRED) == METHODS
+        for method, rows in REQUIRED.items():
+            for retriever, cells in zip(INITIAL_RETRIEVERS, rows, strict=True):
+                for policy, cell in zip(DEFAULT_POLICIES, cells, strict=True):
+                    assert required_components(method, retriever, policy) == [
+                        _COMPONENT[c] for c in cell], (method, retriever, policy)
+
     @pytest.mark.parametrize("method, missing", [
         ("bm25", "sparse_index"),
         ("dense", "dense_index"),
@@ -806,3 +835,19 @@ class TestTraces:
             PipelineConfig(k_initial=5, max_kstar=9)
         with pytest.raises(ConfigError):
             PipelineConfig(default_policy="sometimes")
+
+    @pytest.mark.parametrize("key", ["k_initial", "max_kstar", "output_depth", "llm_max_workers"])
+    def test_pipeline_counts_must_be_integers(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.5"):
+            PipelineConfig(**{key: 2.5})
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
+            PipelineConfig(**{key: 0})
+
+    def test_search_checks_a_policy_override_as_the_config_does(self):
+        gateway = MockGateway([{"match_substring": "", "text": "a hypothetical passage"}])
+        engine = toy_engine(OracleJudge({"q1": {}}), gateway=gateway)
+        with pytest.raises(ConfigError, match="default_policy must be one of"):
+            engine.search("rede", QUERY, default_policy="sometimes")
+        assert gateway.counter.total == 0
+        assert engine.search("rede", QUERY, default_policy="none")[1].path_taken == "none"
+        assert engine.config.default_policy == "encoder_only"  # the override lasts one call

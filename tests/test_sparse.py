@@ -162,6 +162,13 @@ class TestSearch:
         index = build_sparse_index(corpus_from(TOY))
         assert sparse_search(index, "zzz", 5).entries == []
 
+    @pytest.mark.parametrize("k, message", [(2.5, "k must be an integer, got 2.5"),
+                                            (0, "k must be >= 1, got 0")])
+    def test_k_must_be_an_integer_of_at_least_1(self, k, message):
+        index = build_sparse_index(corpus_from(TOY))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sparse_search(index, "b", k)
+
     def test_k_exceeds_corpus(self):
         index = build_sparse_index(corpus_from(TOY))
         assert len(sparse_search(index, "b", 100).entries) == 2
