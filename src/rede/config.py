@@ -18,6 +18,7 @@ builds, and a key the file does not set keeps that class's default:
     ``_PATHS`` (None: not given; ``sparse_index`` None builds the index
     from the corpus, ``embeddings_vectors`` None reads the manifest's
     vectors file, a templates dir None uses the templates in the package).
+    A path, there or in ``gateway.mock_script``, is a string or null.
 
 Unknown keys are rejected at load time in every section. REDE_GATEWAY_URL
 in the environment overrides gateway.url; the CLI's ``--queries`` replaces
@@ -89,6 +90,8 @@ SECTION_KEYS: dict[str, frozenset[str]] = {
        for section, backends in _BACKENDS.items()},
 }
 
+_PATH_KEYS = frozenset({*(f"paths.{key}" for key in _PATHS), "gateway.mock_script"})
+
 
 def _layer(cfg: dict, layer, source: str) -> None:
     if not isinstance(layer, dict):
@@ -99,9 +102,12 @@ def _layer(cfg: dict, layer, source: str) -> None:
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be a JSON object, "
                               f"got {type(values).__name__}")
-        for key in values:
+        for key, value in values.items():
+            name = f"{section}.{key}"
             if key not in SECTION_KEYS[section]:
-                raise ConfigError(f"unknown config key {f'{section}.{key}'!r}")
+                raise ConfigError(f"unknown config key {name!r}")
+            if name in _PATH_KEYS and value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string, got {value!r}")  # open(5) reads fd 5
         cfg[section].update(values)
 
 

@@ -9,7 +9,8 @@ File formats:
   run     - ``qid Q0 docid rank score tag``, rank from 1, score %.6f; a
             query's lines are contiguous and no field holds whitespace
 A corpus or query file is JSONL if its first record starts with ``{``,
-and TSV otherwise. A JSONL ``_id`` is a string or an integer, ``text`` a
+and TSV otherwise. A JSONL line is decoded as ``json.loads`` decodes it
+(``_jsonl_record``); its ``_id`` is a string or an integer, ``text`` a
 string, and ``title`` a string, null or absent.
 """
 
@@ -175,29 +176,50 @@ def _records(path: str) -> Iterator[tuple[int, str]]:
         raise MalformedRecord(None, f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _id_title_text(path: str, split_tsv: Callable) -> Iterator[tuple[int, tuple[str, str, str]]]:
-    """(line_no, (id, title, text)) per record; JSONL if the first starts with '{', else TSV."""
-    jsonl = None
-    for line_no, line in _records(path):
-        if jsonl is None:
-            jsonl = line.startswith("{")
-        if not jsonl:
-            yield line_no, split_tsv(line_no, line)
-            continue
+_JSON = json.JSONDecoder()  # set up as the decoder json.loads uses
+
+
+def _jsonl_record(line_no: int, line: str) -> tuple[str, str, str]:
+    """(id, title, text) of one JSONL line, decoded as ``json.loads(line)`` decodes it.
+
+    ``json.loads`` is ``raw_decode`` between two whitespace passes, so a line that
+    ``raw_decode`` reads whole from its first character gives the same object. Any
+    other line (whitespace around the object, a BOM, data after it, invalid JSON)
+    goes to ``json.loads`` itself, for its object or its error. JSON decodes to
+    exact types, so exact-type checks do what ``isinstance`` checks would.
+    """
+    try:
+        obj, end = _JSON.raw_decode(line)
+    except json.JSONDecodeError:
+        end = None
+    if end != len(line):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "_id" not in obj or "text" not in obj:
-            raise MalformedRecord(line_no, "expected a JSON object with '_id' and 'text'")
-        record_id, title, text = obj["_id"], obj.get("title"), obj["text"]
-        if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+    if type(obj) is not dict or "_id" not in obj or "text" not in obj:
+        raise MalformedRecord(line_no, "expected a JSON object with '_id' and 'text'")
+    record_id, title, text = obj["_id"], obj.get("title"), obj["text"]
+    if type(record_id) is not str:
+        if type(record_id) is not int:  # a JSON true is a bool, not an int
             raise MalformedRecord(line_no, "'_id' must be a JSON string or integer")
-        if not isinstance(text, str):
-            raise MalformedRecord(line_no, "'text' must be a JSON string")
-        if title is not None and not isinstance(title, str):
+        record_id = str(record_id)
+    if type(text) is not str:
+        raise MalformedRecord(line_no, "'text' must be a JSON string")
+    if type(title) is not str:
+        if title is not None:
             raise MalformedRecord(line_no, "'title' must be a JSON string or null")
-        yield line_no, (str(record_id), title or "", text)
+        title = ""
+    return record_id, title, text
+
+
+def _id_title_text(path: str, split_tsv: Callable) -> Iterator[tuple[int, tuple[str, str, str]]]:
+    """(line_no, (id, title, text)) per record; JSONL if the first starts with '{', else TSV."""
+    parse = None
+    for line_no, line in _records(path):
+        if parse is None:
+            parse = _jsonl_record if line.startswith("{") else split_tsv
+        yield line_no, parse(line_no, line)
 
 
 def _split_doc(line_no: int, line: str) -> tuple[str, str, str]:

@@ -21,6 +21,7 @@ the backend is built.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from contextvars import ContextVar
@@ -41,8 +42,8 @@ class CompletionRequest:
 
     def __post_init__(self) -> None:
         check_count("max_new_tokens", self.max_new_tokens, 1)
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not self.temperature >= 0:  # a NaN fails too
+            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
         check_count("top_logprobs", self.top_logprobs, 1)
 
 
@@ -85,6 +86,16 @@ class CallCounter:
 QUERY_CALLS: ContextVar[CallCounter | None] = ContextVar("QUERY_CALLS", default=None)
 
 
+def _check_seconds(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite number of seconds, >= 0 (> 0 if positive)."""
+    try:
+        ok = (0 < value if positive else 0 <= value) and value < math.inf  # a NaN fails
+    except TypeError:  # a string or None
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
+
+
 def _post_json(url: str, payload: dict, timeout: float) -> dict:
     """The reply's JSON object. A timeout is BackendTimeout; a 4xx other than 408 (request
     timeout) and 429 (rate limit) is the request's fault, BackendRejected; any other
@@ -112,6 +123,8 @@ class HttpGateway:
     def __init__(self, url: str, model: str = "completion-model", timeout: float = 60.0,
                  retries: int = 3, backoff_s: float = 0.25):
         check_count("retries", retries, 0)
+        _check_seconds("timeout", timeout, positive=True)
+        _check_seconds("backoff_s", backoff_s)
         self.url = url
         self.model = model
         self.timeout = timeout
@@ -143,6 +156,7 @@ class MockGateway:
         if not (0 <= logprob_delay_s and 0 <= text_delay_s):  # a string raises TypeError, a NaN fails
             raise ValueError("logprob_delay_s and text_delay_s must be >= 0")
         check_count("retries", retries, 0)
+        _check_seconds("backoff_s", backoff_s)
         self.script = script
         self.logprob_delay_s = logprob_delay_s
         self.text_delay_s = text_delay_s

@@ -255,7 +255,9 @@ class SearchEngine:
         if sparse_index is not None:
             _check_index_ids("sparse index", sparse_index.doc_ids, corpus)
         if dense_index is not None:
-            _check_index_ids("dense index", dense_index.ids, corpus)
+            # one list passes the check, so ids equal to the checked sparse ids pass it too
+            if sparse_index is None or dense_index.ids != sparse_index.doc_ids:
+                _check_index_ids("dense index", dense_index.ids, corpus)
             if sparse_index is not None:
                 dense_index = replace(dense_index, ids=sparse_index.doc_ids)
         self.sparse_index = sparse_index

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rede.cli import run_command
-from rede.config import _BACKENDS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
+from rede.config import _BACKENDS, _PATHS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
 from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
 from rede.errors import ConfigError, check_count
 from rede.fusion import FusionConfig
@@ -153,6 +153,7 @@ _HTTP_GATEWAY = {"backend": "http", "url": "http://127.0.0.1:9"}  # built, never
     ({"hyde": {"temperature": -0.5}}, "hyde", "temperature must be >= 0"),
     ({"hyde": {"max_context_doc_tokens": -1}}, "hyde-prf", "max_context_doc_tokens must be >= 0"),
     ({"pipeline": {"llm_max_workers": 0}}, "rede", "llm_max_workers must be >= 1"),
+    ({"hyde": {"temperature": float("nan")}}, "hyde", "temperature must be >= 0, got nan"),
 ])
 def test_bad_llm_parameter_rejected_at_build(data, sections, method, message, capsys):
     path = _config_file(data, {"paths": _paths(data), "gateway": _HTTP_GATEWAY, **sections})
@@ -300,10 +301,29 @@ def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, sec
     ({"judge": {"backend": "lexical", "threshold": -0.5}}, "threshold must be in [0, 1]"),
     (_sections_setting("gateway", "mock", {"logprob_delay_s": "x"}), "bad gateway config"),
     (_sections_setting("gateway", "mock", {"text_delay_s": -1}), "text_delay_s must be >= 0"),
+    ({"gateway": {**_HTTP_GATEWAY, "backoff_s": "x"}}, "backoff_s must be a finite number >= 0, got 'x'"),
+    (_sections_setting("gateway", "mock", {"backoff_s": "x"}),
+     "backoff_s must be a finite number >= 0, got 'x'"),
+    ({"gateway": {**_HTTP_GATEWAY, "timeout": 0}}, "timeout must be a finite number > 0, got 0"),
 ])
 def test_wrongly_typed_or_negative_value_exits_2(data, monkeypatch, capsys, sections, message):
     monkeypatch.chdir(data)
     _assert_exits_2(data, capsys, sections, "rede", message)
+
+
+@pytest.mark.parametrize("section, key", [("paths", key) for key in _PATHS] + [("gateway", "mock_script")])
+def test_path_that_is_not_a_string_exits_2(data, monkeypatch, capsys, section, key):
+    # an integer would reach open() as a file descriptor
+    monkeypatch.chdir(data)
+    cfg = {"paths": _paths(data), "gateway": {"backend": "mock", "mock_script": "mock.json"}}
+    cfg[section] = {**cfg[section], key: 5}
+    path = _config_file(data, cfg)
+    message = f"{section}.{key} must be a path string, got 5"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(path)
+    assert run_command(["search", "--config", path, "--method", "hyde", "--out", str(data / "run.trec")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("script", [

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,98 @@ class TestRecords:
         plain.write_bytes(text.encode())
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert loader(str(bom)) == loader(str(plain))
+
+
+def reference_load(loader, path: str):
+    """What ``loader`` (load_corpus or load_queries) gives for a JSONL file whose first
+    record starts with '{', each line decoded by ``json.loads`` and type-checked with
+    ``isinstance``."""
+    corpus, queries = {}, []
+    with open(path, encoding="utf-8-sig") as f:
+        for line_no, line in enumerate(f, 1):
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
+            if not isinstance(obj, dict) or "_id" not in obj or "text" not in obj:
+                raise MalformedRecord(line_no, "expected a JSON object with '_id' and 'text'")
+            record_id, title, text = obj["_id"], obj.get("title"), obj["text"]
+            if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+                raise MalformedRecord(line_no, "'_id' must be a JSON string or integer")
+            if not isinstance(text, str):
+                raise MalformedRecord(line_no, "'text' must be a JSON string")
+            if title is not None and not isinstance(title, str):
+                raise MalformedRecord(line_no, "'title' must be a JSON string or null")
+            record_id = str(record_id)
+            if loader is load_corpus:
+                if not record_id:
+                    raise MalformedRecord(line_no, "empty doc_id")
+                if record_id in corpus:
+                    raise DuplicateDocId(record_id)
+                corpus[record_id] = Document(record_id, title or "", text)
+                continue
+            if not record_id:
+                raise MalformedRecord(line_no, "empty query_id")
+            if not text.strip():
+                raise MalformedRecord(line_no, "blank query text")
+            if record_id in {q.query_id for q in queries}:
+                raise DuplicateQueryId(record_id)
+            queries.append(Query(record_id, text))
+    return corpus if loader is load_corpus else queries
+
+
+def _outcome(load, *args):
+    try:
+        return "value", load(*args)
+    except Exception as exc:  # the exception's type and message are the outcome
+        return type(exc), str(exc)
+
+
+_TEXT = st.sampled_from(["", "  ", "alpha beta", "naïve 𝔘nicode", 'say "hi"\n', "\u2028\x00\\"])
+_ID = st.sampled_from(["d1", "d2", "d3", "1"]) | st.integers(0, 9)
+_ODD = st.sampled_from(["", None, True, 1.5, float("nan"), float("inf"), -float("inf"), ["x"], {}])
+_RECORD = st.fixed_dictionaries({"_id": _ID, "text": _TEXT}, optional={"title": st.none() | _TEXT})
+_ODD_RECORD = st.fixed_dictionaries({"_id": _ID | _ODD, "text": _TEXT | _ODD},
+                                    optional={"title": _TEXT | _ODD})
+_OBJECT_LINE = st.builds(json.dumps, _RECORD | _RECORD | _ODD_RECORD, ensure_ascii=st.booleans())
+# JSON whitespace, whitespace JSON does not allow, a byte order mark, data after the object
+_BEFORE = st.sampled_from(["", "", "", " ", "\t ", "\x0c", "\u00a0", "\ufeff"])
+_AFTER = st.sampled_from(["", "", "", " ", "\t", " 5", "{}", "]"])
+_LINE = st.one_of(
+    st.tuples(_BEFORE, _OBJECT_LINE, _AFTER).map("".join),
+    st.sampled_from(["5", "null", "[1]", '"x"', "NaN", "-Infinity", "{", "{}", "", "  ", "\ufeff{}"]),
+)
+
+
+class TestJsonlDecode:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.builds(json.dumps, _RECORD), st.lists(_LINE, max_size=6))
+    def test_loaders_decode_as_json_loads_does(self, tmp_path_factory, first, lines):
+        path = str(tmp_path_factory.getbasetemp() / "decode.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join([first, *lines]) + "\n")
+        for loader in (load_corpus, load_queries):
+            assert _outcome(loader, path) == _outcome(reference_load, loader, path)
+
+    def test_whole_file_is_never_held(self, tmp_path):
+        # the file is read one line at a time: a whole-file read and split would raise the
+        # peak above what the corpus keeps by about the file's size
+        path = tmp_path / "c.jsonl"
+        text = " ".join(f"word{i}" for i in range(100))
+        path.write_text("".join(json.dumps({"_id": f"d{n:05d}", "title": "T", "text": text}) + "\n"
+                                for n in range(3_000)))
+        size = path.stat().st_size
+        assert size > 2_000_000
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(str(path))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 3_000
+        assert peak - retained < size / 2
 
 
 SPECIAL_SCORES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -20,6 +21,10 @@ class TestRequestValidation:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             CompletionRequest("p", temperature=-0.1)
+
+    def test_nan_temperature(self):
+        with pytest.raises(ValueError, match="temperature must be >= 0, got nan"):
+            CompletionRequest("p", temperature=float("nan"))
 
     def test_bad_top_logprobs(self):
         with pytest.raises(ValueError):
@@ -82,6 +87,11 @@ class TestMockGateway:
         with pytest.raises((ValueError, TypeError)):
             MockGateway(SCRIPT, **kwargs)
 
+    @pytest.mark.parametrize("backoff_s", ["x", None, float("nan"), float("inf"), -0.1])
+    def test_bad_backoff_rejected_at_construction(self, backoff_s):
+        with pytest.raises(ValueError, match=re.escape(f"backoff_s must be a finite number >= 0, got {backoff_s!r}")):
+            MockGateway(SCRIPT, backoff_s=backoff_s)
+
     def test_replay_from_file(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(json.dumps(SCRIPT))
@@ -118,6 +128,14 @@ class TestHttpGateway:
     def test_bad_retries_rejected_at_construction(self, retries):
         with pytest.raises(ValueError, match="retries must be"):
             HttpGateway("http://127.0.0.1:9", retries=retries)
+
+    @pytest.mark.parametrize("key, value, message", [
+        *[("backoff_s", v, "backoff_s must be a finite number >= 0") for v in ("x", float("nan"), float("inf"), -1)],
+        *[("timeout", v, "timeout must be a finite number > 0") for v in ("x", None, float("nan"), float("inf"), 0)],
+    ])
+    def test_bad_backoff_or_timeout_rejected_at_construction(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
+            HttpGateway("http://127.0.0.1:9", **{key: value})
 
     def test_happy_path(self, http_server):
         url, state = http_server

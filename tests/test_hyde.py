@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             HydeConfig(n_samples=0)
 
+    @pytest.mark.parametrize("temperature", [-0.5, float("nan")])
+    def test_temperature_validated(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            HydeConfig(temperature=temperature)
+
     def test_unknown_template_validated(self):
         for family in ("astrology", "web_search_context"):
             with pytest.raises(UnknownTemplate):

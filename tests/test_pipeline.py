@@ -84,6 +84,10 @@ class TestUpdates:
             expected = (totals / stacked.shape[0]).astype(np.float32)
             assert mean_update(q, vectors).tobytes() == expected.tobytes()
 
+    def test_cancelling_vectors_keep_the_small_one(self):
+        # a plain float64 sum loses the 1.0 beside 1e30 and gives [0.]; fsum keeps it
+        assert mean_update(vec(0.0), [vec(1e30), vec(1.0), vec(-1e30)]).tolist() == [0.25]
+
     def test_empty_raises(self):
         with pytest.raises(EmptyRelevantSet):
             mean_update(vec(1, 0), [])
