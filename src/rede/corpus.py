@@ -53,8 +53,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Document:
+    """A plain record, not frozen: a frozen ``__init__`` sets each field through
+    ``object.__setattr__``, and slots leave no per-instance ``__dict__``."""
+
     doc_id: str
     title: str
     text: str

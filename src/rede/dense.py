@@ -1,13 +1,15 @@
 """Precomputed document-embedding store with exact nearest-neighbor search.
 
 The on-disk bundle is three files: raw little-endian float32 vectors
-(row-major), a JSON manifest ``{"dim": D, "count": N, "id_file": ...}``,
-and a newline-separated doc-id file. In memory, rows are held in ascending
-doc-id order whatever the order of the id file. Search is exact brute force
-by inner product; ties break by ascending doc_id. A score that is not
-finite (float32 overflow of finite vectors) is an error, not a rank. One
-module lock, ``_PRODUCT_LOCK``, serializes the inner products of concurrent
-searches, so BLAS's thread pool serves one query at a time.
+(row-major), a JSON manifest ``{"dim": D, "count": N, "id_file": ...}``
+whose sizes are integers, and a newline-separated doc-id file. In
+memory, rows are held in ascending doc-id order whatever the order of the
+id file: an ascending id file is kept in its order, any other is sorted
+once. Search is exact brute force by inner product; ties break by
+ascending doc_id. A score that is not finite (float32 overflow of finite
+vectors) is an error, not a rank. One module lock, ``_PRODUCT_LOCK``,
+serializes the inner products of concurrent searches, so BLAS's thread
+pool serves one query at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import RankedList, _records, _top_k, tokenize
+from .corpus import RankedList, _records, _strictly_ascending, _top_k, tokenize
 from .errors import (
     BackendUnavailable,
     DimMismatch,
@@ -30,7 +32,7 @@ from .errors import (
     UnknownDocId,
     check_count,
 )
-from .gateway import _post_json
+from .gateway import _check_seconds, _post_json
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -57,19 +59,31 @@ class DenseIndex:
 
 
 def build_dense_index(corpus_ids: list[str], vectors: np.ndarray) -> DenseIndex:
-    """The only constructor: validates the input and stores rows in ascending doc-id order."""
-    arr = np.asarray(vectors, dtype=np.float32)
-    if arr.ndim != 2 or arr.shape[0] != len(corpus_ids):
-        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(corpus_ids)} ids")
+    """The only public constructor: validates the input and stores rows in ascending doc-id order.
+
+    The index holds copies of the caller's id list and array, never the objects themselves.
+    """
+    return _own_index(list(corpus_ids), np.array(vectors, dtype=np.float32, order="C"))
+
+
+def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
+    """build_dense_index over an id list and float32 array that the index takes over.
+
+    A strictly ascending id list is already in row order and holds no id twice,
+    so it and its rows are kept as they are; any other order is sorted once.
+    """
+    if arr.ndim != 2 or arr.shape[0] != len(ids):
+        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise NonFiniteVector(f"non-finite value in row {int(np.argmin(finite))}")
-    order = sorted(range(len(corpus_ids)), key=corpus_ids.__getitem__)
-    ids = [corpus_ids[i] for i in order]
+    if not _strictly_ascending(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, arr = [ids[i] for i in order], arr[order]
     id_to_row = {doc_id: row for row, doc_id in enumerate(ids)}
     if len(id_to_row) < len(ids):
         raise DuplicateDocId(next(a for a, b in zip(ids, ids[1:]) if a == b))
-    return DenseIndex(arr.shape[1], ids, arr[order], id_to_row)
+    return DenseIndex(arr.shape[1], ids, arr, id_to_row)
 
 
 def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: str = "embeddings") -> str:
@@ -102,19 +116,21 @@ def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseInd
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-        dim, count = int(manifest["dim"]), int(manifest["count"])
+        check_count("dim", manifest["dim"], 1)
+        check_count("count", manifest["count"], 0)
+        dim, count = int(manifest["dim"]), int(manifest["count"])  # a JSON true counts as 1
         id_file = os.path.join(base, manifest["id_file"])
         vectors_path = vectors_path or os.path.join(base, manifest["vectors_file"])
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedRecord(None, f"bad manifest {manifest_path}: {exc!r}") from exc
     expected = count * dim * 4
     actual = os.path.getsize(vectors_path)
-    if dim < 1 or count < 0 or actual != expected:
+    if actual != expected:
         raise SizeMismatch(
             f"vectors file is {actual} bytes, expected {expected} ({count} x {dim} float32)"
         )
     ids = [line for _, line in _records(id_file)]
-    return build_dense_index(ids, np.fromfile(vectors_path, dtype="<f4").reshape(count, dim))
+    return _own_index(ids, np.fromfile(vectors_path, dtype="<f4").reshape(count, dim))
 
 
 def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
@@ -184,6 +200,7 @@ class HttpEncoder:
     def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0):
         if dim is not None:
             check_count("dim", dim, 1)
+        _check_seconds("timeout", timeout, positive=True)
         self.url = url
         self.dim = dim
         self.timeout = timeout

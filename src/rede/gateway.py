@@ -153,8 +153,8 @@ class MockGateway:
         if not isinstance(script, list) or not all(
                 isinstance(e, dict) and isinstance(e.get("match_substring", ""), str) for e in script):
             raise ValueError("mock script must be a list of objects whose match_substring is a string")
-        if not (0 <= logprob_delay_s and 0 <= text_delay_s):  # a string raises TypeError, a NaN fails
-            raise ValueError("logprob_delay_s and text_delay_s must be >= 0")
+        _check_seconds("logprob_delay_s", logprob_delay_s)
+        _check_seconds("text_delay_s", text_delay_s)
         check_count("retries", retries, 0)
         _check_seconds("backoff_s", backoff_s)
         self.script = script

@@ -300,7 +300,11 @@ def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, sec
     ({"judge": {"backend": "lexical", "threshold": float("nan")}}, "threshold must be in [0, 1]"),
     ({"judge": {"backend": "lexical", "threshold": -0.5}}, "threshold must be in [0, 1]"),
     (_sections_setting("gateway", "mock", {"logprob_delay_s": "x"}), "bad gateway config"),
-    (_sections_setting("gateway", "mock", {"text_delay_s": -1}), "text_delay_s must be >= 0"),
+    (_sections_setting("gateway", "mock", {"text_delay_s": -1}), "text_delay_s must be a finite number >= 0, got -1"),
+    (_sections_setting("gateway", "mock", {"text_delay_s": float("inf")}),
+     "text_delay_s must be a finite number >= 0, got inf"),
+    (_sections_setting("gateway", "mock", {"logprob_delay_s": float("inf")}),
+     "logprob_delay_s must be a finite number >= 0, got inf"),
     ({"gateway": {**_HTTP_GATEWAY, "backoff_s": "x"}}, "backoff_s must be a finite number >= 0, got 'x'"),
     (_sections_setting("gateway", "mock", {"backoff_s": "x"}),
      "backoff_s must be a finite number >= 0, got 'x'"),

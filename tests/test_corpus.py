@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ class TestLoadCorpus:
         path.write_text('{"_id":"d1","title":"T","text":"body"}\n')
         corpus = load_corpus(str(path))
         assert corpus["d1"] == Document("d1", "T", "body")
+
+    def test_document_is_a_plain_record_without_a_dict(self):
+        doc = Document("d", "T", "body")
+        assert [f.name for f in fields(Document)] == ["doc_id", "title", "text"]
+        assert doc == Document(doc_id="d", title="T", text="body") and doc != Document("d", "", "body")
+        assert repr(doc) == "Document(doc_id='d', title='T', text='body')"
+        assert not hasattr(doc, "__dict__")
 
     def test_search_text_concatenation(self):
         assert Document("d", "T", "body").search_text == "T. body"

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -78,6 +79,9 @@ class TestIngest:
         lambda meta: json.dumps({**meta, "dim": "two"}),
         lambda meta: json.dumps({**meta, "dim": -2, "count": -3}),  # sizes multiply to the file's
         lambda meta: json.dumps({**meta, "count": 4}),
+        lambda meta: json.dumps({**meta, "dim": 2.9}),  # int() would read 2
+        lambda meta: json.dumps({**meta, "dim": 2.0}),
+        lambda meta: json.dumps({**meta, "dim": "2", "count": "3"}),
     ])
     def test_malformed_manifest_raises_typed_error(self, bundle, edit):
         manifest, _ = bundle
@@ -116,6 +120,68 @@ class TestIngest:
         ids_path.write_text("d1\nd2\n")
         with pytest.raises(SizeMismatch):
             load_bundle(manifest)
+
+
+def _via(tmp_path, how: str, ids: list[str], vectors: np.ndarray):
+    """The index that build_dense_index, or load_bundle over a written bundle, makes of ids and vectors."""
+    if how == "build":
+        return build_dense_index(ids, vectors)
+    return load_bundle(write_embeddings(str(tmp_path), ids, vectors))
+
+
+_IDS = [f"d{i:02d}" for i in range(30)]
+_PERM = np.random.default_rng(3).permutation(len(_IDS))
+
+
+class TestRowOrder:
+    """A strictly ascending id list is kept in its order; any other order is sorted once."""
+
+    @staticmethod
+    def _vectors() -> np.ndarray:
+        return np.random.default_rng(4).standard_normal((len(_IDS), 8)).astype(np.float32)
+
+    @pytest.mark.parametrize("how", ["build", "bundle"])
+    def test_ascending_and_shuffled_ids_give_equal_indexes(self, tmp_path, how):
+        vectors = self._vectors()
+        ascending = _via(tmp_path / "a", how, list(_IDS), vectors)
+        shuffled = _via(tmp_path / "s", how, [_IDS[i] for i in _PERM], vectors[_PERM])
+        assert ascending.ids == shuffled.ids == _IDS
+        assert ascending.vectors.tobytes() == shuffled.vectors.tobytes() == vectors.tobytes()
+        assert ascending.id_to_row == shuffled.id_to_row == {d: i for i, d in enumerate(_IDS)}
+        for i, doc_id in enumerate(_IDS):
+            assert (fetch_embedding(ascending, doc_id).tobytes() == fetch_embedding(shuffled, doc_id).tobytes()
+                    == vectors[i].tobytes())
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ascending", "shuffled"])
+    def test_index_shares_nothing_with_the_callers_list_or_array(self, shuffle):
+        ids, vectors = list(_IDS), self._vectors()
+        if shuffle:
+            ids, vectors = [ids[i] for i in _PERM], vectors[_PERM]
+        index = build_dense_index(ids, vectors)
+        assert not np.shares_memory(index.vectors, vectors) and index.ids is not ids
+        query = np.ones(8, dtype=np.float32)
+        before = dense_search(index, query, 10)
+        vectors[:] = -vectors
+        ids.reverse()
+        assert index.ids == _IDS
+        assert dense_search(index, query, 10) == before
+
+    # A list with an id twice is never strictly ascending, so both orders reach the sort,
+    # where the id-to-row count finds the duplicate.
+    @pytest.mark.parametrize("ids", [["d1", "d2", "d2"], ["d2", "d1", "d2"]], ids=["ascending", "shuffled"])
+    @pytest.mark.parametrize("how", ["build", "bundle"])
+    def test_duplicate_id_raises_in_either_order(self, tmp_path, how, ids):
+        with pytest.raises(DuplicateDocId, match="d2"):
+            _via(tmp_path, how, ids, np.zeros((3, 2), dtype=np.float32))
+
+    # The finiteness check runs before the order is looked at, so it covers both paths.
+    @pytest.mark.parametrize("ids", [["d1", "d2", "d3"], ["d3", "d1", "d2"]], ids=["ascending", "shuffled"])
+    @pytest.mark.parametrize("how", ["build", "bundle"])
+    def test_non_finite_row_raises_in_either_order(self, tmp_path, how, ids):
+        vectors = np.zeros((3, 2), dtype=np.float32)
+        vectors[1, 0] = np.inf
+        with pytest.raises(NonFiniteVector, match="row 1"):
+            _via(tmp_path, how, ids, vectors)
 
 
 class TestFetch:
@@ -349,6 +415,12 @@ class TestHttpEncoder:
         out = enc.encode(["x", "y"])
         assert out.shape == (2, 2)
         assert enc.dim == 2
+
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf"), "x", None])
+    def test_bad_timeout_rejected_at_construction(self, timeout):
+        # unchecked, every encode would report the caller's mistake as BackendUnavailable
+        with pytest.raises(ValueError, match=re.escape(f"timeout must be a finite number > 0, got {timeout!r}")):
+            HttpEncoder("http://127.0.0.1:1/nothing", timeout=timeout)
 
     def test_unavailable(self):
         enc = HttpEncoder("http://127.0.0.1:1/nothing", timeout=0.2)

@@ -87,6 +87,13 @@ class TestMockGateway:
         with pytest.raises((ValueError, TypeError)):
             MockGateway(SCRIPT, **kwargs)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1, "x"])
+    @pytest.mark.parametrize("name", ["logprob_delay_s", "text_delay_s"])
+    def test_bad_delay_rejected_at_construction(self, name, value):
+        # an infinite delay would reach time.sleep, whose OverflowError is not a RedeError
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number >= 0, got {value!r}")):
+            MockGateway(SCRIPT, **{name: value})
+
     @pytest.mark.parametrize("backoff_s", ["x", None, float("nan"), float("inf"), -0.1])
     def test_bad_backoff_rejected_at_construction(self, backoff_s):
         with pytest.raises(ValueError, match=re.escape(f"backoff_s must be a finite number >= 0, got {backoff_s!r}")):
