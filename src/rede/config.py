@@ -18,7 +18,10 @@ builds, and a key the file does not set keeps that class's default:
     ``_PATHS`` (None: not given; ``sparse_index`` None builds the index
     from the corpus, ``embeddings_vectors`` None reads the manifest's
     vectors file, a templates dir None uses the templates in the package).
-    A path, there or in ``gateway.mock_script``, is a string or null.
+    A text key is a string or null: a path, there or in ``gateway.mock_script``,
+    a URL (``gateway.url``, ``encoder.url``), ``gateway.model``, the judge's
+    ``template_id``, ``positive_token`` and ``negative_token``, and
+    ``hyde.task_template``.
 
 Unknown keys are rejected at load time in every section. REDE_GATEWAY_URL
 in the environment overrides gateway.url; the CLI's ``--queries`` replaces
@@ -90,7 +93,9 @@ SECTION_KEYS: dict[str, frozenset[str]] = {
        for section, backends in _BACKENDS.items()},
 }
 
-_PATH_KEYS = frozenset({*(f"paths.{key}" for key in _PATHS), "gateway.mock_script"})
+_TEXT_KEYS = frozenset({*(f"paths.{key}" for key in _PATHS), "gateway.mock_script", "gateway.url",
+                        "gateway.model", "encoder.url", "judge.template_id", "judge.positive_token",
+                        "judge.negative_token", "hyde.task_template"})
 
 
 def _layer(cfg: dict, layer, source: str) -> None:
@@ -106,8 +111,9 @@ def _layer(cfg: dict, layer, source: str) -> None:
             name = f"{section}.{key}"
             if key not in SECTION_KEYS[section]:
                 raise ConfigError(f"unknown config key {name!r}")
-            if name in _PATH_KEYS and value is not None and not isinstance(value, str):
-                raise ConfigError(f"{name} must be a path string, got {value!r}")  # open(5) reads fd 5
+            # open(5) reads fd 5, and a judge token 1 never matches the logprob key "1"
+            if name in _TEXT_KEYS and value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string or null, got {value!r}")
         cfg[section].update(values)
 
 

@@ -31,8 +31,9 @@ from .errors import (
     SizeMismatch,
     UnknownDocId,
     check_count,
+    check_real,
 )
-from .gateway import _check_seconds, _post_json
+from .gateway import post_json
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -195,12 +196,12 @@ class HashingEncoder:
 class HttpEncoder:
     """Encoder over HTTP: POST {"texts": [...]} -> {"vectors": [[...]]}; no retries.
 
-    The HTTP errors are typed as the gateway's, by ``gateway._post_json``."""
+    The HTTP errors are typed as the gateway's, by ``gateway.post_json``."""
 
     def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0):
         if dim is not None:
             check_count("dim", dim, 1)
-        _check_seconds("timeout", timeout, positive=True)
+        check_real("timeout", timeout, positive=True)
         self.url = url
         self.dim = dim
         self.timeout = timeout
@@ -208,7 +209,7 @@ class HttpEncoder:
     def encode(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("texts must be a non-empty list")
-        obj = _post_json(self.url, {"texts": texts}, self.timeout)
+        obj = post_json(self.url, {"texts": texts}, self.timeout)
         try:
             arr = np.asarray(obj["vectors"], dtype=np.float32)
         except (KeyError, ValueError, TypeError) as exc:

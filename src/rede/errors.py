@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one rule for count parameters."""
+"""Exception types shared across the package, and the one rule each for count and real parameters."""
 
+import math
+import numbers
 import operator
 
 
@@ -125,3 +127,18 @@ def check_count(name: str, value, least: int, error: type[Exception] = ValueErro
         raise error(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value, hi=math.inf, *, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite real number >= 0 (> 0 if positive) and <= hi.
+
+    A real number is a ``numbers.Real``: an int, a bool, a float or a numpy
+    number. A string and None are refused, not compared; so are NaN, which
+    fails every comparison, and the infinities. The message names the
+    interval as ``>= 0``, ``> 0``, ``in [0, hi]`` or ``in (0, hi]``.
+    """
+    if not (isinstance(value, numbers.Real) and (0 < value if positive else 0 <= value)
+            and value <= hi and value < math.inf):
+        bound = (f"{'>' if positive else '>='} 0" if hi == math.inf
+                 else f"in {'(' if positive else '['}0, {hi}]")
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")

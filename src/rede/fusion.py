@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import RankedList, _top_k
 from .dense import DenseIndex, dense_search
-from .errors import PreconditionViolation, check_count
+from .errors import PreconditionViolation, check_count, check_real
 from .sparse import SparseIndex, sparse_search
 
 
@@ -29,8 +29,7 @@ class FusionConfig:
     pool_depth: int | None = None  # None: max(k, 100)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.alpha <= 1:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        check_real("alpha", self.alpha, 1)
         if self.pool_depth is not None:
             check_count("pool_depth", self.pool_depth, 1)
 

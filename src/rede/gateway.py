@@ -21,7 +21,6 @@ the backend is built.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from contextvars import ContextVar
@@ -29,7 +28,8 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported, check_count
+from .errors import (BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported, check_count,
+                     check_real)
 
 
 @dataclass
@@ -42,8 +42,7 @@ class CompletionRequest:
 
     def __post_init__(self) -> None:
         check_count("max_new_tokens", self.max_new_tokens, 1)
-        if not self.temperature >= 0:  # a NaN fails too
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
+        check_real("temperature", self.temperature)
         check_count("top_logprobs", self.top_logprobs, 1)
 
 
@@ -86,17 +85,7 @@ class CallCounter:
 QUERY_CALLS: ContextVar[CallCounter | None] = ContextVar("QUERY_CALLS", default=None)
 
 
-def _check_seconds(name: str, value, positive: bool = False) -> None:
-    """Raise ValueError unless value is a finite number of seconds, >= 0 (> 0 if positive)."""
-    try:
-        ok = (0 < value if positive else 0 <= value) and value < math.inf  # a NaN fails
-    except TypeError:  # a string or None
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
-
-
-def _post_json(url: str, payload: dict, timeout: float) -> dict:
+def post_json(url: str, payload: dict, timeout: float) -> dict:
     """The reply's JSON object. A timeout is BackendTimeout; a 4xx other than 408 (request
     timeout) and 429 (rate limit) is the request's fault, BackendRejected; any other
     failure, or a reply that is not a JSON object, is BackendUnavailable."""
@@ -123,8 +112,8 @@ class HttpGateway:
     def __init__(self, url: str, model: str = "completion-model", timeout: float = 60.0,
                  retries: int = 3, backoff_s: float = 0.25):
         check_count("retries", retries, 0)
-        _check_seconds("timeout", timeout, positive=True)
-        _check_seconds("backoff_s", backoff_s)
+        check_real("timeout", timeout, positive=True)
+        check_real("backoff_s", backoff_s)
         self.url = url
         self.model = model
         self.timeout = timeout
@@ -141,7 +130,7 @@ class HttpGateway:
         }
         if request.want_first_token_logprobs:
             payload["logprobs"] = request.top_logprobs
-        obj = _post_json(self.url, payload, self.timeout)
+        obj = post_json(self.url, payload, self.timeout)
         return CompletionResponse(obj.get("text", ""), obj.get("first_token_logprobs"))
 
 
@@ -153,10 +142,10 @@ class MockGateway:
         if not isinstance(script, list) or not all(
                 isinstance(e, dict) and isinstance(e.get("match_substring", ""), str) for e in script):
             raise ValueError("mock script must be a list of objects whose match_substring is a string")
-        _check_seconds("logprob_delay_s", logprob_delay_s)
-        _check_seconds("text_delay_s", text_delay_s)
+        check_real("logprob_delay_s", logprob_delay_s)
+        check_real("text_delay_s", text_delay_s)
         check_count("retries", retries, 0)
-        _check_seconds("backoff_s", backoff_s)
+        check_real("backoff_s", backoff_s)
         self.script = script
         self.logprob_delay_s = logprob_delay_s
         self.text_delay_s = text_delay_s

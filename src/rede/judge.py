@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import Qrels, Query, RankedList, tokenize
-from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownDocId, UnknownTemplate, check_count
+from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownDocId, UnknownTemplate, check_count, check_real
 from .gateway import CompletionRequest, complete
 
 log = logging.getLogger(__name__)
@@ -202,8 +202,7 @@ class OracleJudge:
 
 class LexicalJudge:
     def __init__(self, threshold: float = 0.15):
-        if not 0 <= threshold <= 1:  # a string raises TypeError, a NaN fails
-            raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+        check_real("threshold", threshold, 1)
         self.threshold = threshold
 
     def p_relevant(self, query: Query, doc_id: str, doc_text: str) -> float:

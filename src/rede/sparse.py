@@ -32,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import _ASCII_BYTES, Corpus, RankedList, _strictly_ascending, _top_k, tokenize
-from .errors import EmptyCorpus, MalformedRecord
+from .errors import EmptyCorpus, MalformedRecord, check_real
 
 _MAGIC = b"SPIDX"
 _VERSION = 2
@@ -52,10 +52,9 @@ class SparseIndex:
     norm: np.ndarray = field(init=False, repr=False)  # per row: k1 * (1 - b + b * dl / avgdl)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k1 < math.inf:
-            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
-        if not 0 <= self.b <= 1:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
+        check_real("k1", self.k1)
+        check_real("b", self.b, 1)
+        check_real("avg_doc_length", self.avg_doc_length, positive=True)
         self.pairs.flags.writeable = False
         norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
         object.__setattr__(self, "norm", norm)
@@ -198,8 +197,6 @@ def load_sparse_index(path: str) -> SparseIndex:
             k1, b, avgdl = float(header["k1"]), float(header["b"]), float(header["avgdl"])
             if len(terms) != len(df) or min(df, default=1) < 1:
                 raise ValueError("terms and document frequencies disagree")
-            if not 0 < avgdl < math.inf:
-                raise ValueError(f"avgdl must be positive and finite, got {avgdl}")
             term_numbers = {term: t for t, term in enumerate(terms)}
             if len(term_numbers) != len(terms):
                 raise ValueError("a term is listed twice")

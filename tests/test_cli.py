@@ -98,7 +98,7 @@ def test_ingest_dense_rejects_dim_zero(workspace, capsys):
 def test_index_sparse_rejects_b_outside_unit_interval(workspace, capsys):
     assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"), "--b", "2",
                         "--out", str(workspace / "sparse.idx")]) == 1
-    assert capsys.readouterr().err.startswith("error: b must be in [0, 1]")
+    assert capsys.readouterr().err.startswith("error: b must be a finite number in [0, 1], got 2.0")
 
 
 @pytest.mark.parametrize("k1", ["nan", "inf", "-1"])
@@ -106,7 +106,7 @@ def test_index_sparse_rejects_k1_that_is_not_finite_and_non_negative(workspace, 
     out = workspace / "sparse.idx"
     assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"), "--k1", k1,
                         "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: k1 must be finite and >= 0")
+    assert capsys.readouterr().err.startswith(f"error: k1 must be a finite number >= 0, got {float(k1)!r}")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from rede.cli import run_command
 from rede.config import _BACKENDS, _PATHS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
 from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
-from rede.errors import ConfigError, check_count
+from rede.errors import ConfigError, check_count, check_real
 from rede.fusion import FusionConfig
 from rede.gateway import HttpGateway, MockGateway
 from rede.hyde import HydeConfig
@@ -150,10 +151,10 @@ _HTTP_GATEWAY = {"backend": "http", "url": "http://127.0.0.1:9"}  # built, never
     ({"judge": {"top_logprobs": 0}}, "rede", "top_logprobs must be >= 1"),
     ({"judge": {"max_doc_tokens": -1}}, "rerank", "max_doc_tokens must be >= 0"),
     ({"hyde": {"max_new_tokens": 0}}, "hyde", "max_new_tokens must be >= 1"),
-    ({"hyde": {"temperature": -0.5}}, "hyde", "temperature must be >= 0"),
+    ({"hyde": {"temperature": -0.5}}, "hyde", "temperature must be a finite number >= 0, got -0.5"),
     ({"hyde": {"max_context_doc_tokens": -1}}, "hyde-prf", "max_context_doc_tokens must be >= 0"),
     ({"pipeline": {"llm_max_workers": 0}}, "rede", "llm_max_workers must be >= 1"),
-    ({"hyde": {"temperature": float("nan")}}, "hyde", "temperature must be >= 0, got nan"),
+    ({"hyde": {"temperature": float("nan")}}, "hyde", "temperature must be a finite number >= 0, got nan"),
 ])
 def test_bad_llm_parameter_rejected_at_build(data, sections, method, message, capsys):
     path = _config_file(data, {"paths": _paths(data), "gateway": _HTTP_GATEWAY, **sections})
@@ -230,23 +231,33 @@ def test_readme_run_config_builds(tmp_path, monkeypatch):
     assert engine.config == PipelineConfig(**example["pipeline"])
 
 
-def _count_keys() -> list[tuple[str, str | None, str]]:
-    """(section, backend, key) of every count key: its default is an int that is not a bool.
+def _keys_whose_default_is(kind: type) -> list[tuple[str, str | None, str]]:
+    """(section, backend, key) of every key whose class default is of exactly this type.
 
-    Read from the classes, so a count parameter added later is in the list; the three count keys
-    whose default is None are named by hand.
+    Read from the classes, so a parameter added later is in the list.
     """
     keys = [(section, None, f.name)
             for section, cls in (("pipeline", PipelineConfig), ("fusion", FusionConfig),
                                  ("hyde", HydeConfig))
-            for f in fields(cls) if type(f.default) is int]
+            for f in fields(cls) if type(f.default) is kind]
     for section, backends in _BACKENDS.items():
         for name, backend in backends.items():
             params = inspect.signature(MockGateway.__init__ if name == "mock" else backend.build).parameters
             keys += [(section, name, key) for key in backend.keys
-                     if key in params and type(params[key].default) is int]
-    return keys + [("pipeline", None, "max_kstar"), ("fusion", None, "pool_depth"),
-                   ("encoder", "http", "dim")]
+                     if key in params and type(params[key].default) is kind]
+    return keys
+
+
+def _count_keys() -> list[tuple[str, str | None, str]]:
+    """Every count key: its default is an int that is not a bool; the three whose default is None
+    are named by hand."""
+    return _keys_whose_default_is(int) + [("pipeline", None, "max_kstar"), ("fusion", None, "pool_depth"),
+                                          ("encoder", "http", "dim")]
+
+
+def _real_keys() -> list[tuple[str, str | None, str]]:
+    """Every real-valued key: its default is a float."""
+    return _keys_whose_default_is(float)
 
 
 _BACKEND_SETTINGS = {"http": {"url": "http://127.0.0.1:9"}, "mock": {"mock_script": "mock.json"}}
@@ -290,6 +301,23 @@ def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, sec
                     f"{key} must be an integer, got {value}")
 
 
+def test_real_keys_are_read_from_the_classes():
+    assert set(_real_keys()) >= {
+        ("fusion", None, "alpha"), ("hyde", None, "temperature"), ("judge", "lexical", "threshold"),
+        ("gateway", "http", "timeout"), ("gateway", "http", "backoff_s"),
+        ("gateway", "mock", "logprob_delay_s"), ("gateway", "mock", "text_delay_s"),
+        ("gateway", "mock", "backoff_s")}
+
+
+@pytest.mark.parametrize("value", ["x", math.nan, -1, math.inf], ids=repr)
+@pytest.mark.parametrize("section, backend, key", _real_keys(), ids=lambda x: x if isinstance(x, str) else None)
+def test_real_key_that_is_not_a_finite_number_in_range_exits_2(data, monkeypatch, capsys, section, backend,
+                                                                key, value):
+    monkeypatch.chdir(data)
+    _assert_exits_2(data, capsys, _sections_setting(section, backend, {key: value}), "rede",
+                    f"{key} must be a finite number")
+
+
 @pytest.mark.parametrize("sections, message", [
     ({"gateway": {**_HTTP_GATEWAY, "retries": -1}}, "retries must be >= 0, got -1"),
     (_sections_setting("gateway", "mock", {"retries": -1}), "retries must be >= 0, got -1"),
@@ -297,8 +325,9 @@ def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, sec
     ({"gateway": {"backend": ["x"]}}, "unknown gateway.backend ['x']"),
     ({"gateway": _HTTP_GATEWAY, "judge": {"backend": {"llm": 1}}}, "unknown judge.backend"),
     ({"judge": {"backend": "lexical", "threshold": "x"}}, "bad judge config"),
-    ({"judge": {"backend": "lexical", "threshold": float("nan")}}, "threshold must be in [0, 1]"),
-    ({"judge": {"backend": "lexical", "threshold": -0.5}}, "threshold must be in [0, 1]"),
+    ({"judge": {"backend": "lexical", "threshold": float("nan")}},
+     "threshold must be a finite number in [0, 1], got nan"),
+    ({"judge": {"backend": "lexical", "threshold": -0.5}}, "threshold must be a finite number in [0, 1], got -0.5"),
     (_sections_setting("gateway", "mock", {"logprob_delay_s": "x"}), "bad gateway config"),
     (_sections_setting("gateway", "mock", {"text_delay_s": -1}), "text_delay_s must be a finite number >= 0, got -1"),
     (_sections_setting("gateway", "mock", {"text_delay_s": float("inf")}),
@@ -315,14 +344,19 @@ def test_wrongly_typed_or_negative_value_exits_2(data, monkeypatch, capsys, sect
     _assert_exits_2(data, capsys, sections, "rede", message)
 
 
-@pytest.mark.parametrize("section, key", [("paths", key) for key in _PATHS] + [("gateway", "mock_script")])
+@pytest.mark.parametrize("section, key", [("paths", key) for key in _PATHS] + [
+    ("gateway", "mock_script"), ("gateway", "url"), ("gateway", "model"), ("encoder", "url"),
+    ("judge", "template_id"), ("judge", "positive_token"), ("judge", "negative_token"),
+    ("hyde", "task_template"),
+])
 def test_path_that_is_not_a_string_exits_2(data, monkeypatch, capsys, section, key):
-    # an integer would reach open() as a file descriptor
+    # an integer path would reach open() as a file descriptor, and an integer judge token never
+    # matches the string keys of the returned logprobs
     monkeypatch.chdir(data)
     cfg = {"paths": _paths(data), "gateway": {"backend": "mock", "mock_script": "mock.json"}}
-    cfg[section] = {**cfg[section], key: 5}
+    cfg[section] = {**cfg.get(section, {}), key: 5}
     path = _config_file(data, cfg)
-    message = f"{section}.{key} must be a path string, got 5"
+    message = f"{section}.{key} must be a string or null, got 5"
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_run_config(path)
     assert run_command(["search", "--config", path, "--method", "hyde", "--out", str(data / "run.trec")]) == 2
@@ -352,3 +386,24 @@ def test_check_count_takes_integers_at_or_above_the_bound(value, message):
         check_count("n", value, 1, ConfigError)
     for good in (1, True, np.int32(7), 10**20):
         check_count("n", good, 1)
+
+
+@pytest.mark.parametrize("value, hi, positive, message", [
+    ("0.5", 1, False, "x must be a finite number in [0, 1], got '0.5'"),
+    (None, math.inf, False, "x must be a finite number >= 0, got None"),
+    (math.nan, 1, False, "x must be a finite number in [0, 1], got nan"),
+    (math.inf, math.inf, False, "x must be a finite number >= 0, got inf"),
+    (-math.inf, math.inf, False, "x must be a finite number >= 0, got -inf"),
+    (-0.5, 1, False, "x must be a finite number in [0, 1], got -0.5"),
+    (1.5, 1, False, "x must be a finite number in [0, 1], got 1.5"),
+    (0, math.inf, True, "x must be a finite number > 0, got 0"),
+    (0.0, 1, True, "x must be a finite number in (0, 1], got 0.0"),
+    (np.float32(-1), math.inf, False, "x must be a finite number >= 0, got np.float32(-1.0)"),
+])
+def test_check_real_takes_finite_numbers_in_the_interval(value, hi, positive, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_real("x", value, hi, positive=positive)
+    for good in (0, 1, 0.5, np.float32(0.25), np.int64(1)):  # both closed bounds pass
+        check_real("x", good, 1)
+    check_real("x", 1e-300, positive=True)
+    check_real("x", 1, 1, positive=True)

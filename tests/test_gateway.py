@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 
@@ -23,8 +24,13 @@ class TestRequestValidation:
             CompletionRequest("p", temperature=-0.1)
 
     def test_nan_temperature(self):
-        with pytest.raises(ValueError, match="temperature must be >= 0, got nan"):
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0, got nan"):
             CompletionRequest("p", temperature=float("nan"))
+
+    def test_infinite_temperature(self):
+        # an infinite temperature would reach the request body, which JSON cannot carry
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0, got inf"):
+            CompletionRequest("p", temperature=math.inf)
 
     def test_bad_top_logprobs(self):
         with pytest.raises(ValueError):

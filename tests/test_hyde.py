@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from rede.corpus import Query
@@ -72,9 +75,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             HydeConfig(n_samples=0)
 
-    @pytest.mark.parametrize("temperature", [-0.5, float("nan")])
+    @pytest.mark.parametrize("temperature", [-0.5, float("nan"), math.inf])
     def test_temperature_validated(self, temperature):
-        with pytest.raises(ValueError, match="temperature must be >= 0"):
+        message = f"temperature must be a finite number >= 0, got {temperature!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             HydeConfig(temperature=temperature)
 
     def test_unknown_template_validated(self):

@@ -17,6 +17,7 @@ from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch
 from rede.judge import OracleJudge
 from rede.pipeline import PipelineConfig, SearchEngine
 from rede.sparse import (
+    SparseIndex,
     build_sparse_index,
     load_sparse_index,
     save_sparse_index,
@@ -100,8 +101,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_sparse_index(corpus_from(TOY), b=1.5)
         for k1 in (math.nan, math.inf):  # nan ranks nothing; inf divides inf by inf in every search
-            with pytest.raises(ValueError, match="k1 must be finite and >= 0"):
+            with pytest.raises(ValueError, match=f"k1 must be a finite number >= 0, got {k1!r}"):
                 build_sparse_index(corpus_from(TOY), k1=k1)
+
+    @pytest.mark.parametrize("avg_doc_length", [0, 0.0, math.nan, -1, "x"])
+    def test_direct_index_refuses_an_average_length_that_is_not_positive(self, avg_doc_length):
+        # each would make every norm inf, NaN or negative, or fail in numpy as a non-ValueError
+        index = build_sparse_index(corpus_from(TOY))
+        with pytest.raises(ValueError, match=re.escape(
+                f"avg_doc_length must be a finite number > 0, got {avg_doc_length!r}")):
+            SparseIndex(index.doc_ids, index.doc_lengths, index.terms, index.offsets, index.pairs,
+                        avg_doc_length)
 
 
 class TestScore:
