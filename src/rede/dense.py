@@ -24,16 +24,17 @@ import numpy as np
 from .corpus import RankedList, _records, _strictly_ascending, _top_k, tokenize
 from .errors import (
     BackendUnavailable,
-    DimMismatch,
     DuplicateDocId,
     MalformedRecord,
     NonFiniteVector,
+    PreconditionViolation,
     SizeMismatch,
     UnknownDocId,
     check_count,
     check_real,
+    check_vectors,
 )
-from .gateway import post_json
+from .gateway import MAX_WAIT_S, post_json
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -88,11 +89,22 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
 
 
 def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: str = "embeddings") -> str:
-    """Write a bundle load_bundle can read; returns the manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write a bundle load_bundle can read; returns the manifest path.
+
+    The id file is read back one non-blank line per id, leading BOM stripped, so
+    an id that is blank, holds a line break or starts the file with a BOM could
+    not be given back; it is refused before any file is written.
+    """
     arr = np.ascontiguousarray(vectors, dtype="<f4")
     if arr.ndim != 2 or arr.shape[0] != len(ids):
         raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
+    bad = next((i for i in ids if not i.strip() or "\n" in i or "\r" in i), None)
+    if bad is None and ids and ids[0].startswith("\ufeff"):
+        bad = ids[0]
+    if bad is not None:
+        raise PreconditionViolation(f"doc id {bad!r} could not be read back from the id file: "
+                                    "it is blank, holds a line break or starts the file with a BOM")
+    os.makedirs(out_dir, exist_ok=True)
     vec_path = os.path.join(out_dir, f"{name}.f32")
     id_path = os.path.join(out_dir, f"{name}.ids.txt")
     manifest_path = os.path.join(out_dir, f"{name}.manifest.json")
@@ -117,9 +129,9 @@ def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseInd
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-        check_count("dim", manifest["dim"], 1)
-        check_count("count", manifest["count"], 0)
-        dim, count = int(manifest["dim"]), int(manifest["count"])  # a JSON true counts as 1
+        dim, count = manifest["dim"], manifest["count"]
+        check_count("dim", dim, 1)
+        check_count("count", count, 0)
         id_file = os.path.join(base, manifest["id_file"])
         vectors_path = vectors_path or os.path.join(base, manifest["vectors_file"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -148,11 +160,7 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedL
     The product runs in the index's float32 whatever the query's dtype; a
     finite query value past float32's range gives a non-finite score.
     """
-    q = np.asarray(query_vector)
-    if q.shape != (index.dim,):
-        raise DimMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
-    if not np.isfinite(q).all():
-        raise NonFiniteVector("query vector holds a NaN or inf")
+    q = check_vectors("query vector", query_vector, (index.dim,))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteVector below
         q = q.astype(index.vectors.dtype, copy=False)  # a float64 query would upcast every row
         with _PRODUCT_LOCK:
@@ -201,7 +209,7 @@ class HttpEncoder:
     def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0):
         if dim is not None:
             check_count("dim", dim, 1)
-        check_real("timeout", timeout, positive=True)
+        check_real("timeout", timeout, MAX_WAIT_S, positive=True)
         self.url = url
         self.dim = dim
         self.timeout = timeout
@@ -214,12 +222,8 @@ class HttpEncoder:
             arr = np.asarray(obj["vectors"], dtype=np.float32)
         except (KeyError, ValueError, TypeError) as exc:
             raise BackendUnavailable(f"encoder backend at {self.url}: {exc}") from exc
-        if arr.ndim != 2 or arr.shape[0] != len(texts):
-            raise DimMismatch(f"backend returned shape {arr.shape} for {len(texts)} texts")
-        if self.dim is None:
-            self.dim = int(arr.shape[1])
-        elif arr.shape[1] != self.dim:
-            raise DimMismatch(f"backend returned dim {arr.shape[1]}, expected {self.dim}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteVector(f"encoder backend at {self.url} returned a non-finite value")
+        # until a reply passes, its own last axis stands for the dim: only its rank and rows are checked
+        width = arr.shape[-1:] if self.dim is None else (self.dim,)
+        arr = check_vectors(f"reply of the encoder backend at {self.url}", arr, (len(texts), *width))
+        self.dim = arr.shape[1]
         return arr

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one rule each for count and real parameters."""
+"""Exception types shared across the package, and the one rule each for counts, real parameters and vectors."""
 
 import math
 import numbers
-import operator
+
+import numpy as np
 
 
 class RedeError(Exception):
@@ -116,15 +117,13 @@ class ConfigError(RedeError):
 
 
 def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless value is an integer >= least: an int, a bool or a numpy integer.
+    """Raise ``error`` unless value is an integer >= least: an int or a numpy integer, not a bool.
 
-    ``operator.index`` is the integer test, so a float such as 2.5 or 64.0
-    and a string are refused, not compared.
+    A float such as 2.5 or 64.0 and a string are refused, not compared; so is
+    a bool, since a JSON true is not a count.
     """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
 
@@ -132,13 +131,24 @@ def check_count(name: str, value, least: int, error: type[Exception] = ValueErro
 def check_real(name: str, value, hi=math.inf, *, positive: bool = False) -> None:
     """Raise ValueError unless value is a finite real number >= 0 (> 0 if positive) and <= hi.
 
-    A real number is a ``numbers.Real``: an int, a bool, a float or a numpy
-    number. A string and None are refused, not compared; so are NaN, which
-    fails every comparison, and the infinities. The message names the
-    interval as ``>= 0``, ``> 0``, ``in [0, hi]`` or ``in (0, hi]``.
+    A real number is a ``numbers.Real`` other than a bool: an int, a float or
+    a numpy number. A bool, a string and None are refused, not compared; so
+    are NaN, which fails every comparison, and the infinities. The message
+    names the interval as ``>= 0``, ``> 0``, ``in [0, hi]`` or ``in (0, hi]``.
     """
-    if not (isinstance(value, numbers.Real) and (0 < value if positive else 0 <= value)
-            and value <= hi and value < math.inf):
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (0 < value if positive else 0 <= value) and value <= hi and value < math.inf):
         bound = (f"{'>' if positive else '>='} 0" if hi == math.inf
                  else f"in {'(' if positive else '['}0, {hi}]")
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_vectors(what: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.asarray(values)``: DimMismatch unless its shape is ``shape``, NonFiniteVector unless
+    every value is finite. The one rule for a query vector and for an encoder's reply."""
+    arr = np.asarray(values)
+    if arr.shape != shape:
+        raise DimMismatch(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteVector(f"{what} holds a NaN or inf")
+    return arr

@@ -137,10 +137,10 @@ def export_distill_dataset(engine, queries: Sequence[Query], out_path: str) -> i
     with open(out_path, "w", encoding="utf-8") as f:
         for query in queries:
             _, trace = engine.search("rede", query, default_policy="none")
-            if trace.path_taken != "rede" or trace.refined_vector is None:
+            if trace.path_taken != "rede":
                 continue
-            target = [float(np.float32(x)) for x in trace.refined_vector]
-            record = {"query_id": query.query_id, "text": query.text, "target": target}
+            record = {"query_id": query.query_id, "text": query.text,
+                      "target": trace.refined_vector.tolist()}
             f.write(json.dumps(record) + "\n")
             written += 1
     return written

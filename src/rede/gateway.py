@@ -31,6 +31,10 @@ import requests
 from .errors import (BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported, check_count,
                      check_real)
 
+# a day, the longest timeout, delay or backoff any backend takes: time.sleep overflows long
+# before math.inf, and its OverflowError is not a RedeError
+MAX_WAIT_S = 86_400
+
 
 @dataclass
 class CompletionRequest:
@@ -112,8 +116,8 @@ class HttpGateway:
     def __init__(self, url: str, model: str = "completion-model", timeout: float = 60.0,
                  retries: int = 3, backoff_s: float = 0.25):
         check_count("retries", retries, 0)
-        check_real("timeout", timeout, positive=True)
-        check_real("backoff_s", backoff_s)
+        check_real("timeout", timeout, MAX_WAIT_S, positive=True)
+        check_real("backoff_s", backoff_s, MAX_WAIT_S)
         self.url = url
         self.model = model
         self.timeout = timeout
@@ -142,10 +146,10 @@ class MockGateway:
         if not isinstance(script, list) or not all(
                 isinstance(e, dict) and isinstance(e.get("match_substring", ""), str) for e in script):
             raise ValueError("mock script must be a list of objects whose match_substring is a string")
-        check_real("logprob_delay_s", logprob_delay_s)
-        check_real("text_delay_s", text_delay_s)
+        check_real("logprob_delay_s", logprob_delay_s, MAX_WAIT_S)
+        check_real("text_delay_s", text_delay_s, MAX_WAIT_S)
         check_count("retries", retries, 0)
-        check_real("backoff_s", backoff_s)
+        check_real("backoff_s", backoff_s, MAX_WAIT_S)
         self.script = script
         self.logprob_delay_s = logprob_delay_s
         self.text_delay_s = text_delay_s

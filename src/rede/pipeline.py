@@ -34,9 +34,9 @@ from .errors import (
     EmptyRelevantSet,
     IndexMismatch,
     JudgeUnavailable,
-    NonFiniteVector,
     PreconditionViolation,
     check_count,
+    check_vectors,
 )
 from .fusion import FusionConfig, hybrid_search
 from .gateway import QUERY_CALLS, CallCounter
@@ -152,8 +152,7 @@ class SearchTrace:
             "generation_calls": self.generation_calls,
             "llm_calls": self.llm_calls,
             "wall_times": self.wall_times,
-            "refined_vector": None if self.refined_vector is None
-            else [float(x) for x in self.refined_vector],
+            "refined_vector": None if self.refined_vector is None else self.refined_vector.tolist(),
         }
 
 
@@ -290,14 +289,7 @@ class SearchEngine:
 
     def _encode(self, texts: list[str]) -> np.ndarray:
         """The one encoder boundary: a reply holds one finite vector of the index's dim per text."""
-        vectors = np.asarray(self.encoder.encode(texts))
-        expected = (len(texts), self.dense_index.dim)
-        if vectors.shape != expected:
-            raise DimMismatch(f"encoder returned shape {vectors.shape} for {len(texts)} texts, "
-                              f"expected {expected}")
-        if not np.isfinite(vectors).all():
-            raise NonFiniteVector(f"encoder returned a NaN or inf for {len(texts)} texts")
-        return vectors
+        return check_vectors("encoder reply", self.encoder.encode(texts), (len(texts), self.dense_index.dim))
 
     def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList) -> np.ndarray:
         context = [self.doc_texts[d] for d in candidates.doc_ids()]

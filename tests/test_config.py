@@ -292,7 +292,7 @@ def test_count_keys_are_read_from_the_classes():
 
 
 @pytest.mark.parametrize("section, backend, key, value", [
-    *[(s, b, k, 1.5) for s, b, k in _count_keys()], ("encoder", "hash", "dim", 64.0),
+    *[(s, b, k, v) for s, b, k in _count_keys() for v in (1.5, True)], ("encoder", "hash", "dim", 64.0),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, section, backend, key,
                                                  value):
@@ -309,13 +309,24 @@ def test_real_keys_are_read_from_the_classes():
         ("gateway", "mock", "backoff_s")}
 
 
-@pytest.mark.parametrize("value", ["x", math.nan, -1, math.inf], ids=repr)
+@pytest.mark.parametrize("value", ["x", math.nan, -1, math.inf, True], ids=repr)
 @pytest.mark.parametrize("section, backend, key", _real_keys(), ids=lambda x: x if isinstance(x, str) else None)
 def test_real_key_that_is_not_a_finite_number_in_range_exits_2(data, monkeypatch, capsys, section, backend,
                                                                 key, value):
     monkeypatch.chdir(data)
     _assert_exits_2(data, capsys, _sections_setting(section, backend, {key: value}), "rede",
                     f"{key} must be a finite number")
+
+
+@pytest.mark.parametrize("value", [1e300, 10**400], ids=["1e300", "10**400"])
+@pytest.mark.parametrize("section, backend, key", [k for k in _real_keys() if k[0] == "gateway"],
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_seconds_key_past_a_day_exits_2(data, monkeypatch, capsys, section, backend, key, value):
+    # every real gateway key is a time in seconds; past a day, time.sleep would overflow
+    monkeypatch.chdir(data)
+    bound = "(0, 86400]" if key == "timeout" else "[0, 86400]"
+    _assert_exits_2(data, capsys, _sections_setting(section, backend, {key: value}), "rede",
+                    f"{key} must be a finite number in {bound}, got {value!r}")
 
 
 @pytest.mark.parametrize("sections, message", [
@@ -329,15 +340,16 @@ def test_real_key_that_is_not_a_finite_number_in_range_exits_2(data, monkeypatch
      "threshold must be a finite number in [0, 1], got nan"),
     ({"judge": {"backend": "lexical", "threshold": -0.5}}, "threshold must be a finite number in [0, 1], got -0.5"),
     (_sections_setting("gateway", "mock", {"logprob_delay_s": "x"}), "bad gateway config"),
-    (_sections_setting("gateway", "mock", {"text_delay_s": -1}), "text_delay_s must be a finite number >= 0, got -1"),
+    (_sections_setting("gateway", "mock", {"text_delay_s": -1}),
+     "text_delay_s must be a finite number in [0, 86400], got -1"),
     (_sections_setting("gateway", "mock", {"text_delay_s": float("inf")}),
-     "text_delay_s must be a finite number >= 0, got inf"),
+     "text_delay_s must be a finite number in [0, 86400], got inf"),
     (_sections_setting("gateway", "mock", {"logprob_delay_s": float("inf")}),
-     "logprob_delay_s must be a finite number >= 0, got inf"),
-    ({"gateway": {**_HTTP_GATEWAY, "backoff_s": "x"}}, "backoff_s must be a finite number >= 0, got 'x'"),
+     "logprob_delay_s must be a finite number in [0, 86400], got inf"),
+    ({"gateway": {**_HTTP_GATEWAY, "backoff_s": "x"}}, "backoff_s must be a finite number in [0, 86400], got 'x'"),
     (_sections_setting("gateway", "mock", {"backoff_s": "x"}),
-     "backoff_s must be a finite number >= 0, got 'x'"),
-    ({"gateway": {**_HTTP_GATEWAY, "timeout": 0}}, "timeout must be a finite number > 0, got 0"),
+     "backoff_s must be a finite number in [0, 86400], got 'x'"),
+    ({"gateway": {**_HTTP_GATEWAY, "timeout": 0}}, "timeout must be a finite number in (0, 86400], got 0"),
 ])
 def test_wrongly_typed_or_negative_value_exits_2(data, monkeypatch, capsys, sections, message):
     monkeypatch.chdir(data)
@@ -380,11 +392,12 @@ def test_malformed_mock_script_exits_2(data, monkeypatch, capsys, script):
     (2.5, "n must be an integer, got 2.5"), (64.0, "n must be an integer, got 64.0"),
     ("3", "n must be an integer, got '3'"), (None, "n must be an integer, got None"),
     (0, "n must be >= 1, got 0"), (np.int64(-1), "n must be >= 1, got -1"),
+    (True, "n must be an integer, got True"),
 ])
 def test_check_count_takes_integers_at_or_above_the_bound(value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         check_count("n", value, 1, ConfigError)
-    for good in (1, True, np.int32(7), 10**20):
+    for good in (1, np.int32(7), 10**20):
         check_count("n", good, 1)
 
 
@@ -399,6 +412,7 @@ def test_check_count_takes_integers_at_or_above_the_bound(value, message):
     (0, math.inf, True, "x must be a finite number > 0, got 0"),
     (0.0, 1, True, "x must be a finite number in (0, 1], got 0.0"),
     (np.float32(-1), math.inf, False, "x must be a finite number >= 0, got np.float32(-1.0)"),
+    (True, 1, False, "x must be a finite number in [0, 1], got True"),
 ])
 def test_check_real_takes_finite_numbers_in_the_interval(value, hi, positive, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from rede.corpus import Document, Query
 from rede.dense import (
     HashingEncoder,
     HttpEncoder,
@@ -24,10 +25,13 @@ from rede.errors import (
     DuplicateDocId,
     MalformedRecord,
     NonFiniteVector,
+    PreconditionViolation,
     SizeMismatch,
     UnknownDocId,
+    check_vectors,
 )
-from rede.synthetic import generate_benchmark
+from rede.pipeline import SearchEngine
+from rede.synthetic import TableEncoder, generate_benchmark
 
 
 @pytest.fixture
@@ -91,6 +95,34 @@ class TestIngest:
             f.write(edit(meta))
         with pytest.raises((MalformedRecord, SizeMismatch)):
             load_bundle(manifest)
+
+    @pytest.mark.parametrize("key", ["dim", "count"])
+    def test_bool_size_is_malformed(self, tmp_path, key):
+        # a JSON true was once read as 1, so this one-by-one bundle loaded
+        manifest = write_embeddings(str(tmp_path), ["d1"], np.ones((1, 1), dtype=np.float32))
+        with open(manifest) as f:
+            meta = json.load(f)
+        with open(manifest, "w") as f:
+            json.dump({**meta, key: True}, f)
+        with pytest.raises(MalformedRecord, match=f"{key} must be an integer, got True"):
+            load_bundle(manifest)
+
+    @pytest.mark.parametrize("ids, bad", [
+        (["", "d2"], ""), (["  ", "d2"], "  "), (["\x1c", "d2"], "\x1c"), (["d1\nd2", "d3"], "d1\nd2"),
+        (["d1", "d2\r"], "d2\r"), (["d1", "d2\rd3"], "d2\rd3"), (["\ufeffd1", "d2"], "\ufeffd1"),
+    ], ids=["empty", "spaces", "separator", "newline", "trailing cr", "cr", "first with bom"])
+    def test_id_the_id_file_cannot_give_back_is_refused_before_writing(self, tmp_path, ids, bad):
+        # the id file is read one non-blank line per id, a leading BOM stripped: each of these was
+        # written, then read back as another count of ids or another id
+        out = tmp_path / "bundle"
+        with pytest.raises(PreconditionViolation, match=re.escape(f"doc id {bad!r} could not be read back")):
+            write_embeddings(str(out), ids, np.zeros((2, 1), dtype=np.float32))
+        assert not out.exists()
+
+    def test_ids_with_inner_spaces_and_rare_separators_read_back(self, tmp_path):
+        ids = [" a", "b ", "c\td", "e\x0bf", "g\u2028h", "\x85i", "j\ufeff", "\ufeffk"]
+        index = load_bundle(write_embeddings(str(tmp_path), ids, np.eye(len(ids), dtype=np.float32)))
+        assert index.ids == sorted(ids)
 
     def test_bad_manifest_names_no_line(self, bundle):
         manifest, _ = bundle
@@ -416,10 +448,12 @@ class TestHttpEncoder:
         assert out.shape == (2, 2)
         assert enc.dim == 2
 
-    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf"), "x", None])
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf"), "x", None, 1e300,
+                                         pytest.param(10**400, id="10**400")])
     def test_bad_timeout_rejected_at_construction(self, timeout):
         # unchecked, every encode would report the caller's mistake as BackendUnavailable
-        with pytest.raises(ValueError, match=re.escape(f"timeout must be a finite number > 0, got {timeout!r}")):
+        message = f"timeout must be a finite number in (0, 86400], got {timeout!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             HttpEncoder("http://127.0.0.1:1/nothing", timeout=timeout)
 
     def test_unavailable(self):
@@ -460,3 +494,73 @@ def test_http_errors_are_typed_as_the_gateways(http_server, handler, error, mess
     with pytest.raises(error, match=message):
         HttpEncoder(url, timeout=0.1).encode(["x"])
     assert len(state["requests"]) == 1  # no retries
+
+
+class TestCheckVectors:
+    def test_exact_shape_passes_and_gives_the_array(self):
+        arr = np.array([[1.0, 2.0]], dtype=np.float32)
+        assert check_vectors("v", arr, (1, 2)) is arr
+        from_list = check_vectors("v", [[1.0, 2.0], [3.0, -4.0]], (2, 2))
+        assert isinstance(from_list, np.ndarray) and from_list.tolist() == [[1.0, 2.0], [3.0, -4.0]]
+        assert check_vectors("v", [np.float32(0.5), np.float64(2.0)], (2,)).tolist() == [0.5, 2.0]
+        assert check_vectors("v", np.float32(0.5), ()).shape == ()  # a numpy scalar has rank 0
+
+    @pytest.mark.parametrize("values, shape", [
+        ([1.0, 2.0], (1, 2)), ([[1.0, 2.0]], (2,)), (np.float32(1.0), (1,)),  # wrong rank
+        ([[1.0, 2.0]], (2, 2)), ([[1.0, 2.0]], (1, 3)), ([np.float32(1.0)], (2,)),  # wrong sizes
+    ])
+    def test_wrong_shape_raises_dim_mismatch(self, values, shape):
+        with pytest.raises(DimMismatch, match=re.escape(f"v has shape {np.shape(values)}, expected {shape}")):
+            check_vectors("v", values, shape)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_non_finite_vector(self, bad):
+        for values, shape in (([[1.0, bad]], (1, 2)), ([np.float32(bad)], (1,)), (np.float64(bad), ())):
+            with pytest.raises(NonFiniteVector, match=re.escape("v holds a NaN or inf")):
+                check_vectors("v", values, shape)
+
+
+ONE_ROW_INDEX = build_dense_index(["d1"], [[1.0, 0.0]])
+
+
+def _engine_encoder_reply(http_server, row):
+    engine = SearchEngine({"d1": Document("d1", "", "alpha")}, None, ONE_ROW_INDEX,
+                          TableEncoder({"alpha": row}, len(row)))
+    return "encoder reply", (1, 2), lambda: engine.search("dense", Query("q1", "alpha"))
+
+
+def _dense_search_query(http_server, row):
+    return "query vector", (2,), lambda: dense_search(ONE_ROW_INDEX, np.array(row), 1)
+
+
+def _http_encoder_reply(http_server, row):
+    url, state = http_server
+    state["handler"] = lambda body: (200, {"vectors": [row]})
+    return f"reply of the encoder backend at {url}", (1, 2), lambda: HttpEncoder(url, dim=2).encode(["alpha"])
+
+
+@pytest.mark.parametrize("row, error, rest", [
+    ([1.0, 0.0, 0.0], DimMismatch, "has shape {got}, expected {expected}"),
+    ([np.nan, 0.0], NonFiniteVector, "holds a NaN or inf"),
+    ([np.inf, 0.0], NonFiniteVector, "holds a NaN or inf"),
+], ids=["wrong shape", "nan", "inf"])
+@pytest.mark.parametrize("site", [_engine_encoder_reply, _dense_search_query, _http_encoder_reply],
+                         ids=["engine encode", "dense_search", "HttpEncoder"])
+def test_every_vector_boundary_gives_the_one_message(http_server, site, row, error, rest):
+    what, expected, call = site(http_server, row)
+    got = (*expected[:-1], len(row))
+    with pytest.raises(error, match=f"^{re.escape(what)} {re.escape(rest.format(got=got, expected=expected))}$"):
+        call()
+
+
+@pytest.mark.parametrize("first", [5.0, [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0]]]],
+                         ids=["0-d", "1-D", "two rows for one text", "3-D"])
+def test_http_encoder_learns_its_dim_only_from_a_reply_that_passes(http_server, first):
+    url, state = http_server
+    encoder = HttpEncoder(url)
+    state["handler"] = lambda body: (200, {"vectors": first})
+    with pytest.raises(DimMismatch, match="has shape"):
+        encoder.encode(["x"])
+    assert encoder.dim is None
+    state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0, 3.0]]})
+    assert encoder.encode(["x"]).tolist() == [[1.0, 2.0, 3.0]] and encoder.dim == 3

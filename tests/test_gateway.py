@@ -93,16 +93,20 @@ class TestMockGateway:
         with pytest.raises((ValueError, TypeError)):
             MockGateway(SCRIPT, **kwargs)
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1, "x"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1, "x", 1e300, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("name", ["logprob_delay_s", "text_delay_s"])
     def test_bad_delay_rejected_at_construction(self, name, value):
-        # an infinite delay would reach time.sleep, whose OverflowError is not a RedeError
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number >= 0, got {value!r}")):
+        # a delay past a day (an infinite one, 1e300 or a 400-digit integer) would reach
+        # time.sleep, whose OverflowError is not a RedeError
+        message = f"{name} must be a finite number in [0, 86400], got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             MockGateway(SCRIPT, **{name: value})
 
-    @pytest.mark.parametrize("backoff_s", ["x", None, float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("backoff_s", ["x", None, float("nan"), float("inf"), -0.1, 1e300,
+                                           pytest.param(10**400, id="10**400")])
     def test_bad_backoff_rejected_at_construction(self, backoff_s):
-        with pytest.raises(ValueError, match=re.escape(f"backoff_s must be a finite number >= 0, got {backoff_s!r}")):
+        message = f"backoff_s must be a finite number in [0, 86400], got {backoff_s!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             MockGateway(SCRIPT, backoff_s=backoff_s)
 
     def test_replay_from_file(self, tmp_path):
@@ -143,9 +147,11 @@ class TestHttpGateway:
             HttpGateway("http://127.0.0.1:9", retries=retries)
 
     @pytest.mark.parametrize("key, value, message", [
-        *[("backoff_s", v, "backoff_s must be a finite number >= 0") for v in ("x", float("nan"), float("inf"), -1)],
-        *[("timeout", v, "timeout must be a finite number > 0") for v in ("x", None, float("nan"), float("inf"), 0)],
-    ])
+        *[("backoff_s", v, "backoff_s must be a finite number in [0, 86400]")
+          for v in ("x", float("nan"), float("inf"), -1, 1e300, 10**400)],
+        *[("timeout", v, "timeout must be a finite number in (0, 86400]")
+          for v in ("x", None, float("nan"), float("inf"), 0, 1e300, 10**400)],
+    ], ids=lambda x: "10**400" if x == 10**400 else None)
     def test_bad_backoff_or_timeout_rejected_at_construction(self, key, value, message):
         with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
             HttpGateway("http://127.0.0.1:9", **{key: value})
