@@ -68,14 +68,20 @@ def build_dense_index(corpus_ids: list[str], vectors: np.ndarray) -> DenseIndex:
     return _own_index(list(corpus_ids), np.array(vectors, dtype=np.float32, order="C"))
 
 
+def _check_shape(ids: list[str], arr: np.ndarray) -> None:
+    """SizeMismatch unless arr holds one row per id, of a dim of at least 1."""
+    if arr.ndim != 2 or arr.shape[0] != len(ids):
+        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
+    check_count("dim", arr.shape[1], 1, SizeMismatch)
+
+
 def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     """build_dense_index over an id list and float32 array that the index takes over.
 
     A strictly ascending id list is already in row order and holds no id twice,
     so it and its rows are kept as they are; any other order is sorted once.
     """
-    if arr.ndim != 2 or arr.shape[0] != len(ids):
-        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
+    _check_shape(ids, arr)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise NonFiniteVector(f"non-finite value in row {int(np.argmin(finite))}")
@@ -91,27 +97,32 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
 def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: str = "embeddings") -> str:
     """Write a bundle load_bundle can read; returns the manifest path.
 
-    The id file is read back one non-blank line per id, leading BOM stripped, so
-    an id that is blank, holds a line break or starts the file with a BOM could
-    not be given back; it is refused before any file is written.
+    The id file is UTF-8, read back one non-blank line per id, leading BOM
+    stripped, so an id that is blank, holds a line break or a lone surrogate
+    (which UTF-8 cannot encode) or starts the file with a BOM could not be
+    given back; it is refused before any file is written.
     """
     arr = np.ascontiguousarray(vectors, dtype="<f4")
-    if arr.ndim != 2 or arr.shape[0] != len(ids):
-        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
+    _check_shape(ids, arr)
     bad = next((i for i in ids if not i.strip() or "\n" in i or "\r" in i), None)
     if bad is None and ids and ids[0].startswith("\ufeff"):
         bad = ids[0]
+    if bad is None:
+        text = "".join(doc_id + "\n" for doc_id in ids)
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # the id is the line that holds the surrogate
+            bad = text[text.rfind("\n", 0, exc.start) + 1 : text.index("\n", exc.start)]
     if bad is not None:
-        raise PreconditionViolation(f"doc id {bad!r} could not be read back from the id file: "
-                                    "it is blank, holds a line break or starts the file with a BOM")
+        raise PreconditionViolation(f"doc id {bad!r} could not be read back from the id file: it is blank, "
+                                    "holds a line break or a lone surrogate, or starts the file with a BOM")
     os.makedirs(out_dir, exist_ok=True)
     vec_path = os.path.join(out_dir, f"{name}.f32")
     id_path = os.path.join(out_dir, f"{name}.ids.txt")
     manifest_path = os.path.join(out_dir, f"{name}.manifest.json")
     arr.tofile(vec_path)
-    with open(id_path, "w", encoding="utf-8") as f:
-        for doc_id in ids:
-            f.write(doc_id + "\n")
+    with open(id_path, "wb") as f:
+        f.write(data)
     with open(manifest_path, "w", encoding="utf-8") as f:
         json.dump(
             {"dim": arr.shape[1], "count": arr.shape[0], "id_file": os.path.basename(id_path),
@@ -222,8 +233,9 @@ class HttpEncoder:
             arr = np.asarray(obj["vectors"], dtype=np.float32)
         except (KeyError, ValueError, TypeError) as exc:
             raise BackendUnavailable(f"encoder backend at {self.url}: {exc}") from exc
-        # until a reply passes, its own last axis stands for the dim: only its rank and rows are checked
-        width = arr.shape[-1:] if self.dim is None else (self.dim,)
+        # until a reply passes, its own last axis stands for the dim, of at least 1: only its rank,
+        # rows and nonzero width are checked
+        width = max(arr.shape[-1:], (1,)) if self.dim is None else (self.dim,)
         arr = check_vectors(f"reply of the encoder backend at {self.url}", arr, (len(texts), *width))
         self.dim = arr.shape[1]
         return arr

@@ -95,14 +95,16 @@ def test_ingest_dense_rejects_dim_zero(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: dim must be >= 1")
 
 
-def test_ingest_dense_refuses_an_id_the_bundle_cannot_give_back(tmp_path, capsys):
-    # a JSON _id may hold a carriage return; written to the id file, it would read back as two ids
+@pytest.mark.parametrize("bad", ["d1\rx", "d1\ud800"], ids=["carriage return", "lone surrogate"])
+def test_ingest_dense_refuses_an_id_the_bundle_cannot_give_back(tmp_path, capsys, bad):
+    # a JSON _id may hold a carriage return, which the id file would read back as two ids, or a
+    # lone surrogate ("\ud800" in the JSON text), which UTF-8 cannot encode
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps({"_id": doc_id, "text": "alpha"}) + "\n" for doc_id in ("d1\rx", "d2")))
+    corpus.write_text("".join(json.dumps({"_id": doc_id, "text": "alpha"}) + "\n" for doc_id in (bad, "d2")))
     out = tmp_path / "emb"
     assert run_command(["ingest-dense", "--corpus", str(corpus), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: doc id 'd1\\rx' could not be read back") and "Traceback" not in err
+    assert err.startswith(f"error: doc id {bad!r} could not be read back") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -110,13 +110,23 @@ class TestIngest:
     @pytest.mark.parametrize("ids, bad", [
         (["", "d2"], ""), (["  ", "d2"], "  "), (["\x1c", "d2"], "\x1c"), (["d1\nd2", "d3"], "d1\nd2"),
         (["d1", "d2\r"], "d2\r"), (["d1", "d2\rd3"], "d2\rd3"), (["\ufeffd1", "d2"], "\ufeffd1"),
-    ], ids=["empty", "spaces", "separator", "newline", "trailing cr", "cr", "first with bom"])
+        (["d1", "d\ud800"], "d\ud800"),
+    ], ids=["empty", "spaces", "separator", "newline", "trailing cr", "cr", "first with bom", "lone surrogate"])
     def test_id_the_id_file_cannot_give_back_is_refused_before_writing(self, tmp_path, ids, bad):
         # the id file is read one non-blank line per id, a leading BOM stripped: each of these was
-        # written, then read back as another count of ids or another id
+        # written, then read back as another count of ids or another id; UTF-8 cannot encode a
+        # lone surrogate, which left the vectors file and part of the id file written
         out = tmp_path / "bundle"
         with pytest.raises(PreconditionViolation, match=re.escape(f"doc id {bad!r} could not be read back")):
             write_embeddings(str(out), ids, np.zeros((2, 1), dtype=np.float32))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["build", "bundle"])
+    def test_zero_width_vectors_are_refused(self, tmp_path, how):
+        # load_bundle refuses a manifest dim of 0: no index or bundle is made with one
+        out = tmp_path / "bundle"
+        with pytest.raises(SizeMismatch, match="^dim must be >= 1, got 0$"):
+            _via(out, how, ["d1", "d2"], np.zeros((2, 0), dtype=np.float32))
         assert not out.exists()
 
     def test_ids_with_inner_spaces_and_rare_separators_read_back(self, tmp_path):
@@ -553,8 +563,8 @@ def test_every_vector_boundary_gives_the_one_message(http_server, site, row, err
         call()
 
 
-@pytest.mark.parametrize("first", [5.0, [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0]]]],
-                         ids=["0-d", "1-D", "two rows for one text", "3-D"])
+@pytest.mark.parametrize("first", [5.0, [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0]]], [[]]],
+                         ids=["0-d", "1-D", "two rows for one text", "3-D", "dim 0"])
 def test_http_encoder_learns_its_dim_only_from_a_reply_that_passes(http_server, first):
     url, state = http_server
     encoder = HttpEncoder(url)

@@ -3,14 +3,17 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping, MutableMapping
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rede.sparse
 from rede.corpus import _ASCII_BYTES, Document, tokenize
 from rede.dense import build_dense_index
 from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch
@@ -407,20 +410,30 @@ MIXED_CORPORA = st.tuples(ASCII_CORPORA, st.sampled_from(["ÿ", "ÿes Ÿ_x1", "a
     lambda pair: {**pair[0], "u": Document("u", "", pair[1])})
 ANY_CORPORA = st.one_of(CORPORA, ASCII_CORPORA, MIXED_CORPORA)
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# A build tokenizes and numbers _RUN_DOCS documents at a time, more than any corpus above
+# holds; runs of 1 and 2 documents cross run boundaries.
+RUN_DOCS = st.sampled_from([1, 2, rede.sparse._RUN_DOCS])
+# In runs of 2 (d1 d2 | d3 d4 | d5): the first run ends with an empty document, the second
+# tokenizes to nothing, and the last holds a term first seen there; on either path.
+RUN_EDGES = {"d1": "a b", "d2": "", "d3": "_", "d4": "- ~", "d5": "c A"}
+RUN_EDGE_CORPORA = [corpus_from(RUN_EDGES), corpus_from({**RUN_EDGES, "d5": "c é A"})]
 
 
 class TestFlatIndex:
     @settings(PROPERTY, max_examples=900)  # about 300 from each kind of corpus
-    @given(ANY_CORPORA, st.floats(0, 3), st.floats(0, 1))
-    def test_saved_bytes_equal_the_per_document_build(self, tmp_path_factory, corpus, k1, b):
-        if not any(tokenize(doc.search_text) for doc in corpus.values()):
-            with pytest.raises(EmptyCorpus):
-                build_sparse_index(corpus, k1=k1, b=b)
-            return
-        path = tmp_path_factory.getbasetemp() / "flat.idx"
-        save_sparse_index(build_sparse_index(corpus, k1=k1, b=b), str(path))
-        assert path.read_bytes() == reference_file(corpus, k1, b)
-        assert load_sparse_index(str(path)).pairs.tobytes() == build_sparse_index(corpus).pairs.tobytes()
+    @given(ANY_CORPORA, st.floats(0, 3), st.floats(0, 1), RUN_DOCS)
+    @example(RUN_EDGE_CORPORA[0], 0.9, 0.4, 2)
+    @example(RUN_EDGE_CORPORA[1], 0.9, 0.4, 2)
+    def test_saved_bytes_equal_the_per_document_build(self, tmp_path_factory, corpus, k1, b, run):
+        with mock.patch.object(rede.sparse, "_RUN_DOCS", run):
+            if not any(tokenize(doc.search_text) for doc in corpus.values()):
+                with pytest.raises(EmptyCorpus):
+                    build_sparse_index(corpus, k1=k1, b=b)
+                return
+            path = tmp_path_factory.getbasetemp() / "flat.idx"
+            save_sparse_index(build_sparse_index(corpus, k1=k1, b=b), str(path))
+            assert path.read_bytes() == reference_file(corpus, k1, b)
+            assert load_sparse_index(str(path)).pairs.tobytes() == build_sparse_index(corpus).pairs.tobytes()
 
     @PROPERTY
     @given(CORPORA, st.lists(WORDS | st.just("unknown"), max_size=6), st.floats(0, 3), st.floats(0, 1))
@@ -433,11 +446,14 @@ class TestFlatIndex:
         assert _bm25(index, tokens).tobytes() == reference_bm25(index, tokens).tobytes()
 
     @settings(PROPERTY, max_examples=900)
-    @given(ANY_CORPORA)
-    def test_postings_are_a_read_only_view_in_file_order(self, corpus):
+    @given(ANY_CORPORA, RUN_DOCS)
+    @example(RUN_EDGE_CORPORA[0], 2)
+    @example(RUN_EDGE_CORPORA[1], 2)
+    def test_postings_are_a_read_only_view_in_file_order(self, corpus, run):
         if not any(tokenize(doc.search_text) for doc in corpus.values()):
             return
-        index = build_sparse_index(corpus)
+        with mock.patch.object(rede.sparse, "_RUN_DOCS", run):
+            index = build_sparse_index(corpus)
         postings = index.postings
         assert isinstance(postings, Mapping) and not isinstance(postings, MutableMapping)
         docs = [tokenize(corpus[doc_id].search_text) for doc_id in sorted(corpus)]
@@ -474,6 +490,23 @@ class TestFlatIndex:
         forward = reference_bm25(index, ["d", "b", "a"])
         assert forward.tobytes() != reference_bm25(index, ["a", "b", "d"]).tobytes()
         assert _bm25(index, ["d", "b", "a"]).tobytes() == forward.tobytes()
+
+
+def test_runs_of_documents_lower_the_traced_peak_of_a_build():
+    # The point of building in runs: token objects and key arrays of one run at a time, not of
+    # the whole corpus. Measured on this corpus (120k tokens): runs of 100 documents peak at
+    # about 0.26 of one run over the whole corpus.
+    corpus = generate_benchmark(seed=1, n_docs=3000, n_queries=1).corpus
+    peaks = {}
+    for run in (100, len(corpus)):
+        with mock.patch.object(rede.sparse, "_RUN_DOCS", run):
+            tracemalloc.start()
+            try:
+                build_sparse_index(corpus)
+                peaks[run] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[100] < 0.5 * peaks[len(corpus)], peaks
 
 
 def test_one_non_ascii_document_builds_per_document(tmp_path):
