@@ -36,9 +36,10 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-# The sparse index build's table for an all-ASCII corpus, where [^\W_] is exactly [A-Za-z0-9]:
-# it folds in the lowercasing. ASCII letters lowercased, digits kept, every other ASCII byte
-# (`_` and the control characters included) a space for split; bytes >= 0x80 kept.
+# The sparse index build's table for a run of documents that are all ASCII, where [^\W_] is
+# exactly [A-Za-z0-9]: it folds in the lowercasing. ASCII letters lowercased, digits kept, every
+# other ASCII byte (`_` and the control characters included) a space for split; bytes >= 0x80
+# kept, so the run's 0xFF document boundary, which no UTF-8 token holds, stays a token of its own.
 _ASCII_BYTES = bytes(ord(chr(c).lower()) if chr(c).isalnum() else 32 for c in range(128)) + bytes(range(128, 256))
 
 

@@ -75,25 +75,26 @@ def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.nda
     """(terms, each token's ``term * N + row`` key in token order, each row's token count).
 
     Terms are numbered in order of first occurrence over the texts in order,
-    ``_RUN_DOCS`` texts at a time, so only one run's token objects are held. If
-    every text is ASCII, a run is joined around a 0xFF byte, which no ASCII text
-    holds, tokenized as one byte string with ``_ASCII_BYTES`` and one split, and
-    only the distinct terms are decoded; any other corpus is tokenized one text
-    at a time, a None after each. Either boundary token is term 0, and a token's
-    row is the run's first row plus the count of boundaries before it.
+    ``_RUN_DOCS`` texts at a time, so only one run's token objects are held.
+    Tokens are keyed by their UTF-8 bytes, and each run picks its own path: an
+    all-ASCII run is joined around a 0xFF byte, tokenized as one byte string with
+    ``_ASCII_BYTES`` and one split; any other run is tokenized one text at a time,
+    each token encoded, a 0xFF after each text. 0xFF never occurs in UTF-8 and a
+    token never holds a surrogate, so every token encodes and none is the
+    boundary. The boundary is term 0, a token's row is the run's first row plus
+    the count of boundaries before it, and only the distinct terms are decoded.
     """
     n = len(texts)
-    all_ascii = all(map(str.isascii, texts))
     numbers = defaultdict()
     numbers.default_factory = numbers.__len__  # a new term takes the next number
-    numbers[b"\xff" if all_ascii else None]  # the text boundary is term 0
+    numbers[b"\xff"]  # the text boundary is term 0
     runs, lengths = [], np.empty(n, dtype=np.int32)
     for start in range(0, n, _RUN_DOCS):
         run = texts[start : start + _RUN_DOCS]
-        if all_ascii:
+        if all(map(str.isascii, run)):
             tokens = " \xff ".join(run).encode("latin-1").translate(_ASCII_BYTES).split()
         else:
-            tokens = [token for text in run for token in (*tokenize(text), None)]
+            tokens = [token for text in run for token in (*map(str.encode, tokenize(text)), b"\xff")]
         keys = np.fromiter(map(numbers.__getitem__, tokens), dtype=np.int64, count=len(tokens))
         kept = keys != 0
         rows = np.cumsum(~kept)[kept]
@@ -104,7 +105,7 @@ def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.nda
         keys += rows
         keys += start
         runs.append(keys)
-    terms = {term.decode("ascii") if all_ascii else term: t for t, term in enumerate(islice(numbers, 1, None))}
+    terms = {term.decode(): t for t, term in enumerate(islice(numbers, 1, None))}
     return terms, np.concatenate(runs), lengths
 
 

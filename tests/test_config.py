@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from rede.cli import run_command
-from rede.config import _BACKENDS, _PATHS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine, load_run_config
+from rede.config import (_BACKENDS, _PATHS, _TEXT_KEYS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine,
+                         load_run_config)
 from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
 from rede.errors import ConfigError, check_count, check_real
 from rede.fusion import FusionConfig
@@ -260,6 +261,16 @@ def _real_keys() -> list[tuple[str, str | None, str]]:
     return _keys_whose_default_is(float)
 
 
+def _text_keys() -> list[tuple[str, str]]:
+    """(section, key) of every text key: its default is a str, but for the two ``PipelineConfig``
+    checks against its tuples; the paths, the judge tokens whose default is None and the three
+    keys with no default are named by hand."""
+    checked = {("pipeline", "initial_retriever"), ("pipeline", "default_policy")}
+    return [(s, k) for s, _, k in _keys_whose_default_is(str) if (s, k) not in checked] + [
+        *(("paths", key) for key in _PATHS), ("judge", "positive_token"), ("judge", "negative_token"),
+        ("gateway", "mock_script"), ("gateway", "url"), ("encoder", "url")]
+
+
 _BACKEND_SETTINGS = {"http": {"url": "http://127.0.0.1:9"}, "mock": {"mock_script": "mock.json"}}
 
 
@@ -356,11 +367,12 @@ def test_wrongly_typed_or_negative_value_exits_2(data, monkeypatch, capsys, sect
     _assert_exits_2(data, capsys, sections, "rede", message)
 
 
-@pytest.mark.parametrize("section, key", [("paths", key) for key in _PATHS] + [
-    ("gateway", "mock_script"), ("gateway", "url"), ("gateway", "model"), ("encoder", "url"),
-    ("judge", "template_id"), ("judge", "positive_token"), ("judge", "negative_token"),
-    ("hyde", "task_template"),
-])
+def test_text_keys_are_read_from_the_classes():
+    # a string parameter added later is a text key, so it fails here until the loader checks it
+    assert {f"{s}.{k}" for s, k in _text_keys()} == _TEXT_KEYS
+
+
+@pytest.mark.parametrize("section, key", _text_keys())
 def test_path_that_is_not_a_string_exits_2(data, monkeypatch, capsys, section, key):
     # an integer path would reach open() as a file descriptor, and an integer judge token never
     # matches the string keys of the returned logprobs

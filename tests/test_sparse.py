@@ -391,7 +391,7 @@ TEXTS = st.lists(WORDS, max_size=8).flatmap(
         lambda seps: "".join(w + s for w, s in zip(words, seps))))
 DOC_IDS = st.sampled_from(["d1", "d2", "d10", "d100", "d11", "e", "é"])
 CORPORA = st.dictionaries(DOC_IDS, TEXTS, min_size=1, max_size=7).map(corpus_from)
-# ASCII corpora take the build's one-byte-string path: any of the 128 code points, words
+# ASCII runs take the build's one-byte-string path: any of the 128 code points, words
 # of both cases between separators (`_`, the whitespace bytes.split splits on, the
 # \x1c-\x1f that only str.split splits on, \x7f), and separators alone; "" included
 ASCII_WORDS = st.sampled_from(["a", "A", "b", "bB", "Bb", "x1", "X1", "42", "z"])
@@ -404,10 +404,14 @@ ASCII_TEXTS = st.one_of(
     st.lists(ASCII_SEPARATORS, max_size=4).map("".join),
 )
 ASCII_CORPORA = st.dictionaries(DOC_IDS, ASCII_TEXTS, min_size=1, max_size=7).map(corpus_from)
-# one non-ASCII document sends the whole corpus down the per-document path; `ÿ` is
-# U+00FF, which would be the boundary byte were the corpus joined as bytes
-MIXED_CORPORA = st.tuples(ASCII_CORPORA, st.sampled_from(["ÿ", "ÿes Ÿ_x1", "a ÿ b", "naïve A", "日本 BM25"])).map(
-    lambda pair: {**pair[0], "u": Document("u", "", pair[1])})
+# A run with a non-ASCII document takes the per-document path and an all-ASCII run the byte
+# string path, so with runs of 1 and 2 documents the two alternate in either order. `ÿ` is
+# U+00FF, whose latin-1 byte is the boundary (its UTF-8 is c3 bf); a lone surrogate is no
+# token, only a separator.
+NON_ASCII_TEXTS = st.sampled_from(["ÿ", "ÿes Ÿ_x1", "a ÿ b", "naïve A", "日本 BM25", "a\ud800b", "\udcff B"])
+MIXED_CORPORA = st.tuples(st.dictionaries(DOC_IDS, ASCII_TEXTS | NON_ASCII_TEXTS, max_size=6),
+                          DOC_IDS, NON_ASCII_TEXTS).map(
+    lambda drawn: corpus_from({**drawn[0], drawn[1]: drawn[2]}))
 ANY_CORPORA = st.one_of(CORPORA, ASCII_CORPORA, MIXED_CORPORA)
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 # A build tokenizes and numbers _RUN_DOCS documents at a time, more than any corpus above
@@ -519,6 +523,22 @@ def test_one_non_ascii_document_builds_per_document(tmp_path):
     assert path.read_bytes() == reference_file(corpus)
 
 
+def test_each_run_of_documents_picks_its_own_tokenizer_path(tmp_path):
+    # runs of 2: d1 d2 | d3 d4 | d5 d6; only the middle run holds a non-ASCII document
+    corpus = corpus_from({"d1": "alpha beta", "d2": "beta", "d3": "café alpha", "d4": "gamma beta",
+                          "d5": "delta", "d6": "alpha gamma"})
+    with (mock.patch.object(rede.sparse, "_RUN_DOCS", 2),
+          mock.patch.object(rede.sparse, "tokenize", wraps=tokenize) as spy):
+        index = build_sparse_index(corpus)
+    assert [call.args for call in spy.call_args_list] == [("café alpha",), ("gamma beta",)]
+    path = tmp_path / "runs.idx"
+    save_sparse_index(index, str(path))
+    assert path.read_bytes() == reference_file(corpus)
+    # "alpha" and "beta", first seen in the ASCII run, keep their numbers in the per-document run
+    assert index.terms == {"alpha": 0, "beta": 1, "café": 2, "gamma": 3, "delta": 4}
+    assert index.postings["alpha"].tolist() == [[0, 1], [2, 1], [5, 1]]
+
+
 def test_byte_table_tokenize_and_regex_agree_on_every_ascii_code_point():
     for c in range(128):
         char = chr(c)
@@ -529,12 +549,14 @@ def test_byte_table_tokenize_and_regex_agree_on_every_ascii_code_point():
     assert high.translate(_ASCII_BYTES) == high  # never met in ASCII text; 0xFF is the boundary
 
 
-# sha256 of the index files written before terms were numbered in one pass. The golden
-# grid hashes search output only, and a change in term-numbering order changes the
-# file without changing a ranking.
+# sha256 of the index files written before terms were numbered in one pass, and, for the
+# corpus with one non-ASCII document, before the tokenizer path was chosen per run of
+# documents. The golden grid hashes search output only, and a change in term-numbering order
+# changes the file without changing a ranking.
 PINNED_INDEX_SHA256 = {
     "cli-workspace": "d063e2d525a58dd15cd91e410882b00add312ba849b4155983e534b313543bfa",
     "shortpost-2k": "38d3a833ec38dfc0a596b437054ac4cc1156fc6839c0fff7411a15c055239631",
+    "shortpost-2k-cafe": "16d0678ac244296908a6355ac87b5a27cec7fbcfe844c1f61acc6a1dd48aae68",
 }
 
 
@@ -542,8 +564,12 @@ def pinned_corpus(name: str):
     if name == "cli-workspace":
         return corpus_from(dict(DOCS))
     # perfbench's hybrid-shortpost-20k generator shape at 2k documents
-    return generate_benchmark(1, n_docs=2000, dim=64, n_clusters=200, vocab_per_cluster=60,
-                              shared_vocab=83, shared_per_doc=1, n_queries=100).corpus
+    corpus = generate_benchmark(1, n_docs=2000, dim=64, n_clusters=200, vocab_per_cluster=60,
+                                shared_vocab=83, shared_per_doc=1, n_queries=100).corpus
+    if name == "shortpost-2k-cafe":  # " café" after the middle document's text
+        middle = corpus[sorted(corpus)[len(corpus) // 2]]
+        middle.text += " café"
+    return corpus
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_INDEX_SHA256))
