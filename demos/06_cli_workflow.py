@@ -46,7 +46,7 @@ root = Path(tempfile.mkdtemp(prefix="rede-demo-"))
     "pipeline": {"initial_retriever": "hybrid", "k_initial": 4, "output_depth": 6},
     "judge": {"backend": "llm"},
     "gateway": {"backend": "mock", "mock_script": str(root / "mock.json")},
-    "encoder": {"backend": "hash", "dim": 32},
+    "encoder": {"backend": "hash"},
 }, indent=2))
 
 steps = [

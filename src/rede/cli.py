@@ -43,7 +43,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ingest-dense", help="validate an embedding bundle or encode a corpus into one")
     p.add_argument("--manifest", help="existing bundle manifest to validate/load")
-    p.add_argument("--vectors", help="vectors file (default: manifest's vectors_file)")
     p.add_argument("--corpus", help="corpus to encode when no manifest is given")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--out", help="output directory for a freshly encoded bundle")
@@ -109,12 +108,12 @@ def _cmd_index_sparse(args) -> int:
 
 
 def _cmd_ingest_dense(args) -> int:
-    if args.manifest:
-        index = load_bundle(args.manifest, args.vectors)
+    if args.manifest and not (args.corpus or args.out):
+        index = load_bundle(args.manifest)
         print(f"ingested {index.count} vectors of dim {index.dim} from {args.manifest}")
         return 0
-    if not (args.corpus and args.out):
-        raise _UsageError("ingest-dense needs either --manifest or --corpus with --out")
+    if args.manifest or not (args.corpus and args.out):
+        raise _UsageError("ingest-dense takes either --manifest alone or --corpus with --out")
     corpus = load_corpus(args.corpus)
     encoder = HashingEncoder(dim=args.dim)
     ids = list(corpus.keys())

@@ -13,11 +13,13 @@ builds, and a key the file does not set keeps that class's default:
     ``_BACKENDS``: judge ``llm`` -> ``LlmJudge``, ``oracle`` ->
     ``OracleJudge``, ``lexical`` -> ``LexicalJudge``; gateway ``http`` ->
     ``HttpGateway``, ``mock`` -> ``MockGateway.from_script_file``; encoder
-    ``hash`` -> ``HashingEncoder``, ``http`` -> ``HttpEncoder``;
+    ``hash`` -> ``HashingEncoder``, ``http`` -> ``HttpEncoder``. The
+    encoder is built at the dim of the embedding bundle, and only when a
+    bundle is given: the bundle's manifest is the one home of the dense
+    dim and of its vectors file;
   * ``paths`` holds the deployment's files, listed with defaults in
     ``_PATHS`` (None: not given; ``sparse_index`` None builds the index
-    from the corpus, ``embeddings_vectors`` None reads the manifest's
-    vectors file, a templates dir None uses the templates in the package).
+    from the corpus, a templates dir None uses the templates in the package).
     A text key is a string or null: a path, there or in ``gateway.mock_script``,
     a URL (``gateway.url``, ``encoder.url``), ``gateway.model``, the judge's
     ``template_id``, ``positive_token`` and ``negative_token``, and
@@ -49,15 +51,14 @@ GATEWAY_URL_ENV = "REDE_GATEWAY_URL"
 
 _PATHS = {
     "corpus": None, "queries": None, "qrels": None, "embeddings_manifest": None,
-    "embeddings_vectors": None, "sparse_index": None, "judge_templates_dir": None,
-    "hyde_templates_dir": None,
+    "sparse_index": None, "judge_templates_dir": None, "hyde_templates_dir": None,
 }
 
 
 class _Backend(NamedTuple):
     build: Callable
     keys: tuple[str, ...] = ()  # section keys it takes
-    takes: tuple[str, ...] = ()  # values assembly supplies: gateway, qrels, templates_dir
+    takes: tuple[str, ...] = ()  # values assembly supplies: gateway, qrels, templates_dir, dim
     needs: tuple[str, str] | None = None  # (argument it cannot do without, where it is set)
 
 
@@ -78,8 +79,8 @@ _BACKENDS = {
                          needs=("mock_script", "gateway.mock_script")),
     },
     "encoder": {
-        "hash": _Backend(HashingEncoder, ("dim",)),
-        "http": _Backend(HttpEncoder, ("url", "dim"), needs=("url", "encoder.url")),
+        "hash": _Backend(HashingEncoder, takes=("dim",)),
+        "http": _Backend(HttpEncoder, ("url",), takes=("dim",), needs=("url", "encoder.url")),
     },
 }
 
@@ -178,7 +179,6 @@ def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
     pipeline_cfg = _construct("pipeline", PipelineConfig, **cfg["pipeline"])
     fusion_cfg = _construct("fusion", FusionConfig, **cfg["fusion"])
     hyde_cfg = _construct("hyde", HydeConfig, **cfg["hyde"], templates_dir=paths["hyde_templates_dir"])
-    encoder = _build(cfg, "encoder")
     corpus = load_corpus(_require_path(cfg, "corpus"))
 
     sparse_index = None
@@ -187,9 +187,12 @@ def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
     elif corpus:
         sparse_index = build_sparse_index(corpus)
 
-    dense_index = None
+    dense_index = encoder = None
     if paths["embeddings_manifest"]:
-        dense_index = load_bundle(_require_path(cfg, "embeddings_manifest"), paths["embeddings_vectors"])
+        dense_index = load_bundle(_require_path(cfg, "embeddings_manifest"))
+        encoder = _build(cfg, "encoder", dim=dense_index.dim)
+    else:
+        _backend(cfg, "encoder")  # an unknown backend is refused with no bundle too
 
     qrels = load_qrels(_require_path(cfg, "qrels")) if paths["qrels"] else None
     needs = required_components(method, pipeline_cfg.initial_retriever, pipeline_cfg.default_policy)

@@ -134,8 +134,8 @@ def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: st
     return manifest_path
 
 
-def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseIndex:
-    """Read a bundle; vectors_path overrides the manifest's own vectors_file."""
+def load_bundle(manifest_path: str) -> DenseIndex:
+    """Read the bundle of a manifest; its id and vectors files are named relative to it."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
@@ -144,7 +144,7 @@ def load_bundle(manifest_path: str, vectors_path: str | None = None) -> DenseInd
         check_count("dim", dim, 1)
         check_count("count", count, 0)
         id_file = os.path.join(base, manifest["id_file"])
-        vectors_path = vectors_path or os.path.join(base, manifest["vectors_file"])
+        vectors_path = os.path.join(base, manifest["vectors_file"])
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedRecord(None, f"bad manifest {manifest_path}: {exc!r}") from exc
     expected = count * dim * 4
@@ -215,11 +215,12 @@ class HashingEncoder:
 class HttpEncoder:
     """Encoder over HTTP: POST {"texts": [...]} -> {"vectors": [[...]]}; no retries.
 
-    The HTTP errors are typed as the gateway's, by ``gateway.post_json``."""
+    Every reply must hold one finite vector of ``dim`` per text, the dim of
+    the bundle the engine searches. The HTTP errors are typed as the
+    gateway's, by ``gateway.post_json``."""
 
-    def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0):
-        if dim is not None:
-            check_count("dim", dim, 1)
+    def __init__(self, url: str, dim: int, timeout: float = 30.0):
+        check_count("dim", dim, 1)
         check_real("timeout", timeout, MAX_WAIT_S, positive=True)
         self.url = url
         self.dim = dim
@@ -233,9 +234,4 @@ class HttpEncoder:
             arr = np.asarray(obj["vectors"], dtype=np.float32)
         except (KeyError, ValueError, TypeError) as exc:
             raise BackendUnavailable(f"encoder backend at {self.url}: {exc}") from exc
-        # until a reply passes, its own last axis stands for the dim, of at least 1: only its rank,
-        # rows and nonzero width are checked
-        width = max(arr.shape[-1:], (1,)) if self.dim is None else (self.dim,)
-        arr = check_vectors(f"reply of the encoder backend at {self.url}", arr, (len(texts), *width))
-        self.dim = arr.shape[1]
-        return arr
+        return check_vectors(f"reply of the encoder backend at {self.url}", arr, (len(texts), self.dim))

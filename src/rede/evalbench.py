@@ -105,6 +105,8 @@ def measure_latency(
     gateway instrumentation counters exactly when the gateway is otherwise idle.
     """
     check_count("warmup", warmup, 0)
+    if warmup >= len(queries):
+        raise ValueError(f"warmup {warmup} leaves none of the {len(queries)} queries to measure")
     latencies: list[float] = []
     judge_calls = 0
     generation_calls = 0
@@ -117,12 +119,9 @@ def measure_latency(
         latencies.append(elapsed_ms)
         judge_calls += trace.judge_calls
         generation_calls += trace.generation_calls
-    if latencies:
-        mean = float(np.mean(latencies))
-        p50 = float(np.percentile(latencies, 50))
-        p95 = float(np.percentile(latencies, 95))
-    else:
-        mean = p50 = p95 = 0.0
+    mean = float(np.mean(latencies))
+    p50 = float(np.percentile(latencies, 50))
+    p95 = float(np.percentile(latencies, 95))
     return LatencyReport(latencies, mean, p50, p95, judge_calls, generation_calls)
 
 

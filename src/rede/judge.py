@@ -152,6 +152,8 @@ class LlmJudge:
         self.template_id = template_id
         self.positive_token = positive_token if positive_token is not None else defaults[0]
         self.negative_token = negative_token if negative_token is not None else defaults[1]
+        if self.positive_token == self.negative_token:  # p would be 0.5 for every reply
+            raise ValueError(f"positive_token and negative_token are both {self.positive_token!r}")
         self.max_doc_tokens = max_doc_tokens
         self.top_logprobs = top_logprobs
         self.templates_dir = templates_dir

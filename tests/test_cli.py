@@ -8,9 +8,9 @@ import rede.cli
 import rede.judge
 import rede.pipeline
 from rede.cli import run_command
-from rede.config import GATEWAY_URL_ENV, load_run_config
-from rede.corpus import load_corpus, read_run_file
-from rede.dense import HashingEncoder, write_embeddings
+from rede.config import GATEWAY_URL_ENV, build_engine, load_run_config
+from rede.corpus import load_corpus, load_queries, read_run_file, write_run_file
+from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
 from rede.sparse import load_sparse_index
 
 DOCS = [
@@ -66,7 +66,7 @@ def make_workspace(tmp_path: Path) -> Path:
         "hyde": {"n_samples": 3, "task_template": "web_search"},
         "judge": {"backend": "llm", "template_id": "default"},
         "gateway": {"backend": "mock", "mock_script": str(script)},
-        "encoder": {"backend": "hash", "dim": 32},
+        "encoder": {"backend": "hash"},
     }))
     return tmp_path
 
@@ -87,6 +87,42 @@ def test_ingest_dense_validates_existing_bundle(workspace):
 
 def test_ingest_dense_requires_inputs():
     assert run_command(["ingest-dense"]) == 1
+
+
+@pytest.mark.parametrize("extra", [["--corpus", "corpus.jsonl"], ["--out", "emb2"],
+                                   ["--corpus", "corpus.jsonl", "--out", "emb2"]])
+def test_ingest_dense_refuses_manifest_with_encode_flags(workspace, monkeypatch, capsys, extra):
+    monkeypatch.chdir(workspace)
+    argv = ["ingest-dense", "--manifest", str(workspace / "emb" / "embeddings.manifest.json"), *extra]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ingest-dense takes either --manifest alone")
+    assert not (workspace / "emb2").exists()
+
+
+def test_ingest_dense_has_no_vectors_flag(workspace, capsys):
+    manifest = workspace / "emb" / "embeddings.manifest.json"
+    vectors = workspace / "emb" / "embeddings.f32"
+    assert run_command(["ingest-dense", "--manifest", str(manifest), "--vectors", str(vectors)]) == 1
+    assert "unrecognized arguments: --vectors" in capsys.readouterr().err
+
+
+def test_encoder_takes_the_bundle_dim(workspace):
+    # the bundle is dim 32 and the run config sets no dim
+    out = workspace / "run.trec"
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "rede",
+                        "--out", str(out)]) == 0
+    engine = build_engine(load_run_config(str(workspace / "config.json")), "rede")
+    engine.encoder = HashingEncoder(32)
+    queries = load_queries(str(workspace / "queries.tsv"))
+    expected = workspace / "expected.trec"
+    write_run_file(str(expected), [engine.search("rede", q)[0] for q in queries], "rede")
+    assert out.read_text() == expected.read_text()
+
+    config = json.loads((workspace / "config.json").read_text())
+    config["encoder"] = {"backend": "http", "url": "http://127.0.0.1:9"}  # built, never called
+    (workspace / "http.json").write_text(json.dumps(config))
+    encoder = build_engine(load_run_config(str(workspace / "http.json")), "dense").encoder
+    assert isinstance(encoder, HttpEncoder) and encoder.dim == 32
 
 
 def test_ingest_dense_rejects_dim_zero(workspace, capsys):
@@ -327,6 +363,15 @@ def test_bench(workspace):
     report = json.loads(report_path.read_text())
     assert len(report["per_query_ms"]) == len(QUERIES) - 1
     assert report["llm_call_counts"]["judge"] == 4 * (len(QUERIES) - 1)
+
+
+@pytest.mark.parametrize("warmup", ["3", "5"])
+def test_bench_warmup_that_leaves_no_query_exits_1(workspace, capsys, warmup):
+    report_path = workspace / "bench.json"
+    assert run_command(["bench", "--config", str(workspace / "config.json"), "--method", "rede",
+                        "--warmup", warmup, "--out", str(report_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: warmup {warmup} leaves none of the 3 queries")
+    assert not report_path.exists()
 
 
 def test_export_distill(workspace):

@@ -23,8 +23,7 @@ DOCS = [("d1", "apple banana fruit"), ("d2", "satellite launch orbit"), ("d3", "
 # every run-config key; there is no format key, since corpus and query files show their format
 ACCEPTED_KEYS = {
     "paths.corpus", "paths.queries", "paths.qrels", "paths.embeddings_manifest",
-    "paths.embeddings_vectors", "paths.sparse_index", "paths.judge_templates_dir",
-    "paths.hyde_templates_dir",
+    "paths.sparse_index", "paths.judge_templates_dir", "paths.hyde_templates_dir",
     "pipeline.initial_retriever", "pipeline.k_initial", "pipeline.max_kstar",
     "pipeline.default_policy", "pipeline.output_depth", "pipeline.llm_max_workers",
     "fusion.alpha", "fusion.pool_depth",
@@ -35,7 +34,7 @@ ACCEPTED_KEYS = {
     "gateway.backend", "gateway.url", "gateway.model", "gateway.timeout", "gateway.retries",
     "gateway.backoff_s", "gateway.mock_script",
     "gateway.logprob_delay_s", "gateway.text_delay_s",
-    "encoder.backend", "encoder.dim", "encoder.url",
+    "encoder.backend", "encoder.url",
 }
 
 
@@ -86,6 +85,8 @@ def test_accepted_key_set_is_unchanged():
     ({"judge": {"bogus": 1}}, "'judge.bogus'"),  # bm25 never builds a judge
     ({"hyde": {"templates_dir": "t"}}, "'hyde.templates_dir'"),  # set by paths.hyde_templates_dir
     ({"gateway": {"parallelism": 4}}, "'gateway.parallelism'"),  # pipeline.llm_max_workers sets it
+    ({"encoder": {"dim": 64}}, "'encoder.dim'"),  # the bundle's manifest sets it
+    ({"paths": {"embeddings_vectors": "v.f32"}}, "'paths.embeddings_vectors'"),  # and the vectors file
 ])
 def test_unknown_key_rejected_at_load(data, cfg, key, capsys):
     path = _config_file(data, {"paths": _paths(data), **cfg})
@@ -173,12 +174,22 @@ def test_bad_llm_parameter_rejected_at_build(data, sections, method, message, ca
     ({"encoder": {"backend": "http"}}, "dense", "encoder.backend 'http' needs encoder.url"),
     ({"judge": {"backend": "oracle"}}, "rede", "judge.backend 'oracle' needs paths.qrels"),
     ({"judge": {"backend": "exact"}}, "rede", "unknown judge.backend 'exact'"),
+    ({"encoder": {"backend": "exact"}}, "dense", "unknown encoder.backend 'exact'"),
 ])
 def test_missing_backend_setting_is_named(data, sections, method, message):
     paths = {k: v for k, v in _paths(data).items() if k != "qrels"}
     path = _config_file(data, {"paths": paths, **sections})
     with pytest.raises(ConfigError, match=re.escape(message)):
         build_engine(load_run_config(path), method)
+
+
+def test_encoder_is_built_only_with_a_bundle(data):
+    paths = {k: v for k, v in _paths(data).items() if k != "embeddings_manifest"}
+    cfg = {"paths": paths, "encoder": {"backend": "http"}}  # no url, but nothing builds it
+    assert build_engine(load_run_config(_config_file(data, cfg)), "bm25").encoder is None
+    cfg["encoder"]["backend"] = "exact"
+    with pytest.raises(ConfigError, match="unknown encoder.backend 'exact'"):
+        build_engine(load_run_config(_config_file(data, cfg)), "bm25")
 
 
 def test_paths_only_config_takes_class_defaults(data):
@@ -196,7 +207,7 @@ def test_backend_defaults_come_from_the_constructor(data):
     gateway = engine.gateway
     assert isinstance(gateway, HttpGateway)
     assert (gateway.model, gateway.backoff_s) == ("completion-model", 0.25)
-    assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.dim is None  # inferred
+    assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.dim == 64  # the bundle's
     mock = _build(data, {"gateway": {"backend": "mock", "mock_script": str(data / "mock.json"),
                                      "url": "ignored by the mock backend"}}, "hyde").gateway
     assert isinstance(mock, MockGateway) and mock.backoff_s == 0.0
@@ -250,10 +261,9 @@ def _keys_whose_default_is(kind: type) -> list[tuple[str, str | None, str]]:
 
 
 def _count_keys() -> list[tuple[str, str | None, str]]:
-    """Every count key: its default is an int that is not a bool; the three whose default is None
+    """Every count key: its default is an int that is not a bool; the two whose default is None
     are named by hand."""
-    return _keys_whose_default_is(int) + [("pipeline", None, "max_kstar"), ("fusion", None, "pool_depth"),
-                                          ("encoder", "http", "dim")]
+    return _keys_whose_default_is(int) + [("pipeline", None, "max_kstar"), ("fusion", None, "pool_depth")]
 
 
 def _real_keys() -> list[tuple[str, str | None, str]]:
@@ -298,12 +308,12 @@ def _assert_exits_2(root: Path, capsys, sections: dict, method: str, message: st
 
 def test_count_keys_are_read_from_the_classes():
     assert {f"{s}.{k}" for s, _, k in _count_keys()} >= {
-        "pipeline.k_initial", "hyde.n_samples", "judge.top_logprobs", "gateway.retries",
-        "encoder.dim"}
+        "pipeline.k_initial", "hyde.n_samples", "judge.top_logprobs", "gateway.retries"}
 
 
 @pytest.mark.parametrize("section, backend, key, value", [
-    *[(s, b, k, v) for s, b, k in _count_keys() for v in (1.5, True)], ("encoder", "hash", "dim", 64.0),
+    *[(s, b, k, v) for s, b, k in _count_keys() for v in (1.5, True)],
+    ("judge", "llm", "top_logprobs", 64.0),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_count_key_that_is_not_an_integer_exits_2(data, monkeypatch, capsys, section, backend, key,
                                                  value):
@@ -343,7 +353,8 @@ def test_seconds_key_past_a_day_exits_2(data, monkeypatch, capsys, section, back
 @pytest.mark.parametrize("sections, message", [
     ({"gateway": {**_HTTP_GATEWAY, "retries": -1}}, "retries must be >= 0, got -1"),
     (_sections_setting("gateway", "mock", {"retries": -1}), "retries must be >= 0, got -1"),
-    (_sections_setting("encoder", "http", {"dim": 0}), "dim must be >= 1, got 0"),
+    (_sections_setting("judge", "llm", {"template_id": "rg_yn", "negative_token": "Yes"}),
+     "positive_token and negative_token are both 'Yes'"),
     ({"gateway": {"backend": ["x"]}}, "unknown gateway.backend ['x']"),
     ({"gateway": _HTTP_GATEWAY, "judge": {"backend": {"llm": 1}}}, "unknown judge.backend"),
     ({"judge": {"backend": "lexical", "threshold": "x"}}, "bad judge config"),

@@ -63,7 +63,7 @@ class TestIngest:
         vec_path = tmp_path / "embeddings.f32"
         vec_path.write_bytes(vec_path.read_bytes()[:-1])
         with pytest.raises(SizeMismatch):
-            load_bundle(manifest, str(vec_path))
+            load_bundle(manifest)
 
     def test_unsorted_bundle_held_in_doc_id_order(self, tmp_path):
         vectors = np.array([[3.0, 0.5], [1.0, 0.25], [2.0, 0.125]], dtype=np.float32)
@@ -453,7 +453,7 @@ class TestHttpEncoder:
     def test_round_trip(self, http_server):
         url, state = http_server
         state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0]] * len(body["texts"])})
-        enc = HttpEncoder(url)
+        enc = HttpEncoder(url, 2)
         out = enc.encode(["x", "y"])
         assert out.shape == (2, 2)
         assert enc.dim == 2
@@ -464,10 +464,10 @@ class TestHttpEncoder:
         # unchecked, every encode would report the caller's mistake as BackendUnavailable
         message = f"timeout must be a finite number in (0, 86400], got {timeout!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            HttpEncoder("http://127.0.0.1:1/nothing", timeout=timeout)
+            HttpEncoder("http://127.0.0.1:1/nothing", 2, timeout=timeout)
 
     def test_unavailable(self):
-        enc = HttpEncoder("http://127.0.0.1:1/nothing", timeout=0.2)
+        enc = HttpEncoder("http://127.0.0.1:1/nothing", 2, timeout=0.2)
         with pytest.raises(BackendUnavailable):
             enc.encode(["x"])
 
@@ -485,7 +485,18 @@ class TestHttpEncoder:
                                ({"x": 1.0}, BackendUnavailable)):
             state["handler"] = lambda body: (200, {"vectors": vectors})
             with pytest.raises(error):
-                HttpEncoder(url).encode(["x", "y"][: len(vectors)])
+                HttpEncoder(url, 2).encode(["x", "y"][: len(vectors)])
+
+
+@pytest.mark.parametrize("dim, message", [
+    (0, "dim must be >= 1, got 0"), (1.5, "dim must be an integer, got 1.5"),
+    (True, "dim must be an integer, got True"), (64.0, "dim must be an integer, got 64.0"),
+])
+@pytest.mark.parametrize("encoder", [HashingEncoder, lambda dim: HttpEncoder("http://127.0.0.1:1/nothing", dim)],
+                         ids=["HashingEncoder", "HttpEncoder"])
+def test_encoder_dim_is_a_count(encoder, dim, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        encoder(dim)
 
 
 def slow_reply(body):
@@ -502,7 +513,7 @@ def test_http_errors_are_typed_as_the_gateways(http_server, handler, error, mess
     url, state = http_server
     state["handler"] = handler
     with pytest.raises(error, match=message):
-        HttpEncoder(url, timeout=0.1).encode(["x"])
+        HttpEncoder(url, 2, timeout=0.1).encode(["x"])
     assert len(state["requests"]) == 1  # no retries
 
 
@@ -565,12 +576,11 @@ def test_every_vector_boundary_gives_the_one_message(http_server, site, row, err
 
 @pytest.mark.parametrize("first", [5.0, [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0]]], [[]]],
                          ids=["0-d", "1-D", "two rows for one text", "3-D", "dim 0"])
-def test_http_encoder_learns_its_dim_only_from_a_reply_that_passes(http_server, first):
+def test_http_encoder_refuses_a_reply_not_of_its_dim(http_server, first):
     url, state = http_server
-    encoder = HttpEncoder(url)
+    encoder = HttpEncoder(url, 3)
     state["handler"] = lambda body: (200, {"vectors": first})
-    with pytest.raises(DimMismatch, match="has shape"):
+    with pytest.raises(DimMismatch, match=re.escape("expected (1, 3)")):
         encoder.encode(["x"])
-    assert encoder.dim is None
     state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0, 3.0]]})
     assert encoder.encode(["x"]).tolist() == [[1.0, 2.0, 3.0]] and encoder.dim == 3

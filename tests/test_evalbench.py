@@ -160,6 +160,13 @@ class TestMeasureLatency:
         with pytest.raises(ValueError, match=message):
             measure_latency(self.fn_with(0.0), self.queries(2), warmup=warmup)
 
+    @pytest.mark.parametrize("n, warmup", [(1, 1), (2, 5), (0, 0)])
+    def test_warmup_that_leaves_nothing_to_measure_is_refused(self, n, warmup):
+        calls = []
+        with pytest.raises(ValueError, match=f"warmup {warmup} leaves none of the {n} queries to measure"):
+            measure_latency(lambda q: calls.append(q), self.queries(n), warmup=warmup)
+        assert calls == []  # refused before any query runs
+
     def test_percentile_ordering(self):
         report = measure_latency(self.fn_with(0.001), self.queries(8))
         assert min(report.per_query_ms) <= report.p50_ms <= report.p95_ms <= max(report.per_query_ms)

@@ -175,6 +175,15 @@ class TestScoreRelevance:
         )
         assert score_relevance(judge, QUERY, "d1", "doc").label is True
 
+    @pytest.mark.parametrize("kwargs, token", [
+        ({"positive_token": "1", "negative_token": "1"}, "1"),
+        ({"template_id": "rg_yn", "negative_token": "Yes"}, "Yes"),
+    ])
+    def test_equal_answer_tokens_refused_at_construction(self, kwargs, token):
+        # p would be 0.5 for every reply, so every candidate would be judged not relevant
+        with pytest.raises(ValueError, match=f"positive_token and negative_token are both '{token}'"):
+            LlmJudge(MockGateway([]), **kwargs)
+
     def test_oracle(self):
         judge = OracleJudge({"q1": {"d1": 2, "d2": 0}})
         assert score_relevance(judge, QUERY, "d1", "ignored").p_relevant == 1.0

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import rede.fusion
 import rede.pipeline
@@ -68,6 +68,21 @@ class TestUpdates:
         min_size=2, max_size=12)), st.data())
     def test_permutation_exact_property(self, rows, data):
         q, *vectors = [np.array(row, dtype=np.float32) for row in rows]
+        order = data.draw(st.permutations(range(len(vectors))))
+        shuffled = [vectors[i] for i in order]
+        assert mean_update(q, shuffled).tobytes() == mean_update(q, vectors).tobytes()
+
+    # no shrink phase: shrinking a counterexample to an order of rounding runs for minutes
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None, phases=[Phase.generate])
+    @given(st.data())
+    def test_permutation_exact_with_cancelling_columns(self, data):
+        # entries from 2**-60 to 2**84, and negated copies that cancel the large ones: a plain
+        # sum's rounding then depends on the order of the vectors
+        dim = data.draw(st.integers(1, 6))
+        entry = st.builds(math.ldexp, st.integers(-(2**24 - 1), 2**24 - 1), st.integers(-60, 60))
+        rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=2, max_size=12))
+        q, *vectors = [np.array(row, dtype=np.float32) for row in rows]
+        vectors += [-v for v in vectors[:data.draw(st.integers(0, len(vectors)))]]
         order = data.draw(st.permutations(range(len(vectors))))
         shuffled = [vectors[i] for i in order]
         assert mean_update(q, shuffled).tobytes() == mean_update(q, vectors).tobytes()
