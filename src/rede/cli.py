@@ -44,9 +44,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ingest-dense", help="validate an embedding bundle or encode a corpus into one")
     p.add_argument("--manifest", help="existing bundle manifest to validate/load")
     p.add_argument("--corpus", help="corpus to encode when no manifest is given")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, help="dim of a freshly encoded bundle (default 64)")
     p.add_argument("--out", help="output directory for a freshly encoded bundle")
-    p.add_argument("--name", default="embeddings")
 
     p = sub.add_parser("search", help="run retrieval and write a TREC run file")
     _add_config_args(p)
@@ -108,18 +107,18 @@ def _cmd_index_sparse(args) -> int:
 
 
 def _cmd_ingest_dense(args) -> int:
-    if args.manifest and not (args.corpus or args.out):
+    if args.manifest and not (args.corpus or args.out or args.dim is not None):
         index = load_bundle(args.manifest)
         print(f"ingested {index.count} vectors of dim {index.dim} from {args.manifest}")
         return 0
     if args.manifest or not (args.corpus and args.out):
         raise _UsageError("ingest-dense takes either --manifest alone or --corpus with --out")
     corpus = load_corpus(args.corpus)
-    encoder = HashingEncoder(dim=args.dim)
+    dim = 64 if args.dim is None else args.dim
     ids = list(corpus.keys())
-    vectors = encoder.encode([corpus[d].search_text for d in ids])
-    manifest = write_embeddings(args.out, ids, vectors, name=args.name)
-    print(f"encoded {len(ids)} documents at dim {args.dim} -> {manifest}")
+    vectors = HashingEncoder(dim=dim).encode([corpus[d].search_text for d in ids])
+    manifest = write_embeddings(args.out, ids, vectors)
+    print(f"encoded {len(ids)} documents at dim {dim} -> {manifest}")
     return 0
 
 

@@ -62,7 +62,6 @@ class _Backend(NamedTuple):
     needs: tuple[str, str] | None = None  # (argument it cannot do without, where it is set)
 
 
-_GATEWAY_KEYS = ("retries", "backoff_s")
 _BACKENDS = {
     "judge": {
         "llm": _Backend(LlmJudge, ("template_id", "positive_token", "negative_token",
@@ -72,10 +71,10 @@ _BACKENDS = {
         "lexical": _Backend(LexicalJudge, ("threshold",)),
     },
     "gateway": {
-        "http": _Backend(HttpGateway, ("url", "model", "timeout", *_GATEWAY_KEYS),
+        "http": _Backend(HttpGateway, ("url", "model", "timeout", "retries", "backoff_s"),
                          needs=("url", f"gateway.url (or {GATEWAY_URL_ENV})")),
         "mock": _Backend(MockGateway.from_script_file,
-                         ("mock_script", "logprob_delay_s", "text_delay_s", *_GATEWAY_KEYS),
+                         ("mock_script", "logprob_delay_s", "text_delay_s"),
                          needs=("mock_script", "gateway.mock_script")),
     },
     "encoder": {
@@ -181,10 +180,9 @@ def build_engine(cfg: dict, method: str = "rede") -> SearchEngine:
     hyde_cfg = _construct("hyde", HydeConfig, **cfg["hyde"], templates_dir=paths["hyde_templates_dir"])
     corpus = load_corpus(_require_path(cfg, "corpus"))
 
-    sparse_index = None
     if paths["sparse_index"]:
         sparse_index = load_sparse_index(_require_path(cfg, "sparse_index"))
-    elif corpus:
+    else:
         sparse_index = build_sparse_index(corpus)
 
     dense_index = encoder = None

@@ -94,8 +94,11 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     return DenseIndex(arr.shape[1], ids, arr, id_to_row)
 
 
-def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: str = "embeddings") -> str:
-    """Write a bundle load_bundle can read; returns the manifest path.
+def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray) -> str:
+    """Write a bundle load_bundle can read to out_dir; returns the manifest path.
+
+    The files are always ``embeddings.manifest.json``, ``embeddings.f32`` and
+    ``embeddings.ids.txt``; the manifest names the other two.
 
     The id file is UTF-8, read back one non-blank line per id, leading BOM
     stripped, so an id that is blank, holds a line break or a lone surrogate
@@ -117,9 +120,9 @@ def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray, name: st
         raise PreconditionViolation(f"doc id {bad!r} could not be read back from the id file: it is blank, "
                                     "holds a line break or a lone surrogate, or starts the file with a BOM")
     os.makedirs(out_dir, exist_ok=True)
-    vec_path = os.path.join(out_dir, f"{name}.f32")
-    id_path = os.path.join(out_dir, f"{name}.ids.txt")
-    manifest_path = os.path.join(out_dir, f"{name}.manifest.json")
+    vec_path = os.path.join(out_dir, "embeddings.f32")
+    id_path = os.path.join(out_dir, "embeddings.ids.txt")
+    manifest_path = os.path.join(out_dir, "embeddings.manifest.json")
     arr.tofile(vec_path)
     with open(id_path, "wb") as f:
         f.write(data)

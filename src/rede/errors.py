@@ -82,10 +82,6 @@ class BackendRejected(RedeError):
     """The backend refused the request itself (HTTP 4xx); a retry cannot help."""
 
 
-class LogprobsUnsupported(RedeError):
-    pass
-
-
 # --- judging / prompting --------------------------------------------------
 
 class UnknownTemplate(RedeError):

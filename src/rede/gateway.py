@@ -1,17 +1,20 @@
 """Single contract for generative-model access.
 
 Backends implement ``send(request) -> CompletionResponse``. ``complete``
-adds bounded retries with exponential backoff and feeds the per-backend
-instrumentation counter, which callers read, and the counter of the query
-being searched, which fills its trace; the latency harness sums the traces.
-The HTTP backend speaks a minimal completion protocol:
+is transport only: it adds bounded retries with exponential backoff and
+feeds the per-backend instrumentation counter, which callers read, and the
+counter of the query being searched, which fills its trace; the latency
+harness sums the traces. A logprob reply is returned as the backend gave
+it: whether its map can be read is the judge's rule. The HTTP backend
+speaks a minimal completion protocol:
 
     POST {"model", "prompt", "max_tokens", "temperature", "logprobs": N}
     ->   {"text", "first_token_logprobs": {token: logprob}}
 
-The mock backend replays a JSON script and can charge a fixed per-call
-delay, which is what the latency benchmark uses to make LLM cost
-observable without a model. The script is a list of objects
+The mock backend replays a JSON script, never retries (a scripted reply
+does not change on retry) and can charge a fixed per-call delay, which is
+what the latency benchmark uses to make LLM cost observable without a
+model. The script is a list of objects
 ``{"match_substring", "text", "first_token_logprobs"}``; the first entry
 whose ``match_substring`` (a string, default "" which matches every
 prompt) occurs in the prompt wins. Any other shape is a ValueError when
@@ -28,8 +31,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import (BackendRejected, BackendTimeout, BackendUnavailable, LogprobsUnsupported, check_count,
-                     check_real)
+from .errors import BackendRejected, BackendTimeout, BackendUnavailable, check_count, check_real
 
 # a day, the longest timeout, delay or backoff any backend takes: time.sleep overflows long
 # before math.inf, and its OverflowError is not a RedeError
@@ -139,22 +141,19 @@ class HttpGateway:
 
 
 class MockGateway:
-    """Deterministic scripted backend; replays entries by prompt substring."""
+    """Deterministic scripted backend; replays entries by prompt substring, in one attempt."""
 
-    def __init__(self, script: list[dict], logprob_delay_s: float = 0.0,
-                 text_delay_s: float = 0.0, retries: int = 3, backoff_s: float = 0.0):
+    retries, backoff_s = 0, 0.0  # read by complete(): a scripted reply does not change on retry
+
+    def __init__(self, script: list[dict], logprob_delay_s: float = 0.0, text_delay_s: float = 0.0):
         if not isinstance(script, list) or not all(
                 isinstance(e, dict) and isinstance(e.get("match_substring", ""), str) for e in script):
             raise ValueError("mock script must be a list of objects whose match_substring is a string")
         check_real("logprob_delay_s", logprob_delay_s, MAX_WAIT_S)
         check_real("text_delay_s", text_delay_s, MAX_WAIT_S)
-        check_count("retries", retries, 0)
-        check_real("backoff_s", backoff_s, MAX_WAIT_S)
         self.script = script
         self.logprob_delay_s = logprob_delay_s
         self.text_delay_s = text_delay_s
-        self.retries = retries
-        self.backoff_s = backoff_s
         self.counter = CallCounter()
 
     @classmethod
@@ -179,10 +178,9 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
     ``backend.retries`` times before propagating; anything else propagates at
     once. A generation reply whose text is not a string counts as
     BackendUnavailable, as a reply that is not a JSON object does. A logprob
-    request whose reply has no, empty or non-numeric logprobs raises
-    LogprobsUnsupported without a retry. The call is counted on
-    ``backend.counter`` and on the ``QUERY_CALLS`` counter of the current
-    context, if one is set; attempts only on ``backend.counter``.
+    reply is returned whatever its map: the judge reads it. The call is
+    counted on ``backend.counter`` and on the ``QUERY_CALLS`` counter of the
+    current context, if one is set; attempts only on ``backend.counter``.
     """
     backend.counter.record_call(request.want_first_token_logprobs)
     query_calls = QUERY_CALLS.get()
@@ -194,22 +192,9 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
             response = backend.send(request)
             if not (request.want_first_token_logprobs or isinstance(response.text, str)):
                 raise BackendUnavailable(f"backend replied with a {type(response.text).__name__} text")
+            return response
         except (BackendUnavailable, BackendTimeout):
             if attempt == backend.retries:
                 raise
             if backend.backoff_s > 0:
                 time.sleep(backend.backoff_s * (2**attempt))
-            continue
-        if request.want_first_token_logprobs and not _usable_logprobs(response.first_token_logprobs):
-            raise LogprobsUnsupported("backend returned no usable first-token logprobs")
-        return response
-
-
-_NUMBER_TYPES = frozenset((int, float))  # exact types: a JSON true is not a logprob
-
-
-def _usable_logprobs(logprobs) -> bool:
-    """A non-empty {token: number} map."""
-    return isinstance(logprobs, dict) and bool(logprobs) and _NUMBER_TYPES.issuperset(
-        map(type, logprobs.values())
-    )

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import Qrels, Query, RankedList, tokenize
-from .errors import JudgeUnavailable, LogprobsUnsupported, UnknownDocId, UnknownTemplate, check_count, check_real
+from .errors import JudgeUnavailable, UnknownDocId, UnknownTemplate, check_count, check_real
 from .gateway import CompletionRequest, complete
 
 log = logging.getLogger(__name__)
@@ -55,6 +55,8 @@ _TEMPLATE_KINDS = {
     "hyde_context": ("hyde", "_context", HYDE_TASK_FAMILIES),
 }
 _PLACEHOLDER = re.compile(r"\{(query|document|context)\}")
+
+_NUMBER_TYPES = frozenset((int, float))  # exact types: a JSON true is not a logprob
 
 # logprob assigned to a designated token missing from a truncated top-K map:
 # min returned logprob minus this margin, so truncation cannot flip labels
@@ -172,7 +174,11 @@ class LlmJudge:
                 top_logprobs=self.top_logprobs,
             ),
         )
-        logprobs = response.first_token_logprobs  # non-empty: complete() checks it
+        # the gateway returns the map as the backend gave it: a non-empty {token: number} is usable
+        logprobs = response.first_token_logprobs
+        if not (isinstance(logprobs, dict) and logprobs
+                and _NUMBER_TYPES.issuperset(map(type, logprobs.values()))):
+            raise JudgeUnavailable("backend returned no usable first-token logprobs")
         lp_pos = logprobs.get(self.positive_token)
         lp_neg = logprobs.get(self.negative_token)
         if lp_pos is None and lp_neg is None:
@@ -232,15 +238,16 @@ def judge_candidates(
     """Judge every candidate once; the judgments come back in candidate order.
 
     A candidate missing from ``doc_texts`` raises UnknownDocId before any
-    call is made. A candidate whose call fails (JudgeUnavailable, or a reply
-    without logprobs) is skipped with a warning; the call fails only if
-    every candidate fails. Transport errors propagate.
+    call is made. A candidate that cannot be judged (JudgeUnavailable, which
+    a reply without a usable logprob map also raises) is skipped with a
+    warning; the call fails only if every candidate fails. Transport errors
+    propagate.
     """
 
     def judge_one(doc_id: str) -> RelevanceJudgment | None:
         try:
             return score_relevance(backend, query, doc_id, doc_texts[doc_id])
-        except (JudgeUnavailable, LogprobsUnsupported) as exc:
+        except JudgeUnavailable as exc:
             log.warning("skipping %s for query %s: %s", doc_id, query.query_id, exc)
             return None
 

@@ -89,7 +89,7 @@ def required_components(method: str, initial_retriever: str, default_policy: str
     retriever = row.retriever(initial_retriever)
     needs = ["sparse_index"] if retriever in ("sparse", "hybrid") else []
     if retriever in ("dense", "hybrid") or row.feedback not in (None, "rerank"):
-        needs.append("dense_index")
+        needs += ["dense_index", "encoder"]
     if row.feedback in ("judge", "rerank"):
         needs.append("judge")
     if row.feedback == "hyde" or row.empty_policy(default_policy) == "hyde_prf":
@@ -270,9 +270,10 @@ class SearchEngine:
         self.doc_texts = {doc_id: doc.search_text for doc_id, doc in corpus.items()}
 
     def _require(self, what: str, needs: list[str]) -> None:
-        missing = [name.replace("_", " ") for name in needs if getattr(self, name) is None]
+        missing = [f"{'an' if name[0] in 'aeiou' else 'a'} {name.replace('_', ' ')}"
+                   for name in needs if getattr(self, name) is None]
         if missing:
-            raise ConfigError(f"{what} requires a {' and a '.join(missing)}")
+            raise ConfigError(f"{what} requires {' and '.join(missing)}")
 
     def _retrieve(self, retriever: str, depth: int, query: Query, qvec: np.ndarray | None) -> RankedList:
         if retriever == "sparse":

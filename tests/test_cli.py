@@ -90,7 +90,7 @@ def test_ingest_dense_requires_inputs():
 
 
 @pytest.mark.parametrize("extra", [["--corpus", "corpus.jsonl"], ["--out", "emb2"],
-                                   ["--corpus", "corpus.jsonl", "--out", "emb2"]])
+                                   ["--corpus", "corpus.jsonl", "--out", "emb2"], ["--dim", "32"]])
 def test_ingest_dense_refuses_manifest_with_encode_flags(workspace, monkeypatch, capsys, extra):
     monkeypatch.chdir(workspace)
     argv = ["ingest-dense", "--manifest", str(workspace / "emb" / "embeddings.manifest.json"), *extra]
@@ -104,6 +104,18 @@ def test_ingest_dense_has_no_vectors_flag(workspace, capsys):
     vectors = workspace / "emb" / "embeddings.f32"
     assert run_command(["ingest-dense", "--manifest", str(manifest), "--vectors", str(vectors)]) == 1
     assert "unrecognized arguments: --vectors" in capsys.readouterr().err
+
+
+def test_ingest_dense_names_its_files_itself(workspace, capsys):
+    # load_bundle reads the file names from the manifest, so there is nothing to name
+    argv = ["ingest-dense", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(workspace / "emb2")]
+    assert run_command([*argv, "--name", "other"]) == 1
+    assert "unrecognized arguments: --name" in capsys.readouterr().err
+    assert run_command(argv) == 0
+    manifest = workspace / "emb2" / "embeddings.manifest.json"
+    assert json.loads(manifest.read_text())["dim"] == 64  # the encode mode's default
+    assert sorted(p.name for p in (workspace / "emb2").iterdir()) == [
+        "embeddings.f32", "embeddings.ids.txt", "embeddings.manifest.json"]
 
 
 def test_encoder_takes_the_bundle_dim(workspace):
@@ -288,6 +300,13 @@ def test_missing_embeddings_exits_2(workspace, capsys):
         ])
         assert code == 2
         assert diagnostic in capsys.readouterr().err
+
+
+def test_empty_corpus_exits_2_as_empty(workspace, capsys):
+    (workspace / "corpus.jsonl").write_text("")
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--out", str(workspace / "r.trec")]) == 2
+    assert capsys.readouterr().err.startswith("error: corpus is empty")
 
 
 def test_malformed_index_files_exit_2(workspace, capsys):

@@ -209,8 +209,8 @@ def test_backend_defaults_come_from_the_constructor(data):
     assert (gateway.model, gateway.backoff_s) == ("completion-model", 0.25)
     assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.dim == 64  # the bundle's
     mock = _build(data, {"gateway": {"backend": "mock", "mock_script": str(data / "mock.json"),
-                                     "url": "ignored by the mock backend"}}, "hyde").gateway
-    assert isinstance(mock, MockGateway) and mock.backoff_s == 0.0
+                                     "url": "ignored by the mock backend", "retries": 5}}, "hyde").gateway
+    assert isinstance(mock, MockGateway) and (mock.retries, mock.backoff_s) == (0, 0.0)  # never retries
 
 
 def test_set_keys_reach_the_classes(data):
@@ -219,7 +219,7 @@ def test_set_keys_reach_the_classes(data):
         "fusion": {"alpha": 0.25},
         "hyde": {"n_samples": 2},
         "judge": {"backend": "llm", "template_id": "rg_yn", "max_doc_tokens": 7},
-        "gateway": {"backend": "mock", "mock_script": str(data / "mock.json"), "retries": 5},
+        "gateway": {**_HTTP_GATEWAY, "retries": 5},
     })
     assert (engine.config.k_initial, engine.config.max_kstar, engine.config.llm_max_workers) == (3, 2, 2)
     assert engine.fusion_config.alpha == 0.25 and engine.hyde_config.n_samples == 2
@@ -326,8 +326,7 @@ def test_real_keys_are_read_from_the_classes():
     assert set(_real_keys()) >= {
         ("fusion", None, "alpha"), ("hyde", None, "temperature"), ("judge", "lexical", "threshold"),
         ("gateway", "http", "timeout"), ("gateway", "http", "backoff_s"),
-        ("gateway", "mock", "logprob_delay_s"), ("gateway", "mock", "text_delay_s"),
-        ("gateway", "mock", "backoff_s")}
+        ("gateway", "mock", "logprob_delay_s"), ("gateway", "mock", "text_delay_s")}
 
 
 @pytest.mark.parametrize("value", ["x", math.nan, -1, math.inf, True], ids=repr)
@@ -352,7 +351,6 @@ def test_seconds_key_past_a_day_exits_2(data, monkeypatch, capsys, section, back
 
 @pytest.mark.parametrize("sections, message", [
     ({"gateway": {**_HTTP_GATEWAY, "retries": -1}}, "retries must be >= 0, got -1"),
-    (_sections_setting("gateway", "mock", {"retries": -1}), "retries must be >= 0, got -1"),
     (_sections_setting("judge", "llm", {"template_id": "rg_yn", "negative_token": "Yes"}),
      "positive_token and negative_token are both 'Yes'"),
     ({"gateway": {"backend": ["x"]}}, "unknown gateway.backend ['x']"),
@@ -369,8 +367,6 @@ def test_seconds_key_past_a_day_exits_2(data, monkeypatch, capsys, section, back
     (_sections_setting("gateway", "mock", {"logprob_delay_s": float("inf")}),
      "logprob_delay_s must be a finite number in [0, 86400], got inf"),
     ({"gateway": {**_HTTP_GATEWAY, "backoff_s": "x"}}, "backoff_s must be a finite number in [0, 86400], got 'x'"),
-    (_sections_setting("gateway", "mock", {"backoff_s": "x"}),
-     "backoff_s must be a finite number in [0, 86400], got 'x'"),
     ({"gateway": {**_HTTP_GATEWAY, "timeout": 0}}, "timeout must be a finite number in (0, 86400], got 0"),
 ])
 def test_wrongly_typed_or_negative_value_exits_2(data, monkeypatch, capsys, sections, message):

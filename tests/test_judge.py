@@ -167,6 +167,26 @@ class TestScoreRelevance:
         with pytest.raises(JudgeUnavailable):
             score_relevance(judge, QUERY, "d1", "doc")
 
+    @pytest.mark.parametrize("entry", [{"text": "x"}, {"text": "x", "first_token_logprobs": {}}],
+                             ids=["no map", "empty map"])
+    def test_scripted_reply_without_a_usable_map_is_unavailable(self, entry):
+        mock = MockGateway([{"match_substring": "", **entry}])
+        with pytest.raises(JudgeUnavailable, match="no usable first-token logprobs"):
+            LlmJudge(mock).p_relevant(QUERY, "d1", "doc")
+        assert mock.counter.attempts == 1  # not retried
+
+    @pytest.mark.parametrize("logprobs", [
+        None, {}, [-0.1, -2.0], {"1": "high"}, {"1": -0.1, "0": None}, {"1": True},
+    ], ids=repr)
+    def test_http_reply_without_a_usable_map_is_unavailable(self, http_server, logprobs):
+        url, state = http_server
+        reply = {"text": "1"} if logprobs is None else {"text": "1", "first_token_logprobs": logprobs}
+        state["handler"] = lambda body: (200, reply)
+        gw = HttpGateway(url, "m", retries=3, backoff_s=0.0)
+        with pytest.raises(JudgeUnavailable, match="no usable first-token logprobs"):
+            LlmJudge(gw).p_relevant(QUERY, "d1", "doc")
+        assert gw.counter.attempts == 1  # not retried
+
     def test_custom_tokens(self):
         judge = llm_judge_for(
             [{"match_substring": "", "text": "Yes",

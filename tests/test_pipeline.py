@@ -556,19 +556,20 @@ class TestRerankSearch:
 # required_components(method, retriever, policy) for every method, pinned so that an edit of the
 # method table cannot change what a method needs: one row of cells per initial retriever (sparse,
 # dense, hybrid), one cell per default policy (encoder_only, hyde_prf, none), one letter per
-# component in the order returned: S sparse_index, D dense_index, J judge, G gateway
+# component in the order returned: S sparse_index, D dense_index, E encoder, J judge, G gateway
 REQUIRED = {
     "bm25": (("S", "S", "S"), ("S", "S", "S"), ("S", "S", "S")),
-    "dense": (("D", "D", "D"), ("D", "D", "D"), ("D", "D", "D")),
-    "hybrid": (("SD", "SD", "SD"), ("SD", "SD", "SD"), ("SD", "SD", "SD")),
-    "avgprf": (("SD", "SD", "SD"), ("D", "D", "D"), ("SD", "SD", "SD")),
-    "hyde": (("DG", "DG", "DG"), ("DG", "DG", "DG"), ("DG", "DG", "DG")),
-    "hyde-prf": (("SDG", "SDG", "SDG"), ("DG", "DG", "DG"), ("SDG", "SDG", "SDG")),
-    "rede": (("SDJ", "SDJG", "SDJ"), ("DJ", "DJG", "DJ"), ("SDJ", "SDJG", "SDJ")),
-    "rede-hyde-default": (("SDJG", "SDJG", "SDJG"), ("DJG", "DJG", "DJG"), ("SDJG", "SDJG", "SDJG")),
-    "rerank": (("SJ", "SJ", "SJ"), ("DJ", "DJ", "DJ"), ("SDJ", "SDJ", "SDJ")),
+    "dense": (("DE", "DE", "DE"), ("DE", "DE", "DE"), ("DE", "DE", "DE")),
+    "hybrid": (("SDE", "SDE", "SDE"), ("SDE", "SDE", "SDE"), ("SDE", "SDE", "SDE")),
+    "avgprf": (("SDE", "SDE", "SDE"), ("DE", "DE", "DE"), ("SDE", "SDE", "SDE")),
+    "hyde": (("DEG", "DEG", "DEG"), ("DEG", "DEG", "DEG"), ("DEG", "DEG", "DEG")),
+    "hyde-prf": (("SDEG", "SDEG", "SDEG"), ("DEG", "DEG", "DEG"), ("SDEG", "SDEG", "SDEG")),
+    "rede": (("SDEJ", "SDEJG", "SDEJ"), ("DEJ", "DEJG", "DEJ"), ("SDEJ", "SDEJG", "SDEJ")),
+    "rede-hyde-default": (("SDEJG", "SDEJG", "SDEJG"), ("DEJG", "DEJG", "DEJG"),
+                          ("SDEJG", "SDEJG", "SDEJG")),
+    "rerank": (("SJ", "SJ", "SJ"), ("DEJ", "DEJ", "DEJ"), ("SDEJ", "SDEJ", "SDEJ")),
 }
-_COMPONENT = {"S": "sparse_index", "D": "dense_index", "J": "judge", "G": "gateway"}
+_COMPONENT = {"S": "sparse_index", "D": "dense_index", "E": "encoder", "J": "judge", "G": "gateway"}
 
 
 class TestRequiredComponents:
@@ -587,6 +588,9 @@ class TestRequiredComponents:
         ("hybrid", "dense_index"),
         ("rede", "dense_index"),
         ("avgprf", "dense_index"),
+        ("dense", "encoder"),
+        ("hybrid", "encoder"),
+        ("rede", "encoder"),
         ("rede", "judge"),
         ("rerank", "judge"),
         ("rerank", "sparse_index"),
@@ -600,7 +604,7 @@ class TestRequiredComponents:
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), gateway=gateway,
                             initial_retriever="sparse")
         setattr(engine, missing, None)
-        with pytest.raises(ConfigError, match=missing.replace("_", " ")):
+        with pytest.raises(ConfigError, match=f"requires an? {missing.replace('_', ' ')}"):
             engine.search(method, QUERY)
         assert gateway.counter.total == 0  # checked before any stage runs
 
