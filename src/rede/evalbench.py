@@ -1,7 +1,8 @@
 """Ranking metrics, latency measurement, and distillation-set export.
 
 NDCG uses the linear-gain trec_eval convention rel / log2(rank + 1);
-exponential gain (2^rel - 1) is available behind a flag. Queries absent
+exponential gain (2^rel - 1) is available behind a flag; a query whose
+ideal DCG is past float range is a PreconditionViolation. Queries absent
 from the qrels are excluded from the mean; queries present with only
 zero-relevance entries score 0.
 """
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Qrels, Query, RankedList
-from .errors import EmptyRun, check_count
+from .errors import EmptyRun, PreconditionViolation, check_count
 from .pipeline import SearchTrace
 
 
@@ -52,24 +53,32 @@ class LatencyReport:
 
 
 def _gain(rel: int, gain: str) -> float:
-    return float(rel) if gain == "linear" else float(2**rel - 1)
+    """The gain of a positive relevance; an exponential one past float range (2^1024 - 1 rounds
+    past the largest float) is inf, which ndcg_at_k refuses, without building 2^rel."""
+    return float(rel) if gain == "linear" else float(2**rel - 1) if rel < 1024 else math.inf
 
 
 def ndcg_at_k(ranked: RankedList, qrels_for_query: dict[str, int], k: int,
               gain: str = "linear") -> float:
-    """NDCG truncated at k; 0.0 when the query has no positive judgments."""
+    """NDCG truncated at k; 0.0 when the query has no positive judgments.
+
+    An ideal DCG past float range raises PreconditionViolation naming the top relevance: the
+    ratio would read NaN, or 0 for a ranking whose own DCG is finite.
+    """
     check_count("k", k, 1)
     if gain not in ("linear", "exp"):
         raise ValueError(f"gain must be 'linear' or 'exp', got {gain!r}")
     positives = sorted((rel for rel in qrels_for_query.values() if rel > 0), reverse=True)
     if not positives:
         return 0.0
+    idcg = sum(_gain(rel, gain) / math.log2(i + 1) for i, rel in enumerate(positives[:k], start=1))
+    if not math.isfinite(idcg):
+        raise PreconditionViolation(f"relevance {positives[0]} puts the {gain}-gain ideal DCG past float range")
     dcg = 0.0
     for i, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
         rel = qrels_for_query.get(doc_id, 0)
         if rel > 0:
             dcg += _gain(rel, gain) / math.log2(i + 1)
-    idcg = sum(_gain(rel, gain) / math.log2(i + 1) for i, rel in enumerate(positives[:k], start=1))
     return dcg / idcg
 
 

@@ -4,9 +4,13 @@ Backends implement ``send(request) -> CompletionResponse``. ``complete``
 is transport only: it adds bounded retries with exponential backoff and
 feeds the per-backend instrumentation counter, which callers read, and the
 counter of the query being searched, which fills its trace; the latency
-harness sums the traces. A logprob reply is returned as the backend gave
-it: whether its map can be read is the judge's rule. The HTTP backend
-speaks a minimal completion protocol:
+harness sums the traces. A reply is returned as the backend gave it:
+whether its logprob map can be read is the judge's rule, whether its text
+can be used is HyDE's. Reply JSON from outside the program (an HTTP reply,
+a script file) is decoded with one number rule: an integer reads as the
+float the same digits would, so one past float range is ±inf, never an
+OverflowError; in-process replies are passed on as they are. The HTTP
+backend speaks a minimal completion protocol:
 
     POST {"model", "prompt", "max_tokens", "temperature", "logprobs": N}
     ->   {"text", "first_token_logprobs": {token: logprob}}
@@ -92,13 +96,15 @@ QUERY_CALLS: ContextVar[CallCounter | None] = ContextVar("QUERY_CALLS", default=
 
 
 def post_json(url: str, payload: dict, timeout: float) -> dict:
-    """The reply's JSON object. A timeout is BackendTimeout; a 4xx other than 408 (request
-    timeout) and 429 (rate limit) is the request's fault, BackendRejected; any other
-    failure, or a reply that is not a JSON object, is BackendUnavailable."""
+    """The reply's JSON object, its integers read as floats (one past float range is ±inf).
+
+    A timeout is BackendTimeout; a 4xx other than 408 (request timeout) and 429 (rate
+    limit) is the request's fault, BackendRejected; any other failure, or a reply that is
+    not a JSON object, is BackendUnavailable."""
     try:
         resp = requests.post(url, json=payload, timeout=timeout)
         resp.raise_for_status()
-        obj = resp.json()
+        obj = resp.json(parse_int=float)
     except requests.Timeout as exc:
         raise BackendTimeout(f"backend at {url} timed out") from exc
     except requests.HTTPError as exc:
@@ -158,8 +164,10 @@ class MockGateway:
 
     @classmethod
     def from_script_file(cls, mock_script: str, **kwargs) -> "MockGateway":
+        """The gateway of a JSON script file, its integers read as floats, as ``post_json`` reads
+        a reply; a script given in-process is replayed with its values as they are."""
         with open(mock_script, "r", encoding="utf-8") as f:
-            return cls(json.load(f), **kwargs)
+            return cls(json.load(f, parse_int=float), **kwargs)
 
     def send(self, request: CompletionRequest) -> CompletionResponse:
         delay = self.logprob_delay_s if request.want_first_token_logprobs else self.text_delay_s
@@ -176,11 +184,10 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
 
     Transport errors (BackendUnavailable, BackendTimeout) are retried up to
     ``backend.retries`` times before propagating; anything else propagates at
-    once. A generation reply whose text is not a string counts as
-    BackendUnavailable, as a reply that is not a JSON object does. A logprob
-    reply is returned whatever its map: the judge reads it. The call is
-    counted on ``backend.counter`` and on the ``QUERY_CALLS`` counter of the
-    current context, if one is set; attempts only on ``backend.counter``.
+    once. The reply is returned as the backend gave it: the judge reads its
+    logprob map and HyDE its text. The call is counted on ``backend.counter``
+    and on the ``QUERY_CALLS`` counter of the current context, if one is set;
+    attempts only on ``backend.counter``.
     """
     backend.counter.record_call(request.want_first_token_logprobs)
     query_calls = QUERY_CALLS.get()
@@ -189,10 +196,7 @@ def complete(backend, request: CompletionRequest) -> CompletionResponse:
     for attempt in range(backend.retries + 1):
         backend.counter.record_attempt()
         try:
-            response = backend.send(request)
-            if not (request.want_first_token_logprobs or isinstance(response.text, str)):
-                raise BackendUnavailable(f"backend replied with a {type(response.text).__name__} text")
-            return response
+            return backend.send(request)
         except (BackendUnavailable, BackendTimeout):
             if attempt == backend.retries:
                 raise

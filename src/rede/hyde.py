@@ -64,9 +64,10 @@ def generate_hypothetical_docs(
     """Sample n_samples hypothetical documents for the query, in sample-index order.
 
     ``context_texts`` are ranked documents, best first; none, or an empty
-    list, gives the plain prompt. An empty completion is retried once and
-    then dropped with a warning; if every sample ends up empty,
-    AllSamplesEmpty is raised.
+    list, gives the plain prompt. A sample is HyDE's to read: the gateway
+    hands its text over as the backend gave it. An empty or non-string
+    sample is retried once and then dropped with a warning; if every sample
+    ends up dropped, AllSamplesEmpty is raised.
     """
     context = context_texts[: config.context_docs or None] if context_texts else None
     prompt = render_hyde_prompt(
@@ -81,17 +82,18 @@ def generate_hypothetical_docs(
     )
 
     def sample(_: int) -> str:
-        text = complete(gateway, request).text
-        if not text.strip():
-            text = complete(gateway, request).text  # one retry for an empty sample
-        return text
+        for _attempt in range(2):  # an empty or non-string sample is retried once
+            text = complete(gateway, request).text
+            if isinstance(text, str) and text.strip():
+                return text
+        return ""  # dropped below, as an empty sample is
 
     docs = []
     for i, text in enumerate(map_in_order(sample, range(config.n_samples), max_workers)):
-        if text.strip():
+        if text:
             docs.append(text)
         else:
             log.warning("dropping empty hypothetical document sample %d for query %s", i, query.query_id)
     if not docs:
-        raise AllSamplesEmpty(f"all {config.n_samples} samples were empty for query {query.query_id}")
+        raise AllSamplesEmpty(f"all {config.n_samples} samples were empty or not text for query {query.query_id}")
     return docs

@@ -289,14 +289,14 @@ class SearchEngine:
         return result
 
     def _encode(self, texts: list[str]) -> np.ndarray:
-        """The one encoder boundary: a reply holds one finite vector of the index's dim per text."""
-        return check_vectors("encoder reply", self.encoder.encode(texts), (len(texts), self.dense_index.dim))
+        """The one encoder boundary: a reply holds one finite vector of the index's dim per text.
 
-    def _hyde_refine(self, query: Query, qvec: np.ndarray, candidates: RankedList) -> np.ndarray:
-        context = [self.doc_texts[d] for d in candidates.doc_ids()]
-        docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query, context,
-                                          self.config.llm_max_workers)
-        return mean_update(qvec, list(self._encode(docs)))
+        The reply is read in the index's dtype (float32), the one every later stage computes
+        in: a finite value past its range reads as inf, so it is NonFiniteVector here.
+        """
+        with np.errstate(over="ignore"):
+            reply = np.asarray(self.encoder.encode(texts), dtype=self.dense_index.vectors.dtype)
+        return check_vectors("encoder reply", reply, (len(texts), self.dense_index.dim))
 
     def search(self, method: str, query: Query, default_policy: str | None = None
                ) -> tuple[RankedList, SearchTrace]:
@@ -353,22 +353,23 @@ class SearchEngine:
             if not feedback and row.feedback in ("judge", "all"):  # the policy's fallback follows
                 trace.path_reason = ("no_candidates" if not candidates.entries
                                      else trace.path_reason or "judge_none_relevant")
-            if row.feedback == "hyde":
-                with run.stage("generation"):
-                    refined = self._hyde_refine(query, qvec, candidates)
-            elif feedback:
+            if feedback:
                 with run.stage("update"):
                     refined = mean_update(qvec, [fetch_embedding(self.dense_index, d) for d in feedback])
             elif policy == "encoder_only":
                 refined = qvec
                 trace.path_taken = "default_encoder"
-            elif policy == "hyde_prf":
-                with run.stage("generation"):
-                    refined = self._hyde_refine(query, qvec, candidates)
-                trace.path_taken = "default_hyde_prf"
-            else:  # "none": ablation mode, no results for this query
+            elif policy == "none":  # ablation mode, no results for this query
                 trace.path_taken = "none"
                 return RankedList(query.query_id, []), trace
+            else:  # the hyde rows' own feedback (they take no policy), or the hyde_prf policy
+                with run.stage("generation"):
+                    context = [self.doc_texts[d] for d in candidates.doc_ids()]
+                    docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query, context,
+                                                      cfg.llm_max_workers)
+                    refined = mean_update(qvec, self._encode(docs))
+                if policy == "hyde_prf":
+                    trace.path_taken = "default_hyde_prf"
 
             with run.stage("final_search"):
                 result = self._retrieve("dense", cfg.output_depth, query, refined)

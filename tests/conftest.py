@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rede.corpus import Document
+from rede.gateway import CompletionResponse, MockGateway
 
 
 @pytest.fixture
@@ -52,6 +53,22 @@ def http_server():
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture
+def text_sequence_gateway():
+    """Factory of mock gateways that reply with the given texts, one per call, in call order."""
+
+    def make(texts):
+        replies = iter(texts)
+
+        class SequenceGateway(MockGateway):
+            def send(self, request):
+                return CompletionResponse(next(replies))
+
+        return SequenceGateway([])
+
+    return make
 
 
 def make_vectors(rows):

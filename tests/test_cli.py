@@ -181,6 +181,17 @@ def test_eval_rejects_k_zero(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: k must be >= 1")
 
 
+def test_eval_exponential_gain_past_float_range_exits_2(workspace, capsys):
+    run_path, qrels = workspace / "run.trec", workspace / "qrels.txt"
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--out", str(run_path)]) == 0
+    qrels.write_text(qrels.read_text() + "q1 0 d5 1100\n")
+    capsys.readouterr()
+    assert run_command(["eval", "--run", str(run_path), "--qrels", str(qrels), "--gain", "exp"]) == 2
+    assert capsys.readouterr().err == "error: relevance 1100 puts the exp-gain ideal DCG past float range\n"
+    assert run_command(["eval", "--run", str(run_path), "--qrels", str(qrels)]) == 0
+
+
 @pytest.mark.parametrize("method", ["bm25", "dense", "hybrid", "avgprf", "rede",
                                     "rede-hyde-default", "hyde", "hyde-prf", "rerank"])
 def test_search_every_method(workspace, method):
@@ -423,10 +434,11 @@ def _script_judge(workspace, entries):
 
 @pytest.mark.parametrize("text", [None, 5])
 def test_hyde_reply_text_that_is_not_a_string_exits_2(workspace, capsys, text):
+    # each sample is retried once, then dropped; with none left, the query fails
     (workspace / "mock_script.json").write_text(json.dumps([{"match_substring": "", "text": text}]))
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "hyde",
                         "--out", str(workspace / "r.trec")]) == 2
-    assert f"replied with a {type(text).__name__} text" in capsys.readouterr().err
+    assert "samples were empty or not text for query q1" in capsys.readouterr().err
 
 
 def test_judge_writes_the_rerank_judgments(workspace):

@@ -487,6 +487,13 @@ class TestHttpEncoder:
             with pytest.raises(error):
                 HttpEncoder(url, 2).encode(["x", "y"][: len(vectors)])
 
+    def test_integer_past_float_range_is_non_finite(self, http_server):
+        # the reply's JSON integer reads as the float inf, not an OverflowError in the float32 cast
+        url, state = http_server
+        state["handler"] = lambda body: (200, {"vectors": [[int("1" * 400), 0.5]]})
+        with pytest.raises(NonFiniteVector):
+            HttpEncoder(url, 2).encode(["x"])
+
 
 @pytest.mark.parametrize("dim, message", [
     (0, "dim must be >= 1, got 0"), (1.5, "dim must be an integer, got 1.5"),

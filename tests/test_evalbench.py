@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rede.corpus import Query, RankedList
-from rede.errors import EmptyRun
+from rede.errors import EmptyRun, PreconditionViolation
 from rede.evalbench import (
     evaluate_run,
     export_distill_dataset,
@@ -54,6 +54,14 @@ class TestNdcg:
         dcg = 1 / math.log2(2) + 7 / math.log2(3)
         idcg = 7 / math.log2(2) + 1 / math.log2(3)
         assert got == pytest.approx(dcg / idcg, abs=1e-12)
+
+    @pytest.mark.parametrize("qrels", [{"a": 1024}, {"a": 1100}, {"a": 1023, "b": 1023, "c": 1023}],
+                             ids=["1024", "1100", "sum past range"])
+    def test_exponential_gain_past_float_range_is_refused(self, qrels):
+        top = max(qrels.values())
+        with pytest.raises(PreconditionViolation, match=f"relevance {top} puts the exp-gain ideal DCG"):
+            ndcg_at_k(ranked("a", "b", "c"), qrels, 10, gain="exp")
+        assert ndcg_at_k(ranked("a", "b", "c"), qrels, 10) == 1.0  # linear gain is unchanged
 
     @pytest.mark.parametrize("k, message", [(2.5, "k must be an integer, got 2.5"),
                                             (0, "k must be >= 1, got 0")])

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from rede.corpus import Query
-from rede.errors import AllSamplesEmpty, BackendUnavailable, UnknownTemplate
+from rede.errors import AllSamplesEmpty, UnknownTemplate
 from rede.gateway import MockGateway
 from rede.hyde import (
     HYDE_TASK_FAMILIES,
@@ -149,12 +149,16 @@ class TestGenerate:
         cfg = HydeConfig(n_samples=1, context_docs=2)
         assert generate_hypothetical_docs(mock, cfg, QUERY, context) == ["plain"]
 
-    @pytest.mark.parametrize("text, kind", [(None, "NoneType"), (5, "int")])
-    def test_a_text_that_is_not_a_string_is_backend_unavailable(self, text, kind):
+    @pytest.mark.parametrize("text", [None, 5])
+    def test_a_text_that_is_not_a_string_is_retried_once_then_dropped(self, text, text_sequence_gateway):
         mock = MockGateway([{"match_substring": "", "text": text}])
-        with pytest.raises(BackendUnavailable, match=f"replied with a {kind} text"):
-            generate_hypothetical_docs(mock, HydeConfig(n_samples=1), QUERY)
-        assert mock.counter.attempts == mock.retries + 1  # retried like a garbled reply
+        with pytest.raises(AllSamplesEmpty, match="all 2 samples were empty or not text for query q1"):
+            generate_hypothetical_docs(mock, HydeConfig(n_samples=2), QUERY)
+        assert mock.counter.attempts == 4  # each sample retried once, one attempt per call
+        # sample 0 is kept on its retry, sample 1 dropped, sample 2 kept: string samples in order
+        mixed = text_sequence_gateway([text, "kept on retry", text, text, "last"])
+        assert generate_hypothetical_docs(mixed, HydeConfig(n_samples=3), QUERY) == ["kept on retry", "last"]
+        assert mixed.counter.attempts == 5
 
     def test_empty_logprob_map_on_a_text_reply_is_ignored(self):
         mock = MockGateway([{"match_substring": "", "text": "a passage", "first_token_logprobs": {}}])

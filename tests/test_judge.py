@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -88,6 +89,22 @@ class TestRenderPrompt:
 
 def llm_judge_for(script, **kwargs):
     return LlmJudge(MockGateway(script), **kwargs)
+
+
+# JSON integers past float range read as ±inf: a -inf logprob is a valid judgment, an +inf
+# one or two -inf ones are malformed
+HUGE = int("1" * 400)
+JSON_INTEGER_MAPS = [({"1": -HUGE, "0": -1.0}, 0.0), ({"1": -1.0, "0": -HUGE}, 1.0),
+                     ({"1": HUGE, "0": -1.0}, JudgeUnavailable), ({"1": -HUGE, "0": -HUGE}, JudgeUnavailable)]
+JSON_INTEGER_IDS = ["positive -inf", "negative -inf", "positive +inf", "both -inf"]
+
+
+def assert_judged(judge, expected):
+    if expected is JudgeUnavailable:
+        with pytest.raises(JudgeUnavailable, match="malformed logprobs"):
+            score_relevance(judge, QUERY, "d1", "doc")
+    else:
+        assert score_relevance(judge, QUERY, "d1", "doc").p_relevant == expected
 
 
 class TestScoreRelevance:
@@ -186,6 +203,18 @@ class TestScoreRelevance:
         with pytest.raises(JudgeUnavailable, match="no usable first-token logprobs"):
             LlmJudge(gw).p_relevant(QUERY, "d1", "doc")
         assert gw.counter.attempts == 1  # not retried
+
+    @pytest.mark.parametrize("logprobs, expected", JSON_INTEGER_MAPS, ids=JSON_INTEGER_IDS)
+    def test_script_file_integer_past_float_range(self, tmp_path, logprobs, expected):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"match_substring": "", "text": "1", "first_token_logprobs": logprobs}]))
+        assert_judged(LlmJudge(MockGateway.from_script_file(str(script))), expected)
+
+    @pytest.mark.parametrize("logprobs, expected", JSON_INTEGER_MAPS, ids=JSON_INTEGER_IDS)
+    def test_http_integer_past_float_range(self, http_server, logprobs, expected):
+        url, state = http_server
+        state["handler"] = lambda body: (200, {"text": "1", "first_token_logprobs": logprobs})
+        assert_judged(LlmJudge(HttpGateway(url, "m", retries=0)), expected)
 
     def test_custom_tokens(self):
         judge = llm_judge_for(

@@ -13,7 +13,7 @@ import rede.pipeline
 from rede.corpus import Document, Query, RankedList, write_run_file
 from rede.dense import build_dense_index, dense_search
 from rede.errors import (
-    BackendUnavailable,
+    AllSamplesEmpty,
     ConfigError,
     DimMismatch,
     EmptyRelevantSet,
@@ -658,11 +658,26 @@ class TestBlankQuery:
 
 
 @pytest.mark.parametrize("text", [None, 5])
-def test_hyde_sample_that_is_not_a_string_raises_backend_unavailable(text):
+def test_hyde_sample_that_is_not_a_string_is_retried_once_then_dropped(text, text_sequence_gateway):
     gateway = MockGateway([{"match_substring": "", "text": text}])
     engine = toy_engine(OracleJudge({}), gateway=gateway)
-    with pytest.raises(BackendUnavailable, match="text"):
+    with pytest.raises(AllSamplesEmpty, match="all 4 samples were empty or not text for query q1"):
         engine.search("hyde", QUERY)
+    assert gateway.counter.total == 8  # each sample retried once
+    # of the 4 samples, 0 is kept on its retry, 1 kept, 2 dropped, 3 kept on its retry
+    engine.gateway = text_sequence_gateway([text, "first", "second", text, text, text, "third"])
+    samples = {"first": vec(0.0, 1.0), "second": vec(0.5, 0.5), "third": vec(0.9, 0.1)}
+    encoded = []
+
+    class RecordingEncoder(TableEncoder):
+        def encode(self, texts):
+            encoded.append(texts)
+            return super().encode(texts)
+
+    engine.encoder = RecordingEncoder({QUERY.text: QUERY_VEC, **samples}, 2)
+    _, trace = engine.search("hyde", QUERY)
+    assert encoded[-1] == ["first", "second", "third"]
+    assert trace.refined_vector.tobytes() == mean_update(QUERY_VEC, list(samples.values())).tobytes()
 
 
 class ScriptedEncoder:
@@ -693,6 +708,16 @@ class TestEncoderBoundary:
         # +inf and -inf in one dimension made mean_update's fsum raise an untyped ValueError
         engine = hyde_engine(ScriptedEncoder([[np.inf, 0.0], [-np.inf, 0.0]] * 2))
         with pytest.raises(NonFiniteVector):
+            engine.search(method, QUERY, default_policy=policy)
+
+    @pytest.mark.parametrize("method, policy", HYDE_SEARCHES)
+    def test_float64_samples_past_float32_range_raise_typed_error(self, method, policy):
+        # finite in float64, ±inf in the float32 the engine computes in: mean_update's fsum
+        # of +inf and -inf raised an untyped ValueError
+        encoder = ScriptedEncoder([[0.5, 0.5]] * 4)
+        encoder.sample_reply = np.array([[1e39, 0.0], [-1e39, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        engine = hyde_engine(encoder)
+        with pytest.raises(NonFiniteVector, match="encoder reply holds a NaN or inf"):
             engine.search(method, QUERY, default_policy=policy)
 
     @pytest.mark.parametrize("method, policy", HYDE_SEARCHES)
