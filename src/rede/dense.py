@@ -9,7 +9,9 @@ once. Search is exact brute force by inner product; ties break by
 ascending doc_id. A score that is not finite (float32 overflow of finite
 vectors) is an error, not a rank. One module lock, ``_PRODUCT_LOCK``,
 serializes the inner products of concurrent searches, so BLAS's thread
-pool serves one query at a time.
+pool serves one query at a time. Within one engine query, ``QUERY_SCORES``
+holds the scores of each query vector searched so far, so a search with the
+same vector over the same index reuses them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,11 @@ _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 # with one client nothing waits on it, and with OPENBLAS_NUM_THREADS=1 a wait
 # lasts one single-threaded product.
 _PRODUCT_LOCK = threading.Lock()
+
+# The current query's scores, keyed by (id of the index, float32 query bytes); each value
+# holds its index, so no other index can take that id while the memo lives. Set per query
+# by the engine; a search outside one computes its product every time.
+QUERY_SCORES: ContextVar[dict | None] = ContextVar("QUERY_SCORES", default=None)
 
 
 @dataclass(eq=False)  # equality is identity: the fields are numpy arrays
@@ -172,15 +180,22 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedL
     """Top-k by inner product over every row, ties broken by ascending doc_id.
 
     The product runs in the index's float32 whatever the query's dtype; a
-    finite query value past float32's range gives a non-finite score.
+    finite query value past float32's range gives a non-finite score. Inside
+    an engine query, the scores of a vector already searched are reused.
     """
     q = check_vectors("query vector", query_vector, (index.dim,))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteVector below
         q = q.astype(index.vectors.dtype, copy=False)  # a float64 query would upcast every row
-        with _PRODUCT_LOCK:
-            scores = index.vectors @ q
+    memo, key = QUERY_SCORES.get(), (id(index), q.tobytes())
+    hit = None if memo is None else memo.get(key)
+    if hit is not None:
+        return _top_k(index.ids, hit[1], None, k)
+    with np.errstate(over="ignore", invalid="ignore"), _PRODUCT_LOCK:
+        scores = index.vectors @ q
     if not np.isfinite(scores).all():
         raise NonFiniteVector("inner product overflows: a score is NaN or inf")
+    if memo is not None:
+        memo[key] = (index, scores)
     return _top_k(index.ids, scores, None, k)
 
 

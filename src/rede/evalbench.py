@@ -53,9 +53,13 @@ class LatencyReport:
 
 
 def _gain(rel: int, gain: str) -> float:
-    """The gain of a positive relevance; an exponential one past float range (2^1024 - 1 rounds
-    past the largest float) is inf, which ndcg_at_k refuses, without building 2^rel."""
-    return float(rel) if gain == "linear" else float(2**rel - 1) if rel < 1024 else math.inf
+    """The gain of a positive relevance; one past float range is inf, which ndcg_at_k refuses.
+    An exponential one is inf from rel 1024 on (2^1024 - 1 rounds past the largest float),
+    without building 2^rel."""
+    try:
+        return float(rel) if gain == "linear" else float(2**rel - 1) if rel < 1024 else math.inf
+    except OverflowError:  # a linear relevance that rounds past the largest float
+        return math.inf
 
 
 def ndcg_at_k(ranked: RankedList, qrels_for_query: dict[str, int], k: int,

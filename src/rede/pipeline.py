@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, Query, RankedList, _strictly_ascending
-from .dense import DenseIndex, dense_search, fetch_embedding
+from .dense import QUERY_SCORES, DenseIndex, dense_search, fetch_embedding
 from .errors import (
     ConfigError,
     DimMismatch,
@@ -160,16 +160,19 @@ def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndar
     """Mean of the query vector and all given vectors, permutation-exact.
 
     Per-dimension math.fsum makes the result independent of vector order, so
-    every method that sees the same vectors gets the same bits.
+    every method that sees the same vectors gets the same bits. The vectors are
+    read in float32; a value that is not finite there is NonFiniteVector.
     """
     vectors = list(vectors)
     if not vectors:
         raise EmptyRelevantSet("mean update requires at least one vector")
-    q = np.asarray(query_vec, dtype=np.float32)
-    for v in vectors:
-        if np.asarray(v).shape != q.shape:
-            raise DimMismatch(f"mean update: vector shape {np.asarray(v).shape} != query shape {q.shape}")
-    stacked = np.vstack([q] + [np.asarray(v, dtype=np.float32) for v in vectors]).astype(np.float64)
+    with np.errstate(over="ignore"):  # past float32's range reads as inf, refused below
+        q, *rows = [np.asarray(v, dtype=np.float32) for v in [query_vec, *vectors]]
+    for v in rows:
+        if v.shape != q.shape:
+            raise DimMismatch(f"mean update: vector shape {v.shape} != query shape {q.shape}")
+    stacked = np.vstack([q, *rows])
+    stacked = check_vectors("mean update input", stacked, stacked.shape).astype(np.float64)
     totals = np.array(list(map(math.fsum, stacked.T.tolist())))
     return (totals / stacked.shape[0]).astype(np.float32)
 
@@ -187,10 +190,13 @@ def rerank_by_judge(candidates: RankedList, judgments: list[RelevanceJudgment]) 
 
 
 class _QueryRun:
-    """Per-query context: times stages into the trace and fills its LLM call counts.
+    """Per-query context: times stages into the trace, fills its LLM call counts
+    and keeps its dense scores.
 
     The calls are this query's own: ``complete`` records into the counter set
     in ``QUERY_CALLS`` here, and ``map_in_order`` carries it into worker threads.
+    The memo set in ``QUERY_SCORES`` lets the final search of an unrefined
+    vector reuse the first stage's product; it ends with the query.
     """
 
     def __init__(self, trace: SearchTrace):
@@ -198,9 +204,11 @@ class _QueryRun:
 
     def __enter__(self) -> "_QueryRun":
         self._t0, self._token = time.perf_counter(), QUERY_CALLS.set(self.calls)
+        self._scores_token = QUERY_SCORES.set({})
         return self
 
     def __exit__(self, *exc) -> None:
+        QUERY_SCORES.reset(self._scores_token)
         QUERY_CALLS.reset(self._token)
         self.trace.wall_times["total"] = time.perf_counter() - self._t0
         calls = self.calls

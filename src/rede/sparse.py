@@ -76,13 +76,15 @@ def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.nda
 
     Terms are numbered in order of first occurrence over the texts in order,
     ``_RUN_DOCS`` texts at a time, so only one run's token objects are held.
-    Tokens are keyed by their UTF-8 bytes, and each run picks its own path: an
-    all-ASCII run is joined around a 0xFF byte, tokenized as one byte string with
-    ``_ASCII_BYTES`` and one split; any other run is tokenized one text at a time,
-    each token encoded, a 0xFF after each text. 0xFF never occurs in UTF-8 and a
-    token never holds a surrogate, so every token encodes and none is the
-    boundary. The boundary is term 0, a token's row is the run's first row plus
-    the count of boundaries before it, and only the distinct terms are decoded.
+    Tokens are keyed by their UTF-8 bytes. An all-ASCII run is joined around a
+    0xFF byte, tokenized as one byte string with ``_ASCII_BYTES`` and one split;
+    any other run is tokenized one text at a time, a 0xFF after each text, and
+    each text picks its own path: an ASCII text is encoded, translated with
+    ``_ASCII_BYTES`` and split, any other goes through ``tokenize`` and each of
+    its tokens is encoded. 0xFF never occurs in UTF-8 and a token never holds
+    a surrogate, so every token encodes and none is the boundary. The boundary
+    is term 0, a token's row is the run's first row plus the count of
+    boundaries before it, and only the distinct terms are decoded.
     """
     n = len(texts)
     numbers = defaultdict()
@@ -94,7 +96,11 @@ def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.nda
         if all(map(str.isascii, run)):
             tokens = " \xff ".join(run).encode("latin-1").translate(_ASCII_BYTES).split()
         else:
-            tokens = [token for text in run for token in (*map(str.encode, tokenize(text)), b"\xff")]
+            tokens = []
+            for text in run:
+                tokens += (text.encode().translate(_ASCII_BYTES).split() if text.isascii()
+                           else map(str.encode, tokenize(text)))
+                tokens.append(b"\xff")
         keys = np.fromiter(map(numbers.__getitem__, tokens), dtype=np.int64, count=len(tokens))
         kept = keys != 0
         rows = np.cumsum(~kept)[kept]
@@ -140,21 +146,35 @@ def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> Spars
 def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
     """BM25 of every row; terms are added as count * contribution, in query-term order.
 
-    A term's rows are distinct and bincount adds each row's weights in input
-    order from 0.0, so this is one ``scores[rows] +=`` per term, bit for bit.
+    The query's term slices of ``pairs`` are gathered in query-term order into
+    one array, and each posting's weight is ``count * (idf * tf * (k1 + 1) /
+    (tf + norm[row]))`` with idf and count repeated per posting, in the order of
+    the per-term formula. A term's rows are distinct and bincount adds each
+    row's weights in input order from 0.0, so this is one ``scores[rows] +=``
+    per term, bit for bit.
     """
-    rows, weights = [], []
+    slices, dfs, idfs, counts = [], [], [], []
     for term, count in Counter(query_tokens).items():
         t = index.terms.get(term)
         if t is None:
             continue
-        row, tf = index.pairs[index.offsets[t] : index.offsets[t + 1]].T
-        idf = math.log(1 + (index.doc_count - len(row) + 0.5) / (len(row) + 0.5))
-        rows.append(row)
-        weights.append(count * (idf * tf * (index.k1 + 1) / (tf + index.norm[row])))
-    if not rows:
+        slices.append(index.pairs[index.offsets[t] : index.offsets[t + 1]])
+        df = len(slices[-1])
+        dfs.append(df)
+        idfs.append(math.log(1 + (index.doc_count - df + 0.5) / (df + 0.5)))
+        counts.append(count)
+    if not slices:
         return np.zeros(index.doc_count)
-    return np.bincount(np.concatenate(rows), np.concatenate(weights), minlength=index.doc_count)
+    postings = np.concatenate(slices)
+    rows, tf = postings[:, 0].astype(np.intp), postings[:, 1].astype(np.float64)
+    weights = np.repeat(idfs, dfs)
+    weights *= tf
+    weights *= index.k1 + 1
+    tf += index.norm[rows]  # now the denominator tf + norm[row]
+    weights /= tf
+    if max(counts) > 1:  # 1 * w is w
+        weights *= np.repeat(counts, dfs)
+    return np.bincount(rows, weights, minlength=index.doc_count)
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:

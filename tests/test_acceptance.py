@@ -270,7 +270,9 @@ def test_c06_default_path_identities():
 # ---------------------------------------------------------------------------
 
 def test_c07_latency_mechanism():
-    # delays dominate scheduler jitter so the 10% tolerance is meaningful
+    # calls run one after another, so a query's mean latency is at least the sum of its
+    # nominal delays (less 10%) and at most 10% over the time its sends were measured to
+    # take: load on the host that stretches the sleeps raises the upper bound with them
     d_judge, d_generate = 0.025, 0.050
     encoder = HashingEncoder(dim=16)
     rng = np.random.default_rng(11)
@@ -286,6 +288,17 @@ def test_c07_latency_mechanism():
         [JUDGE_YES, {"match_substring": "", "text": "a generated passage"}],
         logprob_delay_s=d_judge, text_delay_s=d_generate,
     )
+    sent_s = []
+    send = gateway.send
+
+    def timed_send(request):
+        t0 = time.perf_counter()
+        try:
+            return send(request)
+        finally:
+            sent_s.append(time.perf_counter() - t0)
+
+    gateway.send = timed_send
     cfg = PipelineConfig(initial_retriever="hybrid", k_initial=20, output_depth=40)
     engine = SearchEngine(corpus, sparse, dense, encoder, judge=LlmJudge(gateway),
                           gateway=gateway, config=cfg, hyde_config=HydeConfig(n_samples=8))
@@ -293,16 +306,18 @@ def test_c07_latency_mechanism():
     rede_report = measure_latency(lambda q: engine.search("rede", q), queries)
     assert rede_report.judge_calls == 20 * len(queries)
     assert rede_report.generation_calls == 0
-    expected_ms = 20 * d_judge * 1000
-    assert abs(rede_report.mean_ms - expected_ms) <= 0.10 * expected_ms
+    expected_ms, sent_ms = 20 * d_judge * 1000, sum(sent_s) * 1000 / len(queries)
+    assert expected_ms - 0.10 * expected_ms <= rede_report.mean_ms <= 1.10 * sent_ms
 
     gateway.counter.reset()
+    sent_s.clear()
     prf_report = measure_latency(lambda q: engine.search("hyde-prf", q), queries)
     assert prf_report.judge_calls == 0
     assert prf_report.generation_calls == 8 * len(queries)
-    expected_ms = 8 * d_generate * 1000
-    assert abs(prf_report.mean_ms - expected_ms) <= 0.10 * expected_ms
-    ok("7 latency: feedback path 20 judge calls ~ 20*d, generation path 8 calls ~ 8*d, within 10%")
+    expected_ms, sent_ms = 8 * d_generate * 1000, sum(sent_s) * 1000 / len(queries)
+    assert expected_ms - 0.10 * expected_ms <= prf_report.mean_ms <= 1.10 * sent_ms
+    ok("7 latency: feedback path 20 judge calls ~ 20*d, generation path 8 calls ~ 8*d, "
+       "at most 10% over the measured sends")
 
 
 # ---------------------------------------------------------------------------

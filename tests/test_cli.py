@@ -192,6 +192,18 @@ def test_eval_exponential_gain_past_float_range_exits_2(workspace, capsys):
     assert run_command(["eval", "--run", str(run_path), "--qrels", str(qrels)]) == 0
 
 
+def test_eval_linear_gain_past_float_range_exits_2(workspace, capsys):
+    run_path, qrels = workspace / "run.trec", workspace / "qrels.txt"
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--out", str(run_path)]) == 0
+    qrels.write_text(qrels.read_text() + f"q1 0 d5 {10**309}\n")
+    capsys.readouterr()
+    assert run_command(["eval", "--run", str(run_path), "--qrels", str(qrels)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: relevance {10**309} puts the linear-gain ideal DCG past float range\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("method", ["bm25", "dense", "hybrid", "avgprf", "rede",
                                     "rede-hyde-default", "hyde", "hyde-prf", "rerank"])
 def test_search_every_method(workspace, method):
@@ -273,6 +285,22 @@ def test_parallel_matches_serial(workspace):
     assert run_command(args + ["--out", str(serial)]) == 0
     assert run_command(args + ["--out", str(parallel), "--parallel", "3"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_parallel_matches_serial_on_both_rede_paths(workspace):
+    # the oracle judge finds q1's documents and none for q2 and q3, whose final searches
+    # reuse their first stage's dense scores
+    config = json.loads((workspace / "config.json").read_text())
+    config["judge"] = {"backend": "oracle"}
+    (workspace / "qrels.txt").write_text("".join(f"q1 0 {d} 1\n" for d in QRELS["q1"]))
+    (workspace / "config.json").write_text(json.dumps(config))
+    args = ["search", "--config", str(workspace / "config.json"), "--method", "rede"]
+    serial, parallel, trace = workspace / "s.trec", workspace / "p.trec", workspace / "p.jsonl"
+    assert run_command(args + ["--out", str(serial), "--parallel", "1"]) == 0
+    assert run_command(args + ["--out", str(parallel), "--parallel", "4", "--trace", str(trace)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    paths = {t["query_id"]: t["path_taken"] for t in map(json.loads, trace.read_text().splitlines())}
+    assert paths == {"q1": "rede", "q2": "default_encoder", "q3": "default_encoder"}
 
 
 @pytest.mark.parametrize("parallel", ["0", "-2"])

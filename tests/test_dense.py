@@ -511,16 +511,17 @@ def slow_reply(body):
     return 200, {"vectors": [[1.0, 2.0]]}
 
 
-@pytest.mark.parametrize("handler, error, message", [
-    (lambda body: (400, {}), BackendRejected, "rejected the request"),
-    (slow_reply, BackendTimeout, "timed out"),
-    (lambda body: (200, [[1.0, 2.0]]), BackendUnavailable, "replied with a JSON list"),
+@pytest.mark.parametrize("handler, timeout, error, message", [
+    (lambda body: (400, {}), 30.0, BackendRejected, "rejected the request"),
+    (slow_reply, 0.1, BackendTimeout, "timed out"),
+    (lambda body: (200, [[1.0, 2.0]]), 30.0, BackendUnavailable, "replied with a JSON list"),
 ], ids=["400", "slow", "json-list"])
-def test_http_errors_are_typed_as_the_gateways(http_server, handler, error, message):
+def test_http_errors_are_typed_as_the_gateways(http_server, handler, timeout, error, message):
+    # only the slow case times out: a short timeout on the others reads a late reply as BackendTimeout
     url, state = http_server
     state["handler"] = handler
     with pytest.raises(error, match=message):
-        HttpEncoder(url, 2, timeout=0.1).encode(["x"])
+        HttpEncoder(url, 2, timeout=timeout).encode(["x"])
     assert len(state["requests"]) == 1  # no retries
 
 

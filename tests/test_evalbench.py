@@ -63,6 +63,12 @@ class TestNdcg:
             ndcg_at_k(ranked("a", "b", "c"), qrels, 10, gain="exp")
         assert ndcg_at_k(ranked("a", "b", "c"), qrels, 10) == 1.0  # linear gain is unchanged
 
+    @pytest.mark.parametrize("rel", [10**309, 2**1024 - 2**970], ids=["309 digits", "rounds past range"])
+    def test_linear_gain_past_float_range_is_refused(self, rel):
+        with pytest.raises(PreconditionViolation, match=f"relevance {rel} puts the linear-gain ideal DCG"):
+            ndcg_at_k(ranked("a"), {"a": rel}, 10)
+        assert ndcg_at_k(ranked("a"), {"a": 2**1024 - 2**971}, 10) == 1.0  # the largest float
+
     @pytest.mark.parametrize("k, message", [(2.5, "k must be an integer, got 2.5"),
                                             (0, "k must be >= 1, got 0")])
     def test_k_must_be_an_integer_of_at_least_1(self, k, message):

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import rede.dense
 import rede.fusion
 import rede.pipeline
 
@@ -106,6 +108,15 @@ class TestUpdates:
     def test_empty_raises(self):
         with pytest.raises(EmptyRelevantSet):
             mean_update(vec(1, 0), [])
+
+    @pytest.mark.parametrize("query, vectors", [
+        (np.zeros(2, np.float32), [np.array([1e39, 0.0]), np.array([-1e39, 0.0])]),  # fsum(inf, -inf)
+        (np.array([1e39, 0.0]), [vec(1, 0)]),  # a query past float32's range
+        (vec(1, 0), [vec(np.nan, 0)]),
+    ], ids=["opposite", "query", "nan"])
+    def test_a_vector_not_finite_in_float32_raises_non_finite_vector(self, query, vectors):
+        with pytest.raises(NonFiniteVector, match="mean update input holds a NaN or inf"):
+            mean_update(query, vectors)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -424,6 +435,55 @@ class TestCallAccounting:
         engine.encoder.table["a hypothetical passage"] = vec(0.4, 0.4)
         _, trace = engine.search("hyde-prf", QUERY)
         assert (trace.judge_calls, trace.generation_calls) == (0, 4)
+
+
+class CountingLock:
+    """Stands in for ``rede.dense._PRODUCT_LOCK``: every inner product is taken under it."""
+
+    def __init__(self):
+        self.products, self._lock = 0, threading.Lock()
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.products += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+@pytest.fixture
+def product_lock(monkeypatch):
+    lock = CountingLock()
+    monkeypatch.setattr(rede.dense, "_PRODUCT_LOCK", lock)
+    return lock
+
+
+class TestOneProductPerQueryVector:
+    @pytest.mark.parametrize("retriever", ["dense", "hybrid"])
+    def test_default_encoder_search_reuses_the_first_stage_product(self, product_lock, retriever):
+        engine = toy_engine(OracleJudge({"q1": {}}), initial_retriever=retriever)
+        result, trace = engine.search("rede", QUERY)
+        assert trace.path_taken == "default_encoder"
+        assert product_lock.products == 1
+        assert result.entries == dense_search(engine.dense_index, QUERY_VEC, 6).entries
+
+    def test_refined_vector_search_computes_its_own_product(self, product_lock):
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}))
+        _, trace = engine.search("rede", QUERY)
+        assert trace.path_taken == "rede"
+        assert product_lock.products == 2
+
+    def test_the_memo_ends_with_the_query(self, product_lock):
+        engine = toy_engine(OracleJudge({"q1": {}}))
+        first, _ = engine.search("rede", QUERY)
+        second, _ = engine.search("rede", QUERY)
+        assert product_lock.products == 2
+        assert first.entries == second.entries
+
+    def test_a_library_search_keeps_no_state(self, product_lock):
+        index = toy_engine(None).dense_index
+        assert dense_search(index, QUERY_VEC, 6).entries == dense_search(index, QUERY_VEC, 6).entries
+        assert product_lock.products == 2
 
 
 class TestBaselineIdentities:
