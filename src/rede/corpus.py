@@ -73,10 +73,13 @@ class RankedList:
     """Ordered (doc_id, score) results for one query.
 
     Invariants: scores non-increasing, doc_ids distinct. A list that
-    ``_top_k`` ranked carries its ``hits`` instead of entries: the id list it
-    ranked over, and the rows and scores of its entries, so fusion can work on
-    rows. Its ``entries`` are built from the hits the first time they are
-    read and then kept, so a list nobody reads never builds its pairs.
+    ``_top_k`` selected carries its ``hits`` instead of entries: the id array
+    it selected over, and its rows, ascending, with their scores, so fusion
+    can work on rows. Its ``entries`` are built from the hits the first time
+    they are read, ordered by one stable argsort on descending score (ties
+    stay in row order, which is doc-id order) with the ids gathered by one
+    take from the id array, and then kept; so a list nobody reads is never
+    sorted and never builds its pairs.
     ``entries`` cannot be assigned, but once built it can be edited in place,
     so the hits speak for the list only while its entries are unbuilt
     (``_unread_hits``). Equality and repr see only ``query_id`` and ``entries``.
@@ -84,7 +87,7 @@ class RankedList:
     """
 
     def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,
-                 hits: tuple[Sequence[str], np.ndarray, np.ndarray] | None = None):
+                 hits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         self.query_id = query_id
         self.hits = hits
         self._entries = [] if entries is None and hits is None else entries
@@ -93,10 +96,11 @@ class RankedList:
     def entries(self) -> list[tuple[str, float]]:
         if self._entries is None:
             doc_ids, rows, scores = self.hits
-            self._entries = list(zip([doc_ids[i] for i in rows.tolist()], scores.tolist()))
+            order = np.argsort(-scores, kind="stable")
+            self._entries = list(zip(doc_ids[rows[order]].tolist(), scores[order].tolist()))
         return self._entries
 
-    def _unread_hits(self) -> tuple[Sequence[str], np.ndarray, np.ndarray] | None:
+    def _unread_hits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The hits while the entries are unbuilt, else None."""
         return self.hits if self._entries is None else None
 
@@ -134,29 +138,42 @@ def _strictly_ascending(ids: Sequence[str]) -> bool:
     return all(map(operator.lt, ids, itertools.islice(ids, 1, None)))
 
 
+def _id_array(ids: Sequence[str]) -> np.ndarray:
+    """The ids as one read-only object array: a pointer (8 B) per id, the strings shared."""
+    array = np.array(ids, dtype=object)
+    array.flags.writeable = False
+    return array
+
+
 def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray | None, k: int) -> RankedList:
     """The k best of ``rows`` by descending score, ties by ascending doc_id, for an integer k >= 1.
 
     Row i is ``doc_ids[i]`` and scores ``scores[i]``. Both ``doc_ids`` and
     ``rows`` must be ascending; ``rows=None`` means every row, and spares
-    the gather of all the scores through a row list. The result holds only
-    its hits: ``(doc_ids, best rows, their scores)``; its (doc_id, score)
-    pairs are built when its entries are first read.
-    ``np.partition`` finds the k-th best score; only the rows that tie or beat
-    it are stable-sorted on descending score, which keeps tied rows in doc-id
-    order. The filter is ``~(neg > kth)``, not ``neg <= kth``: a NaN (sorted
-    last, as by the full sort) must survive when the k-th score is NaN.
+    the gather of all the scores through a row list. An index hands its
+    ``id_array``, which is kept as it is; any other sequence is made an
+    object array here. The result only selects: it holds its hits
+    ``(id array, best rows ascending, their scores)``, and its entries are
+    ordered when first read.
+    ``np.partition`` finds the k-th best score; the rows strictly better
+    are kept, and the lowest-numbered rows tied with it fill the rest, as a
+    full stable sort on descending score would. A NaN sorts last, so it is
+    tied only when the k-th score is NaN, and is never better.
     """
     check_count("k", k, 1)
     neg = -(scores if rows is None else scores[rows])
     if k < len(neg):
         kth = np.partition(neg, k - 1)[k - 1]
-        keep = np.flatnonzero(~(neg > kth))
-        rows, neg = keep if rows is None else rows[keep], neg[keep]
+        if kth == kth:
+            better, tied = neg < kth, neg == kth
+        else:  # fewer than k numbers: every number is better, and the NaN rows tie
+            better, tied = neg == neg, neg != neg
+        better[np.flatnonzero(tied)[: k - np.count_nonzero(better)]] = True
+        keep = np.flatnonzero(better)
+        rows = keep if rows is None else rows[keep]
     elif rows is None:
         rows = np.arange(len(neg))
-    best = rows[np.argsort(neg, kind="stable")[:k]]
-    return RankedList("", hits=(doc_ids, best, scores[best]))
+    return RankedList("", hits=(np.asarray(doc_ids, dtype=object), rows, scores[rows]))
 
 
 Corpus = dict[str, Document]

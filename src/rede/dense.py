@@ -5,8 +5,11 @@ The on-disk bundle is three files: raw little-endian float32 vectors
 whose sizes are integers, and a newline-separated doc-id file. In
 memory, rows are held in ascending doc-id order whatever the order of the
 id file: an ascending id file is kept in its order, any other is sorted
-once. Search is exact brute force by inner product; ties break by
-ascending doc_id. A score that is not finite (float32 overflow of finite
+once, and the ids are also held as one read-only object array
+(``id_array``) that search hands to ``_top_k``. Search is exact brute
+force by inner product; ties break by ascending doc_id, and a search's
+rows are returned ascending, ordered by score only when its entries are
+read. A score that is not finite (float32 overflow of finite
 vectors) is an error, not a rank. One module lock, ``_PRODUCT_LOCK``,
 serializes the inner products of concurrent searches, so BLAS's thread
 pool serves one query at a time. Within one engine query, ``QUERY_SCORES``
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import RankedList, _records, _strictly_ascending, _top_k, tokenize
+from .corpus import RankedList, _id_array, _records, _strictly_ascending, _top_k, tokenize
 from .errors import (
     BackendUnavailable,
     DuplicateDocId,
@@ -62,6 +65,7 @@ class DenseIndex:
     ids: list[str]  # ascending; row i is ids[i]
     vectors: np.ndarray  # (count, dim) float32
     id_to_row: dict[str, int]
+    id_array: np.ndarray  # ids as a read-only object array, the one search ranks over
 
     @property
     def count(self) -> int:
@@ -99,7 +103,7 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     id_to_row = {doc_id: row for row, doc_id in enumerate(ids)}
     if len(id_to_row) < len(ids):
         raise DuplicateDocId(next(a for a, b in zip(ids, ids[1:]) if a == b))
-    return DenseIndex(arr.shape[1], ids, arr, id_to_row)
+    return DenseIndex(arr.shape[1], ids, arr, id_to_row, _id_array(ids))
 
 
 def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray) -> str:
@@ -189,14 +193,14 @@ def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedL
     memo, key = QUERY_SCORES.get(), (id(index), q.tobytes())
     hit = None if memo is None else memo.get(key)
     if hit is not None:
-        return _top_k(index.ids, hit[1], None, k)
+        return _top_k(index.id_array, hit[1], None, k)
     with np.errstate(over="ignore", invalid="ignore"), _PRODUCT_LOCK:
         scores = index.vectors @ q
     if not np.isfinite(scores).all():
         raise NonFiniteVector("inner product overflows: a score is NaN or inf")
     if memo is not None:
         memo[key] = (index, scores)
-    return _top_k(index.ids, scores, None, k)
+    return _top_k(index.id_array, scores, None, k)
 
 
 class HashingEncoder:

@@ -3,11 +3,11 @@
 Each leg's finite scores are min-max normalized over its own candidate
 list, candidates missing from a leg score 0 there, and the fused score is
 ``alpha * sparse + (1 - alpha) * dense``. Fusion works on index rows: legs
-ranked over one id list (the engine's) or over equal ones bring their rows
-along, and any other lists are numbered by the sorted union of their
-doc_ids. The union of the legs' rows is marked in a boolean array over that
-id list, and each leg's normalized scores are scattered into an array over
-it, so no row list is sorted or searched.
+selected over one id array (the engine's) or over equal ones bring their
+rows, ascending and unsorted by score, and any other lists are numbered by
+the sorted union of their doc_ids. The union of the legs' rows is marked in
+a boolean array over that id list, and each leg's normalized scores are
+scattered into an array over it, so no row list is sorted or searched.
 """
 
 from __future__ import annotations
@@ -38,11 +38,14 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
     """Min-max normalized float64 scores; all-equal scores map to 1.0.
 
     Fusion's one normalization rule: ``fuse`` applies it to each leg's finite
-    scores in entry order. lo and hi are the first minimum and the first
-    maximum (``argmin``/``argmax``), which is what Python ``min``/``max``
-    keep, ±0.0 included. An empty array stays empty. When lo and hi are more
-    than the largest float64 apart, both terms are halved, so the result
-    stays in [0, 1] instead of dividing inf by inf.
+    scores, in ascending row order on the row path and in entry order on the
+    renumbering path. lo and hi are the first minimum and the first maximum
+    (``argmin``/``argmax``), which is what Python ``min``/``max`` keep, ±0.0
+    included. Both orders give the same lo and hi: entries hold tied scores
+    in row order, so the first of the tied minima (or maxima) is the
+    lowest-numbered row either way. An empty array stays empty. When lo and
+    hi are more than the largest float64 apart, both terms are halved, so
+    the result stays in [0, 1] instead of dividing inf by inf.
     """
     if not len(scores):
         return np.zeros(0)
@@ -56,15 +59,16 @@ def _min_max(scores: np.ndarray) -> np.ndarray:
 
 
 def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
-    """(doc_ids, (rows, scores) per leg) with scores in entry order.
+    """(doc_ids, (rows, scores) per leg); a leg's scores follow its rows.
 
-    Two lists ranked over one id list, or over equal id lists, whose entries
-    are unbuilt keep their own hits; any others, and lists whose entries may
-    have been edited, are given rows by numbering the sorted union of their
-    doc_ids.
+    Two lists selected over one id array, or over equal id arrays
+    (``np.array_equal``: an ``==`` of two arrays is an array, whose truth is
+    an error), whose entries are unbuilt keep their own hits, rows
+    ascending; any others, and lists whose entries may have been edited, are
+    given rows in entry order by numbering the sorted union of their doc_ids.
     """
     a, b = sparse_results._unread_hits(), dense_results._unread_hits()
-    if a is not None and b is not None and (a[0] is b[0] or a[0] == b[0]):
+    if a is not None and b is not None and (a[0] is b[0] or np.array_equal(a[0], b[0])):
         return a[0], (a[1], a[2]), (b[1], b[2])
     doc_ids = sorted({d for d, _ in sparse_results.entries} | {d for d, _ in dense_results.entries})
     row = {doc_id: i for i, doc_id in enumerate(doc_ids)}
@@ -82,8 +86,9 @@ def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k:
     A NaN or ±inf score in either leg raises ``PreconditionViolation``. The
     union of the legs' rows is marked over the id list; each leg's normalized
     scores are scattered into a zeroed array over it, so a row missing from a
-    leg scores 0.0 there. ``_top_k`` ranks the union, ties by ascending
-    doc_id; (doc_id, score) tuples are built only for the k entries returned.
+    leg scores 0.0 there. ``_top_k`` selects the best k of the union, ties by
+    ascending doc_id; they are ordered, and their (doc_id, score) tuples
+    built, only when the result's entries are read.
     """
     doc_ids, (sparse_rows, sparse_scores), (dense_rows, dense_scores) = _leg_rows(
         sparse_results, dense_results)

@@ -243,8 +243,8 @@ class SearchEngine:
     """All retrieval methods over one corpus, sharing indices and backends.
 
     Each index must list exactly the corpus's doc ids (``IndexMismatch``
-    otherwise); the engine's indexes then share one id list, so both legs of
-    the hybrid first stage rank the same rows.
+    otherwise); the engine's indexes then share one id list and one id
+    array, so both legs of the hybrid first stage rank the same rows.
     """
 
     def __init__(
@@ -266,7 +266,7 @@ class SearchEngine:
             if sparse_index is None or dense_index.ids != sparse_index.doc_ids:
                 _check_index_ids("dense index", dense_index.ids, corpus)
             if sparse_index is not None:
-                dense_index = replace(dense_index, ids=sparse_index.doc_ids)
+                dense_index = replace(dense_index, ids=sparse_index.doc_ids, id_array=sparse_index.id_array)
         self.sparse_index = sparse_index
         self.dense_index = dense_index
         self.encoder = encoder

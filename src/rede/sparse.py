@@ -8,7 +8,12 @@ Scoring is the Robertson variant with the (k1+1) numerator:
 
 Duplicate query tokens contribute once per occurrence. Documents matching
 no query term are excluded from search results. Rows are documents in
-ascending doc-id order, so row order is the tie order.
+ascending doc-id order, so row order is the tie order. The index holds its
+ids twice: the list ``doc_ids`` that is saved and checked, and the
+read-only object array ``id_array`` over the same strings, built once at
+construction, that search hands to ``_top_k``. A search returns its
+selected rows in ascending order; they are ordered by score only when the
+list's entries are read.
 
 In memory the postings are flat arrays: term t (numbered in file order) has
 the [row, tf] pairs ``pairs[offsets[t]:offsets[t+1]]``, rows ascending. A
@@ -31,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import _ASCII_BYTES, Corpus, RankedList, _strictly_ascending, _top_k, tokenize
+from .corpus import _ASCII_BYTES, Corpus, RankedList, _id_array, _strictly_ascending, _top_k, tokenize
 from .errors import EmptyCorpus, MalformedRecord, check_real
 
 _MAGIC = b"SPIDX"
@@ -51,6 +56,7 @@ class SparseIndex:
     k1: float = 0.9
     b: float = 0.4
     norm: np.ndarray = field(init=False, repr=False)  # per row: k1 * (1 - b + b * dl / avgdl)
+    id_array: np.ndarray = field(init=False, repr=False)  # doc_ids as a read-only object array
 
     def __post_init__(self) -> None:
         check_real("k1", self.k1)
@@ -59,6 +65,7 @@ class SparseIndex:
         self.pairs.flags.writeable = False
         norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
         object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "id_array", _id_array(self.doc_ids))
 
     @cached_property
     def postings(self) -> Mapping[str, np.ndarray]:
@@ -180,7 +187,7 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:
     """Top-k docs by BM25, ties broken by ascending doc_id; zero scores dropped."""
     scores = _bm25(index, tokenize(query_text))
-    return _top_k(index.doc_ids, scores, np.flatnonzero(scores > 0), k)
+    return _top_k(index.id_array, scores, np.flatnonzero(scores > 0), k)
 
 
 def save_sparse_index(index: SparseIndex, path: str) -> None:

@@ -444,7 +444,7 @@ class TestTopK:
     def test_property_matches_full_stable_sort(self, values, data):
         scores = np.array(values, dtype=data.draw(st.sampled_from([np.float64, np.float32])))
         n = len(values)
-        doc_ids = [f"d{i:02d}" for i in range(n)]
+        doc_ids = np.array([f"d{i:02d}" for i in range(n)], dtype=object)  # an index's id array
         # rows=None ranks every row, as the row list np.arange(n) does
         rows = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.flatnonzero))
         listed = np.arange(n) if rows is None else rows
@@ -454,6 +454,7 @@ class TestTopK:
         assert score_bits(ranked.entries) == score_bits(expected)
         by_list = _top_k(doc_ids, scores, listed, k)
         assert ranked.hits[0] is doc_ids
+        assert (ranked.hits[1][1:] > ranked.hits[1][:-1]).all()  # selected, not sorted: rows ascending
         for got, want in zip(ranked.hits[1:], by_list.hits[1:]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -461,7 +462,7 @@ class TestTopK:
     @given(st.sets(st.integers(0, 20000), max_size=30), st.data())
     def test_lazy_entries_match_a_sort_on_score_then_doc_id(self, numbers, data):
         # ids like "d1000" < "d10000" < "d1001" sort as strings, not as numbers
-        doc_ids = sorted(f"d{n}" for n in numbers)
+        doc_ids = np.array(sorted(f"d{n}" for n in numbers), dtype=object)  # an index's id array
         n = len(doc_ids)
         scores = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf])
                                              | st.floats(allow_nan=False), min_size=n, max_size=n)))

@@ -412,7 +412,7 @@ class TestConcurrentSearch:
 
         run_threads(search, 4)
         for got, want in zip(results, expected):
-            assert got.hits[0] is want.hits[0]
+            assert got.hits[0] is want.hits[0] is index.id_array
             assert got.hits[1].tobytes() == want.hits[1].tobytes()
             assert got.hits[2].tobytes() == want.hits[2].tobytes()
             assert got.entries == want.entries

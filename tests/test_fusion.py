@@ -157,14 +157,22 @@ class TestFuseOverRows:
         dense_scores = np.array(data.draw(st.lists(SCORES, min_size=n, max_size=n)), dtype=np.float32)
         # sparse keeps a subset of rows, possibly none: an empty sparse leg
         sparse_rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        sparse = _top_k(ids, sparse_scores, sparse_rows, data.draw(st.integers(1, n + 1)))
-        dense = _top_k(ids, dense_scores, np.arange(n), data.draw(st.integers(1, n + 1)))
-        sparse.query_id = dense.query_id = "q"
-        plain_sparse, plain_dense = RankedList("q", list(sparse.entries)), RankedList("q", list(dense.entries))
+        sparse_k, dense_k = data.draw(st.integers(1, n + 1)), data.draw(st.integers(1, n + 1))
+
+        def legs():
+            # fresh lists each time: reading a list's entries takes it off the row path
+            sparse = _top_k(ids, sparse_scores, sparse_rows, sparse_k)
+            dense = _top_k(ids, dense_scores, np.arange(n), dense_k)
+            sparse.query_id = dense.query_id = "q"
+            return sparse, dense
+
+        plain_sparse, plain_dense = (RankedList("q", list(leg.entries)) for leg in legs())
         alpha = data.draw(ALPHAS)
-        union = len(set(sparse.doc_ids()) | set(dense.doc_ids()))
+        union = len(set(plain_sparse.doc_ids()) | set(plain_dense.doc_ids()))
         for k in range(1, union + 2):
             expected = bits(parent_fuse(plain_sparse, plain_dense, alpha, k))
+            sparse, dense = legs()
+            assert sparse._unread_hits() is not None and dense._unread_hits() is not None
             assert bits(fuse(sparse, dense, alpha, k)) == expected
             assert bits(fuse(plain_sparse, plain_dense, alpha, k)) == expected
 
@@ -221,15 +229,57 @@ class TestFuseOverRows:
             sparse, dense, query, qvec = build_random_instance(rng)
             assert dense.ids == sparse.doc_ids and dense.ids is not sparse.doc_ids
             sparse_leg, dense_leg = sparse_search(sparse, query, 12), dense_search(dense, qvec, 12)
-            assert _leg_rows(sparse_leg, dense_leg)[0] is sparse.doc_ids
+            assert _leg_rows(sparse_leg, dense_leg)[0] is sparse.id_array
             plain = RankedList("", list(sparse_leg.entries)), RankedList("", list(dense_leg.entries))
             for k in (1, 5, 12):
                 fused = hybrid_search(sparse, dense, query, qvec, k, FusionConfig(pool_depth=12))
-                assert fused.hits[0] is sparse.doc_ids
+                assert fused.hits[0] is sparse.id_array
                 assert bits(fused) == bits(fuse(*plain, 0.5, k)) == bits(parent_fuse(*plain, 0.5, k))
 
+    def test_row_order_normalizes_as_entry_order(self):
+        # a leg's rows are ascending, not in entry order; the first minimum and the first maximum
+        # are the same rows either way, also where 0.0 and -0.0 tie at a leg's minimum or maximum
+        ids = np.array([f"d{i}" for i in range(10)], dtype=object)
+
+        def legs():
+            # sparse, k=6: rows 4, 0, 6 beat the k-th score 0.0, which six rows tie; the first
+            # three fill the rest, and the minimum is 0.0, then -0.0 twice
+            sparse_scores = np.array([2.0, 0.0, -0.0, -0.0, 3.0, -0.0, 1.0, 0.0, -1.0, -0.0])
+            # dense, k=5: -0.0 and 0.0 tie at the maximum, four rows tie at the k-th score -1.0
+            dense_scores = np.array([-0.0, -2.0, 0.0, -1.0, -1.0, -1.0, 0.0, -3.0, -1.0, -5.0],
+                                    dtype=np.float32)
+            return _top_k(ids, sparse_scores, np.arange(10), 6), _top_k(ids, dense_scores, None, 5)
+
+        sparse, dense = legs()
+        assert sparse.hits[1].tolist() == [0, 1, 2, 3, 4, 6] and dense.hits[1].tolist() == [0, 2, 3, 4, 6]
+        for swap in (False, True):
+            for alpha in (0.0, -0.0, 0.25, 0.5, 1.0):  # -0.0: a fused score keeps a leg's -0.0
+                for k in range(1, 10):
+                    rows_path = legs()[::-1] if swap else legs()
+                    assert all(leg._unread_hits() is not None for leg in rows_path)
+                    fused = bits(fuse(*rows_path, alpha, k))
+                    entry_path = legs()[::-1] if swap else legs()
+                    plain = [RankedList("", list(leg.entries)) for leg in entry_path]
+                    assert fused == bits(fuse(*entry_path, alpha, k)) == bits(parent_fuse(*plain, alpha, k))
+
+    @pytest.mark.parametrize("other", [["d0", "d1", "d2", "e3"], ["d0", "d1", "d2"]],
+                             ids=["one id differs", "one id fewer"])
+    def test_legs_over_different_id_arrays_are_renumbered(self, other):
+        # an == of two id arrays is an array, whose truth would raise ValueError
+        ids = np.array(["d0", "d1", "d2", "d3"], dtype=object)
+
+        def legs():
+            # fresh lists each time: reading a list's entries takes it off the row path
+            return (_top_k(ids, np.array([1.0, 3.0, 2.0, 0.5]), np.arange(4), 3),
+                    _top_k(np.array(other, dtype=object), np.arange(len(other), dtype=np.float32), None, 3))
+
+        plain = [RankedList("", list(leg.entries)) for leg in legs()]
+        assert _leg_rows(*legs())[0] == sorted({"d0", "d1", "d2"} | set(other[-3:]))
+        for k in range(1, 6):
+            assert bits(fuse(*legs(), 0.5, k)) == bits(parent_fuse(*plain, 0.5, k))
+
     def test_fused_list_keeps_its_rows(self):
-        ids = ["a", "b", "c", "d"]
+        ids = np.array(["a", "b", "c", "d"], dtype=object)  # an index's id array
         sparse = _top_k(ids, np.array([0.0, 3.0, 1.0, 2.0]), np.array([1, 2, 3]), 2)
         dense = _top_k(ids, np.array([1.0, 0.0, 0.5, 0.25], dtype=np.float32), np.arange(4), 2)
         out = fuse(sparse, dense, 0.5, 3)

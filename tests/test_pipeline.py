@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import rede.corpus
 import rede.dense
 import rede.fusion
 import rede.pipeline
@@ -844,7 +845,7 @@ class TestEngineRowSpace:
         shared = []
 
         def spy(sparse_results, dense_results, alpha, k, fuse=rede.fusion.fuse):
-            shared.append(sparse_results.hits[0] is dense_results.hits[0] is engine.dense_index.ids)
+            shared.append(sparse_results.hits[0] is dense_results.hits[0] is engine.dense_index.id_array)
             return fuse(sparse_results, dense_results, alpha, k)
 
         monkeypatch.setattr(rede.fusion, "fuse", spy)
@@ -852,7 +853,8 @@ class TestEngineRowSpace:
         run, _ = engine.search("hybrid", QUERY)
         assert shared == [True, True]
         for ranked in (trace.candidates, run):
-            assert ranked.hits[0] is engine.sparse_index.doc_ids is engine.dense_index.ids
+            assert ranked.hits[0] is engine.sparse_index.id_array is engine.dense_index.id_array
+        assert engine.sparse_index.doc_ids is engine.dense_index.ids
 
     def test_hybrid_legs_never_build_their_pairs(self, monkeypatch):
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever="hybrid")
@@ -867,6 +869,44 @@ class TestEngineRowSpace:
             engine.search(method, QUERY)
         assert len(legs) == 4
         assert all(leg.hits is not None and leg._entries is None for leg in legs)
+
+    def test_only_the_lists_search_returns_are_sorted(self, monkeypatch):
+        # the hybrid legs are selected, rows ascending, over the engine's one id array and fused
+        # as rows; only the lists search returns (candidates, results) are ordered, when read
+        bench = generate_benchmark(seed=5, n_docs=300, n_queries=6)
+        engine = SearchEngine(bench.corpus, build_sparse_index(bench.corpus),
+                              build_dense_index(bench.doc_ids, bench.doc_vectors), bench.encoder,
+                              judge=OracleJudge(bench.qrels),
+                              config=PipelineConfig(initial_retriever="hybrid", k_initial=30, output_depth=100))
+        sorts, legs = [], []
+
+        class CountingNumpy:
+            """rede.corpus's numpy, with each stable sort counted."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def argsort(a, *args, **kwargs):
+                sorts.append(len(a))
+                return np.argsort(a, *args, **kwargs)
+
+        def spy(sparse_results, dense_results, alpha, k, fuse=rede.fusion.fuse):
+            legs.extend((sparse_results, dense_results))
+            return fuse(sparse_results, dense_results, alpha, k)
+
+        monkeypatch.setattr(rede.corpus, "np", CountingNumpy())
+        monkeypatch.setattr(rede.fusion, "fuse", spy)
+        for method, lists in (("hybrid", 1), ("rede", 2)):
+            for query in bench.queries:
+                sorts.clear()
+                engine.search(method, query)
+                assert len(sorts) == lists, (method, query.query_id, sorts)
+        assert len(legs) == 4 * len(bench.queries)
+        for leg in legs:
+            ids, rows, _ = leg.hits
+            assert len(rows) == 100 and (rows[1:] > rows[:-1]).all()  # pool depth 100 of 300 rows
+            assert ids is engine.sparse_index.id_array is engine.dense_index.id_array
 
     @pytest.mark.parametrize("retriever, method", [("hybrid", m) for m in ("bm25", "dense", "hybrid")]
                              + [(r, m) for r in INITIAL_RETRIEVERS for m in ("rede", "rerank")])
