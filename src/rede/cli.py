@@ -182,7 +182,7 @@ def _cmd_judge(args) -> int:
                 judgments = engine.search("rerank", query)[1].judgments
             elif query.query_id in candidate_runs:
                 judgments = judge_candidates(engine.judge, query, candidate_runs[query.query_id],
-                                             engine.doc_texts, engine.config.llm_max_workers)
+                                             engine.corpus, engine.config.llm_max_workers)
             else:
                 continue
             for j in judgments:

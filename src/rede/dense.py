@@ -6,7 +6,10 @@ whose sizes are integers, and a newline-separated doc-id file. In
 memory, rows are held in ascending doc-id order whatever the order of the
 id file: an ascending id file is kept in its order, any other is sorted
 once, and the ids are also held as one read-only object array
-(``id_array``) that search hands to ``_top_k``. Search is exact brute
+(``id_array``) that search hands to ``_top_k``. Every id is a string, and
+``fetch_embedding`` finds a row by bisection over the ascending ids, so no
+per-document map is built; ``id_to_row`` is made on first read, for
+inspection only. Search is exact brute
 force by inner product; ties break by ascending doc_id, and a search's
 rows are returned ascending, ordered by score only when its entries are
 read. A score that is not finite (float32 overflow of finite
@@ -22,8 +25,10 @@ from __future__ import annotations
 import json
 import os
 import threading
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +69,12 @@ class DenseIndex:
     dim: int
     ids: list[str]  # ascending; row i is ids[i]
     vectors: np.ndarray  # (count, dim) float32
-    id_to_row: dict[str, int]
     id_array: np.ndarray  # ids as a read-only object array, the one search ranks over
+
+    @cached_property
+    def id_to_row(self) -> dict[str, int]:
+        """doc_id -> row; built on first read, for inspection: ``fetch_embedding`` bisects ``ids``."""
+        return {doc_id: row for row, doc_id in enumerate(self.ids)}
 
     @property
     def count(self) -> int:
@@ -90,20 +99,23 @@ def _check_shape(ids: list[str], arr: np.ndarray) -> None:
 def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     """build_dense_index over an id list and float32 array that the index takes over.
 
-    A strictly ascending id list is already in row order and holds no id twice,
-    so it and its rows are kept as they are; any other order is sorted once.
+    Every id must be a string. A strictly ascending id list is already in row
+    order and holds no id twice, so it and its rows are kept as they are; any
+    other order is sorted once, and is then strictly ascending unless an id repeats.
     """
     _check_shape(ids, arr)
+    bad = [doc_id for doc_id in ids if not isinstance(doc_id, str)]
+    if bad:
+        raise PreconditionViolation(f"doc id {bad[0]!r} is not a string")
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise NonFiniteVector(f"non-finite value in row {int(np.argmin(finite))}")
     if not _strictly_ascending(ids):
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids, arr = [ids[i] for i in order], arr[order]
-    id_to_row = {doc_id: row for row, doc_id in enumerate(ids)}
-    if len(id_to_row) < len(ids):
-        raise DuplicateDocId(next(a for a, b in zip(ids, ids[1:]) if a == b))
-    return DenseIndex(arr.shape[1], ids, arr, id_to_row, _id_array(ids))
+        if not _strictly_ascending(ids):
+            raise DuplicateDocId(next(a for a, b in zip(ids, ids[1:]) if a == b))
+    return DenseIndex(arr.shape[1], ids, arr, _id_array(ids))
 
 
 def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray) -> str:
@@ -173,9 +185,13 @@ def load_bundle(manifest_path: str) -> DenseIndex:
 
 
 def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
-    """Exact stored row; no copy-time transformation."""
-    row = index.id_to_row.get(doc_id)
-    if row is None:
+    """Exact stored row; no copy-time transformation.
+
+    The row is found by bisection over the index's ascending ids; an id that is
+    not there, or is not a string, raises UnknownDocId.
+    """
+    row = bisect_left(index.ids, doc_id) if isinstance(doc_id, str) else index.count
+    if row == index.count or index.ids[row] != doc_id:
         raise UnknownDocId(doc_id)
     return index.vectors[row]
 
@@ -183,13 +199,12 @@ def fetch_embedding(index: DenseIndex, doc_id: str) -> np.ndarray:
 def dense_search(index: DenseIndex, query_vector: np.ndarray, k: int) -> RankedList:
     """Top-k by inner product over every row, ties broken by ascending doc_id.
 
-    The product runs in the index's float32 whatever the query's dtype; a
-    finite query value past float32's range gives a non-finite score. Inside
-    an engine query, the scores of a vector already searched are reused.
+    The query must hold real numbers; the product runs in the index's float32
+    whatever their dtype (a float64 query would upcast every row), so a finite
+    query value past float32's range is NonFiniteVector. Inside an engine
+    query, the scores of a vector already searched are reused.
     """
-    q = check_vectors("query vector", query_vector, (index.dim,))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteVector below
-        q = q.astype(index.vectors.dtype, copy=False)  # a float64 query would upcast every row
+    q = check_vectors("query vector", query_vector, (index.dim,), index.vectors.dtype)
     memo, key = QUERY_SCORES.get(), (id(index), q.tobytes())
     hit = None if memo is None else memo.get(key)
     if hit is not None:

@@ -139,10 +139,25 @@ def check_real(name: str, value, hi=math.inf, *, positive: bool = False) -> None
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
-def check_vectors(what: str, values, shape: tuple[int, ...]) -> np.ndarray:
-    """``np.asarray(values)``: DimMismatch unless its shape is ``shape``, NonFiniteVector unless
-    every value is finite. The one rule for a query vector and for an encoder's reply."""
+def real_array(what: str, values) -> np.ndarray:
+    """``np.asarray(values)``: NonFiniteVector, naming the dtype, unless it holds real numbers.
+
+    Real numbers are dtype kinds ``b``, ``i``, ``u`` and ``f``. The check comes before any cast
+    to float, which would read a complex value by its real part and a string as its number."""
     arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise NonFiniteVector(f"{what} has dtype {arr.dtype}, not real numbers")
+    return arr
+
+
+def check_vectors(what: str, values, shape: tuple[int, ...], dtype=None) -> np.ndarray:
+    """``real_array(what, values)``, cast to ``dtype`` if one is given: DimMismatch unless its
+    shape is ``shape``, NonFiniteVector unless every value is finite in that dtype (a finite value
+    past its range reads as inf). The one rule for a query vector and for an encoder's reply."""
+    arr = real_array(what, values)
+    if dtype is not None:
+        with np.errstate(over="ignore"):
+            arr = arr.astype(dtype, copy=False)
     if arr.shape != shape:
         raise DimMismatch(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():

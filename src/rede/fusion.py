@@ -83,13 +83,16 @@ def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
 def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k: int) -> RankedList:
     """Fuse two already-retrieved candidate lists over index rows.
 
-    A NaN or ±inf score in either leg raises ``PreconditionViolation``. The
+    ``alpha`` is checked as ``FusionConfig`` checks it: a finite number in
+    [0, 1], else ValueError. A NaN or ±inf score in either leg raises
+    ``PreconditionViolation``. The
     union of the legs' rows is marked over the id list; each leg's normalized
     scores are scattered into a zeroed array over it, so a row missing from a
     leg scores 0.0 there. ``_top_k`` selects the best k of the union, ties by
     ascending doc_id; they are ordered, and their (doc_id, score) tuples
     built, only when the result's entries are read.
     """
+    check_real("alpha", alpha, 1)
     doc_ids, (sparse_rows, sparse_scores), (dense_rows, dense_scores) = _leg_rows(
         sparse_results, dense_results)
     query_id = sparse_results.query_id or dense_results.query_id

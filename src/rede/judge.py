@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .corpus import Qrels, Query, RankedList, tokenize
+from .corpus import Corpus, Qrels, Query, RankedList, tokenize
 from .errors import JudgeUnavailable, UnknownDocId, UnknownTemplate, check_count, check_real
 from .gateway import CompletionRequest, complete
 
@@ -232,12 +232,13 @@ def judge_candidates(
     backend,
     query: Query,
     candidates: RankedList,
-    doc_texts: dict[str, str],
+    corpus: Corpus,
     max_workers: int = 1,
 ) -> list[RelevanceJudgment]:
-    """Judge every candidate once; the judgments come back in candidate order.
+    """Judge every candidate once, on its ``search_text`` in the corpus; the judgments
+    come back in candidate order.
 
-    A candidate missing from ``doc_texts`` raises UnknownDocId before any
+    A candidate missing from the corpus raises UnknownDocId before any
     call is made. A candidate that cannot be judged (JudgeUnavailable, which
     a reply without a usable logprob map also raises) is skipped with a
     warning; the call fails only if every candidate fails. Transport errors
@@ -246,13 +247,13 @@ def judge_candidates(
 
     def judge_one(doc_id: str) -> RelevanceJudgment | None:
         try:
-            return score_relevance(backend, query, doc_id, doc_texts[doc_id])
+            return score_relevance(backend, query, doc_id, corpus[doc_id].search_text)
         except JudgeUnavailable as exc:
             log.warning("skipping %s for query %s: %s", doc_id, query.query_id, exc)
             return None
 
     ids = candidates.doc_ids()
-    unknown = next((doc_id for doc_id in ids if doc_id not in doc_texts), None)
+    unknown = next((doc_id for doc_id in ids if doc_id not in corpus), None)
     if unknown is not None:
         raise UnknownDocId(unknown)
     judgments = [j for j in map_in_order(judge_one, ids, max_workers) if j is not None]

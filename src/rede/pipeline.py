@@ -14,6 +14,12 @@ policy decides: keep the encoder vector, refine with hypothetical
 documents over the same candidates, or return no results (ablation mode).
 Every search returns a trace carrying candidates, judgments, the path
 taken and why, per-stage wall times and LLM call counts.
+
+The engine keeps its corpus and no per-document map: a query reads the
+``search_text`` of its candidates from the corpus, to judge them or to give
+them as HyDE context, and ``fetch_embedding`` finds the stored rows of its
+feedback by bisection. ``SearchEngine.doc_texts`` is built on first read,
+for inspection only.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +44,7 @@ from .errors import (
     PreconditionViolation,
     check_count,
     check_vectors,
+    real_array,
 )
 from .fusion import FusionConfig, hybrid_search
 from .gateway import QUERY_CALLS, CallCounter
@@ -160,14 +168,16 @@ def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndar
     """Mean of the query vector and all given vectors, permutation-exact.
 
     Per-dimension math.fsum makes the result independent of vector order, so
-    every method that sees the same vectors gets the same bits. The vectors are
-    read in float32; a value that is not finite there is NonFiniteVector.
+    every method that sees the same vectors gets the same bits. The vectors must
+    hold real numbers and are read in float32; a value that is not finite there
+    is NonFiniteVector.
     """
     vectors = list(vectors)
     if not vectors:
         raise EmptyRelevantSet("mean update requires at least one vector")
+    arrays = [real_array("mean update input", v) for v in [query_vec, *vectors]]
     with np.errstate(over="ignore"):  # past float32's range reads as inf, refused below
-        q, *rows = [np.asarray(v, dtype=np.float32) for v in [query_vec, *vectors]]
+        q, *rows = [v.astype(np.float32, copy=False) for v in arrays]
     for v in rows:
         if v.shape != q.shape:
             raise DimMismatch(f"mean update: vector shape {v.shape} != query shape {q.shape}")
@@ -244,7 +254,9 @@ class SearchEngine:
 
     Each index must list exactly the corpus's doc ids (``IndexMismatch``
     otherwise); the engine's indexes then share one id list and one id
-    array, so both legs of the hybrid first stage rank the same rows.
+    array, so both legs of the hybrid first stage rank the same rows. The
+    engine keeps the corpus itself, and reads a document's text from it only
+    when a query needs it.
     """
 
     def __init__(
@@ -275,7 +287,12 @@ class SearchEngine:
         self.config = config or PipelineConfig()
         self.fusion_config = fusion_config or FusionConfig()
         self.hyde_config = hyde_config or HydeConfig()
-        self.doc_texts = {doc_id: doc.search_text for doc_id, doc in corpus.items()}
+        self.corpus = corpus
+
+    @cached_property
+    def doc_texts(self) -> dict[str, str]:
+        """doc_id -> search_text; built on first read, for inspection: queries read the corpus."""
+        return {doc_id: doc.search_text for doc_id, doc in self.corpus.items()}
 
     def _require(self, what: str, needs: list[str]) -> None:
         missing = [f"{'an' if name[0] in 'aeiou' else 'a'} {name.replace('_', ' ')}"
@@ -299,12 +316,12 @@ class SearchEngine:
     def _encode(self, texts: list[str]) -> np.ndarray:
         """The one encoder boundary: a reply holds one finite vector of the index's dim per text.
 
-        The reply is read in the index's dtype (float32), the one every later stage computes
-        in: a finite value past its range reads as inf, so it is NonFiniteVector here.
+        The reply must hold real numbers, and is read in the index's dtype (float32), the one
+        every later stage computes in: a finite value past its range reads as inf, so it is
+        NonFiniteVector here.
         """
-        with np.errstate(over="ignore"):
-            reply = np.asarray(self.encoder.encode(texts), dtype=self.dense_index.vectors.dtype)
-        return check_vectors("encoder reply", reply, (len(texts), self.dense_index.dim))
+        return check_vectors("encoder reply", self.encoder.encode(texts),
+                             (len(texts), self.dense_index.dim), self.dense_index.vectors.dtype)
 
     def search(self, method: str, query: Query, default_policy: str | None = None
                ) -> tuple[RankedList, SearchTrace]:
@@ -339,7 +356,7 @@ class SearchEngine:
                 with run.stage("judge"):
                     try:
                         trace.judgments = judge_candidates(
-                            self.judge, query, candidates, self.doc_texts, cfg.llm_max_workers
+                            self.judge, query, candidates, self.corpus, cfg.llm_max_workers
                         )
                     except JudgeUnavailable:
                         if policy is None:
@@ -372,7 +389,7 @@ class SearchEngine:
                 return RankedList(query.query_id, []), trace
             else:  # the hyde rows' own feedback (they take no policy), or the hyde_prf policy
                 with run.stage("generation"):
-                    context = [self.doc_texts[d] for d in candidates.doc_ids()]
+                    context = [self.corpus[d].search_text for d in candidates.doc_ids()]
                     docs = generate_hypothetical_docs(self.gateway, self.hyde_config, query, context,
                                                       cfg.llm_max_workers)
                     refined = mean_update(qvec, self._encode(docs))

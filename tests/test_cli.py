@@ -501,10 +501,10 @@ def test_judge_fans_out_llm_max_workers(workspace, monkeypatch):
     config.write_text(json.dumps(settings))
     calls = []
     for module in (rede.pipeline, rede.cli):
-        def recording(backend, query, candidates, doc_texts, max_workers=1,
+        def recording(backend, query, candidates, corpus, max_workers=1,
                       name=module.__name__, judge_candidates=module.judge_candidates):
             calls.append((name, max_workers))
-            return judge_candidates(backend, query, candidates, doc_texts, max_workers)
+            return judge_candidates(backend, query, candidates, corpus, max_workers)
 
         monkeypatch.setattr(module, "judge_candidates", recording)
     judge = ["judge", "--config", str(config), "--out", str(workspace / "j.jsonl")]

@@ -209,7 +209,7 @@ class TestRowOrder:
         assert dense_search(index, query, 10) == before
 
     # A list with an id twice is never strictly ascending, so both orders reach the sort,
-    # where the id-to-row count finds the duplicate.
+    # after which the sorted list is still not strictly ascending.
     @pytest.mark.parametrize("ids", [["d1", "d2", "d2"], ["d2", "d1", "d2"]], ids=["ascending", "shuffled"])
     @pytest.mark.parametrize("how", ["build", "bundle"])
     def test_duplicate_id_raises_in_either_order(self, tmp_path, how, ids):
@@ -224,6 +224,41 @@ class TestRowOrder:
         vectors[1, 0] = np.inf
         with pytest.raises(NonFiniteVector, match="row 1"):
             _via(tmp_path, how, ids, vectors)
+
+
+class TestStringIds:
+    @pytest.mark.parametrize("ids", [["a", 1], [1, 2], ["a", None], [b"a", b"b"]],
+                             ids=["mixed", "ints", "none", "bytes"])
+    def test_an_id_that_is_not_a_string_is_refused(self, ids):
+        # ["a", 1] ended in an untyped TypeError from the sort; [1, 2] was indexed
+        with pytest.raises(PreconditionViolation, match="is not a string"):
+            build_dense_index(ids, np.zeros((2, 2), dtype=np.float32))
+
+    def test_bisection_finds_every_row_of_a_shuffled_bundle(self, tmp_path):
+        vectors = np.random.default_rng(4).standard_normal((len(_IDS), 8)).astype(np.float32)
+        index = load_bundle(write_embeddings(str(tmp_path), [_IDS[i] for i in _PERM], vectors[_PERM]))
+        assert index.ids == _IDS
+        for i, doc_id in enumerate(_IDS):
+            assert fetch_embedding(index, doc_id).tobytes() == vectors[i].tobytes()
+
+    @pytest.mark.parametrize("doc_id", ["c99", "d30", "d05a", "d", 5, None, b"d01", ["d01"], ("d01",)],
+                             ids=["before the first", "after the last", "between two", "a prefix", "int",
+                                  "None", "bytes", "list", "tuple"])
+    def test_an_id_not_in_a_shuffled_bundle_is_unknown(self, tmp_path, doc_id):
+        vectors = np.zeros((len(_IDS), 2), dtype=np.float32)
+        index = load_bundle(write_embeddings(str(tmp_path), [_IDS[i] for i in _PERM], vectors))
+        with pytest.raises(UnknownDocId):
+            fetch_embedding(index, doc_id)
+
+    def test_id_to_row_is_built_on_first_read_and_agrees_with_fetch(self, tmp_path):
+        vectors = np.random.default_rng(5).standard_normal((len(_IDS), 4)).astype(np.float32)
+        index = load_bundle(write_embeddings(str(tmp_path), [_IDS[i] for i in _PERM], vectors[_PERM]))
+        assert "id_to_row" not in vars(index)
+        assert index.id_to_row == {doc_id: row for row, doc_id in enumerate(_IDS)}
+        assert index.id_to_row is index.id_to_row
+        for doc_id, row in index.id_to_row.items():
+            assert np.shares_memory(fetch_embedding(index, doc_id), index.vectors[row])
+            assert fetch_embedding(index, doc_id).tobytes() == index.vectors[row].tobytes()
 
 
 class TestFetch:

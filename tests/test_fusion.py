@@ -382,6 +382,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             FusionConfig(alpha=1.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5, 1.5, True, "0.5", None])
+    def test_fuse_refuses_the_alphas_the_config_refuses(self, alpha):
+        # a NaN alpha fused to [('a', nan), ('b', nan)], a list its own validate() refuses
+        with pytest.raises(ValueError, match="alpha must be a finite number in \\[0, 1\\]"):
+            FusionConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be a finite number in \\[0, 1\\]"):
+            fuse(RankedList("q", [("a", 1.0)]), RankedList("q", [("b", 1.0)]), alpha, 3)
+
     def test_pool_depth_default(self):
         rng = np.random.default_rng(31)
         sparse, dense, query, qvec = build_random_instance(rng)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rede.corpus import Query, RankedList
+from rede.corpus import Document, Query, RankedList
 from rede.errors import JudgeUnavailable, UnknownDocId, UnknownTemplate
 from rede.gateway import HttpGateway, MockGateway
 from rede.judge import (
@@ -264,6 +264,11 @@ def candidates(*doc_ids):
     return RankedList("q1", [(d, 1.0 - 0.01 * i) for i, d in enumerate(doc_ids)])
 
 
+def corpus_of(texts):
+    """A corpus whose documents have no title, so each one's search_text is its text."""
+    return {d: Document(d, "", t) for d, t in texts.items()}
+
+
 class ScriptedJudge:
     """p_relevant per doc text; used to drive ordering tests."""
 
@@ -289,7 +294,7 @@ class TestJudgeCandidates:
         texts = {"c1": "t1", "c2": "t2", "c3": "t3"}
         judge = ScriptedJudge({"t1": 0.9, "t2": 0.3, "t3": 0.7})
         cands = candidates("c1", "c2", "c3")
-        result = judge_candidates(judge, QUERY, cands, texts)
+        result = judge_candidates(judge, QUERY, cands, corpus_of(texts))
         assert [(j.doc_id, j.p_relevant, j.label) for j in result] == [
             ("c1", 0.9, True), ("c2", 0.3, False), ("c3", 0.7, True)
         ]
@@ -299,20 +304,27 @@ class TestJudgeCandidates:
         texts = {"c1": "t1", "c2": "t2", "c3": "t3"}
         judge = ScriptedJudge({"t1": 0.8, "t2": 0.8, "t3": 0.9})
         cands = candidates("c1", "c2", "c3")
-        result = judge_candidates(judge, QUERY, cands, texts)
+        result = judge_candidates(judge, QUERY, cands, corpus_of(texts))
         assert rerank_by_judge(cands, result).doc_ids() == ["c3", "c1", "c2"]
 
     def test_all_below_threshold(self):
         texts = {"c1": "t1", "c2": "t2"}
         judge = ScriptedJudge({"t1": 0.2, "t2": 0.5})  # 0.5 is strictly not relevant
-        result = judge_candidates(judge, QUERY, candidates("c1", "c2"), texts)
+        result = judge_candidates(judge, QUERY, candidates("c1", "c2"), corpus_of(texts))
         assert [j.label for j in result] == [False, False]
 
     def test_oracle_exact_set(self):
         qrels = {"q1": {"d2": 1, "d7": 3, "d9": 0}}
         texts = {d: d for d in ("d1", "d2", "d7", "d9")}
-        result = judge_candidates(OracleJudge(qrels), QUERY, candidates("d1", "d2", "d7", "d9"), texts)
+        result = judge_candidates(OracleJudge(qrels), QUERY, candidates("d1", "d2", "d7", "d9"),
+                                  corpus_of(texts))
         assert sorted(j.doc_id for j in result if j.label) == ["d2", "d7"]
+
+    def test_a_candidate_is_judged_on_its_search_text(self):
+        corpus = {"c1": Document("c1", "Title", "t1"), "c2": Document("c2", "", "t2")}
+        judge = ScriptedJudge({"Title. t1": 0.9, "t2": 0.2})
+        result = judge_candidates(judge, QUERY, candidates("c1", "c2"), corpus)
+        assert [(j.doc_id, j.p_relevant) for j in result] == [("c1", 0.9), ("c2", 0.2)]
 
     def test_unknown_candidate_raises_before_any_call(self):
         calls = []
@@ -323,7 +335,8 @@ class TestJudgeCandidates:
                 return 1.0
 
         with pytest.raises(UnknownDocId, match="nosuchdoc"):
-            judge_candidates(CountingJudge(), QUERY, candidates("c1", "nosuchdoc"), {"c1": "t1"}, 2)
+            judge_candidates(CountingJudge(), QUERY, candidates("c1", "nosuchdoc"),
+                             corpus_of({"c1": "t1"}), 2)
         assert calls == []
 
     def test_empty_candidates(self):
@@ -333,15 +346,15 @@ class TestJudgeCandidates:
         texts = {f"c{i}": f"t{i}" for i in range(5)}
         probs = {f"t{i}": 0.1 * i + 0.3 for i in range(5)}
         judge = ScriptedJudge(probs)
-        forward = judge_candidates(judge, QUERY, candidates(*texts), texts)
-        backward = judge_candidates(judge, QUERY, candidates(*reversed(list(texts))), texts)
+        forward = judge_candidates(judge, QUERY, candidates(*texts), corpus_of(texts))
+        backward = judge_candidates(judge, QUERY, candidates(*reversed(list(texts))), corpus_of(texts))
         assert {j.doc_id: j.p_relevant for j in forward} == {j.doc_id: j.p_relevant for j in backward}
 
     def test_partial_failure_skips_with_warning(self, caplog):
         texts = {"c1": "t1", "c2": "t2"}
         judge = FailingJudge(fail_for={"t2"})
         with caplog.at_level("WARNING"):
-            result = judge_candidates(judge, QUERY, candidates("c1", "c2"), texts)
+            result = judge_candidates(judge, QUERY, candidates("c1", "c2"), corpus_of(texts))
         assert [j.doc_id for j in result] == ["c1"]
         assert any("skipping" in r.message for r in caplog.records)
 
@@ -352,19 +365,19 @@ class TestJudgeCandidates:
             (v for k, v in replies.items() if k in body["prompt"]), {"1": -0.1, "0": -2.5})})
         texts = {"c1": "t1", "c2": "t2", "c3": "t3"}
         judge = LlmJudge(HttpGateway(url, retries=0))
-        result = judge_candidates(judge, QUERY, candidates(*texts), texts)
+        result = judge_candidates(judge, QUERY, candidates(*texts), corpus_of(texts))
         assert [(j.doc_id, j.label) for j in result] == [("c1", True)]
 
     def test_all_failures_raise(self):
         texts = {"c1": "t1", "c2": "t2"}
         with pytest.raises(JudgeUnavailable):
-            judge_candidates(FailingJudge(), QUERY, candidates("c1", "c2"), texts)
+            judge_candidates(FailingJudge(), QUERY, candidates("c1", "c2"), corpus_of(texts))
 
     def test_concurrent_matches_sequential(self):
         texts = {f"c{i}": f"t{i}" for i in range(8)}
         probs = {f"t{i}": (0.95 if i % 2 else 0.05) for i in range(8)}
         judge = ScriptedJudge(probs)
-        seq = judge_candidates(judge, QUERY, candidates(*texts), texts, max_workers=1)
-        par = judge_candidates(judge, QUERY, candidates(*texts), texts, max_workers=4)
+        seq = judge_candidates(judge, QUERY, candidates(*texts), corpus_of(texts), max_workers=1)
+        par = judge_candidates(judge, QUERY, candidates(*texts), corpus_of(texts), max_workers=4)
         assert seq == par
         assert [j.doc_id for j in seq] == list(texts)

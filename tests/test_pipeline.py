@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +15,8 @@ import rede.dense
 import rede.fusion
 import rede.pipeline
 
-from rede.corpus import Document, Query, RankedList, write_run_file
-from rede.dense import build_dense_index, dense_search
+from rede.corpus import Document, Query, RankedList, load_corpus, write_run_file
+from rede.dense import build_dense_index, dense_search, fetch_embedding, load_bundle, write_embeddings
 from rede.errors import (
     AllSamplesEmpty,
     ConfigError,
@@ -38,7 +40,7 @@ from rede.pipeline import (
     required_components,
     rerank_by_judge,
 )
-from rede.sparse import build_sparse_index
+from rede.sparse import build_sparse_index, load_sparse_index, save_sparse_index
 from rede.synthetic import TableEncoder, generate_benchmark
 
 
@@ -807,6 +809,36 @@ class TestEncoderBoundary:
         assert trace.refined_vector.tobytes() == mean_update(QUERY_VEC, [vec(0.7, 0.2)] * 4).tobytes()
 
 
+# Values a cast to float would take without a word: a complex by its real part, a numeric string
+# as its number; an object array ended in np.isfinite's TypeError.
+NOT_REAL = {
+    "complex": np.array([1 + 2j, 0.5]),
+    "strings": np.array(["1.0", "0.5"]),
+    "bytes": np.array([b"1.0", b"0.5"]),
+    "objects": np.array([1.0, None], dtype=object),
+    "one string": "abc",
+}
+
+
+def _boundary_call(boundary, values):
+    """A call that hands values to the named vector boundary."""
+    if boundary == "encoder reply":
+        engine = hyde_engine(ScriptedEncoder([[0.5, 0.5]] * 4, query_reply=[values]))
+        return lambda: engine.search("dense", QUERY)
+    return {"query vector": lambda: dense_search(build_dense_index(["d1", "d2"], np.eye(2)), values, 2),
+            "mean update input": lambda: mean_update(np.ones(2), [values]),
+            "mean update query": lambda: mean_update(values, [vec(1, 0)])}[boundary]
+
+
+@pytest.mark.parametrize("name", NOT_REAL)
+@pytest.mark.parametrize("boundary", ["encoder reply", "query vector", "mean update input", "mean update query"])
+def test_a_vector_not_of_real_numbers_raises_non_finite_vector(boundary, name):
+    values = NOT_REAL[name]
+    what = "mean update input" if boundary == "mean update query" else boundary
+    with pytest.raises(NonFiniteVector, match=re.escape(f"{what} has dtype {np.asarray(values).dtype}")):
+        _boundary_call(boundary, values)()
+
+
 class Float64Encoder:
     """The wrapped encoder's vectors, exactly, as float64."""
 
@@ -938,6 +970,76 @@ class TestEngineRowSpace:
             sparse = replace(sparse, doc_ids=sparse.doc_ids[::-1])  # the index is frozen
         with pytest.raises(IndexMismatch, match=diagnostic):
             SearchEngine(corpus, sparse, dense, TableEncoder({}, 2))
+
+
+def _read_path_engine(tmp_path, bench, **kwargs):
+    """The engine over files written from bench and read back by the read path."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps({"_id": d, "title": doc.title, "text": doc.text}) + "\n"
+                                   for d, doc in bench.corpus.items()))
+    save_sparse_index(build_sparse_index(bench.corpus), str(tmp_path / "sparse.idx"))
+    manifest = write_embeddings(str(tmp_path / "emb"), bench.doc_ids, bench.doc_vectors)
+    corpus = load_corpus(str(corpus_path))
+    return SearchEngine(corpus, load_sparse_index(str(tmp_path / "sparse.idx")), load_bundle(manifest),
+                        bench.encoder, **kwargs)
+
+
+class TestNoPerDocumentMaps:
+    """The engine keeps its corpus and builds no map with an entry per document: a query reads
+    its candidates' texts from the corpus and finds its feedback rows by bisection."""
+
+    def test_no_method_builds_a_per_document_map(self, tmp_path):
+        bench = generate_benchmark(seed=5, n_docs=300, n_queries=4)
+        for i, doc_id in enumerate(bench.doc_ids[::7]):
+            bench.corpus[doc_id].title = f"title {i}"
+        hypo = "a hypothetical passage"
+        bench.encoder.table[hypo] = vec(*([0.25] * 16))
+        gateway = MockGateway([{"match_substring": "", "text": hypo}])
+        engine = _read_path_engine(
+            tmp_path, bench, judge=OracleJudge(bench.qrels), gateway=gateway,
+            config=PipelineConfig(initial_retriever="hybrid", k_initial=20, output_depth=50),
+            hyde_config=HydeConfig(n_samples=2))
+        paths = {}
+        for method in METHODS:
+            result, trace = engine.search(method, bench.queries[0])
+            result.validate()
+            paths[method] = (trace.path_taken, trace.kstar)
+        assert paths["rede"][0] == "rede" and paths["rede"][1] > 0  # feedback rows were fetched
+        assert gateway.counter.total > 0  # the hyde rows generated over the candidates' texts
+        assert "doc_texts" not in vars(engine)
+        assert "id_to_row" not in vars(engine.dense_index)
+
+    def test_engine_construction_retains_no_memory_per_document(self):
+        def retained(n_docs):
+            bench = generate_benchmark(seed=5, n_docs=n_docs, n_queries=2)
+            sparse = build_sparse_index(bench.corpus)
+            dense = build_dense_index(bench.doc_ids, bench.doc_vectors)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                engine = SearchEngine(bench.corpus, sparse, dense, bench.encoder)
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert engine.corpus is bench.corpus
+            return after - before
+
+        assert retained(4000) - retained(1000) < 4096
+
+    def test_the_inspection_maps_agree_with_the_read_path(self, tmp_path):
+        # perfbench reads both maps: doc_texts for the modelled judge, id_to_row for stored rows
+        bench = generate_benchmark(seed=6, n_docs=60, n_queries=2)
+        for doc_id in bench.doc_ids[::3]:
+            bench.corpus[doc_id].title = "a title"
+        engine = _read_path_engine(tmp_path, bench)
+        dense = engine.dense_index
+        assert "doc_texts" not in vars(engine) and "id_to_row" not in vars(dense)
+        assert engine.doc_texts == {d: doc.search_text for d, doc in engine.corpus.items()}
+        assert engine.doc_texts is engine.doc_texts
+        assert engine.doc_texts[bench.doc_ids[0]] == f"a title. {bench.corpus[bench.doc_ids[0]].text}"
+        assert dense.id_to_row == {d: row for row, d in enumerate(bench.doc_ids)}
+        for doc_id, row in dense.id_to_row.items():
+            assert np.shares_memory(fetch_embedding(dense, doc_id), dense.vectors[row])
 
 
 class TestTraces:
