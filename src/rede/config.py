@@ -14,9 +14,10 @@ builds, and a key the file does not set keeps that class's default:
     ``OracleJudge``, ``lexical`` -> ``LexicalJudge``; gateway ``http`` ->
     ``HttpGateway``, ``mock`` -> ``MockGateway.from_script_file``; encoder
     ``hash`` -> ``HashingEncoder``, ``http`` -> ``HttpEncoder``. The
-    encoder is built at the dim of the embedding bundle, and only when a
-    bundle is given: the bundle's manifest is the one home of the dense
-    dim and of its vectors file;
+    encoder is built only when an embedding bundle is given, the ``hash``
+    one at the bundle's dim; the ``http`` one takes no dim, and the engine
+    reads its reply against the bundle's. The bundle's manifest is the one
+    home of the dense dim and of its vectors file;
   * ``paths`` holds the deployment's files, listed with defaults in
     ``_PATHS`` (None: not given; ``sparse_index`` None builds the index
     from the corpus, a templates dir None uses the templates in the package).
@@ -79,7 +80,7 @@ _BACKENDS = {
     },
     "encoder": {
         "hash": _Backend(HashingEncoder, takes=("dim",)),
-        "http": _Backend(HttpEncoder, ("url",), takes=("dim",), needs=("url", "encoder.url")),
+        "http": _Backend(HttpEncoder, ("url",), needs=("url", "encoder.url")),
     },
 }
 

@@ -6,7 +6,12 @@ whose sizes are integers, and a newline-separated doc-id file. In
 memory, rows are held in ascending doc-id order whatever the order of the
 id file: an ascending id file is kept in its order, any other is sorted
 once, and the ids are also held as one read-only object array
-(``id_array``) that search hands to ``_top_k``. Every id is a string, and
+(``id_array``) that search hands to ``_top_k``. ``write_embeddings`` writes
+the index ``build_dense_index`` builds, so a bundle it writes is ascending
+and loads without a sort, and what ``load_bundle`` refuses is refused before
+writing. Every vector from outside the program, rows, a query or an
+encoder's reply, is read by ``errors.real_array``; ``HttpEncoder`` only
+carries its reply to the engine, which reads it. Every id is a string, and
 ``fetch_embedding`` finds a row by bisection over the ascending ids, so no
 per-document map is built; ``id_to_row`` is made on first read, for
 inspection only. Search is exact brute
@@ -44,6 +49,7 @@ from .errors import (
     check_count,
     check_real,
     check_vectors,
+    real_array,
 )
 from .gateway import MAX_WAIT_S, post_json
 
@@ -81,29 +87,27 @@ class DenseIndex:
         return len(self.ids)
 
 
-def build_dense_index(corpus_ids: list[str], vectors: np.ndarray) -> DenseIndex:
+def build_dense_index(corpus_ids: list[str], vectors) -> DenseIndex:
     """The only public constructor: validates the input and stores rows in ascending doc-id order.
 
-    The index holds copies of the caller's id list and array, never the objects themselves.
+    The vectors are read by ``real_array`` in float32. The index holds copies of the caller's
+    id list and array, never the objects themselves.
     """
-    return _own_index(list(corpus_ids), np.array(vectors, dtype=np.float32, order="C"))
-
-
-def _check_shape(ids: list[str], arr: np.ndarray) -> None:
-    """SizeMismatch unless arr holds one row per id, of a dim of at least 1."""
-    if arr.ndim != 2 or arr.shape[0] != len(ids):
-        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
-    check_count("dim", arr.shape[1], 1, SizeMismatch)
+    arr = real_array("document vectors", vectors, np.float32)
+    return _own_index(list(corpus_ids), np.array(arr, order="C"))
 
 
 def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     """build_dense_index over an id list and float32 array that the index takes over.
 
-    Every id must be a string. A strictly ascending id list is already in row
-    order and holds no id twice, so it and its rows are kept as they are; any
-    other order is sorted once, and is then strictly ascending unless an id repeats.
+    The array must hold one row per id, of a dim of at least 1 (SizeMismatch), and every
+    id must be a string. A strictly ascending id list is already in row order and holds
+    no id twice, so it and its rows are kept as they are; any other order is sorted once,
+    and is then strictly ascending unless an id repeats.
     """
-    _check_shape(ids, arr)
+    if arr.ndim != 2 or arr.shape[0] != len(ids):
+        raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
+    check_count("dim", arr.shape[1], 1, SizeMismatch)
     bad = [doc_id for doc_id in ids if not isinstance(doc_id, str)]
     if bad:
         raise PreconditionViolation(f"doc id {bad[0]!r} is not a string")
@@ -118,19 +122,22 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     return DenseIndex(arr.shape[1], ids, arr, _id_array(ids))
 
 
-def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray) -> str:
-    """Write a bundle load_bundle can read to out_dir; returns the manifest path.
+def write_embeddings(out_dir: str, ids: list[str], vectors) -> str:
+    """Write the index ``build_dense_index(ids, vectors)`` to out_dir as a bundle; returns the
+    manifest path.
 
-    The files are always ``embeddings.manifest.json``, ``embeddings.f32`` and
+    The bundle holds that index's ascending ids and their rows, so load_bundle reads it
+    without sorting, and whatever build_dense_index refuses is refused before any file is
+    written. The files are always ``embeddings.manifest.json``, ``embeddings.f32`` and
     ``embeddings.ids.txt``; the manifest names the other two.
 
     The id file is UTF-8, read back one non-blank line per id, leading BOM
     stripped, so an id that is blank, holds a line break or a lone surrogate
     (which UTF-8 cannot encode) or starts the file with a BOM could not be
-    given back; it is refused before any file is written.
+    given back; it is refused before any file is written too.
     """
-    arr = np.ascontiguousarray(vectors, dtype="<f4")
-    _check_shape(ids, arr)
+    index = build_dense_index(ids, vectors)
+    ids = index.ids
     bad = next((i for i in ids if not i.strip() or "\n" in i or "\r" in i), None)
     if bad is None and ids and ids[0].startswith("\ufeff"):
         bad = ids[0]
@@ -147,12 +154,12 @@ def write_embeddings(out_dir: str, ids: list[str], vectors: np.ndarray) -> str:
     vec_path = os.path.join(out_dir, "embeddings.f32")
     id_path = os.path.join(out_dir, "embeddings.ids.txt")
     manifest_path = os.path.join(out_dir, "embeddings.manifest.json")
-    arr.tofile(vec_path)
+    index.vectors.astype("<f4", copy=False).tofile(vec_path)
     with open(id_path, "wb") as f:
         f.write(data)
     with open(manifest_path, "w", encoding="utf-8") as f:
         json.dump(
-            {"dim": arr.shape[1], "count": arr.shape[0], "id_file": os.path.basename(id_path),
+            {"dim": index.dim, "count": index.count, "id_file": os.path.basename(id_path),
              "vectors_file": os.path.basename(vec_path)},
             f,
             indent=2,
@@ -252,23 +259,20 @@ class HashingEncoder:
 class HttpEncoder:
     """Encoder over HTTP: POST {"texts": [...]} -> {"vectors": [[...]]}; no retries.
 
-    Every reply must hold one finite vector of ``dim`` per text, the dim of
-    the bundle the engine searches. The HTTP errors are typed as the
-    gateway's, by ``gateway.post_json``."""
+    ``encode`` returns the reply's ``vectors`` value as the backend gave it, decoded by
+    ``gateway.post_json``: the engine reads it, against the dim of the bundle it searches,
+    so the encoder takes no dim. A reply without the key is BackendUnavailable, and the
+    HTTP errors are typed as the gateway's."""
 
-    def __init__(self, url: str, dim: int, timeout: float = 30.0):
-        check_count("dim", dim, 1)
+    def __init__(self, url: str, *, timeout: float = 30.0):
         check_real("timeout", timeout, MAX_WAIT_S, positive=True)
         self.url = url
-        self.dim = dim
         self.timeout = timeout
 
-    def encode(self, texts: list[str]) -> np.ndarray:
+    def encode(self, texts: list[str]):
         if not texts:
             raise ValueError("texts must be a non-empty list")
         obj = post_json(self.url, {"texts": texts}, self.timeout)
-        try:
-            arr = np.asarray(obj["vectors"], dtype=np.float32)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise BackendUnavailable(f"encoder backend at {self.url}: {exc}") from exc
-        return check_vectors(f"reply of the encoder backend at {self.url}", arr, (len(texts), self.dim))
+        if "vectors" not in obj:
+            raise BackendUnavailable(f"encoder backend at {self.url} replied without \"vectors\"")
+        return obj["vectors"]

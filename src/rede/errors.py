@@ -139,25 +139,31 @@ def check_real(name: str, value, hi=math.inf, *, positive: bool = False) -> None
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
-def real_array(what: str, values) -> np.ndarray:
-    """``np.asarray(values)``: NonFiniteVector, naming the dtype, unless it holds real numbers.
+def real_array(what: str, values, dtype=None) -> np.ndarray:
+    """The one reader of a vector from outside the program: ``np.asarray(values)``, cast to
+    ``dtype`` if one is given.
 
-    Real numbers are dtype kinds ``b``, ``i``, ``u`` and ``f``. The check comes before any cast
-    to float, which would read a complex value by its real part and a string as its number."""
-    arr = np.asarray(values)
+    Ragged input, which is no array, is DimMismatch. The values must be real numbers, dtype
+    kinds ``b``, ``i``, ``u`` and ``f``, or NonFiniteVector names the dtype: the check comes
+    before the cast, which would read a complex value by its real part and a string as its
+    number. A finite value past the range of ``dtype`` reads as inf, for the caller to refuse."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DimMismatch(f"{what} is ragged: {exc}") from exc
     if arr.dtype.kind not in "biuf":
         raise NonFiniteVector(f"{what} has dtype {arr.dtype}, not real numbers")
+    if dtype is not None:
+        with np.errstate(over="ignore"):
+            arr = arr.astype(dtype, copy=False)
     return arr
 
 
 def check_vectors(what: str, values, shape: tuple[int, ...], dtype=None) -> np.ndarray:
-    """``real_array(what, values)``, cast to ``dtype`` if one is given: DimMismatch unless its
-    shape is ``shape``, NonFiniteVector unless every value is finite in that dtype (a finite value
-    past its range reads as inf). The one rule for a query vector and for an encoder's reply."""
-    arr = real_array(what, values)
-    if dtype is not None:
-        with np.errstate(over="ignore"):
-            arr = arr.astype(dtype, copy=False)
+    """``real_array(what, values, dtype)``: DimMismatch unless its shape is ``shape``,
+    NonFiniteVector unless every value is finite in that dtype (a finite value past its range
+    reads as inf). The one rule for a query vector and for an encoder's reply."""
+    arr = real_array(what, values, dtype)
     if arr.shape != shape:
         raise DimMismatch(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():

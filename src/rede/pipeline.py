@@ -168,16 +168,15 @@ def mean_update(query_vec: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndar
     """Mean of the query vector and all given vectors, permutation-exact.
 
     Per-dimension math.fsum makes the result independent of vector order, so
-    every method that sees the same vectors gets the same bits. The vectors must
-    hold real numbers and are read in float32; a value that is not finite there
-    is NonFiniteVector.
+    every method that sees the same vectors gets the same bits. Each vector is
+    read by ``real_array`` in float32; a value that is not finite there is
+    NonFiniteVector.
     """
     vectors = list(vectors)
     if not vectors:
         raise EmptyRelevantSet("mean update requires at least one vector")
-    arrays = [real_array("mean update input", v) for v in [query_vec, *vectors]]
-    with np.errstate(over="ignore"):  # past float32's range reads as inf, refused below
-        q, *rows = [v.astype(np.float32, copy=False) for v in arrays]
+    # past float32's range reads as inf, refused below
+    q, *rows = [real_array("mean update input", v, np.float32) for v in [query_vec, *vectors]]
     for v in rows:
         if v.shape != q.shape:
             raise DimMismatch(f"mean update: vector shape {v.shape} != query shape {q.shape}")
@@ -314,7 +313,8 @@ class SearchEngine:
         return result
 
     def _encode(self, texts: list[str]) -> np.ndarray:
-        """The one encoder boundary: a reply holds one finite vector of the index's dim per text.
+        """The one reader of every encoder's reply (``HttpEncoder`` carries its backend's as
+        given): a reply holds one finite vector of the index's dim per text.
 
         The reply must hold real numbers, and is read in the index's dtype (float32), the one
         every later stage computes in: a finite value past its range reads as inf, so it is

@@ -11,6 +11,7 @@ from rede.cli import run_command
 from rede.config import GATEWAY_URL_ENV, build_engine, load_run_config
 from rede.corpus import load_corpus, load_queries, read_run_file, write_run_file
 from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
+from rede.errors import DimMismatch
 from rede.sparse import load_sparse_index
 
 DOCS = [
@@ -118,7 +119,7 @@ def test_ingest_dense_names_its_files_itself(workspace, capsys):
         "embeddings.f32", "embeddings.ids.txt", "embeddings.manifest.json"]
 
 
-def test_encoder_takes_the_bundle_dim(workspace):
+def test_encoder_takes_the_bundle_dim(workspace, http_server):
     # the bundle is dim 32 and the run config sets no dim
     out = workspace / "run.trec"
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "rede",
@@ -131,10 +132,16 @@ def test_encoder_takes_the_bundle_dim(workspace):
     assert out.read_text() == expected.read_text()
 
     config = json.loads((workspace / "config.json").read_text())
-    config["encoder"] = {"backend": "http", "url": "http://127.0.0.1:9"}  # built, never called
+    url, state = http_server
+    config["encoder"] = {"backend": "http", "url": url}
     (workspace / "http.json").write_text(json.dumps(config))
-    encoder = build_engine(load_run_config(str(workspace / "http.json")), "dense").encoder
-    assert isinstance(encoder, HttpEncoder) and encoder.dim == 32
+    engine = build_engine(load_run_config(str(workspace / "http.json")), "dense")
+    assert isinstance(engine.encoder, HttpEncoder)
+    state["handler"] = lambda body: (200, {"vectors": [[0.5] * 64]})  # not the bundle's dim
+    with pytest.raises(DimMismatch, match=re.escape("expected (1, 32)")):
+        engine.search("dense", queries[0])
+    state["handler"] = lambda body: (200, {"vectors": [[0.5] * 32]})
+    assert engine.search("dense", queries[0])[0].entries
 
 
 def test_ingest_dense_rejects_dim_zero(workspace, capsys):

@@ -12,7 +12,8 @@ from rede.cli import run_command
 from rede.config import (_BACKENDS, _PATHS, _TEXT_KEYS, GATEWAY_URL_ENV, SECTION_KEYS, build_engine,
                          load_run_config)
 from rede.dense import HashingEncoder, HttpEncoder, write_embeddings
-from rede.errors import ConfigError, check_count, check_real
+from rede.corpus import Query
+from rede.errors import ConfigError, DimMismatch, check_count, check_real
 from rede.fusion import FusionConfig
 from rede.gateway import HttpGateway, MockGateway
 from rede.hyde import HydeConfig
@@ -201,13 +202,17 @@ def test_paths_only_config_takes_class_defaults(data):
     assert engine.judge is None and engine.gateway is None
 
 
-def test_backend_defaults_come_from_the_constructor(data):
+def test_backend_defaults_come_from_the_constructor(data, http_server):
+    url, state = http_server
     engine = _build(data, {"gateway": {"backend": "http", "url": "http://127.0.0.1:9"},
-                           "encoder": {"backend": "http", "url": "http://127.0.0.1:9"}}, "hyde")
+                           "encoder": {"backend": "http", "url": url}}, "hyde")
     gateway = engine.gateway
     assert isinstance(gateway, HttpGateway)
     assert (gateway.model, gateway.backoff_s) == ("completion-model", 0.25)
-    assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.dim == 64  # the bundle's
+    assert isinstance(engine.encoder, HttpEncoder) and engine.encoder.timeout == 30.0
+    state["handler"] = lambda body: (200, {"vectors": [[0.5] * 32]})  # the bundle's dim is 64
+    with pytest.raises(DimMismatch, match=re.escape("expected (1, 64)")):
+        engine.search("dense", Query("q1", "apple fruit"))
     mock = _build(data, {"gateway": {"backend": "mock", "mock_script": str(data / "mock.json"),
                                      "url": "ignored by the mock backend", "retries": 5}}, "hyde").gateway
     assert isinstance(mock, MockGateway) and (mock.retries, mock.backoff_s) == (0, 0.0)  # never retries

@@ -67,7 +67,7 @@ class TestIngest:
 
     def test_unsorted_bundle_held_in_doc_id_order(self, tmp_path):
         vectors = np.array([[3.0, 0.5], [1.0, 0.25], [2.0, 0.125]], dtype=np.float32)
-        index = load_bundle(write_embeddings(str(tmp_path), ["d3", "d1", "d2"], vectors))
+        index = load_bundle(_hand_written(tmp_path, ["d3", "d1", "d2"], vectors))
         assert index.ids == ["d1", "d2", "d3"]
         assert index.vectors.tobytes() == vectors[[1, 2, 0]].tobytes()
         for i, doc_id in enumerate(["d3", "d1", "d2"]):
@@ -109,7 +109,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("ids, bad", [
         (["", "d2"], ""), (["  ", "d2"], "  "), (["\x1c", "d2"], "\x1c"), (["d1\nd2", "d3"], "d1\nd2"),
-        (["d1", "d2\r"], "d2\r"), (["d1", "d2\rd3"], "d2\rd3"), (["\ufeffd1", "d2"], "\ufeffd1"),
+        (["d1", "d2\r"], "d2\r"), (["d1", "d2\rd3"], "d2\rd3"), (["\ufeffd2", "\ufeffd1"], "\ufeffd1"),
         (["d1", "d\ud800"], "d\ud800"),
     ], ids=["empty", "spaces", "separator", "newline", "trailing cr", "cr", "first with bom", "lone surrogate"])
     def test_id_the_id_file_cannot_give_back_is_refused_before_writing(self, tmp_path, ids, bad):
@@ -144,15 +144,32 @@ class TestIngest:
 
     def test_non_finite(self, tmp_path):
         vectors = np.array([[np.nan, 1.0]], dtype=np.float32)
-        manifest = write_embeddings(str(tmp_path), ["d1"], vectors)
         with pytest.raises(NonFiniteVector):
-            load_bundle(manifest)
+            load_bundle(_hand_written(tmp_path, ["d1"], vectors))
 
     def test_duplicate_ids(self, tmp_path):
         vectors = np.zeros((2, 2), dtype=np.float32)
-        manifest = write_embeddings(str(tmp_path), ["d1", "d1"], vectors)
         with pytest.raises(DuplicateDocId):
-            load_bundle(manifest)
+            load_bundle(_hand_written(tmp_path, ["d1", "d1"], vectors))
+
+    @pytest.mark.parametrize("ids, vectors, error", [
+        (["d1", "d2"], np.array([[np.nan, 1.0], [0.0, 1.0]], dtype=np.float32), NonFiniteVector),
+        (["d1", "d2"], np.array([[1e39, 1.0], [0.0, 1.0]]), NonFiniteVector),  # inf in float32
+        (["d1", "d1"], np.zeros((2, 2), dtype=np.float32), DuplicateDocId),
+        ([1, 2], np.zeros((2, 2), dtype=np.float32), PreconditionViolation),
+    ], ids=["nan", "float64 past float32", "duplicate", "int ids"])
+    def test_what_load_bundle_refuses_is_refused_before_writing(self, tmp_path, ids, vectors, error):
+        # the first three were written, for load_bundle to refuse; int ids ended in an AttributeError
+        out = tmp_path / "bundle"
+        with pytest.raises(error):
+            write_embeddings(str(out), ids, vectors)
+        assert not out.exists()
+
+    def test_bundle_holds_the_ids_ascending(self, tmp_path):
+        vectors = np.array([[3.0, 0.5], [1.0, 0.25], [2.0, 0.125]], dtype=np.float32)
+        write_embeddings(str(tmp_path), ["d3", "d1", "d2"], vectors)
+        assert (tmp_path / "embeddings.ids.txt").read_text() == "d1\nd2\nd3\n"
+        assert (tmp_path / "embeddings.f32").read_bytes() == vectors[[1, 2, 0]].astype("<f4").tobytes()
 
     def test_id_count_mismatch(self, tmp_path, bundle):
         manifest, _ = bundle
@@ -164,10 +181,25 @@ class TestIngest:
             load_bundle(manifest)
 
 
+def _hand_written(out, ids: list, vectors: np.ndarray) -> str:
+    """The manifest of a bundle of ids and vectors in that order, written without write_embeddings,
+    which refuses what load_bundle refuses and writes its ids ascending."""
+    out.mkdir(parents=True, exist_ok=True)
+    vectors.astype("<f4").tofile(out / "embeddings.f32")
+    (out / "embeddings.ids.txt").write_text("".join(f"{doc_id}\n" for doc_id in ids), encoding="utf-8")
+    manifest = out / "embeddings.manifest.json"
+    manifest.write_text(json.dumps({"dim": vectors.shape[1], "count": len(ids),
+                                    "id_file": "embeddings.ids.txt", "vectors_file": "embeddings.f32"}))
+    return str(manifest)
+
+
 def _via(tmp_path, how: str, ids: list[str], vectors: np.ndarray):
-    """The index that build_dense_index, or load_bundle over a written bundle, makes of ids and vectors."""
+    """The index that build_dense_index, load_bundle over a bundle write_embeddings wrote, or
+    load_bundle over a hand-written bundle in the given order ("file") makes of ids and vectors."""
     if how == "build":
         return build_dense_index(ids, vectors)
+    if how == "file":
+        return load_bundle(_hand_written(tmp_path, ids, vectors))
     return load_bundle(write_embeddings(str(tmp_path), ids, vectors))
 
 
@@ -182,7 +214,7 @@ class TestRowOrder:
     def _vectors() -> np.ndarray:
         return np.random.default_rng(4).standard_normal((len(_IDS), 8)).astype(np.float32)
 
-    @pytest.mark.parametrize("how", ["build", "bundle"])
+    @pytest.mark.parametrize("how", ["build", "bundle", "file"])
     def test_ascending_and_shuffled_ids_give_equal_indexes(self, tmp_path, how):
         vectors = self._vectors()
         ascending = _via(tmp_path / "a", how, list(_IDS), vectors)
@@ -211,14 +243,14 @@ class TestRowOrder:
     # A list with an id twice is never strictly ascending, so both orders reach the sort,
     # after which the sorted list is still not strictly ascending.
     @pytest.mark.parametrize("ids", [["d1", "d2", "d2"], ["d2", "d1", "d2"]], ids=["ascending", "shuffled"])
-    @pytest.mark.parametrize("how", ["build", "bundle"])
+    @pytest.mark.parametrize("how", ["build", "bundle", "file"])
     def test_duplicate_id_raises_in_either_order(self, tmp_path, how, ids):
         with pytest.raises(DuplicateDocId, match="d2"):
             _via(tmp_path, how, ids, np.zeros((3, 2), dtype=np.float32))
 
     # The finiteness check runs before the order is looked at, so it covers both paths.
     @pytest.mark.parametrize("ids", [["d1", "d2", "d3"], ["d3", "d1", "d2"]], ids=["ascending", "shuffled"])
-    @pytest.mark.parametrize("how", ["build", "bundle"])
+    @pytest.mark.parametrize("how", ["build", "bundle", "file"])
     def test_non_finite_row_raises_in_either_order(self, tmp_path, how, ids):
         vectors = np.zeros((3, 2), dtype=np.float32)
         vectors[1, 0] = np.inf
@@ -236,7 +268,7 @@ class TestStringIds:
 
     def test_bisection_finds_every_row_of_a_shuffled_bundle(self, tmp_path):
         vectors = np.random.default_rng(4).standard_normal((len(_IDS), 8)).astype(np.float32)
-        index = load_bundle(write_embeddings(str(tmp_path), [_IDS[i] for i in _PERM], vectors[_PERM]))
+        index = load_bundle(_hand_written(tmp_path, [_IDS[i] for i in _PERM], vectors[_PERM]))
         assert index.ids == _IDS
         for i, doc_id in enumerate(_IDS):
             assert fetch_embedding(index, doc_id).tobytes() == vectors[i].tobytes()
@@ -246,13 +278,13 @@ class TestStringIds:
                                   "None", "bytes", "list", "tuple"])
     def test_an_id_not_in_a_shuffled_bundle_is_unknown(self, tmp_path, doc_id):
         vectors = np.zeros((len(_IDS), 2), dtype=np.float32)
-        index = load_bundle(write_embeddings(str(tmp_path), [_IDS[i] for i in _PERM], vectors))
+        index = load_bundle(_hand_written(tmp_path, [_IDS[i] for i in _PERM], vectors))
         with pytest.raises(UnknownDocId):
             fetch_embedding(index, doc_id)
 
     def test_id_to_row_is_built_on_first_read_and_agrees_with_fetch(self, tmp_path):
         vectors = np.random.default_rng(5).standard_normal((len(_IDS), 4)).astype(np.float32)
-        index = load_bundle(write_embeddings(str(tmp_path), [_IDS[i] for i in _PERM], vectors[_PERM]))
+        index = load_bundle(_hand_written(tmp_path, [_IDS[i] for i in _PERM], vectors[_PERM]))
         assert "id_to_row" not in vars(index)
         assert index.id_to_row == {doc_id: row for row, doc_id in enumerate(_IDS)}
         assert index.id_to_row is index.id_to_row
@@ -484,14 +516,31 @@ class TestHashingEncoder:
             HashingEncoder(8).encode([])
 
 
+def http_engine(http_server, vectors, dim: int = 2) -> SearchEngine:
+    """A dense engine over one document, in a bundle of ``dim``, whose HttpEncoder's backend
+    replies ``{"vectors": vectors}``."""
+    url, state = http_server
+    state["handler"] = lambda body: (200, {"vectors": vectors})
+    index = build_dense_index(["d1"], np.ones((1, dim), dtype=np.float32))
+    return SearchEngine({"d1": Document("d1", "", "alpha")}, None, index, HttpEncoder(url))
+
+
+def search_alpha(engine: SearchEngine):
+    return engine.search("dense", Query("q1", "alpha"))[0]
+
+
 class TestHttpEncoder:
     def test_round_trip(self, http_server):
+        # the reply is carried as the backend gave it; the engine reads it
         url, state = http_server
         state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0]] * len(body["texts"])})
-        enc = HttpEncoder(url, 2)
-        out = enc.encode(["x", "y"])
-        assert out.shape == (2, 2)
-        assert enc.dim == 2
+        assert HttpEncoder(url).encode(["x", "y"]) == [[1.0, 2.0], [1.0, 2.0]]
+        assert search_alpha(http_engine(http_server, [[1.0, 2.0]])).entries == [("d1", 3.0)]
+
+    def test_takes_no_dim(self):
+        # the engine reads every reply against its bundle's dim; a dim passed as before is refused
+        with pytest.raises(TypeError):
+            HttpEncoder("http://127.0.0.1:1/nothing", 2)
 
     @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf"), "x", None, 1e300,
                                          pytest.param(10**400, id="10**400")])
@@ -499,46 +548,46 @@ class TestHttpEncoder:
         # unchecked, every encode would report the caller's mistake as BackendUnavailable
         message = f"timeout must be a finite number in (0, 86400], got {timeout!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            HttpEncoder("http://127.0.0.1:1/nothing", 2, timeout=timeout)
+            HttpEncoder("http://127.0.0.1:1/nothing", timeout=timeout)
 
     def test_unavailable(self):
-        enc = HttpEncoder("http://127.0.0.1:1/nothing", 2, timeout=0.2)
+        enc = HttpEncoder("http://127.0.0.1:1/nothing", timeout=0.2)
         with pytest.raises(BackendUnavailable):
             enc.encode(["x"])
 
-    def test_dim_drift_rejected(self, http_server):
+    def test_reply_without_vectors_is_unavailable(self, http_server):
         url, state = http_server
-        state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0, 3.0]]})
-        enc = HttpEncoder(url, dim=2)
-        with pytest.raises(DimMismatch):
-            enc.encode(["x"])
+        state["handler"] = lambda body: (200, {"vector": [[1.0, 2.0]]})
+        with pytest.raises(BackendUnavailable, match='replied without "vectors"'):
+            HttpEncoder(url).encode(["x"])
 
-    def test_bad_reply_raises_typed_error(self, http_server):
-        url, state = http_server
-        for vectors, error in (([[float("nan"), 1.0]], NonFiniteVector),
-                               ([[1.0, 2.0], [1.0]], BackendUnavailable),  # ragged
-                               ({"x": 1.0}, BackendUnavailable)):
-            state["handler"] = lambda body: (200, {"vectors": vectors})
-            with pytest.raises(error):
-                HttpEncoder(url, 2).encode(["x", "y"][: len(vectors)])
+    def test_dim_drift_rejected(self, http_server):
+        with pytest.raises(DimMismatch):
+            search_alpha(http_engine(http_server, [[1.0, 2.0, 3.0]]))
+
+    @pytest.mark.parametrize("vectors, error", [
+        ([[float("nan"), 1.0]], NonFiniteVector),
+        ([[1.0, 2.0], [1.0]], DimMismatch),  # ragged: was BackendUnavailable
+        ({"x": 1.0}, NonFiniteVector),  # an object array: was BackendUnavailable
+        ([["0.5", "1e3"]], NonFiniteVector),  # strings: were read as [[0.5, 1000.0]]
+    ], ids=["nan", "ragged", "dict", "strings"])
+    def test_bad_reply_raises_typed_error(self, http_server, vectors, error):
+        with pytest.raises(error):
+            search_alpha(http_engine(http_server, vectors))
 
     def test_integer_past_float_range_is_non_finite(self, http_server):
         # the reply's JSON integer reads as the float inf, not an OverflowError in the float32 cast
-        url, state = http_server
-        state["handler"] = lambda body: (200, {"vectors": [[int("1" * 400), 0.5]]})
         with pytest.raises(NonFiniteVector):
-            HttpEncoder(url, 2).encode(["x"])
+            search_alpha(http_engine(http_server, [[int("1" * 400), 0.5]]))
 
 
 @pytest.mark.parametrize("dim, message", [
     (0, "dim must be >= 1, got 0"), (1.5, "dim must be an integer, got 1.5"),
     (True, "dim must be an integer, got True"), (64.0, "dim must be an integer, got 64.0"),
 ])
-@pytest.mark.parametrize("encoder", [HashingEncoder, lambda dim: HttpEncoder("http://127.0.0.1:1/nothing", dim)],
-                         ids=["HashingEncoder", "HttpEncoder"])
-def test_encoder_dim_is_a_count(encoder, dim, message):
+def test_encoder_dim_is_a_count(dim, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        encoder(dim)
+        HashingEncoder(dim)
 
 
 def slow_reply(body):
@@ -556,7 +605,7 @@ def test_http_errors_are_typed_as_the_gateways(http_server, handler, timeout, er
     url, state = http_server
     state["handler"] = handler
     with pytest.raises(error, match=message):
-        HttpEncoder(url, 2, timeout=timeout).encode(["x"])
+        HttpEncoder(url, timeout=timeout).encode(["x"])
     assert len(state["requests"]) == 1  # no retries
 
 
@@ -598,9 +647,8 @@ def _dense_search_query(http_server, row):
 
 
 def _http_encoder_reply(http_server, row):
-    url, state = http_server
-    state["handler"] = lambda body: (200, {"vectors": [row]})
-    return f"reply of the encoder backend at {url}", (1, 2), lambda: HttpEncoder(url, dim=2).encode(["alpha"])
+    engine = http_engine(http_server, [row])
+    return "encoder reply", (1, 2), lambda: search_alpha(engine)
 
 
 @pytest.mark.parametrize("row, error, rest", [
@@ -619,11 +667,10 @@ def test_every_vector_boundary_gives_the_one_message(http_server, site, row, err
 
 @pytest.mark.parametrize("first", [5.0, [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0]]], [[]]],
                          ids=["0-d", "1-D", "two rows for one text", "3-D", "dim 0"])
-def test_http_encoder_refuses_a_reply_not_of_its_dim(http_server, first):
-    url, state = http_server
-    encoder = HttpEncoder(url, 3)
-    state["handler"] = lambda body: (200, {"vectors": first})
+def test_an_http_reply_not_of_the_bundle_dim_is_refused(http_server, first):
+    engine = http_engine(http_server, first, dim=3)
     with pytest.raises(DimMismatch, match=re.escape("expected (1, 3)")):
-        encoder.encode(["x"])
+        search_alpha(engine)
+    _, state = http_server
     state["handler"] = lambda body: (200, {"vectors": [[1.0, 2.0, 3.0]]})
-    assert encoder.encode(["x"]).tolist() == [[1.0, 2.0, 3.0]] and encoder.dim == 3
+    assert search_alpha(engine).entries == [("d1", 6.0)]

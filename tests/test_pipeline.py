@@ -748,7 +748,7 @@ class ScriptedEncoder:
 
     def __init__(self, sample_reply, query_reply=None):
         self.sample_reply = np.asarray(sample_reply, dtype=np.float32)
-        self.query_reply = np.array([QUERY_VEC]) if query_reply is None else np.asarray(query_reply)
+        self.query_reply = np.array([QUERY_VEC]) if query_reply is None else query_reply  # as given
 
     def encode(self, texts):
         return self.query_reply if texts == [QUERY.text] else self.sample_reply
@@ -810,9 +810,11 @@ class TestEncoderBoundary:
 
 
 # Values a cast to float would take without a word: a complex by its real part, a numeric string
-# as its number; an object array ended in np.isfinite's TypeError.
+# as its number; an object array ended in np.isfinite's TypeError, and at the two builders a
+# complex list in a TypeError from the cast.
 NOT_REAL = {
     "complex": np.array([1 + 2j, 0.5]),
+    "complex list": [1 + 2j, 0.5],
     "strings": np.array(["1.0", "0.5"]),
     "bytes": np.array([b"1.0", b"0.5"]),
     "objects": np.array([1.0, None], dtype=object),
@@ -820,23 +822,41 @@ NOT_REAL = {
 }
 
 
-def _boundary_call(boundary, values):
-    """A call that hands values to the named vector boundary."""
+# each vector boundary, and the name its errors give the vector
+BOUNDARIES = {"encoder reply": "encoder reply", "query vector": "query vector",
+              "mean update input": "mean update input", "mean update query": "mean update input",
+              "build_dense_index": "document vectors", "write_embeddings": "document vectors"}
+
+
+def _boundary_call(boundary, values, out):
+    """A call that hands values to the named vector boundary; write_embeddings writes to out."""
     if boundary == "encoder reply":
         engine = hyde_engine(ScriptedEncoder([[0.5, 0.5]] * 4, query_reply=[values]))
         return lambda: engine.search("dense", QUERY)
     return {"query vector": lambda: dense_search(build_dense_index(["d1", "d2"], np.eye(2)), values, 2),
             "mean update input": lambda: mean_update(np.ones(2), [values]),
-            "mean update query": lambda: mean_update(values, [vec(1, 0)])}[boundary]
+            "mean update query": lambda: mean_update(values, [vec(1, 0)]),
+            "build_dense_index": lambda: build_dense_index(["d1", "d2"], values),
+            "write_embeddings": lambda: write_embeddings(str(out), ["d1", "d2"], values)}[boundary]
 
 
 @pytest.mark.parametrize("name", NOT_REAL)
-@pytest.mark.parametrize("boundary", ["encoder reply", "query vector", "mean update input", "mean update query"])
-def test_a_vector_not_of_real_numbers_raises_non_finite_vector(boundary, name):
-    values = NOT_REAL[name]
-    what = "mean update input" if boundary == "mean update query" else boundary
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_a_vector_not_of_real_numbers_raises_non_finite_vector(tmp_path, boundary, name):
+    values, out = NOT_REAL[name], tmp_path / "bundle"
+    what = BOUNDARIES[boundary]
     with pytest.raises(NonFiniteVector, match=re.escape(f"{what} has dtype {np.asarray(values).dtype}")):
-        _boundary_call(boundary, values)()
+        _boundary_call(boundary, values, out)()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_a_ragged_vector_raises_dim_mismatch(tmp_path, boundary):
+    # numpy's untyped ValueError ("inhomogeneous shape") at every boundary
+    out = tmp_path / "bundle"
+    with pytest.raises(DimMismatch, match=f"^{re.escape(BOUNDARIES[boundary])} is ragged"):
+        _boundary_call(boundary, [[0.5], [0.5, 0.5]], out)()
+    assert not out.exists()
 
 
 class Float64Encoder:
