@@ -7,7 +7,9 @@ Scoring is the Robertson variant with the (k1+1) numerator:
     idf(t)      = ln(1 + (N - df + 0.5) / (df + 0.5))
 
 Duplicate query tokens contribute once per occurrence. Documents matching
-no query term are excluded from search results. Rows are documents in
+no query term are excluded from search results. A length norm past float
+range is refused when an index is made (ValueError), and a score that is
+not finite is NonFiniteVector, the dense leg's rule. Rows are documents in
 ascending doc-id order, so row order is the tie order. The index holds its
 ids twice: the list ``doc_ids`` that is saved and checked, and the
 read-only object array ``id_array`` over the same strings, built once at
@@ -17,8 +19,9 @@ list's entries are read.
 
 In memory the postings are flat arrays: term t (numbered in file order) has
 the [row, tf] pairs ``pairs[offsets[t]:offsets[t+1]]``, rows ascending. A
-query gathers its terms' slices and adds them into the row scores with one
-bincount.
+build tokenizes each document on its own, an ASCII one with the byte table
+``_ASCII_BYTES`` and any other with ``tokenize``. A query gathers its terms'
+slices and adds them into the row scores with one bincount.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
 
 from .corpus import _ASCII_BYTES, Corpus, RankedList, _id_array, _strictly_ascending, _top_k, tokenize
-from .errors import EmptyCorpus, MalformedRecord, check_real
+from .errors import EmptyCorpus, MalformedRecord, NonFiniteVector, check_real
 
 _MAGIC = b"SPIDX"
 _VERSION = 2
@@ -63,7 +65,10 @@ class SparseIndex:
         check_real("b", self.b, 1)
         check_real("avg_doc_length", self.avg_doc_length, positive=True)
         self.pairs.flags.writeable = False
-        norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
+        if not np.isfinite(norm).all():
+            raise ValueError(f"k1 = {self.k1!r} puts a length norm k1 * (1 - b + b * dl / avgdl) past float range")
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "id_array", _id_array(self.doc_ids))
 
@@ -83,43 +88,30 @@ def _number_tokens(texts: list[str]) -> tuple[dict[str, int], np.ndarray, np.nda
 
     Terms are numbered in order of first occurrence over the texts in order,
     ``_RUN_DOCS`` texts at a time, so only one run's token objects are held.
-    Tokens are keyed by their UTF-8 bytes. An all-ASCII run is joined around a
-    0xFF byte, tokenized as one byte string with ``_ASCII_BYTES`` and one split;
-    any other run is tokenized one text at a time, a 0xFF after each text, and
-    each text picks its own path: an ASCII text is encoded, translated with
-    ``_ASCII_BYTES`` and split, any other goes through ``tokenize`` and each of
-    its tokens is encoded. 0xFF never occurs in UTF-8 and a token never holds
-    a surrogate, so every token encodes and none is the boundary. The boundary
-    is term 0, a token's row is the run's first row plus the count of
-    boundaries before it, and only the distinct terms are decoded.
+    Tokens are keyed by their UTF-8 bytes, and each text takes its own path: an
+    ASCII text is encoded, translated with ``_ASCII_BYTES`` and split, any other
+    goes through ``tokenize`` and each of its tokens is encoded (a token never
+    holds a surrogate, so every token encodes). A text's token count is taken
+    as its tokens are made, each key's row is repeated from those counts, and
+    only the distinct terms are decoded.
     """
     n = len(texts)
     numbers = defaultdict()
     numbers.default_factory = numbers.__len__  # a new term takes the next number
-    numbers[b"\xff"]  # the text boundary is term 0
-    runs, lengths = [], np.empty(n, dtype=np.int32)
+    runs, lengths = [], []
     for start in range(0, n, _RUN_DOCS):
-        run = texts[start : start + _RUN_DOCS]
-        if all(map(str.isascii, run)):
-            tokens = " \xff ".join(run).encode("latin-1").translate(_ASCII_BYTES).split()
-        else:
-            tokens = []
-            for text in run:
-                tokens += (text.encode().translate(_ASCII_BYTES).split() if text.isascii()
-                           else map(str.encode, tokenize(text)))
-                tokens.append(b"\xff")
+        tokens = []
+        for text in texts[start : start + _RUN_DOCS]:
+            made = (text.encode().translate(_ASCII_BYTES).split() if text.isascii()
+                    else list(map(str.encode, tokenize(text))))
+            lengths.append(len(made))
+            tokens += made
         keys = np.fromiter(map(numbers.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        kept = keys != 0
-        rows = np.cumsum(~kept)[kept]
-        lengths[start : start + len(run)] = np.bincount(rows, minlength=len(run))
-        keys = keys[kept]  # in place: new temporaries per run fragment the heap (+23 MB peak RSS at 100k docs)
-        keys -= 1
-        keys *= n
-        keys += rows
-        keys += start
+        keys *= n  # in place: new temporaries per run fragment the heap (+23 MB peak RSS at 100k docs)
+        keys += np.repeat(np.arange(start, len(lengths)), lengths[start:])
         runs.append(keys)
-    terms = {term.decode(): t for t, term in enumerate(islice(numbers, 1, None))}
-    return terms, np.concatenate(runs), lengths
+    terms = {term.decode(): t for t, term in enumerate(numbers)}
+    return terms, np.concatenate(runs), np.array(lengths, dtype=np.int32)
 
 
 def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> SparseIndex:
@@ -158,7 +150,8 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
     (tf + norm[row]))`` with idf and count repeated per posting, in the order of
     the per-term formula. A term's rows are distinct and bincount adds each
     row's weights in input order from 0.0, so this is one ``scores[rows] +=``
-    per term, bit for bit.
+    per term, bit for bit. A score past float range in that order is
+    NonFiniteVector.
     """
     slices, dfs, idfs, counts = [], [], [], []
     for term, count in Counter(query_tokens).items():
@@ -174,14 +167,18 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
         return np.zeros(index.doc_count)
     postings = np.concatenate(slices)
     rows, tf = postings[:, 0].astype(np.intp), postings[:, 1].astype(np.float64)
-    weights = np.repeat(idfs, dfs)
-    weights *= tf
-    weights *= index.k1 + 1
-    tf += index.norm[rows]  # now the denominator tf + norm[row]
-    weights /= tf
-    if max(counts) > 1:  # 1 * w is w
-        weights *= np.repeat(counts, dfs)
-    return np.bincount(rows, weights, minlength=index.doc_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.repeat(idfs, dfs)
+        weights *= tf
+        weights *= index.k1 + 1
+        tf += index.norm[rows]  # now the denominator tf + norm[row]
+        weights /= tf
+        if max(counts) > 1:  # 1 * w is w
+            weights *= np.repeat(counts, dfs)
+        scores = np.bincount(rows, weights, minlength=index.doc_count)
+    if not np.isfinite(scores).all():
+        raise NonFiniteVector("BM25 overflows: a score is NaN or inf")
+    return scores
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:

@@ -178,6 +178,17 @@ def test_index_sparse_rejects_k1_that_is_not_finite_and_non_negative(workspace, 
     assert not out.exists()
 
 
+def test_index_sparse_rejects_k1_that_puts_a_norm_past_float_range(tmp_path, capsys):
+    # d2's length is 8 against an average of 11/3, so its norm at k1 = 1e308, b = 1 is past float range
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "sparse.idx"
+    corpus.write_text("".join(json.dumps({"_id": d, "title": "", "text": t}) + "\n" for d, t in
+                              [("d1", "a b"), ("d2", "a a a c c c c c"), ("d3", "b")]))
+    assert run_command(["index-sparse", "--corpus", str(corpus), "--k1", "1e308", "--b", "1",
+                        "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: k1 = 1e+308 puts a length norm")
+    assert not out.exists()
+
+
 def test_eval_rejects_k_zero(workspace, capsys):
     run_path = workspace / "run.trec"
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",

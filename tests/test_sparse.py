@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from collections import Counter
 from collections.abc import Mapping, MutableMapping
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import rede.sparse
 from rede.corpus import _ASCII_BYTES, Document, tokenize
 from rede.dense import build_dense_index
-from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch
+from rede.errors import EmptyCorpus, MalformedRecord, NonFiniteVector, SizeMismatch
 from rede.judge import OracleJudge
 from rede.pipeline import PipelineConfig, SearchEngine
 from rede.sparse import (
@@ -54,6 +55,8 @@ def corpus_from(texts: dict[str, str]):
 
 
 TOY = {"d1": "a b a", "d2": "b c"}
+# scores and norms of this corpus pass float range at k1 near its largest finite value
+OVERFLOW = {"d1": "a b", "d2": "a a a c c c c c", "d3": "b"}
 
 
 def assert_same_index(a, b):
@@ -106,6 +109,9 @@ class TestBuild:
         for k1 in (math.nan, math.inf):  # nan ranks nothing; inf divides inf by inf in every search
             with pytest.raises(ValueError, match=f"k1 must be a finite number >= 0, got {k1!r}"):
                 build_sparse_index(corpus_from(TOY), k1=k1)
+        # finite, but d2's length is 8 against an average of 11/3: at b = 1 its norm is 1e308 * 2.18
+        with pytest.raises(ValueError, match=re.escape("k1 = 1e+308 puts a length norm")):
+            build_sparse_index(corpus_from(OVERFLOW), k1=1e308, b=1.0)
 
     @pytest.mark.parametrize("avg_doc_length", [0, 0.0, math.nan, -1, "x"])
     def test_direct_index_refuses_an_average_length_that_is_not_positive(self, avg_doc_length):
@@ -115,6 +121,37 @@ class TestBuild:
                 f"avg_doc_length must be a finite number > 0, got {avg_doc_length!r}")):
             SparseIndex(index.doc_ids, index.doc_lengths, index.terms, index.offsets, index.pairs,
                         avg_doc_length)
+
+
+@pytest.mark.parametrize("k1", [1e308, 1.7e308])
+@pytest.mark.parametrize("b", [0.0, 0.4, 1.0])
+def test_bm25_past_float_range_raises_and_never_drops_a_document(k1, b):
+    # Before the rule, k1 = 1e308, b = 1 returned only d1 for "a" (d2's inf norm made its
+    # score 0), and k1 = 1.7e308, b = 0 ranked d2 at inf; both warned of an overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            index = build_sparse_index(corpus_from(OVERFLOW), k1=k1, b=b)
+        except ValueError as exc:
+            assert str(exc).startswith(f"k1 = {k1!r} puts a length norm"), exc
+            return
+        for query, matching in [("a", ["d1", "d2"]), ("b", ["d1", "d3"]), ("c", ["d2"]),
+                                ("a b c", ["d1", "d2", "d3"])]:
+            try:
+                entries = sparse_search(index, query, 10).entries
+            except NonFiniteVector as exc:
+                assert str(exc) == "BM25 overflows: a score is NaN or inf"
+                continue
+            assert sorted(doc_id for doc_id, _ in entries) == matching, (query, entries)
+            assert all(0 < score < math.inf for _, score in entries), (query, entries)
+
+
+def test_a_score_past_float_range_is_non_finite_vector():
+    # every norm is finite at b = 0, but idf * tf * (k1 + 1) for d2's tf 3 is not
+    index = build_sparse_index(corpus_from(OVERFLOW), k1=1.7e308, b=0.0)
+    with pytest.raises(NonFiniteVector, match="a score is NaN or inf"):
+        sparse_search(index, "a", 10)
+    assert [doc_id for doc_id, _ in sparse_search(index, "b", 10).entries] == ["d1", "d3"]
 
 
 class TestScore:
@@ -271,6 +308,7 @@ class TestSerialization:
         lambda data: with_header(data, lambda h: {**h, "k1": -1.0}),
         lambda data: with_header(data, lambda h: {**h, "k1": float("nan")}),
         lambda data: with_header(data, lambda h: {**h, "k1": float("inf")}),
+        lambda data: with_header(data, lambda h: {**h, "k1": 1.7e308, "b": 1.0}),  # a norm past float range
         lambda data: data[:7] + struct.pack("<Q", 2**63) + data[15:],  # header past the end of the file
     ])
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
@@ -391,7 +429,7 @@ TEXTS = st.lists(WORDS, max_size=8).flatmap(
         lambda seps: "".join(w + s for w, s in zip(words, seps))))
 DOC_IDS = st.sampled_from(["d1", "d2", "d10", "d100", "d11", "e", "é"])
 CORPORA = st.dictionaries(DOC_IDS, TEXTS, min_size=1, max_size=7).map(corpus_from)
-# ASCII runs take the build's one-byte-string path: any of the 128 code points, words
+# ASCII texts take the build's byte-table path: any of the 128 code points, words
 # of both cases between separators (`_`, the whitespace bytes.split splits on, the
 # \x1c-\x1f that only str.split splits on, \x7f), and separators alone; "" included
 ASCII_WORDS = st.sampled_from(["a", "A", "b", "bB", "Bb", "x1", "X1", "42", "z"])
@@ -404,10 +442,10 @@ ASCII_TEXTS = st.one_of(
     st.lists(ASCII_SEPARATORS, max_size=4).map("".join),
 )
 ASCII_CORPORA = st.dictionaries(DOC_IDS, ASCII_TEXTS, min_size=1, max_size=7).map(corpus_from)
-# A run with a non-ASCII document takes the per-document path and an all-ASCII run the byte
-# string path, so with runs of 1 and 2 documents the two alternate in either order. `ÿ` is
-# U+00FF, whose latin-1 byte is the boundary (its UTF-8 is c3 bf); a lone surrogate is no
-# token, only a separator.
+# Each document takes its own tokenizer path, the byte table if it is ASCII and `tokenize`
+# otherwise, so in runs of 1 and 2 documents the two alternate inside and across runs. `ÿ` is
+# U+00FF, a byte the table would keep (its UTF-8 is c3 bf); a lone surrogate is no token,
+# only a separator.
 NON_ASCII_TEXTS = st.sampled_from(["ÿ", "ÿes Ÿ_x1", "a ÿ b", "naïve A", "日本 BM25", "a\ud800b", "\udcff B"])
 MIXED_CORPORA = st.tuples(st.dictionaries(DOC_IDS, ASCII_TEXTS | NON_ASCII_TEXTS, max_size=6),
                           DOC_IDS, NON_ASCII_TEXTS).map(
@@ -415,10 +453,10 @@ MIXED_CORPORA = st.tuples(st.dictionaries(DOC_IDS, ASCII_TEXTS | NON_ASCII_TEXTS
 ANY_CORPORA = st.one_of(CORPORA, ASCII_CORPORA, MIXED_CORPORA)
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 # A build tokenizes and numbers _RUN_DOCS documents at a time, more than any corpus above
-# holds; runs of 1 and 2 documents cross run boundaries.
+# holds; in runs of 1 and 2 documents the rows and the term numbering cross run boundaries.
 RUN_DOCS = st.sampled_from([1, 2, rede.sparse._RUN_DOCS])
 # In runs of 2 (d1 d2 | d3 d4 | d5): the first run ends with an empty document, the second
-# tokenizes to nothing, and the last holds a term first seen there; on either path.
+# tokenizes to nothing, and the last holds a term first seen there; with d5 ASCII or not.
 RUN_EDGES = {"d1": "a b", "d2": "", "d3": "_", "d4": "- ~", "d5": "c A"}
 RUN_EDGE_CORPORA = [corpus_from(RUN_EDGES), corpus_from({**RUN_EDGES, "d5": "c é A"})]
 
@@ -523,21 +561,22 @@ def test_one_non_ascii_document_builds_per_document(tmp_path):
     assert path.read_bytes() == reference_file(corpus)
 
 
-def test_each_run_of_documents_picks_its_own_tokenizer_path(tmp_path):
-    # runs of 2: d1 d2 | d3 d4 | d5 d6; only the middle run holds a non-ASCII document, and
-    # inside that run only the non-ASCII text goes through the regex
+def test_each_document_picks_its_own_tokenizer_path(tmp_path):
+    # runs of 2: d1 d2 | d3 d4 | d5 d6 | d7 d8; the first and third runs are all ASCII, the
+    # others hold one non-ASCII text each, and only the non-ASCII texts go through the regex
     corpus = corpus_from({"d1": "alpha beta", "d2": "beta", "d3": "café alpha", "d4": "gamma beta",
-                          "d5": "delta", "d6": "alpha gamma"})
+                          "d5": "delta", "d6": "alpha gamma", "d7": "zeta Ωmega", "d8": "beta"})
     with (mock.patch.object(rede.sparse, "_RUN_DOCS", 2),
           mock.patch.object(rede.sparse, "tokenize", wraps=tokenize) as spy):
         index = build_sparse_index(corpus)
-    assert [call.args for call in spy.call_args_list] == [("café alpha",)]
+    assert [call.args for call in spy.call_args_list] == [("café alpha",), ("zeta Ωmega",)]
     path = tmp_path / "runs.idx"
     save_sparse_index(index, str(path))
     assert path.read_bytes() == reference_file(corpus)
-    # "alpha" and "beta", first seen in the ASCII run, keep their numbers in the per-document run
-    assert index.terms == {"alpha": 0, "beta": 1, "café": 2, "gamma": 3, "delta": 4}
+    # "alpha" and "beta", first seen in an ASCII text, keep their numbers in the others
+    assert index.terms == {"alpha": 0, "beta": 1, "café": 2, "gamma": 3, "delta": 4, "zeta": 5, "ωmega": 6}
     assert index.postings["alpha"].tolist() == [[0, 1], [2, 1], [5, 1]]
+    assert index.postings["beta"].tolist() == [[0, 1], [1, 1], [3, 1], [7, 1]]
 
 
 def test_byte_table_tokenize_and_regex_agree_on_every_ascii_code_point():
@@ -547,7 +586,7 @@ def test_byte_table_tokenize_and_regex_agree_on_every_ascii_code_point():
         assert tokenize(char) == expected.split(), c
         assert bytes([c]).translate(_ASCII_BYTES) == expected.encode("ascii"), c
     high = bytes(range(128, 256))
-    assert high.translate(_ASCII_BYTES) == high  # never met in ASCII text; 0xFF is the boundary
+    assert high.translate(_ASCII_BYTES) == high  # never met in ASCII text; bytes.translate takes 256
 
 
 # sha256 of the index files written before terms were numbered in one pass, and, for the
