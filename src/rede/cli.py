@@ -19,7 +19,7 @@ from .errors import RedeError, check_count
 from .evalbench import evaluate_run, export_distill_dataset, measure_latency
 from .judge import judge_candidates, map_in_order
 from .pipeline import METHODS
-from .sparse import build_sparse_index, save_sparse_index
+from .sparse import K1_MAX, build_sparse_index, save_sparse_index
 
 
 class _UsageError(Exception):
@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("index-sparse", help="build and save a BM25 index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float, default=0.9)
+    p.add_argument("--k1", type=float, default=0.9, help=f"BM25 k1, in [0, {K1_MAX:,.0f}] (default 0.9)")
     p.add_argument("--b", type=float, default=0.4)
 
     p = sub.add_parser("ingest-dense", help="validate an embedding bundle or encode a corpus into one")

@@ -7,9 +7,10 @@ Scoring is the Robertson variant with the (k1+1) numerator:
     idf(t)      = ln(1 + (N - df + 0.5) / (df + 0.5))
 
 Duplicate query tokens contribute once per occurrence. Documents matching
-no query term are excluded from search results. A length norm past float
-range is refused when an index is made (ValueError), and a score that is
-not finite is NonFiniteVector, the dense leg's rule. Rows are documents in
+no query term are excluded from search results. Every value is finite by
+construction: k1 is at most ``K1_MAX`` and avgdl is the mean of the lengths
+(none negative), so dl/avgdl <= N and norm <= k1 * N; tf + norm >= tf >= 1,
+so each weight is at most idf * (k1 + 1). Rows are documents in
 ascending doc-id order, so row order is the tie order. The index holds its
 ids twice: the list ``doc_ids`` that is saved and checked, and the
 read-only object array ``id_array`` over the same strings, built once at
@@ -39,12 +40,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import _ASCII_BYTES, Corpus, RankedList, _id_array, _strictly_ascending, _top_k, tokenize
-from .errors import EmptyCorpus, MalformedRecord, NonFiniteVector, check_real
+from .errors import EmptyCorpus, MalformedRecord, check_real
 
 _MAGIC = b"SPIDX"
 _VERSION = 2
 _PREAMBLE = struct.Struct("<HQ")  # version, header length
 _RUN_DOCS = 1000  # documents a build tokenizes and numbers at a time
+K1_MAX = 1e6  # the largest k1 an index takes: six orders above the usual 0.9-2.0
 
 
 @dataclass(frozen=True, eq=False)  # equality is identity: the fields are numpy arrays
@@ -54,22 +56,21 @@ class SparseIndex:
     terms: dict[str, int]  # term -> its number, in file order
     offsets: np.ndarray  # (terms + 1,) int64
     pairs: np.ndarray  # (nnz, 2) int32 [row, tf]; each term's rows ascending
-    avg_doc_length: float
-    k1: float = 0.9
-    b: float = 0.4
+    k1: float = 0.9  # in [0, K1_MAX]
+    b: float = 0.4  # in [0, 1]
+    avg_doc_length: float = field(init=False)  # sum(doc_lengths) / rows; > 0
     norm: np.ndarray = field(init=False, repr=False)  # per row: k1 * (1 - b + b * dl / avgdl)
     id_array: np.ndarray = field(init=False, repr=False)  # doc_ids as a read-only object array
 
     def __post_init__(self) -> None:
-        check_real("k1", self.k1)
+        check_real("k1", self.k1, K1_MAX)
         check_real("b", self.b, 1)
-        check_real("avg_doc_length", self.avg_doc_length, positive=True)
+        # no rows and no tokens both give 0.0, which the check refuses
+        avgdl = int(self.doc_lengths.sum()) / max(len(self.doc_ids), 1)
+        check_real("avg_doc_length", avgdl, positive=True)
         self.pairs.flags.writeable = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = self.k1 * (1 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
-        if not np.isfinite(norm).all():
-            raise ValueError(f"k1 = {self.k1!r} puts a length norm k1 * (1 - b + b * dl / avgdl) past float range")
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "avg_doc_length", avgdl)
+        object.__setattr__(self, "norm", self.k1 * (1 - self.b + self.b * self.doc_lengths / avgdl))
         object.__setattr__(self, "id_array", _id_array(self.doc_ids))
 
     @cached_property
@@ -139,7 +140,7 @@ def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> Spars
     pairs[-1, 1] = total - starts[-1]
     # term t's keys are the ones in [t * N, (t + 1) * N)
     offsets = np.searchsorted(keys, np.arange(len(terms) + 1, dtype=np.int64) * n)
-    return SparseIndex(doc_ids, lengths, terms, offsets, pairs, total / n, k1, b)
+    return SparseIndex(doc_ids, lengths, terms, offsets, pairs, k1, b)
 
 
 def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
@@ -150,8 +151,8 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
     (tf + norm[row]))`` with idf and count repeated per posting, in the order of
     the per-term formula. A term's rows are distinct and bincount adds each
     row's weights in input order from 0.0, so this is one ``scores[rows] +=``
-    per term, bit for bit. A score past float range in that order is
-    NonFiniteVector.
+    per term, bit for bit. Every weight is finite (module docstring), so no
+    score needs a check.
     """
     slices, dfs, idfs, counts = [], [], [], []
     for term, count in Counter(query_tokens).items():
@@ -167,18 +168,14 @@ def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
         return np.zeros(index.doc_count)
     postings = np.concatenate(slices)
     rows, tf = postings[:, 0].astype(np.intp), postings[:, 1].astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.repeat(idfs, dfs)
-        weights *= tf
-        weights *= index.k1 + 1
-        tf += index.norm[rows]  # now the denominator tf + norm[row]
-        weights /= tf
-        if max(counts) > 1:  # 1 * w is w
-            weights *= np.repeat(counts, dfs)
-        scores = np.bincount(rows, weights, minlength=index.doc_count)
-    if not np.isfinite(scores).all():
-        raise NonFiniteVector("BM25 overflows: a score is NaN or inf")
-    return scores
+    weights = np.repeat(idfs, dfs)
+    weights *= tf
+    weights *= index.k1 + 1
+    tf += index.norm[rows]  # now the denominator tf + norm[row]
+    weights /= tf
+    if max(counts) > 1:  # 1 * w is w
+        weights *= np.repeat(counts, dfs)
+    return np.bincount(rows, weights, minlength=index.doc_count)
 
 
 def sparse_search(index: SparseIndex, query_text: str, k: int) -> RankedList:
@@ -256,6 +253,9 @@ def load_sparse_index(path: str) -> SparseIndex:
     pairs = values[len(ids) :].reshape(-1, 2)
     _check_body(values[: len(ids)], pairs, offsets)
     try:
-        return SparseIndex(ids, values[: len(ids)], term_numbers, offsets, pairs, avgdl, k1, b)
+        index = SparseIndex(ids, values[: len(ids)], term_numbers, offsets, pairs, k1, b)
+        if avgdl != index.avg_doc_length:
+            raise ValueError(f"avgdl {avgdl!r} is not the mean document length {index.avg_doc_length!r}")
     except ValueError as exc:
         raise MalformedRecord(None, f"bad sparse index header: {exc}") from exc
+    return index

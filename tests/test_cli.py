@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,13 @@ DOCS = [
 ]
 QUERIES = [("q1", "apple banana"), ("q2", "satellite launch"), ("q3", "market trading")]
 QRELS = {"q1": ["d1", "d2", "d3", "d7"], "q2": ["d5", "d6"], "q3": ["d4", "d8"]}
+
+
+def with_header(data: bytes, edit) -> bytes:
+    """A saved index with its JSON header replaced by edit(header)."""
+    (length,) = struct.unpack_from("<Q", data, 7)
+    header = json.dumps(edit(json.loads(data[15 : 15 + length]))).encode()
+    return data[:7] + struct.pack("<Q", len(header)) + header + data[15 + length :]
 
 
 @pytest.fixture
@@ -174,18 +182,17 @@ def test_index_sparse_rejects_k1_that_is_not_finite_and_non_negative(workspace, 
     out = workspace / "sparse.idx"
     assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"), "--k1", k1,
                         "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: k1 must be a finite number >= 0, got {float(k1)!r}")
+    assert capsys.readouterr().err.startswith(
+        f"error: k1 must be a finite number in [0, 1000000.0], got {float(k1)!r}")
     assert not out.exists()
 
 
-def test_index_sparse_rejects_k1_that_puts_a_norm_past_float_range(tmp_path, capsys):
-    # d2's length is 8 against an average of 11/3, so its norm at k1 = 1e308, b = 1 is past float range
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "sparse.idx"
-    corpus.write_text("".join(json.dumps({"_id": d, "title": "", "text": t}) + "\n" for d, t in
-                              [("d1", "a b"), ("d2", "a a a c c c c c"), ("d3", "b")]))
-    assert run_command(["index-sparse", "--corpus", str(corpus), "--k1", "1e308", "--b", "1",
-                        "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: k1 = 1e+308 puts a length norm")
+def test_index_sparse_rejects_k1_above_its_bound(workspace, capsys):
+    # unbounded, a k1 this large puts a long document's length norm past float range
+    out = workspace / "sparse.idx"
+    assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"), "--k1", "1e308",
+                        "--b", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: k1 must be a finite number in [0, 1000000.0], got 1e+308")
     assert not out.exists()
 
 
@@ -376,13 +383,21 @@ def test_malformed_index_files_exit_2(workspace, capsys):
     (workspace / "config.json").write_text(json.dumps(config))
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
                         "--out", str(workspace / "r.trec")]) == 2
+    assert "sparse index" in capsys.readouterr().err
+    # a header avgdl that is not the mean length is named, not blamed on k1
+    assert run_command(["index-sparse", "--corpus", str(workspace / "corpus.jsonl"),
+                        "--out", str(index)]) == 0
+    index.write_bytes(with_header(index.read_bytes(), lambda h: {**h, "avgdl": 1e-310}))
+    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
+                        "--out", str(workspace / "r.trec")]) == 2
+    err = capsys.readouterr().err
+    assert "avgdl 1e-310 is not the mean document length" in err and "Traceback" not in err
     manifest = workspace / "emb" / "embeddings.manifest.json"
     meta = json.loads(manifest.read_text())
     del meta["dim"]
     manifest.write_text(json.dumps(meta))
     assert run_command(["ingest-dense", "--manifest", str(manifest)]) == 2
-    err = capsys.readouterr().err
-    assert "sparse index" in err and "manifest" in err
+    assert "manifest" in capsys.readouterr().err
 
 
 def test_non_utf8_corpus_exits_2(tmp_path, capsys):

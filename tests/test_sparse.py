@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 import rede.sparse
 from rede.corpus import _ASCII_BYTES, Document, tokenize
 from rede.dense import build_dense_index
-from rede.errors import EmptyCorpus, MalformedRecord, NonFiniteVector, SizeMismatch
+from rede.errors import EmptyCorpus, MalformedRecord, SizeMismatch
 from rede.judge import OracleJudge
 from rede.pipeline import PipelineConfig, SearchEngine
 from rede.sparse import (
+    K1_MAX,
     SparseIndex,
     build_sparse_index,
     load_sparse_index,
@@ -30,7 +31,7 @@ from rede.sparse import (
 from rede.sparse import _bm25
 from rede.synthetic import generate_benchmark
 
-from test_cli import DOCS
+from test_cli import DOCS, with_header
 
 
 def brute_force_bm25(texts: dict[str, str], query_tokens, doc_id, k1, b):
@@ -55,7 +56,7 @@ def corpus_from(texts: dict[str, str]):
 
 
 TOY = {"d1": "a b a", "d2": "b c"}
-# scores and norms of this corpus pass float range at k1 near its largest finite value
+# at a k1 near the largest float, this corpus's norms and scores pass float range
 OVERFLOW = {"d1": "a b", "d2": "a a a c c c c c", "d3": "b"}
 
 
@@ -106,52 +107,49 @@ class TestBuild:
             build_sparse_index(corpus_from(TOY), k1=-0.1)
         with pytest.raises(ValueError):
             build_sparse_index(corpus_from(TOY), b=1.5)
-        for k1 in (math.nan, math.inf):  # nan ranks nothing; inf divides inf by inf in every search
-            with pytest.raises(ValueError, match=f"k1 must be a finite number >= 0, got {k1!r}"):
+        # k1 is bounded where it enters, so no norm or score can pass float range
+        assert build_sparse_index(corpus_from(TOY), k1=K1_MAX).k1 == K1_MAX
+        for k1 in (math.nan, math.inf, np.nextafter(K1_MAX, math.inf), 1e308):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"k1 must be a finite number in [0, {K1_MAX}], got {k1!r}")):
                 build_sparse_index(corpus_from(TOY), k1=k1)
-        # finite, but d2's length is 8 against an average of 11/3: at b = 1 its norm is 1e308 * 2.18
-        with pytest.raises(ValueError, match=re.escape("k1 = 1e+308 puts a length norm")):
-            build_sparse_index(corpus_from(OVERFLOW), k1=1e308, b=1.0)
 
-    @pytest.mark.parametrize("avg_doc_length", [0, 0.0, math.nan, -1, "x"])
-    def test_direct_index_refuses_an_average_length_that_is_not_positive(self, avg_doc_length):
-        # each would make every norm inf, NaN or negative, or fail in numpy as a non-ValueError
-        index = build_sparse_index(corpus_from(TOY))
-        with pytest.raises(ValueError, match=re.escape(
-                f"avg_doc_length must be a finite number > 0, got {avg_doc_length!r}")):
-            SparseIndex(index.doc_ids, index.doc_lengths, index.terms, index.offsets, index.pairs,
-                        avg_doc_length)
+    @pytest.mark.parametrize("ids", [["d1", "d2"], []], ids=["lengths 0", "no rows"])
+    def test_direct_index_refuses_an_average_length_that_is_not_positive(self, ids):
+        # the average is derived from the lengths, so only lengths that sum to 0 make it 0
+        with pytest.raises(ValueError, match=re.escape("avg_doc_length must be a finite number > 0, got 0.0")):
+            SparseIndex(ids, np.zeros(len(ids), dtype=np.int32), {}, np.zeros(1, dtype=np.int64),
+                        np.zeros((0, 2), dtype=np.int32))
 
 
 @pytest.mark.parametrize("k1", [1e308, 1.7e308])
 @pytest.mark.parametrize("b", [0.0, 0.4, 1.0])
 def test_bm25_past_float_range_raises_and_never_drops_a_document(k1, b):
-    # Before the rule, k1 = 1e308, b = 1 returned only d1 for "a" (d2's inf norm made its
-    # score 0), and k1 = 1.7e308, b = 0 ranked d2 at inf; both warned of an overflow.
+    # unbounded, k1 = 1e308, b = 1 drops d2 from "a" (its norm is inf), k1 = 1.7e308, b = 0
+    # ranks d2 at inf, and k1 = 1e308, b = 0 overflows on "c", whose score is finite
+    with pytest.raises(ValueError, match=re.escape(f"k1 must be a finite number in [0, {K1_MAX}], got {k1!r}")):
+        build_sparse_index(corpus_from(OVERFLOW), k1=k1, b=b)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_the_largest_tf_and_length_at_k1_max_score_finite(tmp_path, b):
+    # the worst case the file format allows: one document of int32's largest length and tf,
+    # the other empty, so dl / avgdl is N = 2 and tf * (k1 + 1) is about 2e15
+    big = 2**31 - 1
+    path = tmp_path / "worst.idx"
+    path.write_bytes(spidx(["d1", "d2"], ["a"], [1], [big, 0], [(0, big)], avgdl=big / 2, k1=K1_MAX, b=b))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            index = build_sparse_index(corpus_from(OVERFLOW), k1=k1, b=b)
-        except ValueError as exc:
-            assert str(exc).startswith(f"k1 = {k1!r} puts a length norm"), exc
-            return
-        for query, matching in [("a", ["d1", "d2"]), ("b", ["d1", "d3"]), ("c", ["d2"]),
-                                ("a b c", ["d1", "d2", "d3"])]:
-            try:
-                entries = sparse_search(index, query, 10).entries
-            except NonFiniteVector as exc:
-                assert str(exc) == "BM25 overflows: a score is NaN or inf"
-                continue
-            assert sorted(doc_id for doc_id, _ in entries) == matching, (query, entries)
+        index = load_sparse_index(str(path))
+        for query in ["a", "a a a", "a b"]:
+            entries = sparse_search(index, query, 10).entries
+            assert [doc_id for doc_id, _ in entries] == ["d1"], (query, entries)
             assert all(0 < score < math.inf for _, score in entries), (query, entries)
-
-
-def test_a_score_past_float_range_is_non_finite_vector():
-    # every norm is finite at b = 0, but idf * tf * (k1 + 1) for d2's tf 3 is not
-    index = build_sparse_index(corpus_from(OVERFLOW), k1=1.7e308, b=0.0)
-    with pytest.raises(NonFiniteVector, match="a score is NaN or inf"):
-        sparse_search(index, "a", 10)
-    assert [doc_id for doc_id, _ in sparse_search(index, "b", 10).entries] == ["d1", "d3"]
+    # the same file one float above the bound does not load
+    path.write_bytes(spidx(["d1", "d2"], ["a"], [1], [big, 0], [(0, big)], avgdl=big / 2,
+                           k1=np.nextafter(K1_MAX, math.inf), b=b))
+    with pytest.raises(MalformedRecord, match="bad sparse index header: k1 must be"):
+        load_sparse_index(str(path))
 
 
 class TestScore:
@@ -264,18 +262,11 @@ class TestSearch:
             assert score == pytest.approx(scores[index.doc_ids.index(doc_id)], abs=1e-12)
 
 
-def spidx(ids, terms, df, lengths, pairs, avgdl=1.0, b=0.4) -> bytes:
+def spidx(ids, terms, df, lengths, pairs, avgdl=1.0, k1=0.9, b=0.4) -> bytes:
     """A version-2 sparse index file built by hand."""
-    header = json.dumps({"ids": ids, "terms": terms, "df": df, "k1": 0.9, "b": b, "avgdl": avgdl}).encode()
+    header = json.dumps({"ids": ids, "terms": terms, "df": df, "k1": k1, "b": b, "avgdl": avgdl}).encode()
     body = struct.pack(f"<{len(lengths) + 2 * len(pairs)}i", *lengths, *(v for pair in pairs for v in pair))
     return b"SPIDX" + struct.pack("<HQ", 2, len(header)) + header + body
-
-
-def with_header(data: bytes, edit) -> bytes:
-    """A saved index with its JSON header replaced by edit(header)."""
-    (length,) = struct.unpack_from("<Q", data, 7)
-    header = json.dumps(edit(json.loads(data[15 : 15 + length]))).encode()
-    return data[:7] + struct.pack("<Q", len(header)) + header + data[15 + length :]
 
 
 class TestSerialization:
@@ -308,7 +299,11 @@ class TestSerialization:
         lambda data: with_header(data, lambda h: {**h, "k1": -1.0}),
         lambda data: with_header(data, lambda h: {**h, "k1": float("nan")}),
         lambda data: with_header(data, lambda h: {**h, "k1": float("inf")}),
-        lambda data: with_header(data, lambda h: {**h, "k1": 1.7e308, "b": 1.0}),  # a norm past float range
+        lambda data: with_header(data, lambda h: {**h, "k1": 1.7e308, "b": 1.0}),
+        lambda data: with_header(data, lambda h: {**h, "k1": K1_MAX * 2}),
+        lambda data: with_header(data, lambda h: {**h, "avgdl": 1e-310}),
+        lambda data: with_header(data, lambda h: {**h, "avgdl": np.nextafter(h["avgdl"], 0)}),
+        lambda data: with_header(data, lambda h: {**h, "avgdl": np.nextafter(h["avgdl"], math.inf)}),
         lambda data: data[:7] + struct.pack("<Q", 2**63) + data[15:],  # header past the end of the file
     ])
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
@@ -316,6 +311,19 @@ class TestSerialization:
         save_sparse_index(build_sparse_index(corpus_from(TOY), k1=1.2), str(path))
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises((MalformedRecord, SizeMismatch)):
+            load_sparse_index(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("k1", K1_MAX * 2),
+        ("avgdl", 1e-310),  # its norms pass float range, which must not be blamed on k1
+        ("avgdl", np.nextafter(2.5, 0)),  # TOY's mean length is 2.5
+        ("avgdl", np.nextafter(2.5, 3)),
+    ])
+    def test_a_bad_k1_or_avgdl_names_its_key(self, tmp_path, key, value):
+        path = tmp_path / "sparse.idx"
+        save_sparse_index(build_sparse_index(corpus_from(TOY)), str(path))
+        path.write_bytes(with_header(path.read_bytes(), lambda h: {**h, key: float(value)}))
+        with pytest.raises(MalformedRecord, match=f"^bad sparse index header: {key} "):
             load_sparse_index(str(path))
 
     def test_file_level_fault_names_no_line(self, tmp_path):
@@ -479,6 +487,7 @@ class TestFlatIndex:
 
     @PROPERTY
     @given(CORPORA, st.lists(WORDS | st.just("unknown"), max_size=6), st.floats(0, 3), st.floats(0, 1))
+    @example(corpus=corpus_from(OVERFLOW), query=["a", "a", "b", "c", "unknown"], k1=K1_MAX, b=1.0)
     def test_scores_equal_the_per_term_sum_bit_for_bit(self, corpus, query, k1, b):
         # repeated query tokens count per occurrence; an unknown or absent term adds nothing
         if not any(tokenize(doc.search_text) for doc in corpus.values()):
