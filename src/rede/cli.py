@@ -15,7 +15,7 @@ import sys
 from . import config as cfgmod
 from .corpus import load_corpus, load_qrels, load_queries, read_run_file, write_run_file
 from .dense import HashingEncoder, load_bundle, write_embeddings
-from .errors import RedeError, check_count
+from .errors import EmptyCorpus, RedeError, check_count
 from .evalbench import evaluate_run, export_distill_dataset, measure_latency
 from .judge import judge_candidates, map_in_order
 from .pipeline import METHODS
@@ -114,6 +114,8 @@ def _cmd_ingest_dense(args) -> int:
     if args.manifest or not (args.corpus and args.out):
         raise _UsageError("ingest-dense takes either --manifest alone or --corpus with --out")
     corpus = load_corpus(args.corpus)
+    if not corpus:
+        raise EmptyCorpus("corpus is empty")
     dim = 64 if args.dim is None else args.dim
     ids = list(corpus.keys())
     vectors = HashingEncoder(dim=dim).encode([corpus[d].search_text for d in ids])

@@ -103,7 +103,10 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     The array must hold one row per id, of a dim of at least 1 (SizeMismatch), and every
     id must be a string. A strictly ascending id list is already in row order and holds
     no id twice, so it and its rows are kept as they are; any other order is sorted once,
-    and is then strictly ascending unless an id repeats.
+    and is then strictly ascending unless an id repeats. Every value must be finite
+    (NonFiniteVector). The check reads only the array's min and max: a NaN makes both NaN,
+    and an infinity is one of them. The per-row mask that names the bad row is built only
+    on failure, so an index makes no (rows, dim) temporary.
     """
     if arr.ndim != 2 or arr.shape[0] != len(ids):
         raise SizeMismatch(f"vectors shape {arr.shape} does not match {len(ids)} ids")
@@ -111,9 +114,8 @@ def _own_index(ids: list[str], arr: np.ndarray) -> DenseIndex:
     bad = [doc_id for doc_id in ids if not isinstance(doc_id, str)]
     if bad:
         raise PreconditionViolation(f"doc id {bad[0]!r} is not a string")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        raise NonFiniteVector(f"non-finite value in row {int(np.argmin(finite))}")
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise NonFiniteVector(f"non-finite value in row {int(np.argmin(np.isfinite(arr).all(axis=1)))}")
     if not _strictly_ascending(ids):
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids, arr = [ids[i] for i in order], arr[order]

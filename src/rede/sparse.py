@@ -18,11 +18,15 @@ construction, that search hands to ``_top_k``. A search returns its
 selected rows in ascending order; they are ordered by score only when the
 list's entries are read.
 
-In memory the postings are flat arrays: term t (numbered in file order) has
-the [row, tf] pairs ``pairs[offsets[t]:offsets[t+1]]``, rows ascending. A
-build tokenizes each document on its own, an ASCII one with the byte table
-``_ASCII_BYTES`` and any other with ``tokenize``. A query gathers its terms'
-slices and adds them into the row scores with one bincount.
+In memory the postings are two flat columns: term t (numbered in file order)
+has the rows ``rows[offsets[t]:offsets[t+1]]``, ascending, and their tfs at
+the same positions in ``tfs``. Each column takes the narrowest unsigned
+integer type that holds its values: rows that of N - 1 (uint16 up to 65,536
+documents), tfs that of the largest tf (uint8 up to 255). The types follow
+from the data; the file format does not change. A build tokenizes each
+document on its own, an ASCII one with the byte table ``_ASCII_BYTES`` and
+any other with ``tokenize``. A query gathers its terms' slices and adds them
+into the row scores with one bincount.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import os
 import struct
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -55,28 +59,39 @@ class SparseIndex:
     doc_lengths: np.ndarray  # (rows,) int32
     terms: dict[str, int]  # term -> its number, in file order
     offsets: np.ndarray  # (terms + 1,) int64
-    pairs: np.ndarray  # (nnz, 2) int32 [row, tf]; each term's rows ascending
+    pairs: InitVar[np.ndarray]  # (nnz, 2) [row, tf]; each term's rows ascending; kept as rows and tfs
     k1: float = 0.9  # in [0, K1_MAX]
     b: float = 0.4  # in [0, 1]
     avg_doc_length: float = field(init=False)  # sum(doc_lengths) / rows; > 0
+    # (nnz,) each, read-only, in the narrowest unsigned types that hold N - 1 and the largest tf
+    rows: np.ndarray = field(init=False, repr=False)
+    tfs: np.ndarray = field(init=False, repr=False)
     norm: np.ndarray = field(init=False, repr=False)  # per row: k1 * (1 - b + b * dl / avgdl)
     id_array: np.ndarray = field(init=False, repr=False)  # doc_ids as a read-only object array
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, pairs: np.ndarray) -> None:
+        _check_body(self.doc_lengths, pairs, self.offsets)  # the unsigned casts below would wrap a bad value
         check_real("k1", self.k1, K1_MAX)
         check_real("b", self.b, 1)
         # no rows and no tokens both give 0.0, which the check refuses
         avgdl = int(self.doc_lengths.sum()) / max(len(self.doc_ids), 1)
         check_real("avg_doc_length", avgdl, positive=True)
-        self.pairs.flags.writeable = False
+        rows = pairs[:, 0].astype(np.min_scalar_type(len(self.doc_ids) - 1))
+        tfs = pairs[:, 1].astype(np.min_scalar_type(pairs[:, 1].max(initial=1)))
+        rows.flags.writeable = tfs.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "tfs", tfs)
         object.__setattr__(self, "avg_doc_length", avgdl)
         object.__setattr__(self, "norm", self.k1 * (1 - self.b + self.b * self.doc_lengths / avgdl))
         object.__setattr__(self, "id_array", _id_array(self.doc_ids))
 
     @cached_property
     def postings(self) -> Mapping[str, np.ndarray]:
-        """Read-only term -> its [row, tf] slice of ``pairs``; built on first read, for inspection."""
-        return MappingProxyType({term: self.pairs[self.offsets[t] : self.offsets[t + 1]]
+        """Read-only term -> its [row, tf] slice of one (nnz, 2) stack of ``rows`` and ``tfs``;
+        built on first read, for inspection."""
+        pairs = np.stack((self.rows, self.tfs), axis=1)
+        pairs.flags.writeable = False
+        return MappingProxyType({term: pairs[self.offsets[t] : self.offsets[t + 1]]
                                  for term, t in self.terms.items()})
 
     @property
@@ -146,28 +161,29 @@ def build_sparse_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> Spars
 def _bm25(index: SparseIndex, query_tokens: list[str]) -> np.ndarray:
     """BM25 of every row; terms are added as count * contribution, in query-term order.
 
-    The query's term slices of ``pairs`` are gathered in query-term order into
-    one array, and each posting's weight is ``count * (idf * tf * (k1 + 1) /
-    (tf + norm[row]))`` with idf and count repeated per posting, in the order of
-    the per-term formula. A term's rows are distinct and bincount adds each
-    row's weights in input order from 0.0, so this is one ``scores[rows] +=``
-    per term, bit for bit. Every weight is finite (module docstring), so no
-    score needs a check.
+    The query's term slices of ``rows`` and ``tfs`` are gathered in query-term
+    order straight into one intp and one float64 array, and each posting's
+    weight is ``count * (idf * tf * (k1 + 1) / (tf + norm[row]))`` with idf and
+    count repeated per posting, in the order of the per-term formula. A term's
+    rows are distinct and bincount adds each row's weights in input order from
+    0.0, so this is one ``scores[rows] +=`` per term, bit for bit. Every weight
+    is finite (module docstring), so no score needs a check.
     """
-    slices, dfs, idfs, counts = [], [], [], []
+    row_slices, tf_slices, dfs, idfs, counts = [], [], [], [], []
     for term, count in Counter(query_tokens).items():
         t = index.terms.get(term)
         if t is None:
             continue
-        slices.append(index.pairs[index.offsets[t] : index.offsets[t + 1]])
-        df = len(slices[-1])
+        start, stop = index.offsets[t], index.offsets[t + 1]
+        row_slices.append(index.rows[start:stop])
+        tf_slices.append(index.tfs[start:stop])
+        df = len(row_slices[-1])
         dfs.append(df)
         idfs.append(math.log(1 + (index.doc_count - df + 0.5) / (df + 0.5)))
         counts.append(count)
-    if not slices:
+    if not dfs:
         return np.zeros(index.doc_count)
-    postings = np.concatenate(slices)
-    rows, tf = postings[:, 0].astype(np.intp), postings[:, 1].astype(np.float64)
+    rows, tf = np.concatenate(row_slices, dtype=np.intp), np.concatenate(tf_slices, dtype=np.float64)
     weights = np.repeat(idfs, dfs)
     weights *= tf
     weights *= index.k1 + 1
@@ -194,13 +210,14 @@ def save_sparse_index(index: SparseIndex, path: str) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC + _PREAMBLE.pack(_VERSION, len(header)) + header)
         f.write(np.ascontiguousarray(index.doc_lengths, dtype="<i4"))
-        f.write(np.ascontiguousarray(index.pairs, dtype="<i4"))
+        f.write(np.stack((index.rows, index.tfs), axis=1, dtype="<i4"))
 
 
 def _check_body(doc_lengths: np.ndarray, pairs: np.ndarray, offsets: np.ndarray) -> None:
     """Lengths >= 0 (a negative one can make ``tf + norm`` zero), rows in range and
     strictly ascending within each term, tf >= 1: a repeated row would be added
-    twice by the bincount in ``_bm25``."""
+    twice by the bincount in ``_bm25``. Every index runs it, built, loaded or
+    constructed directly."""
     doc_count, rows, tf = len(doc_lengths), pairs[:, 0], pairs[:, 1]
     if doc_count and doc_lengths.min() < 0:
         raise MalformedRecord(None, "sparse index document length below 0")
@@ -216,7 +233,8 @@ def _check_body(doc_lengths: np.ndarray, pairs: np.ndarray, offsets: np.ndarray)
 
 def load_sparse_index(path: str) -> SparseIndex:
     """Reads the header, then the body straight into one int32 array; the
-    document lengths and the pairs are views of it, and nothing else is kept."""
+    document lengths are copied out of it and the pairs narrowed into ``rows``
+    and ``tfs``, so no view keeps the body alive."""
     start = len(_MAGIC) + _PREAMBLE.size
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -250,10 +268,9 @@ def load_sparse_index(path: str) -> SparseIndex:
             raise MalformedRecord(None, f"{path} changed while it was read")
     offsets = np.zeros(len(df) + 1, dtype=np.int64)
     np.cumsum(df, out=offsets[1:])
-    pairs = values[len(ids) :].reshape(-1, 2)
-    _check_body(values[: len(ids)], pairs, offsets)
     try:
-        index = SparseIndex(ids, values[: len(ids)], term_numbers, offsets, pairs, k1, b)
+        index = SparseIndex(ids, values[: len(ids)].copy(), term_numbers, offsets,
+                            values[len(ids) :].reshape(-1, 2), k1, b)
         if avgdl != index.avg_doc_length:
             raise ValueError(f"avgdl {avgdl!r} is not the mean document length {index.avg_doc_length!r}")
     except ValueError as exc:

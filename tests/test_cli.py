@@ -366,10 +366,16 @@ def test_missing_embeddings_exits_2(workspace, capsys):
         assert diagnostic in capsys.readouterr().err
 
 
-def test_empty_corpus_exits_2_as_empty(workspace, capsys):
+@pytest.mark.parametrize("command", [
+    ["search", "--config", "{ws}/config.json", "--method", "bm25", "--out", "{ws}/r.trec"],
+    ["index-sparse", "--corpus", "{ws}/corpus.jsonl", "--out", "{ws}/sparse.idx"],
+    ["ingest-dense", "--corpus", "{ws}/corpus.jsonl", "--out", "{ws}/emb2"],
+], ids=["search", "index-sparse", "ingest-dense"])
+def test_empty_corpus_exits_2_as_empty(workspace, capsys, command):
+    # ingest-dense must refuse the corpus before the encoder, whose "texts must be a non-empty
+    # list" is a usage error (exit 1)
     (workspace / "corpus.jsonl").write_text("")
-    assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",
-                        "--out", str(workspace / "r.trec")]) == 2
+    assert run_command([arg.format(ws=workspace) for arg in command]) == 2
     assert capsys.readouterr().err.startswith("error: corpus is empty")
 
 

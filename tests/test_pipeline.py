@@ -987,7 +987,9 @@ class TestEngineRowSpace:
             sparse = build_sparse_index({d: doc for d, doc in corpus.items() if d != "d3"})
         else:
             dense, diagnostic = build_dense_index(ids, vectors), "ascending"
-            sparse = replace(sparse, doc_ids=sparse.doc_ids[::-1])  # the index is frozen
+            # the index is frozen, and its pairs are an init-only field that replace must be given
+            sparse = replace(sparse, doc_ids=sparse.doc_ids[::-1],
+                             pairs=np.stack((sparse.rows, sparse.tfs), axis=1))
         with pytest.raises(IndexMismatch, match=diagnostic):
             SearchEngine(corpus, sparse, dense, TableEncoder({}, 2))
 

@@ -122,6 +122,56 @@ class TestBuild:
                         np.zeros((0, 2), dtype=np.int32))
 
 
+class TestNarrowPostings:
+    # rows take the narrowest unsigned type that holds N - 1, tfs the one that holds the largest tf
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_rows_take_the_narrowest_type_holding_the_last_row(self, n, dtype):
+        texts = {f"d{i:05d}": f"a w{i % 7}" + " b" * (i % 3) for i in range(n)}
+        index = build_sparse_index(corpus_from(texts))
+        assert (index.rows.dtype, index.tfs.dtype) == (dtype, np.uint8)
+        assert index.rows.nbytes + index.tfs.nbytes == (np.dtype(dtype).itemsize + 1) * len(index.rows)
+        for query in (["a"], ["b", "w3", "a", "b"], ["w6"]):
+            assert _bm25(index, query).tobytes() == reference_bm25(index, query).tobytes()
+
+    def test_a_direct_index_past_65536_rows_takes_uint32(self):
+        n = 65537
+        pairs = np.array([[0, 1], [n - 1, 2], [n - 1, 1]], dtype=np.int32)
+        index = SparseIndex([f"d{i:05d}" for i in range(n)], np.ones(n, dtype=np.int32), {"a": 0, "b": 1},
+                            np.array([0, 2, 3]), pairs)
+        assert (index.rows.dtype, index.tfs.dtype) == (np.uint32, np.uint8)
+        assert index.rows.tolist() == [0, n - 1, n - 1] and index.tfs.tolist() == [1, 2, 1]
+        for query in (["a"], ["b", "a", "b"]):
+            assert _bm25(index, query).tobytes() == reference_bm25(index, query).tobytes()
+
+    @pytest.mark.parametrize("tf, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_tfs_take_the_narrowest_type_holding_the_largest_tf(self, tf, dtype):
+        index = build_sparse_index(corpus_from({"d1": "a " * tf + "b", "d2": "a b c", "d3": "c"}))
+        assert (index.rows.dtype, index.tfs.dtype) == (np.uint8, dtype)
+        assert index.postings["a"].tolist() == [[0, tf], [1, 1]]
+        for query in (["a"], ["a", "c", "a"], ["b"]):
+            assert _bm25(index, query).tobytes() == reference_bm25(index, query).tobytes()
+
+    def test_a_posting_takes_three_bytes_below_65537_documents(self):
+        # uint16 rows and uint8 tfs, against 8 bytes for the file's int32 [row, tf] pairs
+        index = build_sparse_index(generate_benchmark(seed=1, n_docs=1000, n_queries=1).corpus)
+        assert index.rows.nbytes + index.tfs.nbytes == 3 * len(index.rows) > 0
+        with pytest.raises(ValueError):
+            index.rows[0] = 1
+        with pytest.raises(ValueError):
+            index.tfs[0] = 1
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(-1, 1), (1, 1)], "posting row out of range"),
+        ([(0, 1), (2, 1)], "posting row out of range"),
+        ([(0, 1), (1, 0)], "term frequency below 1"),
+    ], ids=["row -1", "row N", "tf 0"])
+    def test_a_direct_index_with_a_bad_posting_is_refused(self, pairs, message):
+        # the unsigned casts would wrap these values silently: -1 to the last row, and so on
+        with pytest.raises(MalformedRecord, match=message):
+            SparseIndex(["d1", "d2"], np.array([1, 1], dtype=np.int32), {"a": 0}, np.array([0, 2]),
+                        np.array(pairs, dtype=np.int32))
+
+
 @pytest.mark.parametrize("k1", [1e308, 1.7e308])
 @pytest.mark.parametrize("b", [0.0, 0.4, 1.0])
 def test_bm25_past_float_range_raises_and_never_drops_a_document(k1, b):
@@ -483,7 +533,10 @@ class TestFlatIndex:
             path = tmp_path_factory.getbasetemp() / "flat.idx"
             save_sparse_index(build_sparse_index(corpus, k1=k1, b=b), str(path))
             assert path.read_bytes() == reference_file(corpus, k1, b)
-            assert load_sparse_index(str(path)).pairs.tobytes() == build_sparse_index(corpus).pairs.tobytes()
+            loaded, built = load_sparse_index(str(path)), build_sparse_index(corpus)
+            for column in ("rows", "tfs"):
+                assert getattr(loaded, column).dtype == getattr(built, column).dtype
+                assert getattr(loaded, column).tobytes() == getattr(built, column).tobytes()
 
     @PROPERTY
     @given(CORPORA, st.lists(WORDS | st.just("unknown"), max_size=6), st.floats(0, 3), st.floats(0, 1))
