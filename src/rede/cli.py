@@ -134,7 +134,7 @@ def _cmd_search(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as f:
             for _, trace in results:
                 f.write(json.dumps(trace.to_dict()) + "\n")
-    print(f"wrote {sum(len(r.entries) for r in runs)} results for {len(runs)} queries -> {args.out}")
+    print(f"wrote {sum(len(r.ranking()[0]) for r in runs)} results for {len(runs)} queries -> {args.out}")
     return 0
 
 

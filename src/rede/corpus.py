@@ -72,32 +72,46 @@ class Query:
 class RankedList:
     """Ordered (doc_id, score) results for one query.
 
-    Invariants: scores non-increasing, doc_ids distinct. A list that
-    ``_top_k`` selected carries its ``hits`` instead of entries: the id array
-    it selected over, and its rows, ascending, with their scores, so fusion
-    can work on rows. Its ``entries`` are built from the hits the first time
-    they are read, ordered by one stable argsort on descending score (ties
-    stay in row order, which is doc-id order) with the ids gathered by one
-    take from the id array, and then kept; so a list nobody reads is never
-    sorted and never builds its pairs.
+    Invariants: scores non-increasing, doc_ids distinct. A list passes
+    through up to three forms, each made from the one before on first need
+    and then kept. ``_top_k`` gives it its ``hits``: the id array it
+    selected over, and its rows, ascending, with their scores, so fusion can
+    work on rows. ``ranking()`` orders them, by one stable argsort on
+    descending score (ties stay in row order, which is doc-id order), into
+    two plain lists: the ids, gathered by one take from the id array, and
+    the scores, in rank order. ``entries`` pairs those lists into
+    ``(doc_id, score)`` tuples the first time it is read; every reader in
+    the package reads the two lists instead (``read_run_file`` only fills
+    the entries it gives a list), so a list that only the package reads
+    never builds its pairs.
     ``entries`` cannot be assigned, but once built it can be edited in place,
-    so the hits speak for the list only while its entries are unbuilt
-    (``_unread_hits``). Equality and repr see only ``query_id`` and ``entries``.
+    so from then on it speaks for the list, and ``ranking()`` reads it; the
+    hits speak for the list only while its entries are unbuilt
+    (``_unread_hits``). Equality and repr see only ``query_id`` and the ranking.
     ``entries`` stays a list: perfbench's ``check_rankings`` compares it with one.
     """
 
     def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,
-                 hits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                 hits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 ranking: tuple[list[str], list[float]] | None = None):
         self.query_id = query_id
-        self.hits = hits
-        self._entries = [] if entries is None and hits is None else entries
+        self.hits, self._ranking = hits, ranking
+        self._entries = [] if entries is None and hits is None and ranking is None else entries
+
+    def ranking(self) -> tuple[list[str], list[float]]:
+        """The ids and the scores in rank order; the caller must not edit them."""
+        if self._entries is not None:
+            return [doc_id for doc_id, _ in self._entries], [score for _, score in self._entries]
+        if self._ranking is None:
+            doc_ids, rows, scores = self.hits
+            order = np.argsort(-scores, kind="stable")
+            self._ranking = doc_ids[rows[order]].tolist(), scores[order].tolist()
+        return self._ranking
 
     @property
     def entries(self) -> list[tuple[str, float]]:
         if self._entries is None:
-            doc_ids, rows, scores = self.hits
-            order = np.argsort(-scores, kind="stable")
-            self._entries = list(zip(doc_ids[rows[order]].tolist(), scores[order].tolist()))
+            self._entries = list(zip(*self.ranking()))
         return self._entries
 
     def _unread_hits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -107,15 +121,16 @@ class RankedList:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.query_id, self.entries) == (other.query_id, other.entries)
+        return (self.query_id, *self.ranking()) == (other.query_id, *other.ranking())
 
     def __repr__(self) -> str:
-        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
+        pairs = ", ".join(f"({doc_id!r}, {score!r})" for doc_id, score in zip(*self.ranking()))
+        return f"RankedList(query_id={self.query_id!r}, entries=[{pairs}])"
 
     def validate(self) -> None:
         seen: set[str] = set()
         prev = None
-        for doc_id, score in self.entries:
+        for doc_id, score in zip(*self.ranking()):
             if doc_id in seen:
                 raise PreconditionViolation(
                     f"duplicate doc_id {doc_id!r} in ranked list for {self.query_id!r}"
@@ -130,7 +145,7 @@ class RankedList:
             prev = score
 
     def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.entries]
+        return list(self.ranking()[0])
 
 
 def _strictly_ascending(ids: Sequence[str]) -> bool:
@@ -153,21 +168,20 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray | None, 
     the gather of all the scores through a row list. An index hands its
     ``id_array``, which is kept as it is; any other sequence is made an
     object array here. The result only selects: it holds its hits
-    ``(id array, best rows ascending, their scores)``, and its entries are
-    ordered when first read.
+    ``(id array, best rows ascending, their scores)``, and is ordered by
+    its ``ranking()``.
     ``np.partition`` finds the k-th best score; the rows strictly better
     are kept, and the lowest-numbered rows tied with it fill the rest, as a
-    full stable sort on descending score would. A NaN sorts last, so it is
-    tied only when the k-th score is NaN, and is never better.
+    full stable sort on descending score would. The scores of ``rows`` must
+    hold no NaN: every ranking path refuses one before it gets here (BM25
+    is finite by construction, ``dense_search`` checks its product and
+    ``fuse`` its legs).
     """
     check_count("k", k, 1)
     neg = -(scores if rows is None else scores[rows])
     if k < len(neg):
         kth = np.partition(neg, k - 1)[k - 1]
-        if kth == kth:
-            better, tied = neg < kth, neg == kth
-        else:  # fewer than k numbers: every number is better, and the NaN rows tie
-            better, tied = neg == neg, neg != neg
+        better, tied = neg < kth, neg == kth
         better[np.flatnonzero(tied)[: k - np.count_nonzero(better)]] = True
         keep = np.flatnonzero(better)
         rows = keep if rows is None else rows[keep]
@@ -311,14 +325,14 @@ def write_run_file(path: str, runs: list[RankedList], tag: str) -> None:
         raise ValueError(f"run tag {tag!r} must be non-empty and hold no whitespace")
     for run in runs:
         run.validate()
-        for name in (run.query_id, *run.doc_ids()):
+        for name in (run.query_id, *run.ranking()[0]):
             if name.split() != [name]:
                 raise PreconditionViolation(
                     f"id {name!r} in ranked list for {run.query_id!r} is empty or holds whitespace"
                 )
     with open(path, "w", encoding="utf-8") as f:
         for run in runs:
-            for rank, (doc_id, score) in enumerate(run.entries, 1):
+            for rank, (doc_id, score) in enumerate(zip(*run.ranking()), 1):
                 f.write(f"{run.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
 
 

@@ -16,8 +16,8 @@ carries its reply to the engine, which reads it. Every id is a string, and
 per-document map is built; ``id_to_row`` is made on first read, for
 inspection only. Search is exact brute
 force by inner product; ties break by ascending doc_id, and a search's
-rows are returned ascending, ordered by score only when its entries are
-read. A score that is not finite (float32 overflow of finite
+rows are returned ascending, ordered by score only by the list's
+``ranking()``. A score that is not finite (float32 overflow of finite
 vectors) is an error, not a rank. One module lock, ``_PRODUCT_LOCK``,
 serializes the inner products of concurrent searches, so BLAS's thread
 pool serves one query at a time. Within one engine query, ``QUERY_SCORES``

@@ -79,7 +79,7 @@ def ndcg_at_k(ranked: RankedList, qrels_for_query: dict[str, int], k: int,
     if not math.isfinite(idcg):
         raise PreconditionViolation(f"relevance {positives[0]} puts the {gain}-gain ideal DCG past float range")
     dcg = 0.0
-    for i, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
+    for i, doc_id in enumerate(ranked.ranking()[0][:k], start=1):
         rel = qrels_for_query.get(doc_id, 0)
         if rel > 0:
             dcg += _gain(rel, gain) / math.log2(i + 1)

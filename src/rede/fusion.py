@@ -65,19 +65,17 @@ def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
     (``np.array_equal``: an ``==`` of two arrays is an array, whose truth is
     an error), whose entries are unbuilt keep their own hits, rows
     ascending; any others, and lists whose entries may have been edited, are
-    given rows in entry order by numbering the sorted union of their doc_ids.
+    given rows in rank order by numbering the sorted union of the doc_ids
+    of their ``ranking()``.
     """
     a, b = sparse_results._unread_hits(), dense_results._unread_hits()
     if a is not None and b is not None and (a[0] is b[0] or np.array_equal(a[0], b[0])):
         return a[0], (a[1], a[2]), (b[1], b[2])
-    doc_ids = sorted({d for d, _ in sparse_results.entries} | {d for d, _ in dense_results.entries})
+    legs = sparse_results.ranking(), dense_results.ranking()
+    doc_ids = sorted({doc_id for ids, _ in legs for doc_id in ids})
     row = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-
-    def leg(results: RankedList) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([row[d] for d, _ in results.entries], dtype=np.intp),
-                np.array([s for _, s in results.entries], dtype=np.float64))
-
-    return doc_ids, leg(sparse_results), leg(dense_results)
+    return doc_ids, *((np.array([row[d] for d in ids], dtype=np.intp), np.array(scores, dtype=np.float64))
+                      for ids, scores in legs)
 
 
 def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k: int) -> RankedList:
@@ -89,8 +87,8 @@ def fuse(sparse_results: RankedList, dense_results: RankedList, alpha: float, k:
     union of the legs' rows is marked over the id list; each leg's normalized
     scores are scattered into a zeroed array over it, so a row missing from a
     leg scores 0.0 there. ``_top_k`` selects the best k of the union, ties by
-    ascending doc_id; they are ordered, and their (doc_id, score) tuples
-    built, only when the result's entries are read.
+    ascending doc_id; they are ordered only by the result's ``ranking()``,
+    and paired into (doc_id, score) tuples only when its entries are read.
     """
     check_real("alpha", alpha, 1)
     doc_ids, (sparse_rows, sparse_scores), (dense_rows, dense_scores) = _leg_rows(

@@ -148,7 +148,7 @@ class SearchTrace:
     def to_dict(self) -> dict:
         return {
             "query_id": self.query_id,
-            "candidates": [[doc_id, score] for doc_id, score in self.candidates.entries],
+            "candidates": [[doc_id, score] for doc_id, score in zip(*self.candidates.ranking())],
             "judgments": [
                 {"doc_id": j.doc_id, "p_relevant": j.p_relevant, "label": j.label}
                 for j in self.judgments
@@ -194,8 +194,10 @@ def rerank_by_judge(candidates: RankedList, judgments: list[RelevanceJudgment]) 
     A candidate without a judgment (its judge call failed) scores p = 0.0.
     """
     p_map = {j.doc_id: j.p_relevant for j in judgments}
-    scored = [(doc_id, p_map.get(doc_id, 0.0)) for doc_id, _ in candidates.entries]
-    return RankedList(candidates.query_id, sorted(scored, key=lambda pair: -pair[1]))
+    ids = candidates.ranking()[0]
+    p = [p_map.get(doc_id, 0.0) for doc_id in ids]
+    order = sorted(range(len(ids)), key=lambda i: -p[i])
+    return RankedList(candidates.query_id, ranking=([ids[i] for i in order], [p[i] for i in order]))
 
 
 class _QueryRun:
@@ -309,7 +311,9 @@ class SearchEngine:
                 self.sparse_index, self.dense_index, query.text, qvec, depth, self.fusion_config
             )
         result.query_id = query.query_id
-        result.entries  # build the pairs here, so their cost falls inside search
+        # order the hits and convert them to Python ids and scores here, so that cost falls inside
+        # search; the (doc_id, score) pairs are built only for a caller that reads the entries
+        result.ranking()
         return result
 
     def _encode(self, texts: list[str]) -> np.ndarray:
@@ -376,7 +380,7 @@ class SearchEngine:
 
             trace.kstar = len(feedback)
             if not feedback and row.feedback in ("judge", "all"):  # the policy's fallback follows
-                trace.path_reason = ("no_candidates" if not candidates.entries
+                trace.path_reason = ("no_candidates" if not candidates.ranking()[0]
                                      else trace.path_reason or "judge_none_relevant")
             if feedback:
                 with run.stage("update"):

@@ -15,8 +15,8 @@ ascending doc-id order, so row order is the tie order. The index holds its
 ids twice: the list ``doc_ids`` that is saved and checked, and the
 read-only object array ``id_array`` over the same strings, built once at
 construction, that search hands to ``_top_k``. A search returns its
-selected rows in ascending order; they are ordered by score only when the
-list's entries are read.
+selected rows in ascending order; they are ordered by score only by the
+list's ``ranking()``.
 
 In memory the postings are two flat columns: term t (numbered in file order)
 has the rows ``rows[offsets[t]:offsets[t+1]]``, ascending, and their tfs at

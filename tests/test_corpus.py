@@ -3,7 +3,7 @@ import os
 import re
 import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,12 +21,14 @@ from rede.corpus import (
     tokenize,
     write_run_file,
 )
+from rede import dense, fusion, sparse
 from rede.dense import load_bundle, write_embeddings
 from rede.errors import (
     DuplicateDocId,
     DuplicateQueryId,
     MalformedRecord,
     NegativeRelevance,
+    NonFiniteVector,
     PreconditionViolation,
 )
 
@@ -408,7 +410,8 @@ class TestJsonlDecode:
         assert peak - retained < size / 2
 
 
-SPECIAL_SCORES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+# no NaN: every ranking path refuses one before _top_k (TestNoNaNReachesTopK)
+SPECIAL_SCORES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]
 
 
 def score_bits(entries):
@@ -424,9 +427,9 @@ def full_sort_top_k(doc_ids, scores, rows, k):
 
 class TestTopK:
     def test_matches_full_stable_sort(self):
-        # pools of a few values tie heavily; NaN sorts last, -0.0 ties 0.0
+        # pools of a few values tie heavily; -inf sorts last, -0.0 ties 0.0
         rng = np.random.default_rng(29)
-        pools = [SPECIAL_SCORES, [0.5, 0.25, 0.0, -0.0], list(np.round(rng.normal(size=8), 1)) + [np.nan]]
+        pools = [SPECIAL_SCORES, [0.5, 0.25, 0.0, -0.0], list(np.round(rng.normal(size=8), 1)) + [-np.inf]]
         for trial in range(240):
             n = int(rng.integers(0, 40))
             scores = rng.choice(pools[trial % 3], size=n)
@@ -440,7 +443,8 @@ class TestTopK:
                 assert score_bits(_top_k(doc_ids, scores, rows, k).entries) == score_bits(expected)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(SPECIAL_SCORES) | st.floats(width=32), max_size=30), st.data())
+    @given(st.lists(st.sampled_from(SPECIAL_SCORES) | st.floats(width=32, allow_nan=False), max_size=30),
+           st.data())
     def test_property_matches_full_stable_sort(self, values, data):
         scores = np.array(values, dtype=data.draw(st.sampled_from([np.float64, np.float32])))
         n = len(values)
@@ -478,6 +482,67 @@ class TestTopK:
         assert ranked.hits[0] is doc_ids
 
 
+class TestNoNaNReachesTopK:
+    """``_top_k`` ranks no NaN: each public ranking path refuses one first, with a typed error."""
+
+    CORPUS = {d: Document(d, "", text) for d, text in [("d1", "apple pie"), ("d2", "apple tart")]}
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        seen = []  # per _top_k call: whether a score it ranks is NaN
+
+        def spy(doc_ids, scores, rows, k):
+            seen.append(bool(np.isnan(scores if rows is None else scores[rows]).any()))
+            return _top_k(doc_ids, scores, rows, k)
+
+        for module in (sparse, dense, fusion):
+            monkeypatch.setattr(module, "_top_k", spy)
+        return seen
+
+    def indexes(self):
+        return (sparse.build_sparse_index(self.CORPUS),
+                dense.build_dense_index(sorted(self.CORPUS), np.eye(2, dtype=np.float32)))
+
+    @pytest.mark.parametrize("param", ["k1", "b"])
+    def test_sparse_search(self, reached, param):
+        # BM25 is finite by construction: a NaN can only enter through k1 or b, which the index refuses
+        with pytest.raises(ValueError, match=f"{param} must be a finite number"):
+            sparse.build_sparse_index(self.CORPUS, **{param: float("nan")})
+        index, _ = self.indexes()
+        with pytest.raises(ValueError, match=f"{param} must be a finite number"):
+            replace(index, pairs=np.stack((index.rows, index.tfs), axis=1), **{param: float("nan")})
+        assert sparse.sparse_search(index, "apple", 5).doc_ids() == ["d1", "d2"]
+        assert reached == [False]
+
+    @pytest.mark.parametrize("vectors, query", [
+        (np.eye(2), [np.nan, 0.0]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+        ([[1e30, -1e30], [1.0, 0.0]], [1e30, 1e30]),  # inf - inf in the product
+    ], ids=["query", "vectors", "product"])
+    def test_dense_search(self, reached, vectors, query):
+        with pytest.raises(NonFiniteVector):
+            index = dense.build_dense_index(["d1", "d2"], np.array(vectors, dtype=np.float32))
+            dense.dense_search(index, np.array(query), 2)
+        assert reached == []
+
+    @pytest.mark.parametrize("as_hits", [False, True], ids=["entries", "hits"])
+    def test_fuse(self, reached, as_hits):
+        ids = np.array(["d1", "d2"], dtype=object)
+        legs = [RankedList("q", hits=(ids, np.arange(2), np.array(scores))) if as_hits
+                else RankedList("q", [("d1", scores[0]), ("d2", scores[1])])
+                for scores in ([1.0, np.nan], [0.5, 0.25])]
+        for sparse_leg, dense_leg in (legs, legs[::-1]):
+            with pytest.raises(PreconditionViolation, match="finite scores"):
+                fusion.fuse(sparse_leg, dense_leg, 0.5, 2)
+        assert reached == []
+
+    def test_hybrid_search(self, reached):
+        sparse_index, dense_index = self.indexes()
+        with pytest.raises(NonFiniteVector):
+            fusion.hybrid_search(sparse_index, dense_index, "apple", np.array([np.nan, 0.0]), 2)
+        assert not any(reached)
+
+
 class TestRankedList:
     def test_hits_left_out_of_equality_and_repr(self):
         ranked = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
@@ -485,6 +550,14 @@ class TestRankedList:
         assert ranked == plain and plain == ranked
         assert repr(ranked) == repr(plain) == "RankedList(query_id='', entries=[('b', 3.0), ('c', 2.0)])"
         assert ranked != RankedList("q", [("b", 3.0), ("c", 2.0)])
+
+    def test_entries_edited_in_place_speak_for_the_list(self):
+        ranked = _top_k(["a", "b", "c"], np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
+        assert ranked.ranking() == (["b", "c"], [3.0, 2.0])  # ordered once, then kept
+        ranked.entries.append(("a", 1.0))
+        assert ranked.ranking() == (["b", "c", "a"], [3.0, 2.0, 1.0]) and ranked.doc_ids() == ["b", "c", "a"]
+        assert ranked == RankedList("", [("b", 3.0), ("c", 2.0), ("a", 1.0)])
+        assert ranked._unread_hits() is None
 
     def test_default_entries_are_an_empty_list(self):
         first, second = RankedList("q"), RankedList("q")

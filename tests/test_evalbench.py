@@ -97,6 +97,15 @@ class TestNdcg:
             after = ndcg_at_k(ranked(*order), rels, 10)
             assert after >= before - 1e-12
 
+    def test_reads_an_unread_result_without_building_its_pairs(self):
+        engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever="hybrid")
+        qrels = {"d2": 1, "d4": 2}
+        (unread, _), (read, _) = engine.search("hybrid", QUERY), engine.search("hybrid", QUERY)
+        read.entries  # this one is scored through its pairs
+        values = [ndcg_at_k(unread, qrels, k) for k in (1, 2, 10)]
+        assert values == [ndcg_at_k(read, qrels, k) for k in (1, 2, 10)] and 0 < values[-1] < 1
+        assert unread._entries is None
+
 
 class TestEvaluateRun:
     def test_mean(self):

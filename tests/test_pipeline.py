@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -890,6 +891,23 @@ class TestFloat64Encoder:
         assert outputs[1] == outputs[0]
 
 
+def counted_argsorts(monkeypatch) -> list[int]:
+    """Give rede.corpus a numpy whose every argsort appends its input's length to the list returned."""
+    sorts = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argsort(a, *args, **kwargs):
+            sorts.append(len(a))
+            return np.argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(rede.corpus, "np", CountingNumpy())
+    return sorts
+
+
 class TestEngineRowSpace:
     def test_hybrid_candidates_take_the_row_path(self, monkeypatch):
         # indexes built apart hold equal but distinct id lists; the engine makes them one
@@ -924,30 +942,19 @@ class TestEngineRowSpace:
 
     def test_only_the_lists_search_returns_are_sorted(self, monkeypatch):
         # the hybrid legs are selected, rows ascending, over the engine's one id array and fused
-        # as rows; only the lists search returns (candidates, results) are ordered, when read
+        # as rows; only the lists search returns (candidates, results) are ordered, inside search
         bench = generate_benchmark(seed=5, n_docs=300, n_queries=6)
         engine = SearchEngine(bench.corpus, build_sparse_index(bench.corpus),
                               build_dense_index(bench.doc_ids, bench.doc_vectors), bench.encoder,
                               judge=OracleJudge(bench.qrels),
                               config=PipelineConfig(initial_retriever="hybrid", k_initial=30, output_depth=100))
-        sorts, legs = [], []
-
-        class CountingNumpy:
-            """rede.corpus's numpy, with each stable sort counted."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def argsort(a, *args, **kwargs):
-                sorts.append(len(a))
-                return np.argsort(a, *args, **kwargs)
+        legs = []
 
         def spy(sparse_results, dense_results, alpha, k, fuse=rede.fusion.fuse):
             legs.extend((sparse_results, dense_results))
             return fuse(sparse_results, dense_results, alpha, k)
 
-        monkeypatch.setattr(rede.corpus, "np", CountingNumpy())
+        sorts = counted_argsorts(monkeypatch)
         monkeypatch.setattr(rede.fusion, "fuse", spy)
         for method, lists in (("hybrid", 1), ("rede", 2)):
             for query in bench.queries:
@@ -962,12 +969,42 @@ class TestEngineRowSpace:
 
     @pytest.mark.parametrize("retriever, method", [("hybrid", m) for m in ("bm25", "dense", "hybrid")]
                              + [(r, m) for r in INITIAL_RETRIEVERS for m in ("rede", "rerank")])
-    def test_search_builds_its_own_pairs(self, retriever, method):
-        # a caller timing search pays for its results' pairs inside the call
+    def test_search_orders_its_own_lists(self, monkeypatch, retriever, method):
+        # a caller timing search pays for its results' sorts inside the call; the pairs wait for a read
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever=retriever)
         run, trace = engine.search(method, QUERY)
-        assert run._entries is not None and trace.candidates._entries is not None
-        assert run.entries and trace.candidates.entries
+        sorts = counted_argsorts(monkeypatch)
+        lists = [(ranked, ranked._ranking) for ranked in (run, trace.candidates)]
+        for ranked, (ids, scores) in lists:
+            assert ranked._entries is None and ids
+            assert all(type(d) is str for d in ids) and all(type(x) is float for x in scores)
+        for ranked, (ids, scores) in lists:
+            assert ranked.entries == list(zip(ids, scores))
+        assert sorts == []
+
+    @pytest.mark.parametrize("method", ["hybrid", "rede"])
+    def test_a_held_result_adds_few_tracked_objects(self, method):
+        # a held 1,000-deep result keeps two plain lists, not 1,000 tracked (doc_id, score) tuples,
+        # whose allocation sets off garbage collections
+        bench = generate_benchmark(seed=5, n_docs=1500, n_queries=4)
+        engine = SearchEngine(bench.corpus, build_sparse_index(bench.corpus),
+                              build_dense_index(bench.doc_ids, bench.doc_vectors), bench.encoder,
+                              judge=OracleJudge(bench.qrels),
+                              config=PipelineConfig(initial_retriever="hybrid", output_depth=1000))
+        # a query the judge finds relevant documents for; anything built once per engine is built here
+        query = next(q for q in bench.queries if engine.search(method, q)[1].path_taken == method)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            held = engine.search(method, query)
+            added = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(held[0].doc_ids()) == 1000 and held[1].path_taken == method
+        assert added < 100, added
 
     @pytest.mark.parametrize("case", ["extra bundle id", "missing id", "renamed bundle id",
                                       "sparse ids differ", "sparse ids out of order"])
