@@ -70,38 +70,33 @@ class Query:
 
 
 class RankedList:
-    """Ordered (doc_id, score) results for one query.
+    """Ordered (doc_id, score) results for one query, fixed once made.
 
-    Invariants: scores non-increasing, doc_ids distinct. A list passes
-    through up to three forms, each made from the one before on first need
-    and then kept. ``_top_k`` gives it its ``hits``: the id array it
-    selected over, and its rows, ascending, with their scores, so fusion can
-    work on rows. ``ranking()`` orders them, by one stable argsort on
+    Invariants: scores non-increasing, doc_ids distinct. A list has up to
+    two forms. ``_top_k`` gives it its ``hits``: the id array it selected
+    over, and its rows, ascending, with their scores, so fusion can work on
+    rows. ``ranking()`` orders them once, by one stable argsort on
     descending score (ties stay in row order, which is doc-id order), into
-    two plain lists: the ids, gathered by one take from the id array, and
-    the scores, in rank order. ``entries`` pairs those lists into
-    ``(doc_id, score)`` tuples the first time it is read; every reader in
-    the package reads the two lists instead (``read_run_file`` only fills
-    the entries it gives a list), so a list that only the package reads
-    never builds its pairs.
-    ``entries`` cannot be assigned, but once built it can be edited in place,
-    so from then on it speaks for the list, and ``ranking()`` reads it; the
-    hits speak for the list only while its entries are unbuilt
-    (``_unread_hits``). Equality and repr see only ``query_id`` and the ranking.
-    ``entries`` stays a list: perfbench's ``check_rankings`` compares it with one.
+    two plain lists that it keeps: the ids, gathered by one take from the
+    id array, and the scores, in rank order. A list made with ``entries=``
+    or ``ranking=`` holds only those two lists. ``entries`` pairs them into
+    a new list of ``(doc_id, score)`` tuples on each read and never stores
+    it, so editing what it returned leaves the list as it was; every
+    reader in the package reads the two lists instead. Equality and repr
+    see only ``query_id`` and the ranking. ``entries`` stays a list:
+    perfbench's ``check_rankings`` compares it with one.
     """
 
     def __init__(self, query_id: str, entries: list[tuple[str, float]] | None = None,
                  hits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                  ranking: tuple[list[str], list[float]] | None = None):
-        self.query_id = query_id
-        self.hits, self._ranking = hits, ranking
-        self._entries = [] if entries is None and hits is None and ranking is None else entries
+        self.query_id, self.hits = query_id, hits
+        if entries is not None or (hits is None and ranking is None):
+            ranking = [doc_id for doc_id, _ in entries or ()], [score for _, score in entries or ()]
+        self._ranking = ranking
 
     def ranking(self) -> tuple[list[str], list[float]]:
         """The ids and the scores in rank order; the caller must not edit them."""
-        if self._entries is not None:
-            return [doc_id for doc_id, _ in self._entries], [score for _, score in self._entries]
         if self._ranking is None:
             doc_ids, rows, scores = self.hits
             order = np.argsort(-scores, kind="stable")
@@ -110,13 +105,7 @@ class RankedList:
 
     @property
     def entries(self) -> list[tuple[str, float]]:
-        if self._entries is None:
-            self._entries = list(zip(*self.ranking()))
-        return self._entries
-
-    def _unread_hits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The hits while the entries are unbuilt, else None."""
-        return self.hits if self._entries is None else None
+        return list(zip(*self.ranking()))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -168,8 +157,8 @@ def _top_k(doc_ids: Sequence[str], scores: np.ndarray, rows: np.ndarray | None, 
     the gather of all the scores through a row list. An index hands its
     ``id_array``, which is kept as it is; any other sequence is made an
     object array here. The result only selects: it holds its hits
-    ``(id array, best rows ascending, their scores)``, and is ordered by
-    its ``ranking()``.
+    ``(id array, best rows ascending, their scores)``, and is ordered once,
+    by its ``ranking()``.
     ``np.partition`` finds the k-th best score; the rows strictly better
     are kept, and the lowest-numbered rows tied with it fill the rest, as a
     full stable sort on descending score would. The scores of ``rows`` must
@@ -353,8 +342,10 @@ def read_run_file(path: str) -> list[RankedList]:
             if qid in seen:
                 raise MalformedRecord(line_no, f"lines of query {qid!r} are not contiguous")
             seen.add(qid)
-            runs.append(RankedList(qid))
-        runs[-1].entries.append((doc_id, value))
+            doc_ids, scores = [], []
+            runs.append(RankedList(qid, ranking=(doc_ids, scores)))
+        doc_ids.append(doc_id)
+        scores.append(value)
     for run in runs:
         run.validate()
     return runs

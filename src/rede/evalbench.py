@@ -62,6 +62,13 @@ def _gain(rel: int, gain: str) -> float:
         return math.inf
 
 
+def _check_k_and_gain(k: int, gain: str) -> None:
+    """ValueError unless k is an integer >= 1 and gain is 'linear' or 'exp'."""
+    check_count("k", k, 1)
+    if gain not in ("linear", "exp"):
+        raise ValueError(f"gain must be 'linear' or 'exp', got {gain!r}")
+
+
 def ndcg_at_k(ranked: RankedList, qrels_for_query: dict[str, int], k: int,
               gain: str = "linear") -> float:
     """NDCG truncated at k; 0.0 when the query has no positive judgments.
@@ -69,9 +76,7 @@ def ndcg_at_k(ranked: RankedList, qrels_for_query: dict[str, int], k: int,
     An ideal DCG past float range raises PreconditionViolation naming the top relevance: the
     ratio would read NaN, or 0 for a ranking whose own DCG is finite.
     """
-    check_count("k", k, 1)
-    if gain not in ("linear", "exp"):
-        raise ValueError(f"gain must be 'linear' or 'exp', got {gain!r}")
+    _check_k_and_gain(k, gain)
     positives = sorted((rel for rel in qrels_for_query.values() if rel > 0), reverse=True)
     if not positives:
         return 0.0
@@ -92,14 +97,14 @@ def evaluate_run(run: Sequence[RankedList], qrels: Qrels, k: int = 10,
 
     ``complete`` additionally scores every qrels query absent from the run
     as 0, so no-result queries still count (run files cannot carry them).
+    ``k`` and ``gain`` are checked first, by ``ndcg_at_k``'s rule, so a bad
+    value is refused even when no run query is in the qrels.
     """
+    _check_k_and_gain(k, gain)
     if not run:
         raise EmptyRun("run contains no queries")
-    per_query: dict[str, float] = {}
-    for ranked in run:
-        if ranked.query_id not in qrels:
-            continue
-        per_query[ranked.query_id] = ndcg_at_k(ranked, qrels[ranked.query_id], k, gain)
+    per_query = {ranked.query_id: ndcg_at_k(ranked, qrels[ranked.query_id], k, gain)
+                 for ranked in run if ranked.query_id in qrels}
     if complete:
         for query_id in qrels:
             per_query.setdefault(query_id, 0.0)

@@ -63,12 +63,11 @@ def _leg_rows(sparse_results: RankedList, dense_results: RankedList):
 
     Two lists selected over one id array, or over equal id arrays
     (``np.array_equal``: an ``==`` of two arrays is an array, whose truth is
-    an error), whose entries are unbuilt keep their own hits, rows
-    ascending; any others, and lists whose entries may have been edited, are
-    given rows in rank order by numbering the sorted union of the doc_ids
-    of their ``ranking()``.
+    an error), keep their own hits, rows ascending; any others are given
+    rows in rank order by numbering the sorted union of the doc_ids of
+    their ``ranking()``.
     """
-    a, b = sparse_results._unread_hits(), dense_results._unread_hits()
+    a, b = sparse_results.hits, dense_results.hits
     if a is not None and b is not None and (a[0] is b[0] or np.array_equal(a[0], b[0])):
         return a[0], (a[1], a[2]), (b[1], b[2])
     legs = sparse_results.ranking(), dense_results.ranking()

@@ -206,6 +206,16 @@ def test_eval_rejects_k_zero(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: k must be >= 1")
 
 
+@pytest.mark.parametrize("complete", [[], ["--complete"]], ids=["plain", "complete"])
+def test_eval_rejects_k_zero_when_no_run_query_is_in_the_qrels(workspace, capsys, complete):
+    run_path, qrels = workspace / "run.trec", workspace / "qrels.txt"
+    run_path.write_text("q9 Q0 d1 1 1.000000 tag\n")
+    qrels.write_text("q1 0 d1 1\n")
+    assert run_command(["eval", "--run", str(run_path), "--qrels", str(qrels), "--k", "0", *complete]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k must be >= 1") and "Traceback" not in err
+
+
 def test_eval_exponential_gain_past_float_range_exits_2(workspace, capsys):
     run_path, qrels = workspace / "run.trec", workspace / "qrels.txt"
     assert run_command(["search", "--config", str(workspace / "config.json"), "--method", "bm25",

@@ -101,10 +101,11 @@ class TestNdcg:
         engine = toy_engine(OracleJudge({"q1": {"d2": 1}}), initial_retriever="hybrid")
         qrels = {"d2": 1, "d4": 2}
         (unread, _), (read, _) = engine.search("hybrid", QUERY), engine.search("hybrid", QUERY)
-        read.entries  # this one is scored through its pairs
+        read.entries  # a read builds a new list of pairs, and stores nothing on the result
+        ranking = unread._ranking
         values = [ndcg_at_k(unread, qrels, k) for k in (1, 2, 10)]
         assert values == [ndcg_at_k(read, qrels, k) for k in (1, 2, 10)] and 0 < values[-1] < 1
-        assert unread._entries is None
+        assert unread.hits is not None and unread._ranking is ranking  # scored from the lists kept
 
 
 class TestEvaluateRun:
@@ -143,6 +144,15 @@ class TestEvaluateRun:
         assert plain.mean == 1.0
         assert full.per_query["q-dropped"] == 0.0
         assert full.mean == 0.5
+
+    @pytest.mark.parametrize("k, gain, message", [(0, "linear", "k must be >= 1"),
+                                                  (True, "linear", "k must be an integer"),
+                                                  (10, "bogus", "gain must be 'linear' or 'exp'")])
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_k_and_gain_are_checked_when_no_run_query_is_in_the_qrels(self, k, gain, message, complete):
+        with pytest.raises(ValueError, match=message):
+            evaluate_run([RankedList("q9", [("d1", 1.0)])], {"q1": {"d1": 1}}, k=k, gain=gain,
+                         complete=complete)
 
     def test_mean_permutation_invariant(self):
         runs = [RankedList(f"q{i}", [(f"d{i}", 1.0)]) for i in range(5)]

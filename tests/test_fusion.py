@@ -160,7 +160,6 @@ class TestFuseOverRows:
         sparse_k, dense_k = data.draw(st.integers(1, n + 1)), data.draw(st.integers(1, n + 1))
 
         def legs():
-            # fresh lists each time: reading a list's entries takes it off the row path
             sparse = _top_k(ids, sparse_scores, sparse_rows, sparse_k)
             dense = _top_k(ids, dense_scores, np.arange(n), dense_k)
             sparse.query_id = dense.query_id = "q"
@@ -172,7 +171,7 @@ class TestFuseOverRows:
         for k in range(1, union + 2):
             expected = bits(parent_fuse(plain_sparse, plain_dense, alpha, k))
             sparse, dense = legs()
-            assert sparse._unread_hits() is not None and dense._unread_hits() is not None
+            assert sparse.hits is not None and dense.hits is not None
             assert bits(fuse(sparse, dense, alpha, k)) == expected
             assert bits(fuse(plain_sparse, plain_dense, alpha, k)) == expected
 
@@ -256,11 +255,10 @@ class TestFuseOverRows:
             for alpha in (0.0, -0.0, 0.25, 0.5, 1.0):  # -0.0: a fused score keeps a leg's -0.0
                 for k in range(1, 10):
                     rows_path = legs()[::-1] if swap else legs()
-                    assert all(leg._unread_hits() is not None for leg in rows_path)
+                    assert all(leg.hits is not None for leg in rows_path)
                     fused = bits(fuse(*rows_path, alpha, k))
-                    entry_path = legs()[::-1] if swap else legs()
-                    plain = [RankedList("", list(leg.entries)) for leg in entry_path]
-                    assert fused == bits(fuse(*entry_path, alpha, k)) == bits(parent_fuse(*plain, alpha, k))
+                    plain = [RankedList("", list(leg.entries)) for leg in rows_path]
+                    assert fused == bits(fuse(*plain, alpha, k)) == bits(parent_fuse(*plain, alpha, k))
 
     @pytest.mark.parametrize("other", [["d0", "d1", "d2", "e3"], ["d0", "d1", "d2"]],
                              ids=["one id differs", "one id fewer"])
@@ -269,7 +267,6 @@ class TestFuseOverRows:
         ids = np.array(["d0", "d1", "d2", "d3"], dtype=object)
 
         def legs():
-            # fresh lists each time: reading a list's entries takes it off the row path
             return (_top_k(ids, np.array([1.0, 3.0, 2.0, 0.5]), np.arange(4), 3),
                     _top_k(np.array(other, dtype=object), np.arange(len(other), dtype=np.float32), None, 3))
 
@@ -288,14 +285,19 @@ class TestFuseOverRows:
         assert [ids[r] for r in rows] == out.doc_ids()
         assert scores.tolist() == [s for _, s in out.entries]
 
-    def test_entries_edited_in_place_are_fused_not_the_stale_rows(self):
-        ids = ["a", "b", "c"]
+    def test_editing_a_read_of_entries_leaves_the_list_as_it_was(self):
+        ids = np.array(["a", "b", "c"], dtype=object)
         sparse = _top_k(ids, np.array([1.0, 3.0, 2.0]), np.arange(3), 2)
         dense = _top_k(ids, np.array([3.0, 1.0, 2.0]), np.arange(3), 1)
-        sparse.entries.clear()
-        sparse.entries.append(("c", 9.0))
-        plain = fuse(RankedList("", [("c", 9.0)]), RankedList("", list(dense.entries)), 0.5, 3)
-        assert fuse(sparse, dense, 0.5, 3).entries == plain.entries == [("a", 0.5), ("c", 0.5)]
+        hits, fused = sparse.hits, fuse(sparse, dense, 0.5, 3)
+        entries = sparse.entries
+        entries.clear()
+        entries.append(("c", 9.0))
+        assert sparse.ranking() == (["b", "c"], [3.0, 2.0]) and sparse.doc_ids() == ["b", "c"]
+        assert sparse == RankedList("", [("b", 3.0), ("c", 2.0)]) and sparse.entries == [("b", 3.0), ("c", 2.0)]
+        assert sparse.hits is hits and _leg_rows(sparse, dense)[0] is ids  # still on the row path
+        assert fuse(sparse, dense, 0.5, 3) == fused
+        assert fused.entries == [("a", 0.5), ("b", 0.5), ("c", 0.0)]
 
 
 class TestNonFiniteScores:
@@ -305,13 +307,12 @@ class TestNonFiniteScores:
         ids = ["a", "b", "c"]
 
         def legs():
-            # fresh lists each time: reading a list's entries takes it off the row path
             sparse_scores, dense_scores = np.array([2.0, 1.0, 3.0]), np.array([0.5, 1.0, 0.25], dtype=np.float32)
             (sparse_scores if bad_leg == "sparse" else dense_scores)[1] = bad
             return _top_k(ids, sparse_scores, np.arange(3), 3), _top_k(ids, dense_scores, np.arange(3), 3)
 
         hits = legs()
-        assert all(leg._unread_hits() is not None for leg in hits)
+        assert all(leg.hits is not None for leg in hits)
         plain = [RankedList("q", list(leg.entries)) for leg in legs()]
         for sparse, dense in (hits, plain):
             with pytest.raises(PreconditionViolation, match="fusion needs finite scores"):

@@ -938,7 +938,7 @@ class TestEngineRowSpace:
         for method in ("hybrid", "rede"):
             engine.search(method, QUERY)
         assert len(legs) == 4
-        assert all(leg.hits is not None and leg._entries is None for leg in legs)
+        assert all(leg.hits is not None and leg._ranking is None for leg in legs)  # fused as rows, never ordered
 
     def test_only_the_lists_search_returns_are_sorted(self, monkeypatch):
         # the hybrid legs are selected, rows ascending, over the engine's one id array and fused
@@ -976,10 +976,9 @@ class TestEngineRowSpace:
         sorts = counted_argsorts(monkeypatch)
         lists = [(ranked, ranked._ranking) for ranked in (run, trace.candidates)]
         for ranked, (ids, scores) in lists:
-            assert ranked._entries is None and ids
-            assert all(type(d) is str for d in ids) and all(type(x) is float for x in scores)
-        for ranked, (ids, scores) in lists:
-            assert ranked.entries == list(zip(ids, scores))
+            assert ids and all(type(d) is str for d in ids) and all(type(x) is float for x in scores)
+        for ranked, ranking in lists:
+            assert ranked.entries == list(zip(*ranking)) and ranked._ranking is ranking  # stores nothing
         assert sorts == []
 
     @pytest.mark.parametrize("method", ["hybrid", "rede"])
@@ -1000,11 +999,14 @@ class TestEngineRowSpace:
             before = len(gc.get_objects())
             held = engine.search(method, query)
             added = len(gc.get_objects()) - before
+            assert len(held[0].entries) == 1000  # a caller reads the pairs, then drops them
+            added_after_read = len(gc.get_objects()) - before
         finally:
             if enabled:
                 gc.enable()
         assert len(held[0].doc_ids()) == 1000 and held[1].path_taken == method
         assert added < 100, added
+        assert added_after_read < 100, added_after_read
 
     @pytest.mark.parametrize("case", ["extra bundle id", "missing id", "renamed bundle id",
                                       "sparse ids differ", "sparse ids out of order"])
